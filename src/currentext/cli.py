@@ -170,10 +170,13 @@ def parse_algebra_document(text: str):
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 0:
         raise DocumentError('document "dim" must be a nonnegative integer')
-    labels = doc.get("labels", [f"b{i}" for i in range(dim)])
-    if not (isinstance(labels, list) and len(labels) == dim
-            and all(isinstance(s, str) for s in labels)):
-        raise DocumentError('document "labels" must list dim strings')
+    if "labels" in doc:
+        labels = doc["labels"]
+        if not (isinstance(labels, list) and len(labels) == dim
+                and all(isinstance(s, str) for s in labels)):
+            raise DocumentError('document "labels" must list dim strings')
+    else:
+        labels = [f"b{i}" for i in range(dim)]
     if kind == "lie":
         entries = _parse_triplets(doc.get("brackets", []), dim, "brackets")
         try:

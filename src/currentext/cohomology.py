@@ -10,10 +10,18 @@ once and for all as
 so that for a 1-cochain beta we get (d beta)(x, y) = -beta([x, y]).
 Any consistent sign convention yields the same cohomology, but witnesses
 must be reproducible, so this one is canonical throughout the package.
+
+Cost contract: the differential is assembled from the nonzero brackets
+only (each pair a < b with [x_a, x_b] != 0 times the (p-1)-subsets of
+the other indices), with rows and columns placed by the lexicographic
+rank of their index tuples, so assembly costs O(nnz) rather than a visit
+to every target tuple.  Kernels, projections and representatives are
+then computed on sparse rows (see ``linalg`` for the elimination costs).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -76,44 +84,64 @@ def _guard(n: int, degree: int, coeff_dim: int, ceiling: Optional[int]):
         raise ResourceCeilingError(needed, limit)
 
 
+def _tuple_rank(tup, n: int, binom) -> int:
+    """Position of the increasing sequence ``tup`` in combinations(range(n), k).
+
+    Lexicographic rank: comb(n, k) - 1 - sum_i comb(n - 1 - c_i, k - i),
+    with binom[a][b] = comb(a, b).
+    """
+    k = len(tup)
+    r = binom[n][k] - 1
+    for i, c in enumerate(tup):
+        r -= binom[n - 1 - c][k - i]
+    return r
+
+
 def ce_differential(
     L: LieAlgebra, p: int, m: int, *, ceiling: Optional[int] = None
 ) -> SparseMatrix:
     """Matrix of the differential C^p(L, QQ^m) -> C^{p+1}(L, QQ^m).
 
-    Trivial coefficients make the matrix a block-diagonal expansion of
-    the scalar (m = 1) differential.
+    Only nonzero brackets contribute: the entry of target tuple
+    rest + {a, b} (a < b at positions i < j) in source tuple rest + {k}
+    gains (-1)^(i+j) (-1)^#{t in rest : t < k} [x_a, x_b]_k.  Trivial
+    coefficients make the matrix a block-diagonal expansion of the
+    scalar (m = 1) differential.
     """
     if not (0 <= p <= L.dim):
         raise ValueError(f"degree {p} out of range for dim {L.dim}")
     _guard(L.dim, p + 1, m, ceiling)
     n = L.dim
-    source = list(combinations(range(n), p))
-    target = list(combinations(range(n), p + 1))
-    src_index = {t: r for r, t in enumerate(source)}
+    binom = [[comb(a, b) for b in range(p + 2)] for a in range(n + 1)]
     scalar = {}
-    for row, tup in enumerate(target):
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                sign_ij = -1 if (i + j) % 2 else 1
-                rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
-                for k, c in L.bracket_basis(tup[i], tup[j]).items():
+    if p >= 1:
+        for a, b in combinations(range(n), 2):
+            bracket = L.bracket_basis(a, b)
+            if not bracket:
+                continue
+            terms = [(k, (c, -c)) for k, c in bracket.items()]
+            others = [t for t in range(n) if t != a and t != b]
+            for rest in combinations(others, p - 1):
+                i = bisect_left(rest, a)
+                j = bisect_left(rest, b) + 1
+                row = _tuple_rank(sorted(rest + (a, b)), n, binom)
+                for k, signed in terms:
                     if k in rest:
                         continue
-                    pos = sum(1 for t in rest if t < k)
-                    sign = sign_ij * (-1 if pos % 2 else 1)
-                    ordered = tuple(sorted((k,) + rest))
-                    key = (row, src_index[ordered])
-                    value = scalar.get(key, _ZERO) + sign * c
+                    pos = bisect_left(rest, k)
+                    term = signed[(i + j + pos) % 2]
+                    key = (row, _tuple_rank(sorted(rest + (k,)), n, binom))
+                    value = scalar.get(key)
+                    value = term if value is None else value + term
                     if value:
                         scalar[key] = value
-                    elif key in scalar:
-                        del scalar[key]
+                    else:
+                        scalar.pop(key, None)
     data = {}
     for (row, col), value in scalar.items():
         for a in range(m):
             data[(row * m + a, col * m + a)] = value
-    return SparseMatrix(len(target) * m, len(source) * m, data)
+    return SparseMatrix(binom[n][p + 1] * m, binom[n][p] * m, data)
 
 
 class Cocycle2:
@@ -398,8 +426,8 @@ def cohomology(
             space.dim, d_down.transpose().row_dicts()
         )
     quotient = quotient_space(space.dim, image)
-    z_vectors = cocycles.basis_vectors()
-    projected = [quotient.project(v) for v in z_vectors]
+    z_rows = cocycles.basis_rows()
+    projected = [quotient.project(row) for row in z_rows]
     reduced = rref_with_transform(projected, quotient.dim)
     representatives = []
     class_rows = []
@@ -408,9 +436,8 @@ def cohomology(
         rep = [_ZERO] * space.dim
         for t, coef in enumerate(combo):
             if coef:
-                for col, value in enumerate(z_vectors[t]):
-                    if value:
-                        rep[col] += coef * value
+                for col, value in z_rows[t].items():
+                    rep[col] += coef * value
         representatives.append(tuple(rep))
         class_rows.append(vec_part)
         class_pivots.append(pivot)

@@ -277,15 +277,14 @@ class KaehlerModule:
         self.omega1 = omega1
         self.omega1bar = omega1bar
         d = parent.dim
-        self._pair_class = tuple(
-            omega1.project(self._unit_tensor(i, j)) for i in range(d) for j in range(d)
-        )
+        self._pair_class = tuple(self._unit_class(idx) for idx in range(d * d))
         self._d_table = tuple(self.d(parent.basis_vector(j)) for j in range(d))
 
-    def _unit_tensor(self, i: int, j: int) -> Vec:
-        d = self.parent.dim
-        out = [_ZERO] * (d * d)
-        out[i * d + j] = _ONE
+    def _unit_class(self, idx: int) -> Vec:
+        """Omega1 coordinates of the unit tensor at flat position idx."""
+        out = [_ZERO] * self.omega1.dim
+        for col, value in self.omega1.project({idx: _ONE}).items():
+            out[col] = value
         return tuple(out)
 
     @property

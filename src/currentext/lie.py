@@ -100,18 +100,6 @@ class LieAlgebra:
                 data[(k, j)] = c
         return SparseMatrix(self.dim, self.dim, data)
 
-    def ad_element(self, x: Sequence) -> SparseMatrix:
-        data = {}
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            a = _as_fraction(a)
-            for j in range(self.dim):
-                for k, c in self.bracket_basis(i, j).items():
-                    key = (k, j)
-                    data[key] = data.get(key, _ZERO) + a * c
-        return SparseMatrix(self.dim, self.dim, data)
-
     def element(self, coords: Sequence) -> "Element":
         return Element(self, vector(coords))
 
@@ -125,14 +113,6 @@ class LieAlgebra:
         out = []
         for (i, j) in sorted(self._table):
             row = self._table[(i, j)]
-            for k in sorted(row):
-                out.append((i, j, k, row[k]))
-        return out
-
-    def raw_entries(self):
-        out = []
-        for (i, j) in sorted(self._raw):
-            row = self._raw[(i, j)]
             for k in sorted(row):
                 out.append((i, j, k, row[k]))
         return out
@@ -344,12 +324,6 @@ def derivations(L: LieAlgebra) -> DerivationSpace:
     )
     all_inner = contains_inner and ad_span.dim == kernel.dim
     return DerivationSpace(L, basis, all_inner, contains_inner)
-
-
-def apply_matrix(matrix, v: Sequence) -> Vec:
-    return tuple(
-        sum((row[c] * v[c] for c in range(len(v)) if v[c]), _ZERO) for row in matrix
-    )
 
 
 def bracket_pair_matrix(L: LieAlgebra):

@@ -16,6 +16,14 @@ sparse rational matrices, so this module fixes the conventions once:
 * linear solves return the canonical solution with all free coordinates
   set to zero, so computed witnesses are reproducible.
 
+Cost contract: the bookkeeping around the elimination is linear in the
+nonzeros it touches.  Empty rows never reach the eliminator; back
+substitution walks each row's own pivot columns through a column ->
+pivot map, so it costs O(nnz of the echelon rows) updates rather than
+O(rank^2) lookups; kernel generators and projections onto a quotient are
+built as sparse rows, and reducing a sparse vector against a subspace
+touches only the pivot columns present in the vector.
+
 All functions are pure and deterministic: the same input yields the
 bit-identical output.
 """
@@ -23,15 +31,18 @@ bit-identical output.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError
 
 Vec = tuple  # tuple of Fraction
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -189,25 +200,34 @@ def _gcd_normalize(row: dict) -> None:
             row[col] //= g
 
 
+def _entries(v, n: int) -> dict:
+    """Nonzero entries of a length-n vector, given as a dense sequence or
+    as a column -> value mapping, as a column -> Fraction dict."""
+    if isinstance(v, (dict, Mapping)):
+        out = {j: _as_fraction(x) for j, x in v.items() if x}
+        if out and not (min(out) >= 0 and max(out) < n):
+            raise DimensionMismatchError(f"vector has a column outside range({n})")
+        return out
+    if len(v) != n:
+        raise DimensionMismatchError(f"vector length {len(v)} != {n}")
+    return {j: _as_fraction(x) for j, x in enumerate(v) if x}
+
+
 def _integer_rows(rows: Iterable, cols: int):
     """Scale rational rows (dicts or dense sequences) to integer dicts."""
     out = []
     for row in rows:
-        if isinstance(row, Mapping):
-            items = [(j, _as_fraction(v)) for j, v in row.items() if v]
-        else:
-            if len(row) != cols:
-                raise DimensionMismatchError(
-                    f"row length {len(row)} != {cols} columns"
-                )
-            items = [(j, _as_fraction(v)) for j, v in enumerate(row) if v]
+        items = _entries(row, cols)
         if not items:
             out.append({})
             continue
         den = 1
-        for _, value in items:
+        for value in items.values():
             den = lcm(den, value.denominator)
-        int_row = {j: int(value * den) for j, value in items}
+        int_row = {
+            j: value.numerator * (den // value.denominator)
+            for j, value in items.items()
+        }
         _gcd_normalize(int_row)
         out.append(int_row)
     return out
@@ -271,22 +291,29 @@ def _eliminate(int_rows, stop_col: int):
 
 
 def _back_substitute(pivots):
-    """Turn forward-eliminated pivot rows into reduced echelon fraction rows."""
+    """Turn forward-eliminated pivot rows into reduced echelon fraction rows.
+
+    Rows are reduced from the last pivot up.  A reduced row is zero on
+    every other pivot column, so subtracting it from a row clears one
+    pivot column and never fills another: the pivot columns to clear are
+    exactly the row's own, found through the column -> pivot index map
+    and cleared in increasing order.
+    """
     cols = [c for c, _ in pivots]
+    index = {c: idx for idx, c in enumerate(cols)}
     out = [None] * len(pivots)
     for idx in range(len(pivots) - 1, -1, -1):
         col, row = pivots[idx]
         lead = row[col]
         frow = {c: Fraction(v, lead) for c, v in row.items()}
-        for later in range(idx + 1, len(pivots)):
-            coef = frow.get(cols[later])
-            if coef:
-                for c, v in out[later].items():
-                    updated = frow.get(c, _ZERO) - coef * v
-                    if updated:
-                        frow[c] = updated
-                    elif c in frow:
-                        del frow[c]
+        for later in sorted(index[c] for c in row if c != col and c in index):
+            coef = frow[cols[later]]
+            for c, v in out[later].items():
+                updated = frow.get(c, _ZERO) - coef * v
+                if updated:
+                    frow[c] = updated
+                elif c in frow:
+                    del frow[c]
         out[idx] = frow
     return cols, out
 
@@ -301,20 +328,32 @@ def rref_rows(rows: Iterable, cols: int):
     return _back_substitute(pivots)
 
 
+def _nonempty_rows(m: SparseMatrix):
+    """The nonzero rows of m as column -> value dicts, in row order."""
+    rows = {}
+    for (i, j), value in m._data.items():
+        if i in rows:
+            rows[i][j] = value
+        else:
+            rows[i] = {j: value}
+    return [rows[i] for i in sorted(rows)]
+
+
 def rank(m: SparseMatrix) -> int:
-    pivots, _ = _eliminate(_integer_rows(m.row_dicts(), m.cols), m.cols)
+    pivots, _ = _eliminate(_integer_rows(_nonempty_rows(m), m.cols), m.cols)
     return len(pivots)
 
 
 class Subspace:
     """Subspace of QQ^n held by its reduced echelon basis."""
 
-    __slots__ = ("ambient_dim", "pivots", "_rows")
+    __slots__ = ("ambient_dim", "pivots", "_rows", "_index")
 
     def __init__(self, ambient_dim: int, pivots: Sequence[int], rows):
         self.ambient_dim = ambient_dim
         self.pivots = tuple(pivots)
         self._rows = tuple(dict(r) for r in rows)
+        self._index = {c: idx for idx, c in enumerate(self.pivots)}
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
@@ -341,20 +380,35 @@ class Subspace:
             out.append(tuple(v))
         return out
 
-    def reduce(self, v: Sequence) -> list:
+    def basis_rows(self):
+        """The reduced echelon basis as column -> Fraction dicts."""
+        return [dict(row) for row in self._rows]
+
+    def reduce(self, v):
         """Subtract the projection onto this subspace; result has zero
-        coordinates on all pivot columns."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"vector length {len(v)} != ambient dimension {self.ambient_dim}"
-            )
-        out = [_as_fraction(x) for x in v]
-        for pivot, row in zip(self.pivots, self._rows):
+        coordinates on all pivot columns.
+
+        A dense vector gives a dense list, a column -> value mapping a
+        dict.  The basis is reduced, so clearing one pivot column never
+        fills another, and only the pivot columns present in v are
+        visited.
+        """
+        out = _entries(v, self.ambient_dim)
+        index = self._index
+        for pivot in sorted(c for c in out if c in index):
             coef = out[pivot]
-            if coef:
-                for col, value in row.items():
-                    out[col] -= coef * value
-        return out
+            for col, value in self._rows[index[pivot]].items():
+                updated = out.get(col, _ZERO) - coef * value
+                if updated:
+                    out[col] = updated
+                elif col in out:
+                    del out[col]
+        if isinstance(v, (dict, Mapping)):
+            return out
+        dense = [_ZERO] * self.ambient_dim
+        for col, value in out.items():
+            dense[col] = value
+        return dense
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
@@ -372,21 +426,22 @@ class Subspace:
 
 
 def kernel_basis(m: SparseMatrix) -> Subspace:
-    """Solution space of m v = 0, canonicalised to reduced echelon form."""
-    pivot_cols, rows = rref_rows(m.row_dicts(), m.cols)
+    """Solution space of m v = 0, canonicalised to reduced echelon form.
+
+    The generator of free column f is e_f minus row[f] e_pivot summed
+    over the echelon rows; all generators are built as sparse rows in one
+    pass over the echelon rows' nonzeros.
+    """
+    pivot_cols, rows = rref_rows(_nonempty_rows(m), m.cols)
     pivot_set = set(pivot_cols)
-    generators = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[free] = Fraction(1)
-        for pivot, row in zip(pivot_cols, rows):
-            coef = row.get(free)
-            if coef:
-                v[pivot] = -coef
-        generators.append(v)
-    return Subspace.from_spanning(m.cols, generators)
+    generators = {
+        free: {free: _ONE} for free in range(m.cols) if free not in pivot_set
+    }
+    for pivot, row in zip(pivot_cols, rows):
+        for col, value in row.items():
+            if col != pivot:
+                generators[col][pivot] = -value
+    return Subspace.from_spanning(m.cols, list(generators.values()))
 
 
 def solve_linear(m: SparseMatrix, b: Sequence) -> Optional[Vec]:
@@ -440,8 +495,17 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.rep_cols)
 
-    def project(self, v: Sequence) -> Vec:
+    def project(self, v):
+        """Quotient coordinates of v: a tuple for a dense vector, a
+        coordinate -> value dict for a column -> value mapping."""
         reduced = self.subspace.reduce(v)
+        if isinstance(reduced, dict):
+            # representative column c is quotient coordinate c - #{pivots < c}
+            pivots = self.subspace.pivots
+            return {
+                c - bisect_left(pivots, c): value
+                for c, value in sorted(reduced.items())
+            }
         return tuple(reduced[c] for c in self.rep_cols)
 
     def lift(self, q: Sequence) -> Vec:
@@ -469,14 +533,13 @@ def rref_with_transform(vectors: Sequence[Sequence], cols: int):
     nonzero echelon row, where combination gives the coefficients over
     the input vectors that produce echelon_row.  Pivoting is restricted
     to the first ``cols`` columns; rows that vanish there are dropped.
+    Vectors are dense sequences or column -> value mappings.
     """
     k = len(vectors)
     rows = []
     for i, v in enumerate(vectors):
-        if len(v) != cols:
-            raise DimensionMismatchError(f"vector length {len(v)} != {cols}")
-        row = {j: _as_fraction(x) for j, x in enumerate(v) if x}
-        row[cols + i] = Fraction(1)
+        row = _entries(v, cols)
+        row[cols + i] = _ONE
         rows.append(row)
     pivots, _ = _eliminate(_integer_rows(rows, cols + k), cols)
     pivot_cols, echelon = _back_substitute(pivots)

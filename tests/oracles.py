@@ -6,6 +6,7 @@ correct, which is the point.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def dense_rank(rows):
@@ -69,3 +70,77 @@ def dense_solve(rows, rhs):
     for r, col in enumerate(pivots):
         x[col] = m[r][cols] / m[r][col]
     return x
+
+
+def dense_rref(rows, cols):
+    """Reduced row echelon form: (pivot columns, nonzero rows as lists)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, len(m)):
+            if m[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = m[rank][col]
+        m[rank] = [x / inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+    return pivots, m[:rank]
+
+
+def dense_kernel_rref(rows, cols):
+    """Reduced echelon basis of {v : rows v = 0}, as (pivots, rows)."""
+    pivots, echelon = dense_rref(rows, cols)
+    generators = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[free] = Fraction(1)
+        for pivot, row in zip(pivots, echelon):
+            v[pivot] = -row[free]
+        generators.append(v)
+    return dense_rref(generators, cols)
+
+
+def ce_differential_reference(L, p, m):
+    """The CE differential C^p(L, Q^m) -> C^{p+1}(L, Q^m) by the triple walk.
+
+    Visits every target (p+1)-tuple and every pair of its positions,
+    with the convention (d psi)(x_0..x_p) = sum_{i<j} (-1)^(i+j)
+    psi([x_i, x_j], x_0, ..^i..^j.., x_p).  Only L.dim and
+    L.bracket_basis are used.  Returns (rows, cols, sorted triplets).
+    """
+    n = L.dim
+    source = list(combinations(range(n), p))
+    target = list(combinations(range(n), p + 1))
+    src_index = {t: r for r, t in enumerate(source)}
+    scalar = {}
+    for row, tup in enumerate(target):
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                sign_ij = -1 if (i + j) % 2 else 1
+                rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
+                for k, c in L.bracket_basis(tup[i], tup[j]).items():
+                    if k in rest:
+                        continue
+                    pos = sum(1 for t in rest if t < k)
+                    sign = sign_ij * (-1 if pos % 2 else 1)
+                    key = (row, src_index[tuple(sorted((k,) + rest))])
+                    scalar[key] = scalar.get(key, Fraction(0)) + sign * Fraction(c)
+    triplets = sorted(
+        (row * m + a, col * m + a, value)
+        for (row, col), value in scalar.items()
+        if value
+        for a in range(m)
+    )
+    return len(target) * m, len(source) * m, triplets

@@ -216,3 +216,19 @@ def test_twist_command_deterministic_seed():
     b = run_command(["twist", "sl2", "sq2", "--seed", "11"])
     assert a.results == b.results
     assert a.results["class_unchanged"] is True
+
+
+def test_supplied_labels_skip_default_label_list():
+    # the default b0..b{dim-1} list is built only when "labels" is absent,
+    # so a huge "dim" with a short label list is refused before allocating
+    import tracemalloc
+
+    doc = json.dumps({"kind": "lie", "dim": 200_000, "labels": ["a", "b"]})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError):
+            parse_algebra_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

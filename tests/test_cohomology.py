@@ -185,3 +185,45 @@ def test_cocycle_flat_round_trip():
     psi = Cocycle2(L, 2, {(0, 1): (F(1), F(-3)), (1, 2): (F(0), F(5))})
     again = Cocycle2.from_flat(L, 2, psi.flat())
     assert again == psi
+
+
+def _oracle_algebra(name):
+    if "(x)" in name:
+        gname, aname = name.split(" (x) ")
+        return current_algebra(lie_catalog(gname), comm_catalog(aname)).total
+    return lie_catalog(name)
+
+
+ORACLE_ALGEBRAS = (
+    "sl2", "sl3", "so3", "heis3", "sl2C", "gl2", "abelian:3", "sl2+so3",
+    "sl2 (x) jets:2", "sl2 (x) fun:2", "heis3 (x) fun:2", "so3 (x) sq2",
+)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_ce_differential_matches_triple_walk(name):
+    from oracles import ce_differential_reference
+
+    L = _oracle_algebra(name)
+    for m in (1, 2):
+        for p in range(4):
+            d = ce_differential(L, p, m)
+            rows, cols, triplets = ce_differential_reference(L, p, m)
+            assert d.shape == (rows, cols)
+            assert d.triplets() == triplets
+        for p in range(3):
+            lower = ce_differential(L, p, m)
+            upper = ce_differential(L, p + 1, m)
+            for c in range(lower.cols):
+                assert not any(upper.matvec(lower.column(c)))
+
+
+def test_ce_differential_ceiling_counts_every_target_tuple():
+    # d vanishes on an abelian algebra, yet the guard counts all
+    # comb(n, p + 1) * m target rows before anything is assembled
+    L = lie_catalog("abelian:3")
+    assert ce_differential(L, 1, 2, ceiling=6).shape == (6, 6)
+    with pytest.raises(ResourceCeilingError):
+        ce_differential(L, 1, 2, ceiling=5)
+    with pytest.raises(ResourceCeilingError):
+        ce_differential(lie_catalog("abelian:60"), 3, 1)

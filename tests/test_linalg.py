@@ -10,11 +10,12 @@ from currentext.linalg import (
     kernel_basis,
     quotient_space,
     rank,
+    rref_rows,
     rref_with_transform,
     solve_linear,
 )
 
-from oracles import dense_rank
+from oracles import dense_kernel_rref, dense_rank, dense_rref
 
 F = Fraction
 
@@ -171,3 +172,97 @@ def test_no_stored_zeros():
     m = SparseMatrix(2, 2, {(0, 0): F(0), (1, 1): F(3)})
     assert m.nnz == 1
     assert m.triplets() == [(1, 1, F(3))]
+
+
+def _random_sparse(rng, rows, cols, density, fractional):
+    data = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                data[(i, j)] = F(rng.randint(-9, 9), rng.randint(1, 6) if fractional else 1)
+    return SparseMatrix(rows, cols, data)
+
+
+def _full_rank(rng, rows, cols):
+    """A rows x cols matrix of rank min(rows, cols): a shuffled echelon
+    staircase with fractional pivots and random entries to their right."""
+    r = min(rows, cols)
+    lead_cols = sorted(rng.sample(range(cols), r))
+    data = {}
+    for i, lead in enumerate(lead_cols):
+        data[(i, lead)] = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+        for j in range(lead + 1, cols):
+            if rng.random() < 0.4:
+                data[(i, j)] = F(rng.randint(-5, 5), rng.randint(1, 3))
+    order = list(range(rows))
+    rng.shuffle(order)
+    return SparseMatrix(rows, cols, {(order[i], j): v for (i, j), v in data.items()})
+
+
+def _oracle_matrices():
+    """Seeded random sparse rational matrices: general ones with integer
+    and fractional entries, full-rank ones of every shape, zero ones."""
+    rng = random.Random(20240601)
+    general = [
+        _random_sparse(rng, rng.randrange(1, 10), rng.randrange(1, 10),
+                       rng.choice([0.1, 0.25, 0.5]), t % 2 == 1)
+        for t in range(40)
+    ]
+    full = [_full_rank(rng, rows, cols) for rows, cols in ((1, 1), (5, 5), (4, 8), (8, 3), (9, 9))]
+    zero = [SparseMatrix.zeros(rows, cols) for rows, cols in ((1, 1), (3, 5), (6, 2))]
+    return general + full + zero
+
+
+def test_oracle_matrices_cover_full_and_zero_rank():
+    ranks = [(rank(m), min(m.shape)) for m in _oracle_matrices()]
+    assert sum(r == full for r, full in ranks) >= 5
+    assert sum(r == 0 for r, _ in ranks) >= 3
+    assert any(0 < r < full for r, full in ranks)
+
+
+def test_rref_rows_matches_dense_oracle():
+    for m in _oracle_matrices():
+        pivots, rows = rref_rows(m.row_dicts(), m.cols)
+        want_pivots, want_rows = dense_rref(m.to_dense(), m.cols)
+        assert list(pivots) == want_pivots
+        assert [[row.get(c, 0) for c in range(m.cols)] for row in rows] == want_rows
+        assert rref_rows(m.to_dense(), m.cols) == (pivots, rows)
+
+
+def test_kernel_basis_matches_dense_oracle():
+    for m in _oracle_matrices():
+        k = kernel_basis(m)
+        want_pivots, want_rows = dense_kernel_rref(m.to_dense(), m.cols)
+        assert list(k.pivots) == want_pivots
+        assert [list(v) for v in k.basis_vectors()] == want_rows
+        assert k.basis_rows() == [
+            {c: x for c, x in enumerate(v) if x} for v in k.basis_vectors()
+        ]
+
+
+def test_sparse_and_dense_vectors_agree():
+    rng = random.Random(11)
+    for m in _oracle_matrices():
+        n = m.cols
+        sub = Subspace.from_spanning(n, m.row_dicts())
+        q = quotient_space(n, sub)
+        dense_vectors = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else F(0)
+             for _ in range(n)]
+            for _ in range(4)
+        ]
+        sparse_vectors = [{j: x for j, x in enumerate(v) if x} for v in dense_vectors]
+        for dense, sparse in zip(dense_vectors, sparse_vectors):
+            reduced = sub.reduce(dense)
+            assert sub.reduce(sparse) == {j: x for j, x in enumerate(reduced) if x}
+            projected = q.project(dense)
+            assert q.project(sparse) == {t: x for t, x in enumerate(projected) if x}
+        assert rref_with_transform(sparse_vectors, n) == rref_with_transform(dense_vectors, n)
+
+
+def test_sparse_vector_column_out_of_range():
+    sub = Subspace.from_spanning(3, [(1, 0, 0)])
+    with pytest.raises(DimensionMismatchError):
+        sub.reduce({3: F(1)})
+    with pytest.raises(DimensionMismatchError):
+        rref_with_transform([{-1: F(1)}], 3)
