@@ -43,6 +43,11 @@ def golden_cases():
         ["universality", "sl3", "sq2*sq2"],
         ["h2", "sl2", "--coeff-dim", "3"],
         ["h2", "heis3", "--coeff-dim", "2"],
+        ["universality", "sl2", "fun:2*sq2", "--coeff-dim", "2"],
+        ["universality", "sl2+so3", "sq2", "--coeff-dim", "3"],
+        # the d^{p-1} guard counts comb(n, p) * m: 6 * 3 = 18 entries
+        ["h2", "abelian:4", "--coeff-dim", "3", "--max-cochain", "17"],
+        ["h2", "abelian:4", "--coeff-dim", "3", "--max-cochain", "18"],
         ["glue-demo", "sl2", "fun:3*jets:2", "--cover", "1,2;2,3"],
         ["glue-demo", "sl2", "fun:4*jets:2", "--cover", "1,2;2,3;3,4"],
     ]
