@@ -625,6 +625,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="currentext", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -666,7 +673,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("h2", parents=[common], help="second cohomology, trivial coefficients")
     p.add_argument("algebra")
-    p.add_argument("--coeff-dim", type=int, default=1, metavar="M")
+    p.add_argument("--coeff-dim", type=nonnegative_int, default=1, metavar="M")
     p.set_defaults(func=_cmd_h2)
 
     p = sub.add_parser("kaehler", parents=[common], help="Kaehler differentials")
@@ -690,7 +697,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("universality", parents=[common], help="the map phi -> [phi o omega]")
     p.add_argument("fibre")
     p.add_argument("coefficients")
-    p.add_argument("--coeff-dim", type=int, default=1, metavar="M")
+    p.add_argument("--coeff-dim", type=nonnegative_int, default=1, metavar="M")
     p.set_defaults(func=_cmd_universality)
 
     p = sub.add_parser("twist", parents=[common], help="connection twist coboundary")

@@ -1,8 +1,13 @@
 """Chevalley-Eilenberg cochain complexes with trivial coefficients.
 
-Cochain spaces C^p(L, QQ^m) are indexed by strictly increasing p-tuples
-of basis indices times a coefficient index.  The differential is fixed
-once and for all as
+Only the scalar complex C^p(L, QQ) is assembled.  Its basis is the
+strictly increasing p-tuples of basis indices, numbered by their
+lexicographic rank in combinations(range(dim L), p).  Trivial
+coefficients QQ^m are a tensor factor: C^p(L, QQ^m) = C^p(L, QQ) (x) QQ^m
+with flat index rank * m + a for coefficient slot a, the differential
+is d (x) id, and H^p(L, QQ^m) = H^p(L, QQ) (x) QQ^m.  So the scalar
+complex is solved once and each slot flat[a::m] of a cochain is handled
+by the scalar answer.  The differential is fixed once and for all as
 
     (d psi)(x_0, ..., x_p) =
         sum_{i<j} (-1)^{i+j} psi([x_i, x_j], x_0, ..., ^x_i, ..., ^x_j, ..., x_p)
@@ -16,7 +21,10 @@ only (each pair a < b with [x_a, x_b] != 0 times the (p-1)-subsets of
 the other indices), with rows and columns placed by the lexicographic
 rank of their index tuples, so assembly costs O(nnz) rather than a visit
 to every target tuple.  Kernels, projections and representatives are
-then computed on sparse rows (see ``linalg`` for the elimination costs).
+then computed on sparse rows (see ``linalg`` for the elimination costs),
+and m costs only the expansion of the scalar answer, never a bigger
+matrix.  The resource ceiling counts the coefficient spaces
+C^{p+1} and C^p with their factor m, before anything is assembled.
 """
 
 from __future__ import annotations
@@ -52,31 +60,6 @@ _ZERO = Fraction(0)
 DEFAULT_COCHAIN_CEILING = 200_000
 
 
-class CochainSpace:
-    """Basis bookkeeping for C^p(L, QQ^m) with trivial coefficients."""
-
-    __slots__ = ("parent", "degree", "coeff_dim", "tuples", "index")
-
-    def __init__(self, parent: LieAlgebra, degree: int, coeff_dim: int):
-        if degree < 0:
-            raise ValueError("cochain degree must be nonnegative")
-        self.parent = parent
-        self.degree = degree
-        self.coeff_dim = coeff_dim
-        self.tuples = tuple(combinations(range(parent.dim), degree))
-        self.index = {t: r for r, t in enumerate(self.tuples)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.tuples) * self.coeff_dim
-
-    def flat(self, tup, a: int) -> int:
-        return self.index[tup] * self.coeff_dim + a
-
-    def unflat(self, idx: int):
-        return self.tuples[idx // self.coeff_dim], idx % self.coeff_dim
-
-
 def _guard(n: int, degree: int, coeff_dim: int, ceiling: Optional[int]):
     limit = DEFAULT_COCHAIN_CEILING if ceiling is None else ceiling
     needed = comb(n, degree) * coeff_dim
@@ -98,22 +81,23 @@ def _tuple_rank(tup, n: int, binom) -> int:
 
 
 def ce_differential(
-    L: LieAlgebra, p: int, m: int, *, ceiling: Optional[int] = None
+    L: LieAlgebra, p: int, *, ceiling: Optional[int] = None
 ) -> SparseMatrix:
-    """Matrix of the differential C^p(L, QQ^m) -> C^{p+1}(L, QQ^m).
+    """Matrix of the scalar differential C^p(L, QQ) -> C^{p+1}(L, QQ).
 
+    Rows and columns are the lexicographic ranks of the index tuples.
     Only nonzero brackets contribute: the entry of target tuple
     rest + {a, b} (a < b at positions i < j) in source tuple rest + {k}
-    gains (-1)^(i+j) (-1)^#{t in rest : t < k} [x_a, x_b]_k.  Trivial
-    coefficients make the matrix a block-diagonal expansion of the
-    scalar (m = 1) differential.
+    gains (-1)^(i+j) (-1)^#{t in rest : t < k} [x_a, x_b]_k.  With
+    coefficients QQ^m the differential is this matrix tensored with the
+    identity of QQ^m (flat index rank * m + a); it is never expanded.
     """
     if not (0 <= p <= L.dim):
         raise ValueError(f"degree {p} out of range for dim {L.dim}")
-    _guard(L.dim, p + 1, m, ceiling)
+    _guard(L.dim, p + 1, 1, ceiling)
     n = L.dim
     binom = [[comb(a, b) for b in range(p + 2)] for a in range(n + 1)]
-    scalar = {}
+    data = {}
     if p >= 1:
         for a, b in combinations(range(n), 2):
             bracket = L.bracket_basis(a, b)
@@ -131,17 +115,13 @@ def ce_differential(
                     pos = bisect_left(rest, k)
                     term = signed[(i + j + pos) % 2]
                     key = (row, _tuple_rank(sorted(rest + (k,)), n, binom))
-                    value = scalar.get(key)
+                    value = data.get(key)
                     value = term if value is None else value + term
                     if value:
-                        scalar[key] = value
+                        data[key] = value
                     else:
-                        scalar.pop(key, None)
-    data = {}
-    for (row, col), value in scalar.items():
-        for a in range(m):
-            data[(row * m + a, col * m + a)] = value
-    return SparseMatrix(binom[n][p + 1] * m, binom[n][p] * m, data)
+                        data.pop(key, None)
+    return SparseMatrix(binom[n][p + 1], binom[n][p], data)
 
 
 class Cocycle2:
@@ -176,17 +156,16 @@ class Cocycle2:
 
     @classmethod
     def from_flat(cls, parent: LieAlgebra, coeff_dim: int, flat: Sequence) -> "Cocycle2":
-        space = CochainSpace(parent, 2, coeff_dim)
-        if len(flat) != space.dim:
+        """Inverse of flat(): pair (i, j) of rank r holds flat[r*m : (r+1)*m]."""
+        m = coeff_dim
+        if len(flat) != comb(parent.dim, 2) * m:
             raise DimensionMismatchError("flat cocycle vector has wrong length")
         table = {}
-        for r, (i, j) in enumerate(space.tuples):
-            value = tuple(
-                _as_fraction(flat[r * coeff_dim + a]) for a in range(coeff_dim)
-            )
+        for r, pair in enumerate(combinations(range(parent.dim), 2)):
+            value = flat[r * m:(r + 1) * m]
             if any(value):
-                table[(i, j)] = value
-        return cls(parent, coeff_dim, table)
+                table[pair] = value
+        return cls(parent, m, table)
 
     def value(self, i: int, j: int) -> Vec:
         if i == j:
@@ -197,13 +176,11 @@ class Cocycle2:
         return tuple(-x for x in v) if v else zero_vector(self.coeff_dim)
 
     def flat(self) -> Vec:
-        space = CochainSpace(self.parent, 2, self.coeff_dim)
-        out = [_ZERO] * space.dim
-        for (i, j), value in self.values.items():
-            base = space.index[(i, j)] * self.coeff_dim
-            for a, x in enumerate(value):
-                out[base + a] = x
-        return tuple(out)
+        """Coordinates in C^2(L, QQ^m): entry rank(i, j) * m + a is the
+        value's slot a, pairs ranked lexicographically as in ce_differential."""
+        zero = zero_vector(self.coeff_dim)
+        pairs = combinations(range(self.parent.dim), 2)
+        return tuple(x for pair in pairs for x in self.values.get(pair, zero))
 
     def apply(self, u: Sequence, v: Sequence) -> Vec:
         out = [_ZERO] * self.coeff_dim
@@ -299,16 +276,6 @@ class OneCochain:
     def zero(cls, parent: LieAlgebra, coeff_dim: int) -> "OneCochain":
         return cls(parent, coeff_dim, [zero_vector(coeff_dim)] * parent.dim)
 
-    @classmethod
-    def from_flat(cls, parent: LieAlgebra, coeff_dim: int, flat: Sequence) -> "OneCochain":
-        if len(flat) != parent.dim * coeff_dim:
-            raise DimensionMismatchError("flat one-cochain has wrong length")
-        return cls(
-            parent,
-            coeff_dim,
-            [flat[i * coeff_dim:(i + 1) * coeff_dim] for i in range(parent.dim)],
-        )
-
     def flat(self) -> Vec:
         return tuple(x for v in self.values for x in v)
 
@@ -346,11 +313,12 @@ class OneCochain:
 
 
 class Cohomology:
-    """H^p(L, QQ^m) with echelon-normalised representatives.
+    """H^p(L, QQ^m) = H^p(L, QQ) (x) QQ^m with echelon-normalised representatives.
 
-    Representatives are cocycle vectors whose classes form the reduced
-    echelon basis of ker d^p / im d^{p-1} in the canonical quotient
-    coordinates, so the output is deterministic.
+    The scalar representatives rep_k are cocycle vectors whose classes
+    form the reduced echelon basis of ker d^p / im d^{p-1} in the
+    canonical quotient coordinates, so the output is deterministic.
+    Representative k * m + a is rep_k (x) e_a, a flat vector of C^p(L, QQ^m).
     """
 
     __slots__ = (
@@ -358,40 +326,48 @@ class Cohomology:
         "degree",
         "coeff_dim",
         "dimension",
-        "space",
         "representatives",
         "quotient",
         "class_rows",
         "class_pivots",
     )
 
-    def __init__(self, parent, degree, coeff_dim, dimension, space,
-                 representatives, quotient, class_rows, class_pivots):
+    def __init__(self, parent, degree, coeff_dim, representatives, quotient,
+                 class_rows, class_pivots):
         self.parent = parent
         self.degree = degree
         self.coeff_dim = coeff_dim
-        self.dimension = dimension
-        self.space = space
         self.representatives = tuple(representatives)
+        self.dimension = len(self.representatives)
         self.quotient = quotient
         self.class_rows = tuple(class_rows)
         self.class_pivots = tuple(class_pivots)
 
     def class_coordinates(self, flat_vec: Sequence) -> Vec:
-        """Coordinates of a cocycle's class in the representative basis."""
-        q = list(self.quotient.project(flat_vec))
-        coords = []
-        for pivot, row in zip(self.class_pivots, self.class_rows):
-            c = q[pivot]
-            coords.append(c)
-            if c:
-                for col, value in enumerate(row):
-                    if value:
-                        q[col] -= c * value
-        if any(q):
-            raise InternalConsistencyError(
-                "vector class lies outside the cocycle span; input is not a cocycle"
-            )
+        """Coordinates of a cocycle's class in the representative basis.
+
+        Slot a of the flat vector, flat_vec[a::m], is a scalar cocycle;
+        its scalar class coordinate k is coordinate k * m + a.
+        """
+        m = self.coeff_dim
+        if len(flat_vec) != comb(self.parent.dim, self.degree) * m:
+            raise DimensionMismatchError("flat cochain vector has wrong length")
+        coords = [_ZERO] * self.dimension
+        for a in range(m):
+            slot = {col: x for col, x in enumerate(flat_vec[a::m]) if x}
+            if not slot:
+                continue
+            q = self.quotient.project(slot)
+            for k, (pivot, row) in enumerate(zip(self.class_pivots, self.class_rows)):
+                c = q.get(pivot)
+                if c:
+                    coords[k * m + a] = c
+                    for col, value in row.items():
+                        q[col] = q.get(col, _ZERO) - c * value
+            if any(q.values()):
+                raise InternalConsistencyError(
+                    "vector class lies outside the cocycle span; input is not a cocycle"
+                )
         return tuple(coords)
 
     def representative_cocycles(self):
@@ -412,20 +388,29 @@ class Cohomology:
 def cohomology(
     L: LieAlgebra, p: int, m: int, *, ceiling: Optional[int] = None
 ) -> Cohomology:
-    """Compute H^p(L, QQ^m) = ker d^p / im d^{p-1} with representatives."""
+    """Compute H^p(L, QQ^m) = (ker d^p / im d^{p-1}) (x) QQ^m with representatives.
+
+    The scalar complex is solved once.  The ceiling counts C^{p+1} and,
+    for p >= 2, C^p with their factor m, before anything is assembled.
+    """
     if p < 1:
         raise ValueError("cohomology degree must be at least 1")
-    d_up = ce_differential(L, p, m, ceiling=ceiling)
-    space = CochainSpace(L, p, m)
+    if m < 0:
+        raise ValueError("coefficient dimension must be nonnegative")
+    _guard(L.dim, p + 1, m, ceiling)
+    if p >= 2:
+        _guard(L.dim, p, m, ceiling)
+    if m == 0:  # QQ^0 = 0: nothing to assemble
+        return Cohomology(L, p, m, (), None, (), ())
+    d_up = ce_differential(L, p, ceiling=ceiling)
+    size = d_up.cols
     cocycles = kernel_basis(d_up)
     if p == 1:
-        image = Subspace.zero(space.dim)  # trivial coefficients: d^0 = 0
+        image = Subspace.zero(size)  # trivial coefficients: d^0 = 0
     else:
-        d_down = ce_differential(L, p - 1, m, ceiling=ceiling)
-        image = Subspace.from_spanning(
-            space.dim, d_down.transpose().row_dicts()
-        )
-    quotient = quotient_space(space.dim, image)
+        d_down = ce_differential(L, p - 1, ceiling=ceiling)
+        image = Subspace.from_spanning(size, d_down.transpose().row_dicts())
+    quotient = quotient_space(size, image)
     z_rows = cocycles.basis_rows()
     projected = [quotient.project(row) for row in z_rows]
     reduced = rref_with_transform(projected, quotient.dim)
@@ -433,22 +418,22 @@ def cohomology(
     class_rows = []
     class_pivots = []
     for vec_part, combo, pivot in reduced:
-        rep = [_ZERO] * space.dim
+        rep = [_ZERO] * size
         for t, coef in enumerate(combo):
             if coef:
                 for col, value in z_rows[t].items():
                     rep[col] += coef * value
-        representatives.append(tuple(rep))
-        class_rows.append(vec_part)
+        for a in range(m):
+            flat = [_ZERO] * (size * m)
+            flat[a::m] = rep
+            representatives.append(tuple(flat))
+        class_rows.append({col: value for col, value in enumerate(vec_part) if value})
         class_pivots.append(pivot)
-    dimension = len(representatives)
-    if dimension != cocycles.dim - image.dim:
+    if len(class_rows) != cocycles.dim - image.dim:
         raise InternalConsistencyError(
             "cohomology dimension bookkeeping failed (is d o d = 0 violated?)"
         )
-    return Cohomology(
-        L, p, m, dimension, space, representatives, quotient, class_rows, class_pivots
-    )
+    return Cohomology(L, p, m, representatives, quotient, class_rows, class_pivots)
 
 
 class CoboundaryWitness:
@@ -488,12 +473,18 @@ def coboundary_witness(
         raise NotACocycleError(*defect)
     L = psi.parent
     m = psi.coeff_dim
-    delta1 = ce_differential(L, 1, m, ceiling=ceiling)
+    _guard(L.dim, 2, m, ceiling)
     flat = psi.flat()
-    solution = solve_linear(delta1, flat)
-    if solution is not None:
-        beta = OneCochain.from_flat(L, m, solution)
-        return CoboundaryWitness(beta, None, None)
-    if h2 is None:
-        h2 = cohomology(L, 2, m, ceiling=ceiling)
-    return CoboundaryWitness(None, h2.class_coordinates(flat), h2)
+    # a zero slot has the zero primitive, so psi = 0 needs no d^1
+    delta1 = ce_differential(L, 1, ceiling=ceiling) if any(flat) else None
+    primitive = []
+    for a in range(m):
+        slot = flat[a::m]
+        solution = solve_linear(delta1, slot) if any(slot) else zero_vector(L.dim)
+        if solution is None:
+            if h2 is None:
+                h2 = cohomology(L, 2, m, ceiling=ceiling)
+            return CoboundaryWitness(None, h2.class_coordinates(flat), h2)
+        primitive.append(solution)
+    beta = OneCochain(L, m, [tuple(x[i] for x in primitive) for i in range(L.dim)])
+    return CoboundaryWitness(beta, None, None)

@@ -72,6 +72,19 @@ def dense_solve(rows, rhs):
     return x
 
 
+def dense_canonical_solve(rows, rhs):
+    """The solution of rows * x = rhs with free coordinates zero, or None."""
+    cols = len(rows[0])
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots, echelon = dense_rref(augmented, cols + 1)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for pivot, row in zip(pivots, echelon):
+        x[pivot] = row[cols]
+    return x
+
+
 def dense_rref(rows, cols):
     """Reduced row echelon form: (pivot columns, nonzero rows as lists)."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -160,8 +160,8 @@ def test_criterion_4_cocycle_identities():
             assert psi.cocycle_defect() is None, (gname, aname)
             L = uc.current.total
             for p in (0, 1, 2):
-                lower = ce_differential(L, p, 1)
-                upper = ce_differential(L, p + 1, 1)
+                lower = ce_differential(L, p)
+                upper = ce_differential(L, p + 1)
                 assert _compose_is_zero(upper, lower), (gname, aname, p)
 
 
@@ -193,7 +193,7 @@ def test_criterion_6_diagonality_of_cocycle_spaces():
         for aname in ("fun:3", "fun:2*jets:2"):
             ca = current_algebra(lie_catalog("sl2"), comm_catalog(aname))
             ss = SupportStructure(ca)
-            z2 = kernel_basis(ce_differential(ca.total, 2, 1))
+            z2 = kernel_basis(ce_differential(ca.total, 2))
             assert z2.dim > 0, aname
             for vec in z2.basis_vectors():
                 psi = Cocycle2.from_flat(ca.total, 1, vec)
@@ -222,7 +222,7 @@ def test_criterion_7_gluing():
             assert glued.coboundary() == psi, trial
         # local identity axiom: all restrictions exact => globally exact,
         # exhibited on a random element of the full cocycle space
-        z2 = kernel_basis(ce_differential(ca.total, 2, 1))
+        z2 = kernel_basis(ce_differential(ca.total, 2))
         combo = [F(rng.randint(-3, 3)) for _ in range(z2.dim)]
         flat = [F(0)] * (ca.dim * (ca.dim - 1) // 2)
         for c, vec in zip(combo, z2.basis_vectors()):

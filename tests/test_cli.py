@@ -109,6 +109,16 @@ def test_unknown_subcommand_is_usage_error():
     assert run_command([]).exit_code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [["h2", "sl2"], ["universality", "sl2", "sq2"]])
+def test_negative_coeff_dim_is_usage_error(argv, capsys):
+    report = run_command(argv + ["--coeff-dim", "-1"])
+    assert report.exit_code == EXIT_USAGE
+    assert "--coeff-dim" in report.results["error"]
+    assert main(argv + ["--coeff-dim", "-1"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert run_command(argv + ["--coeff-dim", "0"]).exit_code == EXIT_OK
+
+
 def test_unknown_catalog_name_is_input_error():
     assert run_command(["killing", "sl17"]).exit_code == EXIT_INPUT
 

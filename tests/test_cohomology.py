@@ -33,13 +33,13 @@ ABELIAN2_H2 = 1
 def test_abelian_differentials_vanish():
     L = lie_catalog("abelian:3")
     for p in (0, 1, 2):
-        assert ce_differential(L, p, 1).nnz == 0
+        assert ce_differential(L, p).nnz == 0
 
 
 def test_heis3_delta2_is_zero():
     # only one triple (x, y, z); each term hits a repeated argument or a
     # central bracket, per the hand expansion above
-    d2 = ce_differential(lie_catalog("heis3"), 2, 1)
+    d2 = ce_differential(lie_catalog("heis3"), 2)
     assert d2.shape == (1, 3)
     assert d2.nnz == 0
 
@@ -48,8 +48,8 @@ def test_heis3_delta2_is_zero():
 def test_complex_property(name):
     L = lie_catalog(name)
     for p in (0, 1, 2):
-        lower = ce_differential(L, p, 1)
-        upper = ce_differential(L, p + 1, 1)
+        lower = ce_differential(L, p)
+        upper = ce_differential(L, p + 1)
         for c in range(lower.cols):
             assert not any(upper.matvec(lower.column(c)))
 
@@ -58,8 +58,8 @@ def test_complex_property_on_current_algebras():
     for gname, aname in (("sl2", "jets:2"), ("sl2", "fun:2")):
         L = current_algebra(lie_catalog(gname), comm_catalog(aname)).total
         for p in (1, 2):
-            lower = ce_differential(L, p, 1)
-            upper = ce_differential(L, p + 1, 1)
+            lower = ce_differential(L, p)
+            upper = ce_differential(L, p + 1)
             for c in range(lower.cols):
                 assert not any(upper.matvec(lower.column(c)))
 
@@ -106,8 +106,8 @@ def test_h2_of_current_algebra_against_dense_oracle():
     from oracles import dense_rank
 
     L = current_algebra(lie_catalog("sl2"), comm_catalog("jets:2")).total
-    d1 = ce_differential(L, 1, 1)
-    d2 = ce_differential(L, 2, 1)
+    d1 = ce_differential(L, 1)
+    d2 = ce_differential(L, 2)
     nullity_d2 = d2.cols - dense_rank(d2.to_dense())
     rank_d1 = dense_rank(d1.to_dense())
     assert cohomology(L, 2, 1).dimension == nullity_d2 - rank_d1
@@ -205,25 +205,114 @@ def test_ce_differential_matches_triple_walk(name):
     from oracles import ce_differential_reference
 
     L = _oracle_algebra(name)
-    for m in (1, 2):
-        for p in range(4):
-            d = ce_differential(L, p, m)
-            rows, cols, triplets = ce_differential_reference(L, p, m)
-            assert d.shape == (rows, cols)
-            assert d.triplets() == triplets
-        for p in range(3):
-            lower = ce_differential(L, p, m)
-            upper = ce_differential(L, p + 1, m)
-            for c in range(lower.cols):
-                assert not any(upper.matvec(lower.column(c)))
+    for p in range(4):
+        d = ce_differential(L, p)
+        rows, cols, triplets = ce_differential_reference(L, p, 1)
+        assert d.shape == (rows, cols)
+        assert d.triplets() == triplets
+    for p in range(3):
+        lower = ce_differential(L, p)
+        upper = ce_differential(L, p + 1)
+        for c in range(lower.cols):
+            assert not any(upper.matvec(lower.column(c)))
+
+
+def _block_rows(L, p, m):
+    """Dense rows of the m-fold block differential C^p(L, Q^m) -> C^{p+1}."""
+    from oracles import ce_differential_reference
+
+    rows, cols, triplets = ce_differential_reference(L, p, m)
+    dense = [[F(0)] * cols for _ in range(rows)]
+    for i, j, value in triplets:
+        dense[i][j] = value
+    return dense
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+@pytest.mark.parametrize("m", [2, 3])
+def test_h2_with_coefficients_matches_block_complex(name, m):
+    # the scalar complex tensored with Q^m against the m-fold block
+    # complex of the triple walk, eliminated densely
+    from oracles import dense_canonical_solve, dense_kernel_rref, dense_rank
+
+    L = _oracle_algebra(name)
+    d1, d2 = _block_rows(L, 1, m), _block_rows(L, 2, m)
+    size = len(d2[0])
+    h2 = cohomology(L, 2, m)
+    kernel = dense_kernel_rref(d2, size)[1]
+    image = [[row[c] for row in d1] for c in range(len(d1[0]))]
+    assert h2.dimension == len(kernel) - dense_rank(image)
+    identity = [tuple(F(int(r == c)) for c in range(h2.dimension))
+                for r in range(h2.dimension)]
+    rng = random.Random(f"{name} {m}")
+    for k, rep in enumerate(h2.representatives):
+        assert not any(sum(x * y for x, y in zip(row, rep)) for row in d2)
+        assert h2.class_coordinates(rep) == identity[k]
+        boundary = image[rng.randrange(len(image))]
+        assert h2.class_coordinates([x + y for x, y in zip(rep, boundary)]) == identity[k]
+    # an exact cocycle gets the dense canonical primitive (free
+    # coordinates zero); a representative plus it keeps its class
+    beta0 = OneCochain(L, m, [tuple(F(rng.randint(-3, 3)) for _ in range(m))
+                              for _ in range(L.dim)])
+    psi = beta0.coboundary()
+    witness = coboundary_witness(psi)
+    assert witness.is_exact
+    assert list(witness.beta.flat()) == dense_canonical_solve(d1, psi.flat())
+    for k, rep in enumerate(h2.representative_cocycles()[:2]):
+        assert coboundary_witness(rep + psi, h2=h2).class_coordinates == identity[k]
 
 
 def test_ce_differential_ceiling_counts_every_target_tuple():
     # d vanishes on an abelian algebra, yet the guard counts all
-    # comb(n, p + 1) * m target rows before anything is assembled
+    # comb(n, p + 1) target rows before anything is assembled
     L = lie_catalog("abelian:3")
-    assert ce_differential(L, 1, 2, ceiling=6).shape == (6, 6)
+    assert ce_differential(L, 1, ceiling=3).shape == (3, 3)
     with pytest.raises(ResourceCeilingError):
-        ce_differential(L, 1, 2, ceiling=5)
+        ce_differential(L, 1, ceiling=2)
     with pytest.raises(ResourceCeilingError):
-        ce_differential(lie_catalog("abelian:60"), 3, 1)
+        ce_differential(lie_catalog("abelian:60"), 3)
+
+
+def _needed(call):
+    """The cochain count a refused call reports."""
+    with pytest.raises(ResourceCeilingError) as info:
+        call()
+    return info.value.needed
+
+
+def test_cohomology_ceiling_counts_the_coefficient_factor():
+    # the scalar complex is solved, but the ceiling counts C^{p+1} and
+    # C^p with their factor m, exactly at the limit and one below it
+    m = 2
+    abelian3, abelian4, abelian6 = (lie_catalog(f"abelian:{n}") for n in (3, 4, 6))
+    # p = 1: comb(3, 2) * 2 = 6 before d^1; there is no d^0
+    assert cohomology(abelian3, 1, m, ceiling=6).dimension == 3 * m
+    assert _needed(lambda: cohomology(abelian3, 1, m, ceiling=5)) == 6
+    # p = 2 where d^1 binds: comb(4, 3) * 2 = 8, comb(4, 2) * 2 = 12
+    assert cohomology(abelian4, 2, m, ceiling=12).dimension == 6 * m
+    assert _needed(lambda: cohomology(abelian4, 2, m, ceiling=11)) == 12
+    # p = 2 where d^2 binds: comb(6, 3) * 2 = 40, comb(6, 2) * 2 = 30
+    assert cohomology(abelian6, 2, m, ceiling=40).dimension == 15 * m
+    assert _needed(lambda: cohomology(abelian6, 2, m, ceiling=39)) == 40
+
+
+def test_witness_ceiling_counts_the_coefficient_factor():
+    # comb(3, 2) * 2 = 6 entries of C^2(heis3, Q^2), also for psi = 0
+    L = lie_catalog("heis3")
+    psi = OneCochain(L, 2, [(F(1), F(0)), (F(0), F(2)), (F(3), F(-1))]).coboundary()
+    for cocycle in (psi, Cocycle2.zero(L, 2)):
+        assert coboundary_witness(cocycle, ceiling=6).is_exact
+        assert _needed(lambda: coboundary_witness(cocycle, ceiling=5)) == 6
+
+
+def test_cohomology_rejects_negative_coefficient_dimension():
+    with pytest.raises(ValueError):
+        cohomology(lie_catalog("sl2"), 2, -1)
+
+
+def test_zero_coefficients_give_zero_cohomology():
+    L = lie_catalog("heis3")
+    h2 = cohomology(L, 2, 0, ceiling=0)
+    assert h2.dimension == 0 and h2.class_coordinates(()) == ()
+    witness = coboundary_witness(Cocycle2.zero(L, 0), ceiling=0)
+    assert witness.beta == OneCochain.zero(L, 0)

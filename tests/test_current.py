@@ -359,6 +359,21 @@ def test_universality_higher_coefficient_dim():
     assert result.bijective
 
 
+# the scalar matrices here are not multiples of the identity, so the
+# test also fixes the k-major, a-minor order of rows and columns
+@pytest.mark.parametrize("gname,aname,m", [("sl2C", "sq2", 3), ("sl2", "sq2*jets:2", 2)])
+def test_universality_matrix_is_scalar_matrix_tensor_identity(gname, aname, m):
+    # rows k * m + a and columns t * m + b: entry M1[k][t] when a == b
+    g, A = lie_catalog(gname), comm_catalog(aname)
+    scalar = universality_map(g, A, 1).matrix
+    result = universality_map(g, A, m)
+    assert result.matrix == tuple(
+        tuple(scalar[r // m][c // m] if r % m == c % m else 0
+              for c in range(len(scalar[0]) * m))
+        for r in range(len(scalar) * m)
+    )
+
+
 def test_universality_realified_fibre():
     # dim V(sl2C) = 2 makes H^2(sl2C (x) sq2) two-dimensional, twice what
     # a Killing-form count would predict; the map still matches it exactly
