@@ -36,9 +36,14 @@ def golden_cases():
     for name in COMM_NAMES:
         cases += [["kaehler", name], ["omegabar", name]]
     for fibre, coeff in PAIRS:
-        cases += [["universality", fibre, coeff], ["twist", fibre, coeff]]
+        cases += [
+            ["universality", fibre, coeff],
+            ["twist", fibre, coeff],
+            ["cocycle-check", fibre, coeff],
+        ]
     cases += [
         ["universality", "sl2", "fun:4*sq2"],
+        ["cocycle-check", "sl2", "sq2*jets:2"],
         # refused at the default cochain ceiling: exit 3 names the size
         ["universality", "sl3", "sq2*sq2"],
         ["h2", "sl2", "--coeff-dim", "3"],
