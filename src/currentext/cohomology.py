@@ -25,6 +25,9 @@ then computed on sparse rows (see ``linalg`` for the elimination costs),
 and m costs only the expansion of the scalar answer, never a bigger
 matrix.  The resource ceiling counts the coefficient spaces
 C^{p+1} and C^p with their factor m, before anything is assembled.
+Cocycle2.cocycle_defect evaluates d psi from the same nonzero brackets
+against the nonzero values of psi, in O(bracket nnz * n * m), without
+visiting the comb(n, 3) triples.
 """
 
 from __future__ import annotations
@@ -182,6 +185,16 @@ class Cocycle2:
         pairs = combinations(range(self.parent.dim), 2)
         return tuple(x for pair in pairs for x in self.values.get(pair, zero))
 
+    def slot(self, a: int) -> dict:
+        """Coefficient slot a as a sparse scalar 2-cochain {pair rank: value},
+        pairs ranked lexicographically as in flat()."""
+        n = self.parent.dim
+        return {
+            i * (2 * n - i - 1) // 2 + j - i - 1: value[a]
+            for (i, j), value in self.values.items()
+            if value[a]
+        }
+
     def apply(self, u: Sequence, v: Sequence) -> Vec:
         out = [_ZERO] * self.coeff_dim
         nz_u = [(i, _as_fraction(a)) for i, a in enumerate(u) if a]
@@ -236,19 +249,42 @@ class Cocycle2:
     def cocycle_defect(self) -> Optional[tuple]:
         """First basis triple violating the cocycle identity, or None.
 
-        The identity checked is psi([x,y],z) - psi([x,z],y) + psi([y,z],x) = 0,
-        equivalently the vanishing of the differential fixed above.
+        The identity checked is psi([x,y],z) - psi([x,z],y) + psi([y,z],x) = 0
+        on each triple i < j < k, equivalently the vanishing of the
+        differential fixed above.  d psi is accumulated from the nonzero
+        brackets: each pair a < b with [x_a, x_b] != 0 and each c outside
+        {a, b} with psi([x_a, x_b], x_c) != 0 adds that value to the sorted
+        triple, with sign - when c sorts between a and b.  The answer is
+        the lexicographically first triple whose total is nonzero, with
+        that total.
         """
         L = self.parent
-        for i, j, k in combinations(range(L.dim), 3):
-            total = [_ZERO] * self.coeff_dim
-            for (a, b, c, sgn) in ((i, j, k, 1), (i, k, j, -1), (j, k, i, 1)):
-                for t, coef in L.bracket_basis(a, b).items():
-                    for s, x in enumerate(self.value(t, c)):
-                        total[s] += sgn * coef * x
-            if any(total):
-                return ((i, j, k), tuple(total))
-        return None
+        rows = [{} for _ in range(L.dim)]  # rows[k][c] = psi(x_k, x_c)
+        for (i, j), value in self.values.items():
+            rows[i][j] = value
+            rows[j][i] = tuple(-x for x in value)
+        totals = {}
+        for a, b in combinations(range(L.dim), 2):
+            for k, coef in L.bracket_basis(a, b).items():
+                for c, value in rows[k].items():
+                    if c < a:
+                        triple, sign = (c, a, b), coef
+                    elif c > b:
+                        triple, sign = (a, b, c), coef
+                    elif a < c < b:
+                        triple, sign = (a, c, b), -coef
+                    else:
+                        continue
+                    total = totals.get(triple)
+                    if total is None:
+                        total = totals[triple] = [_ZERO] * self.coeff_dim
+                    for s, x in enumerate(value):
+                        total[s] += sign * x
+        nonzero = [triple for triple, total in totals.items() if any(total)]
+        if not nonzero:
+            return None
+        first = min(nonzero)
+        return (first, tuple(totals[first]))
 
     def __repr__(self):
         return (
@@ -355,20 +391,27 @@ class Cohomology:
         coords = [_ZERO] * self.dimension
         for a in range(m):
             slot = {col: x for col, x in enumerate(flat_vec[a::m]) if x}
-            if not slot:
-                continue
-            q = self.quotient.project(slot)
-            for k, (pivot, row) in enumerate(zip(self.class_pivots, self.class_rows)):
-                c = q.get(pivot)
-                if c:
+            if slot:
+                for k, c in self.scalar_class_coordinates(slot).items():
                     coords[k * m + a] = c
-                    for col, value in row.items():
-                        q[col] = q.get(col, _ZERO) - c * value
-            if any(q.values()):
-                raise InternalConsistencyError(
-                    "vector class lies outside the cocycle span; input is not a cocycle"
-                )
         return tuple(coords)
+
+    def scalar_class_coordinates(self, slot: dict) -> dict:
+        """Class coordinates {k: c} of a scalar cocycle in H^p(L, QQ), the
+        cocycle given sparsely as {lexicographic tuple rank: value}."""
+        q = self.quotient.project(slot)
+        coords = {}
+        for k, (pivot, row) in enumerate(zip(self.class_pivots, self.class_rows)):
+            c = q.get(pivot)
+            if c:
+                coords[k] = c
+                for col, value in row.items():
+                    q[col] = q.get(col, _ZERO) - c * value
+        if any(q.values()):
+            raise InternalConsistencyError(
+                "vector class lies outside the cocycle span; input is not a cocycle"
+            )
+        return coords
 
     def representative_cocycles(self):
         if self.degree != 2:
@@ -467,7 +510,15 @@ def coboundary_witness(
     psi must be a cocycle; otherwise NotACocycleError carries the first
     violating basis triple.  The returned primitive is the canonical
     solution of the linear system, so repeated runs agree bit for bit.
+    A given h2 must be H^2 of psi's algebra with psi's coefficients;
+    anything else raises DimensionMismatchError.
     """
+    if h2 is not None and not (
+        same_algebra(h2.parent, psi.parent)
+        and h2.degree == 2
+        and h2.coeff_dim == psi.coeff_dim
+    ):
+        raise DimensionMismatchError("h2 is not H^2 of the cocycle's algebra and coefficients")
     defect = psi.cocycle_defect()
     if defect is not None:
         raise NotACocycleError(*defect)

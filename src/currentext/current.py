@@ -739,6 +739,21 @@ def twist_difference(
     tau(xi', eta) pairs xi' with [xi, eta] under kappa and takes the
     Omega1bar class; beta(chi) is the kappa-pairing of xi with chi, and
     tau = d beta holds exactly (verified; failure would be a bug).
+
+    With xi = sum coef z_c (x) w_t over its entries (c, t), both maps are
+    linear in the algebra element acting on w_t, so they are assembled
+    from three tables instead of one module action per term:
+
+    - N[t][r] = [b_r . w_t] in Omega1bar, for each Omega1 coordinate t
+      that xi uses and each basis element b_r of A: at most
+      dim Omega1 * dim A module actions, vectors of length dim Omega1bar;
+    - B[b][t] = sum_c coef kappa(z_c, x_b), for each fibre index b;
+    - K[a, b][t] = sum_c coef sum_k [z_c, x_b]_k kappa(x_a, x_k), for each
+      fibre pair (a, b) that some bracket reaches; B and K hold vectors of
+      length dim V.
+
+    Then beta(x_b (x) b_q) = sum_t B[b][t] (x) N[t][q] and
+    tau(x_a (x) b_p, x_b (x) b_q) = sum_r (b_p b_q)_r sum_t K[a, b][t] (x) N[t][r].
     """
     if uc is None:
         uc = universal_cocycle(g, A)
@@ -749,62 +764,59 @@ def twist_difference(
         raise DimensionMismatchError("one-form shape does not match g (x) Omega1")
     da = A.dim
 
-    def omega1_unit(t):
-        out = [_ZERO] * kaehler.dim_omega1
-        out[t] = _ONE
-        return tuple(out)
+    N = {}
+    for t in sorted({t for _, t in xi.entries}):
+        unit = [_ZERO] * kaehler.dim_omega1
+        unit[t] = _ONE
+        N[t] = [kaehler.bar(kaehler.module_action(A.basis_vector(r), unit)) for r in range(da)]
 
-    def tensor_value(kap: Vec, bar: Vec):
-        value = [_ZERO] * m
-        for t, kv in enumerate(kap):
-            if kv:
-                for u, bv in enumerate(bar):
-                    if bv:
-                        value[t * w + u] += kv * bv
-        return value
+    def accumulate(table, key, t, kap, scale):
+        if any(kap):
+            total = table.setdefault(key, {}).setdefault(t, [_ZERO] * v)
+            for s, x in enumerate(kap):
+                total[s] += scale * x
 
-    # beta(x_b (x) b_q) = sum over xi entries (c, form): kappa(z_c, x_b) (x) [b_q . form]
-    beta_values = []
-    for b in range(g.dim):
-        for q in range(da):
-            total = [_ZERO] * m
-            for (c, t), coef in xi.entries.items():
-                kap = forms.kappa_basis(c, b)
-                if not any(kap):
-                    continue
-                moved = kaehler.module_action(A.basis_vector(q), omega1_unit(t))
-                bar = kaehler.bar(tuple(x * coef for x in moved))
-                if any(bar):
-                    for idx, x in enumerate(tensor_value(kap, bar)):
-                        total[idx] += x
-            beta_values.append(tuple(total))
-    beta = OneCochain(current.total, m, beta_values)
+    B, K = {}, {}
+    for (c, t), coef in xi.entries.items():
+        for b in range(g.dim):
+            accumulate(B, b, t, forms.kappa_basis(c, b), coef)
+            for k, cc in g.bracket_basis(c, b).items():
+                for a in range(g.dim):
+                    accumulate(K, (a, b), t, forms.kappa_basis(a, k), coef * cc)
 
-    # tau(x_a (x) b_p, x_b (x) b_q) = sum over xi entries:
-    #   kappa(x_a, [z_c, x_b]) (x) [b_p b_q . form]
+    def fold(parts, r):
+        """sum_t parts[t] (x) N[t][r], flattened as s * w + u."""
+        out = [_ZERO] * m
+        for t, kap in parts.items():
+            bar = N[t][r]
+            for s, kv in enumerate(kap):
+                if kv:
+                    for u, bv in enumerate(bar):
+                        if bv:
+                            out[s * w + u] += kv * bv
+        return out
+
+    beta = OneCochain(
+        current.total, m, [tuple(fold(B.get(b, {}), q)) for b in range(g.dim) for q in range(da)]
+    )
+    folded = {pair: [fold(parts, r) for r in range(da)] for pair, parts in K.items()}
     table = {}
     for a in range(g.dim):
         for p in range(da):
             fi = current.flat(a, p)
             for b in range(g.dim):
+                by_r = folded.get((a, b))
+                if by_r is None:
+                    continue
                 for q in range(da):
                     fj = current.flat(b, q)
                     if fi >= fj:
                         continue
                     total = [_ZERO] * m
-                    for (c, t), coef in xi.entries.items():
-                        for k, cc in g.bracket_basis(c, b).items():
-                            kap = forms.kappa_basis(a, k)
-                            if not any(kap):
-                                continue
-                            pq = A.product(A.basis_vector(p), A.basis_vector(q))
-                            if not any(pq):
-                                continue
-                            moved = kaehler.module_action(pq, omega1_unit(t))
-                            bar = kaehler.bar(tuple(x * coef * cc for x in moved))
-                            if any(bar):
-                                for idx, x in enumerate(tensor_value(kap, bar)):
-                                    total[idx] += x
+                    for r, c in A.product_basis(p, q).items():
+                        for idx, x in enumerate(by_r[r]):
+                            if x:
+                                total[idx] += c * x
                     if any(total):
                         table[(fi, fj)] = tuple(total)
     tau = Cocycle2(current.total, m, table)
@@ -857,20 +869,14 @@ def universality_map(
     target_dim = uc.coeff_dim  # dim V (x) Omega1bar
     dim_hom = target_dim * m
     h2 = cohomology(uc.current.total, 2, m, ceiling=ceiling)
-    columns = []
-    for t in range(target_dim):
-        for a in range(m):
-            table = {}
-            for (i, j), value in uc.cocycle.values.items():
-                if value[t]:
-                    vec = [_ZERO] * m
-                    vec[a] = value[t]
-                    table[(i, j)] = tuple(vec)
-            phi_omega = Cocycle2(uc.current.total, m, table)
-            columns.append(h2.class_coordinates(phi_omega.flat()))
-    matrix = [
-        tuple(columns[c][r] for c in range(dim_hom)) for r in range(h2.dimension)
-    ]
+    # H^2(L, QQ^m) = H^2(L, QQ) (x) QQ^m: scalar class coordinate k of the
+    # component omega_t sits at rows k * m + a of columns t * m + a, so the
+    # matrix is S (x) I_m with S computed once per t
+    matrix = [[_ZERO] * dim_hom for _ in range(h2.dimension)]
+    for t in range(target_dim if m else 0):  # QQ^0 has no classes to read
+        for k, c in h2.scalar_class_coordinates(uc.cocycle.slot(t)).items():
+            for a in range(m):
+                matrix[k * m + a][t * m + a] = c
     square = dim_hom == h2.dimension
     if square and dim_hom:
         bijective = rank(SparseMatrix.from_dense(matrix)) == dim_hom

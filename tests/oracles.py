@@ -1,7 +1,11 @@
 """Independent dense-arithmetic oracles for cross-checking.
 
-Deliberately shares no code with the package: plain Gaussian
-elimination over Fraction on dense row lists.  Slow but obviously
+The elimination oracles deliberately share no code with the package:
+plain Gaussian elimination over Fraction on dense row lists.  The
+term-by-term references below them (CE differential, cocycle defect,
+twist difference) evaluate each defining formula entry by entry and
+read the package's objects only through basic accessors such as
+bracket_basis, kappa_basis, module_action and bar.  Slow but obviously
 correct, which is the point.
 """
 
@@ -157,3 +161,82 @@ def ce_differential_reference(L, p, m):
         for a in range(m)
     )
     return len(target) * m, len(source) * m, triplets
+
+
+def cocycle_defect_reference(psi):
+    """First basis triple i < j < k where d psi does not vanish, with its total.
+
+    Walks every triple and sums psi([x,y],z) - psi([x,z],y) + psi([y,z],x)
+    term by term.  Only psi.parent, psi.coeff_dim and psi.value are used.
+    Returns ((i, j, k), total tuple) or None.
+    """
+    L = psi.parent
+    for i, j, k in combinations(range(L.dim), 3):
+        total = [Fraction(0)] * psi.coeff_dim
+        for a, b, c, sgn in ((i, j, k, 1), (i, k, j, -1), (j, k, i, 1)):
+            for t, coef in L.bracket_basis(a, b).items():
+                for s, x in enumerate(psi.value(t, c)):
+                    total[s] += sgn * coef * x
+        if any(total):
+            return (i, j, k), tuple(total)
+    return None
+
+
+def twist_difference_reference(g, A, xi, uc):
+    """tau and beta of a connection twist, evaluated entry by entry.
+
+    beta(x_b (x) b_q) = sum over xi entries (c, t): coef kappa(z_c, x_b) (x) [b_q . w_t]
+    tau(x_a (x) b_p, x_b (x) b_q) = sum over xi entries and k:
+        coef [z_c, x_b]_k kappa(x_a, x_k) (x) [b_p b_q . w_t]
+    with one Kaehler module action and one Omega1bar projection per
+    term.  Returns (tau values {(fi, fj): tuple}, beta values tuple).
+    """
+    forms, kaehler = uc.forms, uc.kaehler
+    w = kaehler.dim_omega1bar
+    m = forms.dim * w
+    da = A.dim
+
+    def unit(t):
+        out = [Fraction(0)] * kaehler.dim_omega1
+        out[t] = Fraction(1)
+        return out
+
+    def add_outer(total, kap, bar):
+        for s, kv in enumerate(kap):
+            for u, bv in enumerate(bar):
+                total[s * w + u] += kv * bv
+
+    beta = []
+    for b in range(g.dim):
+        for q in range(da):
+            total = [Fraction(0)] * m
+            for (c, t), coef in xi.entries.items():
+                kap = forms.kappa_basis(c, b)
+                if not any(kap):
+                    continue
+                moved = kaehler.module_action(A.basis_vector(q), unit(t))
+                add_outer(total, kap, kaehler.bar([x * coef for x in moved]))
+            beta.append(tuple(total))
+    tau = {}
+    for a in range(g.dim):
+        for p in range(da):
+            for b in range(g.dim):
+                for q in range(da):
+                    fi, fj = a * da + p, b * da + q
+                    if fi >= fj:
+                        continue
+                    pq = A.product(A.basis_vector(p), A.basis_vector(q))
+                    if not any(pq):
+                        continue
+                    total = [Fraction(0)] * m
+                    for (c, t), coef in xi.entries.items():
+                        for k, cc in g.bracket_basis(c, b).items():
+                            kap = forms.kappa_basis(a, k)
+                            if not any(kap):
+                                continue
+                            moved = kaehler.module_action(pq, unit(t))
+                            add_outer(total, kap,
+                                      kaehler.bar([x * coef * cc for x in moved]))
+                    if any(total):
+                        tau[(fi, fj)] = tuple(total)
+    return tau, tuple(beta)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,11 @@ from currentext.cohomology import (
     cohomology,
 )
 from currentext.current import current_algebra
-from currentext.errors import NotACocycleError, ResourceCeilingError
+from currentext.errors import (
+    DimensionMismatchError,
+    NotACocycleError,
+    ResourceCeilingError,
+)
 from currentext.lie import LieAlgebra
 
 F = Fraction
@@ -142,6 +147,23 @@ def test_witness_nonzero_class_reports_coordinates():
     assert witness.class_coordinates == (F(1), F(0))
 
 
+def test_witness_rejects_foreign_h2():
+    # psi(x, z) = 1 on heis3 has class (1, 0) in its own H^2; an H^2 of
+    # another algebra, degree or coefficient space is refused, also for
+    # an exact cocycle, whose witness never reads it
+    L = lie_catalog("heis3")
+    psi = Cocycle2(L, 1, {(0, 2): (F(1),)})
+    assert coboundary_witness(psi, h2=cohomology(L, 2, 1)).class_coordinates == (F(1), F(0))
+    for h2 in (
+        cohomology(lie_catalog("abelian:3"), 2, 1),
+        cohomology(L, 1, 1),
+        cohomology(L, 2, 2),
+    ):
+        for cocycle in (psi, Cocycle2.zero(L, 1)):
+            with pytest.raises(DimensionMismatchError):
+                coboundary_witness(cocycle, h2=h2)
+
+
 def test_universal_cocycle_class_is_nonzero():
     # the canonical cocycle on sl2 (x) QQ[x,y]/(x^2,y^2) has no primitive
     from currentext.current import universal_cocycle
@@ -215,6 +237,28 @@ def test_ce_differential_matches_triple_walk(name):
         upper = ce_differential(L, p + 1)
         for c in range(lower.cols):
             assert not any(upper.matvec(lower.column(c)))
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cocycle_defect_matches_triple_walk(name, m):
+    # a seeded coboundary has no defect; the same coboundary changed at
+    # one seeded pair must give the triple walk's first triple and total
+    from oracles import cocycle_defect_reference
+
+    L = _oracle_algebra(name)
+    rng = random.Random(f"defect {name} {m}")
+    pairs = list(combinations(range(L.dim), 2))
+    for _ in range(3):
+        beta = OneCochain(L, m, [tuple(F(rng.randint(-3, 3)) for _ in range(m))
+                                 for _ in range(L.dim)])
+        psi = beta.coboundary()
+        assert psi.cocycle_defect() is None
+        assert cocycle_defect_reference(psi) is None
+        pair = pairs[rng.randrange(len(pairs))]
+        bump = tuple(F(rng.randint(1, 3)) for _ in range(m))
+        bad = psi + Cocycle2(L, m, {pair: bump})
+        assert bad.cocycle_defect() == cocycle_defect_reference(bad)
 
 
 def _block_rows(L, p, m):

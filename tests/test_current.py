@@ -322,6 +322,34 @@ def test_twist_class_equality_randomized():
         assert witness.beta.coboundary() == result.tau
 
 
+# the five acceptance pairs and one with a five-dimensional Omega1bar
+TWIST_CASES = [
+    ("sl2", "sq2"),
+    ("sl2", "fun:2*sq2"),
+    ("sl2", "jets:3"),
+    ("sl2", "fun:2"),
+    ("sl2+so3", "sq2"),
+    ("sl2", "sq2*jets:2"),
+]
+
+
+@pytest.mark.parametrize("gname,aname", TWIST_CASES)
+def test_twist_difference_matches_term_by_term_reference(gname, aname):
+    from oracles import twist_difference_reference
+
+    g, A = lie_catalog(gname), comm_catalog(aname)
+    uc = universal_cocycle(g, A)
+    rng = random.Random(f"twist {gname} {aname}")
+    for _ in range(3):
+        entries = {(i, t): F(rng.randint(-3, 3))
+                   for i in range(g.dim) for t in range(uc.kaehler.dim_omega1)}
+        xi = GValuedOneForm(g.dim, uc.kaehler.dim_omega1, entries)
+        result = twist_difference(g, A, xi, uc=uc)
+        tau, beta = twist_difference_reference(g, A, xi, uc)
+        assert result.tau.values == tau
+        assert result.beta.values == beta
+
+
 UNIVERSALITY_CASES = [
     ("sl2", "sq2", 1, 1),
     ("sl2", "jets:3", 0, 0),
