@@ -16,23 +16,43 @@ so that for a 1-cochain beta we get (d beta)(x, y) = -beta([x, y]).
 Any consistent sign convention yields the same cohomology, but witnesses
 must be reproducible, so this one is canonical throughout the package.
 
-Cost contract: the differential is assembled from the nonzero brackets
-only (each pair a < b with [x_a, x_b] != 0 times the (p-1)-subsets of
-the other indices), with rows and columns placed by the lexicographic
-rank of their index tuples, so assembly costs O(nnz) rather than a visit
-to every target tuple.  Kernels, projections and representatives are
+Weight-zero block: call a basis element x_t a torus element when ad(x_t)
+is diagonal in the basis with a nonzero eigenvalue (h (x) e_s in
+sl2 (x) fun:n*X, the diagonal h1, h2 of sl3).  Torus elements commute,
+every basis element is a weight vector for them, and a basis tuple's
+weight is the sum of its entries' weights.  The Lie derivative
+L_x = d i_x + i_x d of a torus element acts on each weight space of
+cochains by a scalar, so every nonzero-weight subcomplex is acyclic
+(Hochschild-Serre; Fuks, ch. 1): H^p is the cohomology of the weight-zero
+cochains, and a cocycle's class is the class of its weight-zero part.
+cohomology() assembles and solves only that block, its tuples kept in
+lexicographic order.  The renumbering is monotone and the reduced echelon
+form of a block-diagonal matrix is the union of the blocks' forms, so
+the representatives are exactly those of the whole complex.  With an
+empty torus (heis3, abelian:n, so3) every tuple has weight zero and the
+block is the whole complex, on the same code path.
+
+Cost contract: the differential is assembled by one routine from the
+nonzero brackets only (for each source tuple, the pairs a < b bracketing
+into one of its indices), so assembly costs O(nnz) rather than a visit to
+every target tuple; ce_differential runs it on every tuple, cohomology()
+on the weight-zero block.  Kernels, projections and representatives are
 then computed on sparse rows (see ``linalg`` for the elimination costs),
 and m costs only the expansion of the scalar answer, never a bigger
-matrix.  The resource ceiling counts the coefficient spaces
-C^{p+1} and C^p with their factor m, before anything is assembled.
+matrix.  The resource ceiling counts the full coefficient spaces
+C^{p+1} and C^p with their factor m, before anything is assembled,
+however small the block.  A cochain given to Cohomology's class maps is
+split by weight: its weight-zero entries are read through the block, and
+d^p is applied to the others to check that they form a cocycle.
 Cocycle2.cocycle_defect evaluates d psi from the same nonzero brackets
 against the nonzero values of psi, in O(bracket nnz * n * m), without
-visiting the comb(n, 3) triples.
+visiting the comb(n, 3) triples, and OneCochain.coboundary costs
+O(bracket nnz * m).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -70,17 +90,118 @@ def _guard(n: int, degree: int, coeff_dim: int, ceiling: Optional[int]):
         raise ResourceCeilingError(needed, limit)
 
 
-def _tuple_rank(tup, n: int, binom) -> int:
-    """Position of the increasing sequence ``tup`` in combinations(range(n), k).
+def _rank_of(n: int, k: int):
+    """Position of an increasing k-tuple in combinations(range(n), k).
 
-    Lexicographic rank: comb(n, k) - 1 - sum_i comb(n - 1 - c_i, k - i),
-    with binom[a][b] = comb(a, b).
+    Lexicographic rank: comb(n, k) - 1 - sum_i comb(n - 1 - c_i, k - i).
     """
-    k = len(tup)
-    r = binom[n][k] - 1
-    for i, c in enumerate(tup):
-        r -= binom[n - 1 - c][k - i]
-    return r
+    binom = [[comb(a, b) for b in range(k + 1)] for a in range(n + 1)]
+    top = binom[n][k] - 1
+
+    def rank(tup) -> int:
+        r = top
+        for i, c in enumerate(tup):
+            r -= binom[n - 1 - c][k - i]
+        return r
+
+    return rank
+
+
+def _tuple_of_rank(r: int, n: int, k: int) -> tuple:
+    """Inverse of _rank_of: the increasing k-tuple of lexicographic rank r."""
+    out = []
+    c = 0
+    for left in range(k, 0, -1):
+        count = comb(n - 1 - c, left - 1)  # tuples whose next entry is c
+        while r >= count:
+            r -= count
+            c += 1
+            count = comb(n - 1 - c, left - 1)
+        out.append(c)
+        c += 1
+    return tuple(out)
+
+
+def _torus_weights(L: LieAlgebra) -> list:
+    """Weight of every basis element under the torus of the basis.
+
+    The torus is every basis element x_t whose ad is diagonal in the basis
+    ([x_t, x_j] in QQ x_j for all j) with a nonzero eigenvalue.  Two such
+    elements commute, since [x_t, x_s] lies in QQ x_s and in QQ x_t.  The
+    weight of x_j is the tuple of its eigenvalues under the torus elements
+    in index order; with an empty torus every weight is ().
+    """
+    n = L.dim
+    diagonal = [True] * n
+    bracketed = [False] * n
+    for (i, j), row in L.nonzero_brackets():
+        bracketed[i] = bracketed[j] = True
+        if row.keys() != {j}:
+            diagonal[i] = False
+        if row.keys() != {i}:
+            diagonal[j] = False
+    torus = {t: r for r, t in enumerate(t for t in range(n) if diagonal[t] and bracketed[t])}
+    weights = [[_ZERO] * len(torus) for _ in range(n)]
+    for (i, j), row in L.nonzero_brackets():
+        if i in torus:
+            weights[j][torus[i]] = row[j]
+        if j in torus:
+            weights[i][torus[j]] = -row[i]
+    return [tuple(w) for w in weights]
+
+
+def _weight_zero_tuples(weights: list, k: int) -> list:
+    """The increasing k-tuples of basis indices whose weights sum to zero,
+    in lexicographic order: each (k-1)-prefix is completed from the bucket
+    of indices of the opposite weight."""
+    if k == 0:
+        return [()]
+    buckets = {}
+    for i, w in enumerate(weights):
+        buckets.setdefault(w, []).append(i)
+    zero = (_ZERO,) * (len(weights[0]) if weights else 0)
+    out = []
+    for prefix in combinations(range(len(weights)), k - 1):
+        # zero keeps the sum's length when the prefix is empty
+        need = tuple(-sum(x) for x in zip(zero, *(weights[i] for i in prefix)))
+        bucket = buckets.get(need, ())
+        start = bisect_right(bucket, prefix[-1]) if prefix else 0
+        out.extend(prefix + (c,) for c in bucket[start:])
+    return out
+
+
+def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> dict:
+    """Entries {(row_of(target), c): value} of d^p on the p-tuples sources[c].
+
+    Only nonzero brackets are visited, through the pairs a < b bracketing
+    into each index k of a source: the entry of target rest + {a, b}
+    (a, b at positions i < j) in source rest + {k} (k at position pos)
+    gains (-1)^(i+j+pos) [x_a, x_b]_k.  d preserves torus weights, so a
+    weight-zero source only reaches weight-zero targets.
+    """
+    into = {}
+    for (a, b), bracket in L.nonzero_brackets():
+        for k, c in bracket.items():
+            into.setdefault(k, []).append((a, b, (c, -c)))
+    data = {}
+    for col, source in enumerate(sources):
+        for pos, k in enumerate(source):
+            rest = source[:pos] + source[pos + 1:]
+            for a, b, signed in into.get(k, ()):
+                if a in rest or b in rest:
+                    continue
+                i = bisect_left(rest, a)
+                j = bisect_left(rest, b) + 1
+                target = rest[:i] + (a,) + rest[i:j - 1] + (b,) + rest[j - 1:]
+                key = (row_of(target), col)
+                term = signed[(i + j + pos) % 2]
+                value = data.get(key)
+                value = term if value is None else value + term
+                if value:
+                    data[key] = value
+                else:
+                    data.pop(key, None)
+    return data
 
 
 def ce_differential(
@@ -88,43 +209,17 @@ def ce_differential(
 ) -> SparseMatrix:
     """Matrix of the scalar differential C^p(L, QQ) -> C^{p+1}(L, QQ).
 
-    Rows and columns are the lexicographic ranks of the index tuples.
-    Only nonzero brackets contribute: the entry of target tuple
-    rest + {a, b} (a < b at positions i < j) in source tuple rest + {k}
-    gains (-1)^(i+j) (-1)^#{t in rest : t < k} [x_a, x_b]_k.  With
-    coefficients QQ^m the differential is this matrix tensored with the
-    identity of QQ^m (flat index rank * m + a); it is never expanded.
+    Rows and columns are the lexicographic ranks of the index tuples; the
+    entries are those of _assemble on every p-tuple.  With coefficients
+    QQ^m the differential is this matrix tensored with the identity of
+    QQ^m (flat index rank * m + a); it is never expanded.
     """
     if not (0 <= p <= L.dim):
         raise ValueError(f"degree {p} out of range for dim {L.dim}")
     _guard(L.dim, p + 1, 1, ceiling)
     n = L.dim
-    binom = [[comb(a, b) for b in range(p + 2)] for a in range(n + 1)]
-    data = {}
-    if p >= 1:
-        for a, b in combinations(range(n), 2):
-            bracket = L.bracket_basis(a, b)
-            if not bracket:
-                continue
-            terms = [(k, (c, -c)) for k, c in bracket.items()]
-            others = [t for t in range(n) if t != a and t != b]
-            for rest in combinations(others, p - 1):
-                i = bisect_left(rest, a)
-                j = bisect_left(rest, b) + 1
-                row = _tuple_rank(sorted(rest + (a, b)), n, binom)
-                for k, signed in terms:
-                    if k in rest:
-                        continue
-                    pos = bisect_left(rest, k)
-                    term = signed[(i + j + pos) % 2]
-                    key = (row, _tuple_rank(sorted(rest + (k,)), n, binom))
-                    value = data.get(key)
-                    value = term if value is None else value + term
-                    if value:
-                        data[key] = value
-                    else:
-                        data.pop(key, None)
-    return SparseMatrix(binom[n][p + 1], binom[n][p], data)
+    data = _assemble(L, p, list(combinations(range(n), p)), _rank_of(n, p + 1))
+    return SparseMatrix(comb(n, p + 1), comb(n, p), data)
 
 
 class Cocycle2:
@@ -264,8 +359,8 @@ class Cocycle2:
             rows[i][j] = value
             rows[j][i] = tuple(-x for x in value)
         totals = {}
-        for a, b in combinations(range(L.dim), 2):
-            for k, coef in L.bracket_basis(a, b).items():
+        for (a, b), bracket in L.nonzero_brackets():
+            for k, coef in bracket.items():
                 for c, value in rows[k].items():
                     if c < a:
                         triple, sign = (c, a, b), coef
@@ -325,16 +420,18 @@ class OneCochain:
         return tuple(out)
 
     def coboundary(self) -> Cocycle2:
-        """(d beta)(x, y) = -beta([x, y])."""
+        """(d beta)(x, y) = -beta([x, y]), read from the nonzero brackets
+        only, in O(bracket nnz * m)."""
         L = self.parent
         table = {}
-        for i, j in combinations(range(L.dim), 2):
+        for pair, bracket in L.nonzero_brackets():
             total = [_ZERO] * self.coeff_dim
-            for k, c in L.bracket_basis(i, j).items():
+            for k, c in bracket.items():
                 for a, x in enumerate(self.values[k]):
-                    total[a] -= c * x
+                    if x:
+                        total[a] -= c * x
             if any(total):
-                table[(i, j)] = tuple(total)
+                table[pair] = tuple(total)
         return Cocycle2(L, self.coeff_dim, table)
 
     def __eq__(self, other):
@@ -351,10 +448,12 @@ class OneCochain:
 class Cohomology:
     """H^p(L, QQ^m) = H^p(L, QQ) (x) QQ^m with echelon-normalised representatives.
 
-    The scalar representatives rep_k are cocycle vectors whose classes
-    form the reduced echelon basis of ker d^p / im d^{p-1} in the
-    canonical quotient coordinates, so the output is deterministic.
-    Representative k * m + a is rep_k (x) e_a, a flat vector of C^p(L, QQ^m).
+    The scalar representatives rep_k are sparse cocycles {tuple rank:
+    value} whose classes form the reduced echelon basis of
+    ker d^p / im d^{p-1} in the canonical quotient coordinates, so the
+    output is deterministic.  Representative k * m + a is rep_k (x) e_a.
+    The quotient, class_rows and class_pivots live on the weight-zero
+    block: block column c is the p-tuple cochains[c].
     """
 
     __slots__ = (
@@ -362,22 +461,46 @@ class Cohomology:
         "degree",
         "coeff_dim",
         "dimension",
-        "representatives",
+        "scalar_representatives",
+        "cochains",
         "quotient",
         "class_rows",
         "class_pivots",
+        "_column",
     )
 
-    def __init__(self, parent, degree, coeff_dim, representatives, quotient,
-                 class_rows, class_pivots):
+    def __init__(self, parent, degree, coeff_dim, cochains, block_representatives,
+                 quotient, class_rows, class_pivots):
         self.parent = parent
         self.degree = degree
         self.coeff_dim = coeff_dim
-        self.representatives = tuple(representatives)
-        self.dimension = len(self.representatives)
+        self.cochains = tuple(cochains)
+        rank = _rank_of(parent.dim, degree)
+        ranks = [rank(t) for t in self.cochains]
+        self._column = {r: c for c, r in enumerate(ranks)}
+        self.scalar_representatives = tuple(
+            {ranks[c]: value for c, value in sorted(rep.items())}
+            for rep in block_representatives
+        )
+        self.dimension = len(self.scalar_representatives) * coeff_dim
         self.quotient = quotient
         self.class_rows = tuple(class_rows)
         self.class_pivots = tuple(class_pivots)
+
+    @property
+    def representatives(self):
+        """rep_k (x) e_a as dense flat vectors of C^p(L, QQ^m), k-major and
+        a-minor (flat index rank * m + a), built on each access."""
+        m = self.coeff_dim
+        size = comb(self.parent.dim, self.degree) * m
+        out = []
+        for rep in self.scalar_representatives:
+            for a in range(m):
+                flat = [_ZERO] * size
+                for r, value in rep.items():
+                    flat[r * m + a] = value
+                out.append(tuple(flat))
+        return tuple(out)
 
     def class_coordinates(self, flat_vec: Sequence) -> Vec:
         """Coordinates of a cocycle's class in the representative basis.
@@ -398,8 +521,21 @@ class Cohomology:
 
     def scalar_class_coordinates(self, slot: dict) -> dict:
         """Class coordinates {k: c} of a scalar cocycle in H^p(L, QQ), the
-        cocycle given sparsely as {lexicographic tuple rank: value}."""
-        q = self.quotient.project(slot)
+        cocycle given sparsely as {lexicographic tuple rank: value}.
+
+        The class is read from the weight-zero entries through the block.
+        The other entries form a nonzero-weight cochain, which has class 0
+        when it is a cocycle; d^p is applied to it to check that.
+        """
+        block, rest = {}, {}
+        for r, value in slot.items():
+            col = self._column.get(r)
+            if col is None:
+                rest[r] = value
+            else:
+                block[col] = value
+        defect = bool(rest) and not self._is_cocycle(rest)
+        q = self.quotient.project(block)
         coords = {}
         for k, (pivot, row) in enumerate(zip(self.class_pivots, self.class_rows)):
             c = q.get(pivot)
@@ -407,19 +543,39 @@ class Cohomology:
                 coords[k] = c
                 for col, value in row.items():
                     q[col] = q.get(col, _ZERO) - c * value
-        if any(q.values()):
+        if defect or any(q.values()):
             raise InternalConsistencyError(
                 "vector class lies outside the cocycle span; input is not a cocycle"
             )
         return coords
 
+    def _is_cocycle(self, cochain: dict) -> bool:
+        """Whether d^p vanishes on the scalar cochain {tuple rank: value}."""
+        n, p = self.parent.dim, self.degree
+        ranks = [r for r, value in cochain.items() if value]
+        if any(not (0 <= r < comb(n, p)) for r in ranks):
+            raise DimensionMismatchError(f"vector has a column outside range({comb(n, p)})")
+        sources = [_tuple_of_rank(r, n, p) for r in ranks]
+        values = [_as_fraction(cochain[r]) for r in ranks]
+        totals = {}
+        for (target, c), entry in _assemble(self.parent, p, sources, tuple).items():
+            totals[target] = totals.get(target, _ZERO) + entry * values[c]
+        return not any(totals.values())
+
     def representative_cocycles(self):
+        """rep_k (x) e_a as Cocycle2 objects, in the order of representatives."""
         if self.degree != 2:
             raise ValueError("representative_cocycles applies to degree 2 only")
-        return [
-            Cocycle2.from_flat(self.parent, self.coeff_dim, v)
-            for v in self.representatives
-        ]
+        m = self.coeff_dim
+        out = []
+        for rep in self.scalar_representatives:
+            pairs = [(self.cochains[self._column[r]], value) for r, value in rep.items()]
+            for a in range(m):
+                before, after = (_ZERO,) * a, (_ZERO,) * (m - a - 1)
+                out.append(Cocycle2(
+                    self.parent, m, {pair: before + (value,) + after for pair, value in pairs}
+                ))
+        return out
 
     def __repr__(self):
         return (
@@ -433,8 +589,10 @@ def cohomology(
 ) -> Cohomology:
     """Compute H^p(L, QQ^m) = (ker d^p / im d^{p-1}) (x) QQ^m with representatives.
 
-    The scalar complex is solved once.  The ceiling counts C^{p+1} and,
-    for p >= 2, C^p with their factor m, before anything is assembled.
+    Only the weight-zero block of the scalar complex is assembled and
+    solved (see the module docstring); with an empty torus that block is
+    the whole complex.  The ceiling counts the full C^{p+1} and, for
+    p >= 2, C^p with their factor m, before anything is assembled.
     """
     if p < 1:
         raise ValueError("cohomology degree must be at least 1")
@@ -444,15 +602,25 @@ def cohomology(
     if p >= 2:
         _guard(L.dim, p, m, ceiling)
     if m == 0:  # QQ^0 = 0: nothing to assemble
-        return Cohomology(L, p, m, (), None, (), ())
-    d_up = ce_differential(L, p, ceiling=ceiling)
-    size = d_up.cols
+        return Cohomology(L, p, m, (), (), None, (), ())
+    weights = _torus_weights(L)
+    cochains = _weight_zero_tuples(weights, p)
+    size = len(cochains)
+    # d^p on the block, keyed by target tuple (tuple() is the identity on
+    # one); only targets with an entry are kept, in lexicographic order
+    up = _assemble(L, p, cochains, tuple)
+    targets = {t: r for r, t in enumerate(sorted({t for t, _ in up}))}
+    d_up = SparseMatrix(len(targets), size, {(targets[t], c): v for (t, c), v in up.items()})
     cocycles = kernel_basis(d_up)
     if p == 1:
         image = Subspace.zero(size)  # trivial coefficients: d^0 = 0
     else:
-        d_down = ce_differential(L, p - 1, ceiling=ceiling)
-        image = Subspace.from_spanning(size, d_down.transpose().row_dicts())
+        lower = _weight_zero_tuples(weights, p - 1)
+        column = {t: c for c, t in enumerate(cochains)}
+        spans = [{} for _ in lower]
+        for (r, c), value in _assemble(L, p - 1, lower, column.__getitem__).items():
+            spans[c][r] = value
+        image = Subspace.from_spanning(size, spans)
     quotient = quotient_space(size, image)
     z_rows = cocycles.basis_rows()
     projected = [quotient.project(row) for row in z_rows]
@@ -461,22 +629,19 @@ def cohomology(
     class_rows = []
     class_pivots = []
     for vec_part, combo, pivot in reduced:
-        rep = [_ZERO] * size
+        rep = {}
         for t, coef in enumerate(combo):
             if coef:
                 for col, value in z_rows[t].items():
-                    rep[col] += coef * value
-        for a in range(m):
-            flat = [_ZERO] * (size * m)
-            flat[a::m] = rep
-            representatives.append(tuple(flat))
+                    rep[col] = rep.get(col, _ZERO) + coef * value
+        representatives.append({col: value for col, value in rep.items() if value})
         class_rows.append({col: value for col, value in enumerate(vec_part) if value})
         class_pivots.append(pivot)
     if len(class_rows) != cocycles.dim - image.dim:
         raise InternalConsistencyError(
             "cohomology dimension bookkeeping failed (is d o d = 0 violated?)"
         )
-    return Cohomology(L, p, m, representatives, quotient, class_rows, class_pivots)
+    return Cohomology(L, p, m, cochains, representatives, quotient, class_rows, class_pivots)
 
 
 class CoboundaryWitness:

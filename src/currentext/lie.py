@@ -62,7 +62,7 @@ class LieAlgebra:
             else:
                 if (j, i) not in raw:
                     table[(j, i)] = {k: -v for k, v in row.items()}
-        self._table = table
+        self._table = dict(sorted(table.items()))
 
     @property
     def dim(self) -> int:
@@ -76,6 +76,12 @@ class LieAlgebra:
             return self._table.get((i, j), {})
         row = self._table.get((j, i), {})
         return {k: -v for k, v in row.items()}
+
+    def nonzero_brackets(self):
+        """The nonzero brackets as ((i, j), {k: coefficient}) items with
+        i < j, in lexicographic pair order.  The coordinate maps are shared
+        with the algebra and must not be mutated."""
+        return self._table.items()
 
     def bracket(self, u: Sequence, v: Sequence) -> Vec:
         if len(u) != self.dim or len(v) != self.dim:

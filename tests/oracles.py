@@ -3,14 +3,18 @@
 The elimination oracles deliberately share no code with the package:
 plain Gaussian elimination over Fraction on dense row lists.  The
 term-by-term references below them (CE differential, cocycle defect,
-twist difference) evaluate each defining formula entry by entry and
-read the package's objects only through basic accessors such as
-bracket_basis, kappa_basis, module_action and bar.  Slow but obviously
-correct, which is the point.
+coboundary, twist difference) evaluate each defining formula entry by
+entry and read the package's objects only through basic accessors such
+as bracket_basis, kappa_basis, module_action and bar.  Slow but obviously
+correct, which is the point.  cohomology_reference is the exception: it
+solves the whole scalar complex with the package's own linear algebra,
+as a reference for the weight-zero block, not for the elimination.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
+from types import SimpleNamespace
 
 
 def dense_rank(rows):
@@ -240,3 +244,70 @@ def twist_difference_reference(g, A, xi, uc):
                     if any(total):
                         tau[(fi, fj)] = tuple(total)
     return tau, tuple(beta)
+
+
+def coboundary_reference(beta):
+    """Values {(i, j): tuple} of d beta, (d beta)(x_i, x_j) = -beta([x_i, x_j]),
+    by walking every pair i < j.  Only beta.parent, beta.coeff_dim and
+    beta.values are used."""
+    L = beta.parent
+    table = {}
+    for i, j in combinations(range(L.dim), 2):
+        total = [Fraction(0)] * beta.coeff_dim
+        for k, c in L.bracket_basis(i, j).items():
+            for a, x in enumerate(beta.values[k]):
+                total[a] -= c * x
+        if any(total):
+            table[(i, j)] = tuple(total)
+    return table
+
+
+def cohomology_reference(L, p, m):
+    """H^p(L, Q^m) from the whole scalar complex, with no weight reduction.
+
+    d^p and d^{p-1} are ce_differential on every tuple; the kernel,
+    quotient and echelon steps are the package's.  Returns a namespace
+    with dimension, representatives (dense flat vectors rep_k (x) e_a,
+    k-major) and class_coordinates(flat vector).
+    """
+    from currentext.cohomology import ce_differential
+    from currentext.linalg import Subspace, kernel_basis, quotient_space, rref_with_transform
+
+    d_up = ce_differential(L, p)
+    size = d_up.cols
+    cocycles = kernel_basis(d_up)
+    if p == 1:
+        image = Subspace.zero(size)
+    else:
+        image = Subspace.from_spanning(size, ce_differential(L, p - 1).transpose().row_dicts())
+    quotient = quotient_space(size, image)
+    z_rows = cocycles.basis_rows()
+    reduced = rref_with_transform([quotient.project(row) for row in z_rows], quotient.dim)
+    representatives = []
+    for _, combo, _ in reduced:
+        rep = [Fraction(0)] * size
+        for t, coef in enumerate(combo):
+            for col, value in z_rows[t].items():
+                rep[col] += coef * value
+        for a in range(m):
+            flat = [Fraction(0)] * (size * m)
+            flat[a::m] = rep
+            representatives.append(tuple(flat))
+
+    def class_coordinates(flat_vec):
+        assert len(flat_vec) == comb(L.dim, p) * m
+        coords = [Fraction(0)] * len(representatives)
+        for a in range(m):
+            q = quotient.project({c: x for c, x in enumerate(flat_vec[a::m]) if x})
+            for k, (vec_part, _, pivot) in enumerate(reduced):
+                c = q.get(pivot, Fraction(0))
+                if c:
+                    coords[k * m + a] = c
+                    for col, value in enumerate(vec_part):
+                        q[col] = q.get(col, Fraction(0)) - c * value
+            if any(q.values()):
+                raise ValueError("not a cocycle")
+        return tuple(coords)
+
+    return SimpleNamespace(dimension=len(representatives), representatives=tuple(representatives),
+                           class_coordinates=class_coordinates)

@@ -3,11 +3,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from currentext.catalog import comm_catalog, lie_catalog
+from currentext.catalog import LIE_NAMES, comm_catalog, lie_catalog
+from currentext.cli import run_command
 from currentext.cohomology import (
     Cocycle2,
     OneCochain,
+    _torus_weights,
+    _weight_zero_tuples,
     ce_differential,
     coboundary_witness,
     cohomology,
@@ -15,6 +19,7 @@ from currentext.cohomology import (
 from currentext.current import current_algebra
 from currentext.errors import (
     DimensionMismatchError,
+    InternalConsistencyError,
     NotACocycleError,
     ResourceCeilingError,
 )
@@ -242,9 +247,10 @@ def test_ce_differential_matches_triple_walk(name):
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_cocycle_defect_matches_triple_walk(name, m):
-    # a seeded coboundary has no defect; the same coboundary changed at
-    # one seeded pair must give the triple walk's first triple and total
-    from oracles import cocycle_defect_reference
+    # a seeded coboundary equals the pair walk's and has no defect; the
+    # same coboundary changed at one seeded pair must give the triple
+    # walk's first triple and total
+    from oracles import coboundary_reference, cocycle_defect_reference
 
     L = _oracle_algebra(name)
     rng = random.Random(f"defect {name} {m}")
@@ -253,6 +259,7 @@ def test_cocycle_defect_matches_triple_walk(name, m):
         beta = OneCochain(L, m, [tuple(F(rng.randint(-3, 3)) for _ in range(m))
                                  for _ in range(L.dim)])
         psi = beta.coboundary()
+        assert psi.values == coboundary_reference(beta)
         assert psi.cocycle_defect() is None
         assert cocycle_defect_reference(psi) is None
         pair = pairs[rng.randrange(len(pairs))]
@@ -338,6 +345,12 @@ def test_cohomology_ceiling_counts_the_coefficient_factor():
     # p = 2 where d^2 binds: comb(6, 3) * 2 = 40, comb(6, 2) * 2 = 30
     assert cohomology(abelian6, 2, m, ceiling=40).dimension == 15 * m
     assert _needed(lambda: cohomology(abelian6, 2, m, ceiling=39)) == 40
+    # a torus shrinks the solved block, never the count: sl3 (rank 2)
+    # solves 4 of its 28 pairs and 8 of its 56 triples, yet
+    # comb(8, 3) * 2 = 112 binds
+    sl3 = lie_catalog("sl3")
+    assert cohomology(sl3, 2, m, ceiling=112).dimension == 0
+    assert _needed(lambda: cohomology(sl3, 2, m, ceiling=111)) == 112
 
 
 def test_witness_ceiling_counts_the_coefficient_factor():
@@ -347,6 +360,15 @@ def test_witness_ceiling_counts_the_coefficient_factor():
     for cocycle in (psi, Cocycle2.zero(L, 2)):
         assert coboundary_witness(cocycle, ceiling=6).is_exact
         assert _needed(lambda: coboundary_witness(cocycle, ceiling=5)) == 6
+
+
+def test_cohomology_above_the_dimension_is_zero():
+    # C^p = 0 for p > dim L; h2 of a one-dimensional algebra once escaped
+    # as a ValueError traceback from ce_differential
+    assert cohomology(lie_catalog("abelian:1"), 2, 3).dimension == 0
+    assert cohomology(lie_catalog("sl2"), 4, 1).representatives == ()
+    report = run_command(["h2", "abelian:1", "--format", "json"])
+    assert report.exit_code == 0 and report.results["dim"] == 0
 
 
 def test_cohomology_rejects_negative_coefficient_dimension():
@@ -360,3 +382,112 @@ def test_zero_coefficients_give_zero_cohomology():
     assert h2.dimension == 0 and h2.class_coordinates(()) == ()
     witness = coboundary_witness(Cocycle2.zero(L, 0), ceiling=0)
     assert witness.beta == OneCochain.zero(L, 0)
+
+
+# -- the weight-zero block ----------------------------------------------------
+
+ACCEPTANCE_PAIRS = (
+    "sl2 (x) sq2", "sl2 (x) fun:2*sq2", "sl2 (x) jets:3", "sl2 (x) fun:2", "sl2+so3 (x) sq2",
+)
+
+
+def _class_probes(L, p, m, representatives, rng):
+    """Flat cocycles to read classes of: each representative, and for
+    p = 2 each representative plus a seeded coboundary d(beta), which has
+    components of every weight, and that coboundary alone."""
+    if p == 1:  # d^0 = 0: the cocycles are the classes
+        return [list(rep) for rep in representatives]
+    d1 = ce_differential(L, 1)
+    boundary = [F(0)] * (d1.rows * m)
+    for a in range(m):
+        boundary[a::m] = d1.matvec([F(rng.randint(-2, 2)) for _ in range(L.dim)])
+    return [[x + y for x, y in zip(rep, boundary)] for rep in representatives] + [boundary]
+
+
+def _assert_matches_full_complex(L, p, m, rng):
+    """Same dimension, representatives and classes as the whole complex."""
+    from oracles import cohomology_reference
+
+    got, ref = cohomology(L, p, m), cohomology_reference(L, p, m)
+    assert got.dimension == ref.dimension
+    assert got.representatives == ref.representatives
+    for flat in _class_probes(L, p, m, ref.representatives, rng):
+        assert got.class_coordinates(flat) == ref.class_coordinates(flat)
+
+
+def _permuted(L, order):
+    """L on the basis order[0], order[1], ..."""
+    new = {old: r for r, old in enumerate(order)}
+    entries = [(new[i], new[j], new[k], c) for i, j, k, c in L.structure_entries()]
+    return LieAlgebra([L.labels[old] for old in order], entries)
+
+
+@pytest.mark.parametrize("name", LIE_NAMES + ACCEPTANCE_PAIRS)
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [1, 2])
+def test_cohomology_matches_full_complex(name, p, m):
+    # solving the weight-zero block gives the full complex's answer
+    _assert_matches_full_complex(_oracle_algebra(name), p, m, random.Random(f"{name} {p} {m}"))
+
+
+PERMUTED = ("sl3", "gl2", "sl2C", "heis3", "sl2+so3", "sl2 (x) sq2", "sl2 (x) fun:2*sq2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cohomology_matches_full_complex_on_permuted_bases(data):
+    # the torus and the block are read from whatever basis order is given
+    name = data.draw(st.sampled_from(PERMUTED), label="algebra")
+    L = _oracle_algebra(name)
+    L = _permuted(L, data.draw(st.permutations(range(L.dim)), label="order"))
+    p = data.draw(st.sampled_from((1, 2)), label="p")
+    m = data.draw(st.sampled_from((1, 2)), label="m")
+    _assert_matches_full_complex(L, p, m, random.Random(name))
+
+
+def test_torus_of_the_basis():
+    def rank(L):
+        return len(_torus_weights(L)[0])
+
+    for name in ("heis3", "abelian:4", "so3"):
+        assert rank(lie_catalog(name)) == 0
+    assert rank(lie_catalog("sl3")) == 2
+    assert rank(_oracle_algebra("sl2 (x) fun:4*sq2")) == 4
+    # gl2 = (E11, E12, E21, E22): ad(E11) and ad(E22) are diagonal
+    assert _torus_weights(lie_catalog("gl2")) == [(0, 0), (1, -1), (-1, 1), (0, 0)]
+
+
+def test_weight_zero_block_sizes():
+    # with an empty torus the block is every tuple, in lexicographic order
+    weights = _torus_weights(lie_catalog("heis3"))
+    for k in range(4):
+        assert _weight_zero_tuples(weights, k) == list(combinations(range(3), k))
+    # sl2 (x) fun:4*sq2 (dim 48): C^2 falls from 1128 to 184 pairs
+    weights = _torus_weights(_oracle_algebra("sl2 (x) fun:4*sq2"))
+    assert len(_weight_zero_tuples(weights, 2)) == 184
+    assert all(not any(map(sum, zip(*(weights[i] for i in t))))
+               for t in _weight_zero_tuples(weights, 3))
+
+
+def test_class_coordinates_reject_a_defect_of_nonzero_weight():
+    # sl3: d(beta) with beta nonzero on h1 only is a weight-zero cocycle;
+    # psi(h1, e1) = 1 in slot 1 has nonzero weight and is no cocycle
+    L = lie_catalog("sl3")
+    h2 = cohomology(L, 2, 2)
+    exact = OneCochain(L, 2, [(F(1), F(-2))] + [(F(0), F(0))] * 7).coboundary()
+    bump = Cocycle2(L, 2, {(0, 2): (F(0), F(1))})
+    assert h2.class_coordinates(exact.flat()) == ()
+    assert bump.cocycle_defect() is not None
+    with pytest.raises(InternalConsistencyError):
+        h2.class_coordinates((exact + bump).flat())
+    with pytest.raises(InternalConsistencyError):
+        h2.scalar_class_coordinates((exact + bump).slot(1))
+    # the same for a 1-cochain: the trace class of gl2 plus beta(E12) = 1,
+    # for which (d beta)(E11, E12) = -beta(E12) != 0
+    h1 = cohomology(lie_catalog("gl2"), 1, 1)
+    rep = list(h1.representatives[0])
+    assert h1.class_coordinates(rep) == (F(1),)
+    rep[1] += 1
+    with pytest.raises(InternalConsistencyError):
+        h1.class_coordinates(rep)
+
