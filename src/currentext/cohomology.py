@@ -35,15 +35,16 @@ block is the whole complex, on the same code path.
 Cost contract: the differential is assembled by one routine from the
 nonzero brackets only (for each source tuple, the pairs a < b bracketing
 into one of its indices), so assembly costs O(nnz) rather than a visit to
-every target tuple; ce_differential runs it on every tuple, cohomology()
-on the weight-zero block.  Kernels, projections and representatives are
-then computed on sparse rows (see ``linalg`` for the elimination costs),
-and m costs only the expansion of the scalar answer, never a bigger
-matrix.  The resource ceiling counts the full coefficient spaces
-C^{p+1} and C^p with their factor m, before anything is assembled,
-however small the block.  A cochain given to Cohomology's class maps is
-split by weight: its weight-zero entries are read through the block, and
-d^p is applied to the others to check that they form a cocycle.
+every target tuple; ce_differential runs it on every tuple or, with
+weight_zero, on the weight-zero block, which is what cohomology() solves.
+Kernels, projections and representatives are then computed on sparse
+rows (see ``linalg`` for the elimination costs), and m costs only the
+expansion of the scalar answer, never a bigger matrix.  The resource
+ceiling counts the full coefficient spaces C^{p+1} and C^p with their
+factor m, before anything is assembled, however small the block.  A
+cochain given to Cohomology's class maps is split by weight: its
+weight-zero entries are read through the block, and d^p is applied to
+the others to check that they form a cocycle.
 Cocycle2.cocycle_defect evaluates d psi from the same nonzero brackets
 against the nonzero values of psi, in O(bracket nnz * n * m), without
 visiting the comb(n, 3) triples, and OneCochain.coboundary costs
@@ -205,21 +206,29 @@ def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> dict:
 
 
 def ce_differential(
-    L: LieAlgebra, p: int, *, ceiling: Optional[int] = None
+    L: LieAlgebra, p: int, *, ceiling: Optional[int] = None, weight_zero: bool = False
 ) -> SparseMatrix:
     """Matrix of the scalar differential C^p(L, QQ) -> C^{p+1}(L, QQ).
 
     Rows and columns are the lexicographic ranks of the index tuples; the
-    entries are those of _assemble on every p-tuple.  With coefficients
-    QQ^m the differential is this matrix tensored with the identity of
-    QQ^m (flat index rank * m + a); it is never expanded.
+    entries are those of _assemble on every p-tuple.  With weight_zero it
+    is d^p restricted to the weight-zero p-cochains: the columns are only
+    the weight-zero p-tuples, numbered by position in lexicographic order,
+    and since d preserves weights only weight-zero rows have entries.
+    C^p = 0 for p > dim L.  With coefficients QQ^m the differential is
+    this matrix tensored with the identity of QQ^m (flat index
+    rank * m + a); it is never expanded.
     """
-    if not (0 <= p <= L.dim):
+    if p < 0:
         raise ValueError(f"degree {p} out of range for dim {L.dim}")
     _guard(L.dim, p + 1, 1, ceiling)
     n = L.dim
-    data = _assemble(L, p, list(combinations(range(n), p)), _rank_of(n, p + 1))
-    return SparseMatrix(comb(n, p + 1), comb(n, p), data)
+    if weight_zero:
+        sources = _weight_zero_tuples(_torus_weights(L), p)
+    else:
+        sources = list(combinations(range(n), p))
+    data = _assemble(L, p, sources, _rank_of(n, p + 1))
+    return SparseMatrix(comb(n, p + 1), len(sources), data)
 
 
 class Cocycle2:
@@ -589,10 +598,11 @@ def cohomology(
 ) -> Cohomology:
     """Compute H^p(L, QQ^m) = (ker d^p / im d^{p-1}) (x) QQ^m with representatives.
 
-    Only the weight-zero block of the scalar complex is assembled and
-    solved (see the module docstring); with an empty torus that block is
-    the whole complex.  The ceiling counts the full C^{p+1} and, for
-    p >= 2, C^p with their factor m, before anything is assembled.
+    Only the weight-zero block of the scalar complex is assembled, by
+    ce_differential(..., weight_zero=True), and solved (see the module
+    docstring); with an empty torus that block is the whole complex.
+    The ceiling counts the full C^{p+1} and, for p >= 2, C^p with their
+    factor m, before anything is assembled.
     """
     if p < 1:
         raise ValueError("cohomology degree must be at least 1")
@@ -603,24 +613,22 @@ def cohomology(
         _guard(L.dim, p, m, ceiling)
     if m == 0:  # QQ^0 = 0: nothing to assemble
         return Cohomology(L, p, m, (), (), None, (), ())
-    weights = _torus_weights(L)
-    cochains = _weight_zero_tuples(weights, p)
-    size = len(cochains)
-    # d^p on the block, keyed by target tuple (tuple() is the identity on
-    # one); only targets with an entry are kept, in lexicographic order
-    up = _assemble(L, p, cochains, tuple)
-    targets = {t: r for r, t in enumerate(sorted({t for t, _ in up}))}
-    d_up = SparseMatrix(len(targets), size, {(targets[t], c): v for (t, c), v in up.items()})
+    cochains = _weight_zero_tuples(_torus_weights(L), p)
+    d_up = ce_differential(L, p, ceiling=ceiling, weight_zero=True)
+    size = d_up.cols
     cocycles = kernel_basis(d_up)
     if p == 1:
         image = Subspace.zero(size)  # trivial coefficients: d^0 = 0
     else:
-        lower = _weight_zero_tuples(weights, p - 1)
-        column = {t: c for c, t in enumerate(cochains)}
-        spans = [{} for _ in lower]
-        for (r, c), value in _assemble(L, p - 1, lower, column.__getitem__).items():
-            spans[c][r] = value
-        image = Subspace.from_spanning(size, spans)
+        # d^{p-1} of a weight-zero cochain has weight zero: its rows, the
+        # ranks of p-tuples, are renumbered to the columns of d^p
+        rank = _rank_of(L.dim, p)
+        column = {rank(t): c for c, t in enumerate(cochains)}
+        d_down = ce_differential(L, p - 1, ceiling=ceiling, weight_zero=True)
+        image = Subspace.from_spanning(size, [
+            {column[r]: value for r, value in span.items()}
+            for span in d_down.transpose().row_dicts()
+        ])
     quotient = quotient_space(size, image)
     z_rows = cocycles.basis_rows()
     projected = [quotient.project(row) for row in z_rows]

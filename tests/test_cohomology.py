@@ -322,6 +322,11 @@ def test_ce_differential_ceiling_counts_every_target_tuple():
         ce_differential(L, 1, ceiling=2)
     with pytest.raises(ResourceCeilingError):
         ce_differential(lie_catalog("abelian:60"), 3)
+    # the weight-zero d^2 of sl3 has 4 of the 28 pairs as columns, and
+    # its guard still counts all comb(8, 3) = 56 target triples
+    L = lie_catalog("sl3")
+    assert ce_differential(L, 2, ceiling=56, weight_zero=True).cols == 4
+    assert _needed(lambda: ce_differential(L, 2, ceiling=55, weight_zero=True)) == 56
 
 
 def _needed(call):
@@ -367,6 +372,10 @@ def test_cohomology_above_the_dimension_is_zero():
     # as a ValueError traceback from ce_differential
     assert cohomology(lie_catalog("abelian:1"), 2, 3).dimension == 0
     assert cohomology(lie_catalog("sl2"), 4, 1).representatives == ()
+    # (e, h, f) has weight 0
+    assert ce_differential(lie_catalog("sl2"), 3, weight_zero=True).shape == (0, 1)
+    for weight_zero in (False, True):
+        assert ce_differential(lie_catalog("sl2"), 4, weight_zero=weight_zero).shape == (0, 0)
     report = run_command(["h2", "abelian:1", "--format", "json"])
     assert report.exit_code == 0 and report.results["dim"] == 0
 
@@ -467,6 +476,25 @@ def test_weight_zero_block_sizes():
     assert len(_weight_zero_tuples(weights, 2)) == 184
     assert all(not any(map(sum, zip(*(weights[i] for i in t))))
                for t in _weight_zero_tuples(weights, 3))
+
+
+@pytest.mark.parametrize("name", ("sl3", "gl2", "heis3", "sl2+so3", "sl2 (x) fun:2*sq2"))
+def test_weight_zero_differential_is_the_full_one_restricted(name):
+    # the block's columns are the full matrix's weight-zero columns, in
+    # order, and they reach weight-zero rows only
+    L = _oracle_algebra(name)
+    weights = _torus_weights(L)
+    for p in range(4):
+        full = ce_differential(L, p)
+        block = ce_differential(L, p, weight_zero=True)
+        rank = {k: {t: r for r, t in enumerate(combinations(range(L.dim), k))}
+                for k in (p, p + 1)}
+        col = {rank[p][t]: c for c, t in enumerate(_weight_zero_tuples(weights, p))}
+        targets = {rank[p + 1][t] for t in _weight_zero_tuples(weights, p + 1)}
+        assert block.shape == (full.rows, len(col))
+        assert block.triplets() == [
+            (i, col[j], value) for i, j, value in full.triplets() if j in col]
+        assert {i for i, _, _ in block.triplets()} <= targets
 
 
 def test_class_coordinates_reject_a_defect_of_nonzero_weight():
