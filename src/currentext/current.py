@@ -267,25 +267,22 @@ class KaehlerModule:
     """Omega1 = (A (x) A)/Leibniz with d(a) = [1 (x) a], and Omega1bar.
 
     Tensor coordinates index pairs (i, j) = b_i (x) d(b_j) flattened as
-    i * dim + j; the first slot is the module coefficient.
+    i * dim + j; the first slot is the module coefficient.  ``classes``
+    are the product classes of the basis (see kaehler_module); the class
+    [b_i d(b_j)] is stored sparsely, and only when it is nonzero, which
+    needs b_i and b_j in one product class.
     """
 
-    __slots__ = ("parent", "omega1", "omega1bar", "_pair_class", "_d_table")
+    __slots__ = ("parent", "classes", "omega1", "omega1bar", "_pairs", "_d_table")
 
-    def __init__(self, parent: CommAlgebra, omega1: QuotientSpace, omega1bar: QuotientSpace):
+    def __init__(self, parent: CommAlgebra, classes, omega1: QuotientSpace,
+                 omega1bar: QuotientSpace, pairs: dict, d_table):
         self.parent = parent
+        self.classes = tuple(tuple(members) for members in classes)
         self.omega1 = omega1
         self.omega1bar = omega1bar
-        d = parent.dim
-        self._pair_class = tuple(self._unit_class(idx) for idx in range(d * d))
-        self._d_table = tuple(self.d(parent.basis_vector(j)) for j in range(d))
-
-    def _unit_class(self, idx: int) -> Vec:
-        """Omega1 coordinates of the unit tensor at flat position idx."""
-        out = [_ZERO] * self.omega1.dim
-        for col, value in self.omega1.project({idx: _ONE}).items():
-            out[col] = value
-        return tuple(out)
+        self._pairs = pairs
+        self._d_table = tuple(d_table)
 
     @property
     def dim_omega1(self) -> int:
@@ -295,23 +292,38 @@ class KaehlerModule:
     def dim_omega1bar(self) -> int:
         return self.omega1bar.dim
 
+    def _check_length(self, v: Sequence, what: str) -> None:
+        if len(v) != self.parent.dim:
+            raise DimensionMismatchError(
+                f"{what} has length {len(v)}, the algebra has dimension {self.parent.dim}"
+            )
+
     def pair_class(self, i: int, j: int) -> Vec:
         """[b_i d(b_j)] in Omega1 coordinates."""
-        return self._pair_class[i * self.parent.dim + j]
+        d = self.parent.dim
+        if not (0 <= i < d and 0 <= j < d):
+            raise IndexError(f"basis pair ({i}, {j}) out of range({d})")
+        out = [_ZERO] * self.dim_omega1
+        for t, value in self._pairs.get((i, j), {}).items():
+            out[t] = value
+        return tuple(out)
 
     def one_form(self, a: Sequence, b: Sequence) -> Vec:
         """[a d(b)] in Omega1 coordinates."""
+        self._check_length(a, "one-form coefficient")
+        self._check_length(b, "one-form argument")
         out = [_ZERO] * self.dim_omega1
+        nz_b = [(j, _as_fraction(y)) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if not x:
                 continue
             x = _as_fraction(x)
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                coef = x * _as_fraction(y)
-                for t, v in enumerate(self.pair_class(i, j)):
-                    out[t] += coef * v
+            for j, y in nz_b:
+                pair = self._pairs.get((i, j))
+                if pair:
+                    coef = x * y
+                    for t, v in pair.items():
+                        out[t] += coef * v
         return tuple(out)
 
     def d(self, a: Sequence) -> Vec:
@@ -324,6 +336,7 @@ class KaehlerModule:
 
     def module_action(self, a: Sequence, w: Sequence) -> Vec:
         """First-slot action of a on an Omega1 element."""
+        self._check_length(a, "acting element")
         rep = self.omega1.lift(w)
         d = self.parent.dim
         out = [_ZERO] * (d * d)
@@ -352,52 +365,115 @@ class KaehlerModule:
         )
 
 
+def _product_classes(A: CommAlgebra) -> list:
+    """The product classes of A's basis, each a sorted list of indices,
+    ordered by their smallest index: the connected components of the
+    graph that joins i, j and k for every nonzero (b_i b_j)_k.
+
+    Basis elements of different classes multiply to 0, and products
+    within a class stay in its span, so the classes span ideals whose
+    product is A.
+    """
+    root = list(range(A.dim))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for (i, j), row in A._table.items():
+        for k in (j, *row):
+            a, b = find(i), find(k)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    classes = {}
+    for i in range(A.dim):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
 def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     """Kaehler differentials of a unital algebra as an exact quotient.
 
     Omega1 = (A (x) A) / span{ c (x) ab - ca (x) b - cb (x) a } over all
     basis triples (a, b, c); the span is closed under the first-slot
     module action, so the action descends.
+
+    The span is built one product class at a time (_product_classes):
+    it is spanned by the unit tensors b_i (x) b_j with b_i and b_j in
+    different classes, together with the relations on triples inside one
+    class.  For a valid unital algebra this is the same subspace, so its
+    reduced echelon basis, and every quotient coordinate, is that of the
+    all-triples span:
+
+    - a relation on a triple that meets two classes has every term zero
+      or a cross unit tensor, since b_i b_j = 0 across classes;
+    - each cross unit tensor lies in the span: the class s of b_i has a
+      unit e_s (the part of the unit of A on that class), b_i e_s = b_i
+      and e_s b_j = 0, so the relation on (e_s, b_j, b_i) reads
+      b_i d(b_j) = b_i d(e_s b_j) - b_i b_j d(e_s) = 0 in Omega1.
+
+    The second step uses that the unit acts as the identity, so the
+    split assumes a valid unital algebra, as the command line checks for
+    JSON input.  With a single class this is the all-triples span.
     """
     if not A.is_unital:
         raise NonUnitalError("Kaehler module requires a unital algebra (adjoin_unit_extend first)")
     d = A.dim
     ambient = d * d
-    relations = []
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(d):
-                row = {}
+    classes = _product_classes(A)
+    class_of = [0] * d
+    for s, members in enumerate(classes):
+        for i in members:
+            class_of[i] = s
+    relations = [
+        {i * d + j: _ONE}
+        for i in range(d) for j in range(d) if class_of[i] != class_of[j]
+    ]
 
-                def add(i, j, value):
-                    if value:
-                        idx = i * d + j
-                        updated = row.get(idx, _ZERO) + value
-                        if updated:
-                            row[idx] = updated
-                        elif idx in row:
-                            del row[idx]
+    def add(row, idx, value):
+        updated = row.get(idx, _ZERO) + value
+        if updated:
+            row[idx] = updated
+        elif idx in row:
+            del row[idx]
 
-                for k, coef in A.product_basis(a, b).items():
-                    add(c, k, coef)
-                for k, coef in A.product_basis(c, a).items():
-                    add(k, b, -coef)
-                for k, coef in A.product_basis(c, b).items():
-                    add(k, a, -coef)
-                relations.append(row)
+    for members in classes:
+        for x, a in enumerate(members):
+            for b in members[x:]:
+                ab = A.product_basis(a, b)
+                for c in members:
+                    row = {}
+                    for k, coef in ab.items():
+                        add(row, c * d + k, coef)
+                    for k, coef in A.product_basis(c, a).items():
+                        add(row, k * d + b, -coef)
+                    for k, coef in A.product_basis(c, b).items():
+                        add(row, k * d + a, -coef)
+                    relations.append(row)
     omega1 = quotient_space(ambient, Subspace.from_spanning(ambient, relations))
-    # d(b_j) = [1 (x) b_j] in omega1 coordinates
+    # [b_i d(b_j)] for the pairs inside one class, in lexicographic order
+    pairs = {}
+    for i in range(d):
+        for j in classes[class_of[i]]:
+            pair = omega1.project({i * d + j: _ONE})
+            if pair:
+                pairs[(i, j)] = pair
+    # d(b_j) = sum_i u_i [b_i d(b_j)] in omega1 coordinates
     d_rows = []
     for j in range(d):
-        tensor = [_ZERO] * ambient
-        for i, u in enumerate(A.unit):
+        row = [_ZERO] * omega1.dim
+        for i in classes[class_of[j]]:
+            u = A.unit[i]
             if u:
-                tensor[i * d + j] = u
-        d_rows.append(omega1.project(tensor))
+                for t, value in pairs.get((i, j), {}).items():
+                    row[t] += u * value
+        d_rows.append(tuple(row))
     omega1bar = quotient_space(
         omega1.dim, Subspace.from_spanning(omega1.dim, d_rows)
     )
-    return KaehlerModule(A, omega1, omega1bar)
+    return KaehlerModule(A, classes, omega1, omega1bar, pairs, d_rows)
 
 
 class CurrentAlgebra:
@@ -660,10 +736,13 @@ def universal_cocycle(
     note = None
     if w == 0:
         note = "Omega1bar = 0: the universal cocycle is the zero cocycle"
-    da = A.dim
-    bar_table = tuple(
-        tuple(kaehler.bar_pair(p, q) for q in range(da)) for p in range(da)
-    )
+    # pairs in different product classes have [b_p d(b_q)] = 0; the
+    # stored pairs keep the lexicographic order of the loop they replace
+    bar_table = {}
+    for p, q in kaehler._pairs:
+        bar = kaehler.bar_pair(p, q)
+        if any(bar):
+            bar_table[(p, q)] = bar
     # a flat pair fi < fj always has fibre indices i <= j, so each stored
     # value is read off the formula directly
     table = {}
@@ -672,22 +751,18 @@ def universal_cocycle(
             kap = forms.kappa_basis(i, j)
             if not any(kap):
                 continue
-            for p in range(da):
-                for q in range(da):
-                    fi, fj = current.flat(i, p), current.flat(j, q)
-                    if fi >= fj:
-                        continue
-                    bar = bar_table[p][q]
-                    if not any(bar):
-                        continue
-                    value = [_ZERO] * m
-                    for t, kv in enumerate(kap):
-                        if kv:
-                            for u, bv in enumerate(bar):
-                                if bv:
-                                    value[t * w + u] = kv * bv
-                    if any(value):
-                        table[(fi, fj)] = tuple(value)
+            for (p, q), bar in bar_table.items():
+                fi, fj = current.flat(i, p), current.flat(j, q)
+                if fi >= fj:
+                    continue
+                value = [_ZERO] * m
+                for t, kv in enumerate(kap):
+                    if kv:
+                        for u, bv in enumerate(bar):
+                            if bv:
+                                value[t * w + u] = kv * bv
+                if any(value):
+                    table[(fi, fj)] = tuple(value)
     cocycle = Cocycle2(current.total, m, table, note)
     return UniversalCocycle(current, forms, kaehler, cocycle, note)
 

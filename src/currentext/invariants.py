@@ -177,6 +177,12 @@ def v_space_and_kappa(L: LieAlgebra, ders: Optional[DerivationSpace] = None) -> 
     The action span is generated from a basis of der(L) applied to the
     symmetric basis vectors; linearity of the action makes that span
     the full <der(L).S2(L)>.
+
+    This is the derivation quotient.  Neeb-Wockel's V(g) = S2(g) / g.S2(g)
+    quotients by the adjoint action instead; the two agree on semisimple
+    L, where every derivation is inner, and differ elsewhere: dim V is
+    1 here against 2 for gl2, 0 against 3 for heis3 and 0 against 6 for
+    abelian:3.  The criterion V(abelian:n) = 0 refers to this definition.
     """
     if ders is None:
         ders = derivations(L)

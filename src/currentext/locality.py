@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .cohomology import Cocycle2, OneCochain
 from .current import (
@@ -541,10 +541,3 @@ class OneFormLocality:
         if self.extend_class(w_common, inter, corner_r.subset) != vector(w_right):
             raise InternalConsistencyError("common class does not restrict to the right class")
         return w_common
-
-
-def extend_form_class(
-    w_bar: Sequence, ss: SupportStructure, small, large, *, locality: Optional[OneFormLocality] = None
-) -> Vec:
-    loc = locality if locality is not None else OneFormLocality(ss)
-    return loc.extend_class(w_bar, small, large)

@@ -6,9 +6,11 @@ term-by-term references below them (CE differential, cocycle defect,
 coboundary, twist difference) evaluate each defining formula entry by
 entry and read the package's objects only through basic accessors such
 as bracket_basis, kappa_basis, module_action and bar.  Slow but obviously
-correct, which is the point.  cohomology_reference is the exception: it
-solves the whole scalar complex with the package's own linear algebra,
-as a reference for the weight-zero block, not for the elimination.
+correct, which is the point.  cohomology_reference and kaehler_reference
+are the exceptions: they solve the whole scalar complex and the whole
+all-triples Leibniz span with the package's own linear algebra, as
+references for the weight-zero block and the product-class split, not
+for the elimination.
 """
 
 from fractions import Fraction
@@ -311,3 +313,49 @@ def cohomology_reference(L, p, m):
 
     return SimpleNamespace(dimension=len(representatives), representatives=tuple(representatives),
                            class_coordinates=class_coordinates)
+
+
+def kaehler_reference(A):
+    """Omega1 and Omega1bar of a unital algebra from every Leibniz relation.
+
+    Spans c (x) ab - ca (x) b - cb (x) a over all basis triples (a <= b,
+    c) on the flat pairs i * dim + j, with no product-class split; d(b_j)
+    and every [b_i d(b_j)] are projections of dense tensors.  The
+    elimination and quotient steps are the package's.  Returns a
+    namespace with omega1, omega1bar, d_basis(j) and pair_class(i, j).
+    """
+    from currentext.linalg import Subspace, quotient_space
+
+    d = A.dim
+    ambient = d * d
+    relations = []
+    for a in range(d):
+        for b in range(a, d):
+            for c in range(d):
+                row = {}
+                for k, coef in A.product_basis(a, b).items():
+                    row[c * d + k] = row.get(c * d + k, 0) + coef
+                for k, coef in A.product_basis(c, a).items():
+                    row[k * d + b] = row.get(k * d + b, 0) - coef
+                for k, coef in A.product_basis(c, b).items():
+                    row[k * d + a] = row.get(k * d + a, 0) - coef
+                relations.append(row)
+    omega1 = quotient_space(ambient, Subspace.from_spanning(ambient, relations))
+
+    def unit_tensor(entries):
+        tensor = [Fraction(0)] * ambient
+        for idx, value in entries:
+            tensor[idx] += value
+        return omega1.project(tensor)
+
+    pairs = [unit_tensor([(idx, 1)]) for idx in range(ambient)]
+    d_rows = [
+        unit_tensor([(i * d + j, u) for i, u in enumerate(A.unit) if u]) for j in range(d)
+    ]
+    omega1bar = quotient_space(omega1.dim, Subspace.from_spanning(omega1.dim, d_rows))
+    return SimpleNamespace(
+        omega1=omega1,
+        omega1bar=omega1bar,
+        d_basis=lambda j: d_rows[j],
+        pair_class=lambda i, j: pairs[i * d + j],
+    )

@@ -16,13 +16,16 @@ from currentext.current import (
     universality_map,
 )
 from currentext.errors import (
+    DimensionMismatchError,
     FibreNotSemisimpleError,
     NoLocalUnitError,
     NonUnitalError,
 )
 from currentext.lie import validate_lie
+from currentext.linalg import SparseMatrix, rank
+from currentext.locality import OneFormLocality, SupportStructure
 
-from oracles import dense_rank
+from oracles import dense_rank, kaehler_reference
 
 F = Fraction
 
@@ -135,12 +138,114 @@ def test_kaehler_requires_unit():
         kaehler_module(Aug)
 
 
+def test_kaehler_rejects_vectors_of_the_wrong_length():
+    # on sq2 (dim 4) a length-7 vector used to wrap into another pair
+    A = comm_catalog("sq2")
+    module = kaehler_module(A)
+    x = A.basis_vector(1)
+    w = module.d(A.basis_vector(2))
+    for bad in ((0,) * 6 + (1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatchError):
+            module.d(bad)
+        with pytest.raises(DimensionMismatchError):
+            module.one_form(bad, x)
+        with pytest.raises(DimensionMismatchError):
+            module.one_form(x, bad)
+        with pytest.raises(DimensionMismatchError):
+            module.module_action(bad, w)
+    with pytest.raises(IndexError):
+        module.pair_class(0, 4)
+
+
 def test_idempotent_splitting_of_omega1bar():
     # fun:n tensor B splits: dim Omega1bar(fun:n * B) = n * dim Omega1bar(B)
     base = kaehler_module(comm_catalog("sq2")).dim_omega1bar
     for n in (2, 3):
         split = kaehler_module(comm_catalog(f"fun:{n}*sq2")).dim_omega1bar
         assert split == n * base
+
+
+@pytest.mark.parametrize("name", ["fun:3*sq2", "fun:3*jets:2"])
+def test_omega1bar_is_the_direct_sum_of_the_points(name):
+    # the extensions by zero from the three one-point corners together
+    # map isomorphically onto Omega1bar (and Omega1) of the whole algebra
+    loc = OneFormLocality(SupportStructure(current_algebra(lie_catalog("sl2"), comm_catalog(name))))
+    points = loc.structure.points
+    for bar in (True, False):
+        stacked, cols = {}, 0
+        for point in points:
+            m = loc.injection_matrix((point,), points, bar=bar)
+            for r, c, x in m.triplets():
+                stacked[(r, c + cols)] = x
+            cols += m.cols
+        whole = loc.kaehler(points)
+        rows = whole.dim_omega1bar if bar else whole.dim_omega1
+        assert rows == cols
+        assert rank(SparseMatrix(rows, cols, stacked)) == rows
+
+
+def _permuted_comm(A, order):
+    """A on the basis order[0], order[1], ..."""
+    new = {old: r for r, old in enumerate(order)}
+    entries = [(new[i], new[j], new[k], c) for i, j, k, c in A.entries()]
+    return CommAlgebra(
+        [A.labels[old] for old in order], entries, [A.unit[old] for old in order]
+    )
+
+
+def _sheared_comm(A, i, k, c):
+    """A on the basis with b_i replaced by b_i + c b_k (k != i); in the new
+    coordinates a vector's k-th entry loses c times its i-th."""
+    def coords(v):
+        v = list(v)
+        v[k] -= c * v[i]
+        return v
+
+    basis = [A.basis_vector(m) for m in range(A.dim)]
+    basis[i] = tuple(x + c * y for x, y in zip(basis[i], basis[k]))
+    entries = [
+        (p, q, r, value)
+        for p in range(A.dim)
+        for q in range(p, A.dim)
+        for r, value in enumerate(coords(A.product(basis[p], basis[q])))
+        if value
+    ]
+    return CommAlgebra(A.labels, entries, coords(A.unit))
+
+
+KAEHLER_SPLIT_CASES = ["fun:8*sq2", "fun:6*sq2", "fun:2*sq2", "sq2*jets:2", "fun:3", "fun:2*jets:2"]
+
+
+@pytest.mark.parametrize("basis", ["catalog", "permuted", "mixed"])
+@pytest.mark.parametrize("name", KAEHLER_SPLIT_CASES)
+def test_kaehler_matches_the_all_triples_span(name, basis):
+    A = comm_catalog(name)
+    rng = random.Random(f"{name}/{basis}")
+    classes = kaehler_module(A).classes
+    if basis == "permuted":
+        order = list(range(A.dim))
+        rng.shuffle(order)
+        A = _permuted_comm(A, order)
+    elif basis == "mixed":
+        # one shear from each product class into the next joins them all;
+        # a single class gets one shear inside it
+        links = list(zip(classes, classes[1:])) or [(classes[0], classes[0])]
+        for left, right in links:
+            i = rng.choice(left)
+            k = rng.choice([m for m in right if m != i])
+            A = _sheared_comm(A, i, k, F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+    module = kaehler_module(A)
+    if basis == "mixed":
+        assert len(module.classes) == 1
+    reference = kaehler_reference(A)
+    assert module.omega1.subspace == reference.omega1.subspace
+    assert module.omega1.rep_cols == reference.omega1.rep_cols
+    assert module.omega1bar.subspace == reference.omega1bar.subspace
+    for j in range(A.dim):
+        assert module.d_basis(j) == reference.d_basis(j)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert module.pair_class(i, j) == reference.pair_class(i, j)
 
 
 def test_current_algebra_dims_and_validity():
