@@ -335,21 +335,30 @@ class KaehlerModule:
         return self._d_table[j]
 
     def module_action(self, a: Sequence, w: Sequence) -> Vec:
-        """First-slot action of a on an Omega1 element."""
+        """First-slot action of a on an Omega1 element.
+
+        Coordinate t of w is the class [b_i d(b_j)] of representative
+        column i * dim + j, and a . [b_i d(b_j)] = sum_r (a b_i)_r
+        [b_r d(b_j)] is read from the sparse pair table.
+        """
         self._check_length(a, "acting element")
-        rep = self.omega1.lift(w)
+        if len(w) != self.dim_omega1:
+            raise DimensionMismatchError(
+                f"Omega1 element has length {len(w)}, Omega1 has dimension {self.dim_omega1}"
+            )
         d = self.parent.dim
-        out = [_ZERO] * (d * d)
-        for idx, coef in enumerate(rep):
+        nz_a = [(k, _as_fraction(x)) for k, x in enumerate(a) if x]
+        out = [_ZERO] * self.dim_omega1
+        for col, coef in zip(self.omega1.rep_cols, w):
             if not coef:
                 continue
-            i, j = divmod(idx, d)
-            for k, x in enumerate(a):
-                if not x:
-                    continue
+            i, j = divmod(col, d)
+            coef = _as_fraction(coef)
+            for k, x in nz_a:
                 for r, c in self.parent.product_basis(k, i).items():
-                    out[r * d + j] += _as_fraction(x) * c * coef
-        return self.omega1.project(out)
+                    for t, value in self._pairs.get((r, j), {}).items():
+                        out[t] += x * c * coef * value
+        return tuple(out)
 
     def bar(self, w: Sequence) -> Vec:
         """Class of an Omega1 element in Omega1bar."""
@@ -535,21 +544,6 @@ class CurrentAlgebra:
                 for p, u in enumerate(a):
                     if u:
                         out[self.flat(i, p)] += _as_fraction(c) * _as_fraction(u)
-        return tuple(out)
-
-    def scale_by_coefficient(self, a: Sequence, u: Sequence) -> Vec:
-        """(1 (x) a) . u, multiplying every coefficient slot by a."""
-        out = [_ZERO] * self.dim
-        for idx, c in enumerate(u):
-            if not c:
-                continue
-            i, p = self.unflat(idx)
-            c = _as_fraction(c)
-            for k, x in enumerate(a):
-                if not x:
-                    continue
-                for r, m in self.coeff.product_basis(k, p).items():
-                    out[self.flat(i, r)] += _as_fraction(x) * m * c
         return tuple(out)
 
     def __repr__(self):

@@ -6,12 +6,20 @@ elements, corner algebras e_U A over point subsets, restriction of
 cocycles by extension-by-zero, and the sharp partition-of-unity gluing
 of local coboundary primitives all live here, together with
 extension-by-zero on one-form classes.
+
+The basis is point-aligned: SupportStructure accepts A only when every
+basis vector b_p sits over a single point s(p) and e_s(p) b_p = b_p.
+Then e_s b_p is b_p or 0 according to s(p), multiplying x (x) b_p by a
+partition function lambda_k is a coordinate mask, and a corner e_U A is
+the sub-basis over U.  Restriction, extension by zero and gluing are
+therefore re-indexings of the sparse tables: restrict_class costs
+O(nnz psi), restrict_cochain and glue_primitives O(dim * m), and no
+idempotent is ever multiplied out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence, Tuple
 
 from .cohomology import Cocycle2, OneCochain
@@ -30,7 +38,7 @@ from .errors import (
     NotDiagonalError,
 )
 from .lie import same_algebra
-from .linalg import SparseMatrix, Vec, _as_fraction, solve_linear, vector
+from .linalg import SparseMatrix, Vec, solve_linear, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,10 +50,10 @@ class SupportStructure:
     Requires every coefficient basis vector to sit over a single point
     (true for all catalog algebras with points); this is what makes
     corner algebras plain sub-bases and diagonality checkable on flat
-    basis pairs.
+    basis pairs.  Corners are built once per subset (see corner).
     """
 
-    __slots__ = ("current", "points", "point_of_basis", "_point_index")
+    __slots__ = ("current", "points", "point_of_basis", "_point_index", "_corners")
 
     def __init__(self, current: CurrentAlgebra):
         A = current.coeff
@@ -70,6 +78,7 @@ class SupportStructure:
                 )
             point_of_basis.append(label)
         self.point_of_basis = tuple(point_of_basis)
+        self._corners = {}
 
     @property
     def algebra(self) -> CommAlgebra:
@@ -94,6 +103,18 @@ class SupportStructure:
         if unknown:
             raise InputError(f"unknown points {sorted(unknown)}")
         return tuple(s for s in self.points if s in wanted)
+
+    def corner(self, subset) -> "Corner":
+        """The corner over a subset of points, built once per subset; a
+        Corner is returned as it is if it belongs to this structure."""
+        if isinstance(subset, Corner):
+            if subset.structure is not self:
+                raise InputError("corner belongs to another support structure")
+            return subset
+        key = self.normalize_subset(subset)
+        if key not in self._corners:
+            self._corners[key] = Corner(self, key)
+        return self._corners[key]
 
     def support_of_coefficient(self, a: Sequence):
         return _support_points(self.algebra, a)
@@ -148,9 +169,14 @@ def is_diagonal(psi: Cocycle2, ss: SupportStructure) -> DiagonalReport:
 
 
 class Corner:
-    """The idempotent corner e_U A as a standalone algebra."""
+    """The idempotent corner e_U A as a standalone algebra.
 
-    __slots__ = ("structure", "subset", "indices", "algebra", "current")
+    ``indices`` lists the coefficient basis vectors over U in increasing
+    order and ``back`` inverts it, so x_i (x) b_p is the corner's
+    x_i (x) b_back[p] and flat indices keep their order.
+    """
+
+    __slots__ = ("structure", "subset", "indices", "back", "algebra", "current")
 
     def __init__(self, ss: SupportStructure, subset: Iterable[str]):
         self.structure = ss
@@ -160,7 +186,7 @@ class Corner:
         self.indices = tuple(
             p for p in range(A.dim) if ss.point_of_basis[p] in wanted
         )
-        back = {p: t for t, p in enumerate(self.indices)}
+        self.back = back = {p: t for t, p in enumerate(self.indices)}
         entries = []
         for t_i, p_i in enumerate(self.indices):
             for t_j, p_j in enumerate(self.indices):
@@ -189,86 +215,50 @@ class Corner:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def extend_coefficient(self, a: Sequence) -> Vec:
-        """Extension by zero A_U -> A."""
-        out = [_ZERO] * self.structure.algebra.dim
-        for t, p in enumerate(self.indices):
-            out[p] = _as_fraction(a[t])
-        return tuple(out)
-
-    def restrict_coefficient(self, a: Sequence, *, strict: bool = True) -> Vec:
-        inside = set(self.indices)
-        out = []
-        for p, x in enumerate(a):
-            if p in inside:
-                out.append(_as_fraction(x))
-            elif strict and x:
-                raise DimensionMismatchError(
-                    "element is not supported inside the corner"
-                )
-        return tuple(out)
-
-    def extend_element(self, u: Sequence) -> Vec:
-        """Extension by zero on g (x) A_U -> g (x) A."""
-        big = self.structure.current
-        out = [_ZERO] * big.dim
-        for idx, c in enumerate(u):
-            if c:
-                i, t = self.current.unflat(idx)
-                out[big.flat(i, self.indices[t])] = _as_fraction(c)
-        return tuple(out)
-
-    def restrict_element(self, u: Sequence, *, strict: bool = True) -> Vec:
-        big = self.structure.current
-        back = {p: t for t, p in enumerate(self.indices)}
-        out = [_ZERO] * self.current.dim
-        for idx, c in enumerate(u):
-            if not c:
-                continue
-            i, p = big.unflat(idx)
-            t = back.get(p)
-            if t is None:
-                if strict:
-                    raise DimensionMismatchError(
-                        "element is not supported inside the corner"
-                    )
-                continue
-            out[self.current.flat(i, t)] = _as_fraction(c)
-        return tuple(out)
-
     def __repr__(self):
         return f"Corner(points = {list(self.subset)}, dim = {self.dim})"
+
+
+def _corner_of(cochain, ss: SupportStructure, subset) -> Corner:
+    if not same_algebra(cochain.parent, ss.current.total):
+        raise InputError("cochain is not defined on the support structure's algebra")
+    return ss.corner(subset)
+
+
+def _local_index(ss: SupportStructure, corner: Corner, idx: int):
+    """Flat index of x_i (x) b_p in the corner current algebra, or None
+    when b_p lies outside the corner."""
+    i, p = ss.current.unflat(idx)
+    t = corner.back.get(p)
+    return None if t is None else i * corner.dim + t
 
 
 def restrict_class(psi: Cocycle2, ss: SupportStructure, subset: Iterable[str]) -> Cocycle2:
     """psi_U(xi, eta) = psi(extension of xi, extension of eta).
 
     Well-defined on classes: a coboundary restricts to the coboundary of
-    the restricted primitive.  Returns a cocycle on g (x) A_U.
+    the restricted primitive.  Returns a cocycle on g (x) A_U, read off
+    the pairs of psi with both indices in the corner, in O(nnz psi).
     """
-    corner = subset if isinstance(subset, Corner) else Corner(ss, subset)
-    big = ss.current
+    corner = _corner_of(psi, ss, subset)
     table = {}
-    m = psi.coeff_dim
-    for fi, fj in combinations(range(corner.current.dim), 2):
-        i, t = corner.current.unflat(fi)
-        j, s = corner.current.unflat(fj)
-        value = psi.value(
-            big.flat(i, corner.indices[t]), big.flat(j, corner.indices[s])
-        )
-        if any(value):
+    for (i, j), value in sorted(psi.values.items()):
+        fi = _local_index(ss, corner, i)
+        fj = _local_index(ss, corner, j)
+        if fi is not None and fj is not None:
             table[(fi, fj)] = value
-    return Cocycle2(corner.current.total, m, table)
+    return Cocycle2(corner.current.total, psi.coeff_dim, table)
 
 
 def restrict_cochain(beta: OneCochain, ss: SupportStructure, subset) -> OneCochain:
     """beta composed with extension by zero."""
-    corner = subset if isinstance(subset, Corner) else Corner(ss, subset)
-    values = []
-    for idx in range(corner.current.dim):
-        unit = [_ZERO] * corner.current.dim
-        unit[idx] = _ONE
-        values.append(beta.apply(corner.extend_element(unit)))
+    corner = _corner_of(beta, ss, subset)
+    da = ss.algebra.dim
+    values = [
+        beta.values[i * da + p]
+        for i in range(ss.current.fibre.dim)
+        for p in corner.indices
+    ]
     return OneCochain(corner.current.total, beta.coeff_dim, values)
 
 
@@ -315,7 +305,7 @@ class Cover:
         return len(self.subsets)
 
     def corners(self):
-        return [Corner(self.structure, s) for s in self.subsets]
+        return [self.structure.corner(s) for s in self.subsets]
 
     def __repr__(self):
         return f"Cover(subsets = {[list(s) for s in self.subsets]})"
@@ -332,6 +322,11 @@ def glue_primitives(
     Preconditions (checked): psi is diagonal, and each primitive
     satisfies d(beta_i) = psi restricted to the i-th cover set.  The
     glued result is verified to satisfy d(beta) = psi exactly.
+
+    lambda_i is the indicator of the i-th part, and the parts are
+    disjoint and cover every point, so lambda_i (x_j (x) b_p) is
+    x_j (x) b_p for the one part i that holds b_p's point and 0 for the
+    others: beta(x_j (x) b_p) is beta_i at the corner index of x_j (x) b_p.
     """
     ss = cover.structure
     report = is_diagonal(psi, ss)
@@ -348,22 +343,17 @@ def glue_primitives(
         if defect.values:
             pair = sorted(defect.values)[0]
             raise BadPrimitiveError(idx, pair, defect.values[pair])
+    owner = [None] * ss.algebra.dim
+    for part, corner, beta_i in zip(cover.parts, corners, primitives):
+        for p in corner.indices:
+            if ss.point_of_basis[p] in part:
+                owner[p] = (corner, beta_i)
     big = ss.current
-    m = psi.coeff_dim
     values = []
     for idx in range(big.dim):
-        unit = [_ZERO] * big.dim
-        unit[idx] = _ONE
-        total = [_ZERO] * m
-        for corner, beta_i, lam in zip(corners, primitives, cover.lambdas):
-            moved = big.scale_by_coefficient(lam, unit)
-            if not any(moved):
-                continue
-            local = corner.restrict_element(moved)
-            for a, x in enumerate(beta_i.apply(local)):
-                total[a] += x
-        values.append(tuple(total))
-    beta = OneCochain(big.total, m, values)
+        corner, beta_i = owner[big.unflat(idx)[1]]
+        values.append(beta_i.values[_local_index(ss, corner, idx)])
+    beta = OneCochain(big.total, psi.coeff_dim, values)
     if beta.coboundary() != psi:
         raise InternalConsistencyError("glued primitive does not reproduce the cocycle")
     return beta
@@ -373,18 +363,14 @@ class OneFormLocality:
     """Extension-by-zero and decomposition of one-form classes over
     corners, with the corner Kaehler modules cached."""
 
-    __slots__ = ("structure", "_corners", "_kaehlers")
+    __slots__ = ("structure", "_kaehlers")
 
     def __init__(self, ss: SupportStructure):
         self.structure = ss
-        self._corners = {}
         self._kaehlers = {}
 
     def corner(self, subset: Iterable[str]) -> Corner:
-        key = self.structure.normalize_subset(subset)
-        if key not in self._corners:
-            self._corners[key] = Corner(self.structure, key)
-        return self._corners[key]
+        return self.structure.corner(subset)
 
     def kaehler(self, subset: Iterable[str]) -> KaehlerModule:
         key = self.structure.normalize_subset(subset)

@@ -3,10 +3,11 @@
 The elimination oracles deliberately share no code with the package:
 plain Gaussian elimination over Fraction on dense row lists.  The
 term-by-term references below them (CE differential, cocycle defect,
-coboundary, twist difference) evaluate each defining formula entry by
-entry and read the package's objects only through basic accessors such
-as bracket_basis, kappa_basis, module_action and bar.  Slow but obviously
-correct, which is the point.  cohomology_reference and kaehler_reference
+coboundary, twist difference, Kaehler module action, restriction and
+gluing over a cover) evaluate each defining formula entry by entry and
+read the package's objects only through basic accessors such as
+bracket_basis, product_basis, kappa_basis, pair_class and bar.  Slow but
+obviously correct, which is the point.  cohomology_reference and kaehler_reference
 are the exceptions: they solve the whole scalar complex and the whole
 all-triples Leibniz span with the package's own linear algebra, as
 references for the weight-zero block and the product-class split, not
@@ -220,7 +221,7 @@ def twist_difference_reference(g, A, xi, uc):
                 kap = forms.kappa_basis(c, b)
                 if not any(kap):
                     continue
-                moved = kaehler.module_action(A.basis_vector(q), unit(t))
+                moved = module_action_reference(kaehler, A.basis_vector(q), unit(t))
                 add_outer(total, kap, kaehler.bar([x * coef for x in moved]))
             beta.append(tuple(total))
     tau = {}
@@ -240,7 +241,7 @@ def twist_difference_reference(g, A, xi, uc):
                             kap = forms.kappa_basis(a, k)
                             if not any(kap):
                                 continue
-                            moved = kaehler.module_action(pq, unit(t))
+                            moved = module_action_reference(kaehler, pq, unit(t))
                             add_outer(total, kap,
                                       kaehler.bar([x * coef * cc for x in moved]))
                     if any(total):
@@ -359,3 +360,114 @@ def kaehler_reference(A):
         d_basis=lambda j: d_rows[j],
         pair_class=lambda i, j: pairs[i * d + j],
     )
+
+
+def module_action_reference(kaehler, a, w):
+    """a . w on Omega1 through the ambient tensors: lift w to the dense
+    d^2-vector of b_i (x) d(b_j) coordinates, multiply the first slot by a
+    on every coordinate, and project the dense d^2-vector back."""
+    A = kaehler.parent
+    d = A.dim
+    assert len(a) == d
+    rep = kaehler.omega1.lift(w)
+    out = [Fraction(0)] * (d * d)
+    for idx, coef in enumerate(rep):
+        if not coef:
+            continue
+        i, j = divmod(idx, d)
+        for k, x in enumerate(a):
+            if x:
+                for r, c in A.product_basis(k, i).items():
+                    out[r * d + j] += Fraction(x) * c * coef
+    return kaehler.omega1.project(out)
+
+
+def _scale_by_coefficient(current, a, u):
+    """(1 (x) a) . u on g (x) A, multiplying every coefficient slot by a."""
+    out = [Fraction(0)] * current.dim
+    for idx, c in enumerate(u):
+        if not c:
+            continue
+        i, p = current.unflat(idx)
+        for k, x in enumerate(a):
+            if x:
+                for r, m in current.coeff.product_basis(k, p).items():
+                    out[current.flat(i, r)] += Fraction(x) * m * c
+    return tuple(out)
+
+
+def _extend_element(ss, corner, u):
+    """Extension by zero g (x) A_U -> g (x) A."""
+    big = ss.current
+    out = [Fraction(0)] * big.dim
+    for idx, c in enumerate(u):
+        if c:
+            i, t = corner.current.unflat(idx)
+            out[big.flat(i, corner.indices[t])] = Fraction(c)
+    return tuple(out)
+
+
+def _restrict_element(ss, corner, u):
+    """Inverse of _extend_element on elements supported inside the corner."""
+    back = {p: t for t, p in enumerate(corner.indices)}
+    out = [Fraction(0)] * corner.current.dim
+    for idx, c in enumerate(u):
+        if c:
+            i, p = ss.current.unflat(idx)
+            out[corner.current.flat(i, back[p])] = Fraction(c)
+    return tuple(out)
+
+
+def _unit(n, idx):
+    out = [Fraction(0)] * n
+    out[idx] = Fraction(1)
+    return out
+
+
+def restrict_class_reference(psi, ss, corner):
+    """psi_U as a Cocycle2, by a psi.value lookup on every pair of corner
+    basis elements, each extended by zero."""
+    from currentext.cohomology import Cocycle2
+
+    big, small = ss.current, corner.current
+    table = {}
+    for fi, fj in combinations(range(small.dim), 2):
+        value = psi.apply(_extend_element(ss, corner, _unit(small.dim, fi)),
+                          _extend_element(ss, corner, _unit(small.dim, fj)))
+        if any(value):
+            table[(fi, fj)] = value
+    return Cocycle2(small.total, psi.coeff_dim, table)
+
+
+def restrict_cochain_reference(beta, ss, corner):
+    """beta composed with extension by zero, applied to every corner unit vector."""
+    from currentext.cohomology import OneCochain
+
+    small = corner.current
+    values = [beta.apply(_extend_element(ss, corner, _unit(small.dim, idx)))
+              for idx in range(small.dim)]
+    return OneCochain(small.total, beta.coeff_dim, values)
+
+
+def glue_primitives_reference(cover, primitives):
+    """beta(chi) = sum_k beta_k(lambda_k chi) on every basis vector chi of
+    g (x) A, with lambda_k multiplied out as an algebra element and the
+    product restricted to a fresh corner over the k-th cover set.  No
+    checks are made."""
+    from currentext.cohomology import OneCochain
+    from currentext.locality import Corner
+
+    corners = [Corner(cover.structure, s) for s in cover.subsets]
+    big = cover.structure.current
+    m = primitives[0].coeff_dim
+    values = []
+    for idx in range(big.dim):
+        total = [Fraction(0)] * m
+        for corner, beta_k, lam in zip(corners, primitives, cover.lambdas):
+            moved = _scale_by_coefficient(big, lam, _unit(big.dim, idx))
+            if any(moved):
+                local = _restrict_element(cover.structure, corner, moved)
+                for a, x in enumerate(beta_k.apply(local)):
+                    total[a] += x
+        values.append(tuple(total))
+    return OneCochain(big.total, m, values)

@@ -25,7 +25,7 @@ from currentext.lie import validate_lie
 from currentext.linalg import SparseMatrix, rank
 from currentext.locality import OneFormLocality, SupportStructure
 
-from oracles import dense_rank, kaehler_reference
+from oracles import dense_rank, kaehler_reference, module_action_reference
 
 F = Fraction
 
@@ -246,6 +246,28 @@ def test_kaehler_matches_the_all_triples_span(name, basis):
     for i in range(A.dim):
         for j in range(A.dim):
             assert module.pair_class(i, j) == reference.pair_class(i, j)
+
+
+@pytest.mark.parametrize("basis", ["catalog", "permuted"])
+@pytest.mark.parametrize("name", COMM_CATALOG + ["fun:3*sq2", "sq2*jets:2"])
+def test_module_action_matches_the_dense_reference(name, basis):
+    A = comm_catalog(name)
+    rng = random.Random(f"{name}/{basis}/action")
+    if basis == "permuted":
+        order = list(range(A.dim))
+        rng.shuffle(order)
+        A = _permuted_comm(A, order)
+    module = kaehler_module(A)
+
+    def draw(n):
+        return [F(rng.choice([0, 0, -2, 1, 3]), rng.randint(1, 3)) for _ in range(n)]
+
+    cases = [(draw(A.dim), draw(module.dim_omega1)) for _ in range(3)]
+    cases += [(A.basis_vector(p), draw(module.dim_omega1)) for p in range(A.dim)]
+    for a, w in cases:
+        assert module.module_action(a, w) == module_action_reference(module, a, w)
+    with pytest.raises(DimensionMismatchError):
+        module.module_action(A.unit, (0,) * (module.dim_omega1 + 1))
 
 
 def test_current_algebra_dims_and_validity():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from currentext.catalog import comm_catalog, lie_catalog
-from currentext.cohomology import Cocycle2, OneCochain, coboundary_witness
-from currentext.current import current_algebra
+from currentext.cohomology import Cocycle2, OneCochain, ce_differential, coboundary_witness
+from currentext.current import CommAlgebra, current_algebra, universal_cocycle
 from currentext.errors import BadPrimitiveError, InputError, NotDiagonalError
 from currentext.linalg import SparseMatrix, kernel_basis, rank
 from currentext.locality import (
@@ -19,6 +19,8 @@ from currentext.locality import (
     restrict_cochain,
     support_of,
 )
+
+from oracles import glue_primitives_reference, restrict_class_reference, restrict_cochain_reference
 
 F = Fraction
 
@@ -59,11 +61,39 @@ def test_support_subadditivity():
         assert support_of(bracket, ss) <= support_of(u, ss) & support_of(v, ss)
 
 
-def test_scaling_by_idempotent_shrinks_support():
-    g, A, ca, ss = _setup()
-    u = ca.tensor(g.basis_element(2).coords, (1, 1, 1))
-    e1 = ss.idempotent("1")
-    assert support_of(ca.scale_by_coefficient(e1, u), ss) <= frozenset({"1"})
+def _permuted_points(A, seed):
+    """A on a seeded shuffle of its basis, idempotents included, so that
+    the basis vectors of the points interleave."""
+    order = list(range(A.dim))
+    random.Random(seed).shuffle(order)
+    new = {old: r for r, old in enumerate(order)}
+
+    def perm(v):
+        return [v[old] for old in order]
+
+    return CommAlgebra(
+        [A.labels[old] for old in order],
+        [(new[i], new[j], new[k], c) for i, j, k, c in A.entries()],
+        perm(A.unit),
+        [(label, perm(e)) for label, e in A.idempotents],
+    )
+
+
+@pytest.mark.parametrize("aname", ["fun:3", "fun:2*sq2", "fun:3*jets:2", "fun:4*jets:2"])
+@pytest.mark.parametrize("basis", ["catalog", "permuted"])
+def test_idempotent_fixes_or_kills_each_basis_vector(aname, basis):
+    # the invariant behind restriction and gluing by index maps:
+    # e_s b_p = b_p when b_p sits over s, and 0 otherwise
+    A = comm_catalog(aname)
+    if basis == "permuted":
+        A = _permuted_points(A, aname)
+    ss = SupportStructure(current_algebra(lie_catalog("sl2"), A))
+    for s in ss.points:
+        e = ss.idempotent(s)
+        for p in range(A.dim):
+            b = A.basis_vector(p)
+            expected = b if ss.point_of_basis[p] == s else (F(0),) * A.dim
+            assert A.product(e, b) == expected
 
 
 def test_cocycle_space_basis_is_diagonal():
@@ -312,3 +342,142 @@ def test_corner_requires_point_homogeneous_basis():
     ca = CurrentAlgebra(lie_catalog("sl2"), A)
     with pytest.raises(InputError):
         SupportStructure(ca)
+
+
+def test_restriction_rejects_cochains_of_another_algebra():
+    g = lie_catalog("sl2")
+    small = current_algebra(g, comm_catalog("fun:2"))
+    ss = SupportStructure(current_algebra(g, comm_catalog("fun:3")))
+    rng = random.Random(2)
+    beta = OneCochain(small.total, 1, [(F(rng.randint(-3, 3)),) for _ in range(small.dim)])
+    psi = beta.coboundary()
+    assert psi.values
+    with pytest.raises(InputError):
+        restrict_class(psi, ss, ("1",))
+    with pytest.raises(InputError):
+        restrict_cochain(beta, ss, ("1",))
+    # a corner of another support structure is refused as well
+    foreign = Corner(SupportStructure(small), ("1",))
+    big_beta = OneCochain.zero(ss.current.total, 1)
+    with pytest.raises(InputError):
+        restrict_class(big_beta.coboundary(), ss, foreign)
+    with pytest.raises(InputError):
+        restrict_cochain(big_beta, ss, foreign)
+
+
+# (fibre, coefficients, basis, cover): gl2 is not perfect, so its local
+# primitives are unique only up to 1-cocycles and disagree on overlaps
+ORACLE_CASES = [
+    ("sl2", "fun:3*jets:2", "catalog", [("1", "2"), ("2", "3")]),
+    ("gl2", "fun:3*jets:2", "permuted", [("1", "2"), ("2", "3")]),
+    ("gl2", "fun:3*jets:2", "catalog", [("1",), ("2",), ("3",)]),
+    ("sl2", "fun:4*jets:2", "permuted", [("1", "2"), ("2", "3"), ("3", "4")]),
+    ("gl2", "fun:4*jets:2", "permuted", [("1", "2", "3", "4"), ("4", "1"), ("2",)]),
+    ("sl2", "fun:6*sq2", "catalog", [("1", "2", "3"), ("3", "4"), ("5",), ("6", "1", "5")]),
+    ("sl2", "fun:6*sq2", "permuted", [("6",), ("1", "2", "3", "4", "5")]),
+]
+
+
+def _oracle_structure(gname, aname, basis):
+    A = comm_catalog(aname)
+    if basis == "permuted":
+        A = _permuted_points(A, f"{gname}/{aname}")
+    ss = SupportStructure(current_algebra(lie_catalog(gname), A))
+    if basis == "permuted":
+        # the basis vectors of some point are not contiguous
+        spans = [Corner(ss, (s,)).indices for s in ss.points]
+        assert any(ix[-1] - ix[0] + 1 != len(ix) for ix in spans)
+    return ss
+
+
+def _subsets(ss, cover):
+    return list(cover) + [(s,) for s in ss.points] + [ss.points]
+
+
+def _random_cochain(ss, m, rng):
+    return OneCochain(
+        ss.current.total, m,
+        [tuple(F(rng.randint(-3, 3)) for _ in range(m)) for _ in range(ss.current.dim)],
+    )
+
+
+def _assert_same_cocycle(new, ref):
+    assert new.values == ref.values
+    assert new.entries() == ref.entries()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{len(c[3])}")
+def test_restriction_matches_the_extension_by_zero_reference(case, m):
+    gname, aname, basis, cover = case
+    ss = _oracle_structure(gname, aname, basis)
+    rng = random.Random(f"{case}/{m}")
+    beta = _random_cochain(ss, m, rng)
+    psi = beta.coboundary()
+    # restriction is defined on every alternating form; a random one
+    # also has pairs across points, which a coboundary never has
+    n = ss.current.dim
+    pairs = rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)], 4 * n)
+    noise = Cocycle2(psi.parent, m, {
+        pair: tuple(F(rng.randint(-3, 3)) for _ in range(m)) for pair in pairs
+    })
+    assert not is_diagonal(noise, ss).ok
+    for names in _subsets(ss, cover):
+        fresh = Corner(ss, names)
+        ref_cochain = restrict_cochain_reference(beta, ss, fresh)
+        for form in (psi, noise):
+            ref_class = restrict_class_reference(form, ss, fresh)
+            for subset in (names, Corner(ss, names)):
+                _assert_same_cocycle(restrict_class(form, ss, subset), ref_class)
+        for subset in (names, Corner(ss, names)):
+            assert restrict_cochain(beta, ss, subset).values == ref_cochain.values
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{len(c[3])}")
+def test_glue_matches_the_partition_of_unity_reference(case, m):
+    gname, aname, basis, cover_sets = case
+    ss = _oracle_structure(gname, aname, basis)
+    cover = Cover(ss, cover_sets)
+    rng = random.Random(f"{case}/{m}/glue")
+    beta0 = _random_cochain(ss, m, rng)
+    psi = beta0.coboundary()
+    primitives = []
+    for names in cover.subsets:
+        fresh = Corner(ss, names)
+        local = restrict_cochain_reference(beta0, ss, fresh)
+        # add a random 1-cocycle of the corner, slot by slot
+        z1 = kernel_basis(ce_differential(fresh.current.total, 1)).basis_vectors()
+        values = [list(v) for v in local.values]
+        for a in range(m):
+            for vec in z1:
+                c = F(rng.randint(-2, 2))
+                for idx, x in enumerate(vec):
+                    values[idx][a] += c * x
+        primitives.append(OneCochain(fresh.current.total, m, values))
+    glued = glue_primitives(psi, cover, primitives)
+    assert glued.values == glue_primitives_reference(cover, primitives).values
+    if gname == "gl2" and len(cover_sets) > 1:
+        assert glued.values != beta0.values  # the primitives carried 1-cocycles
+
+
+def test_universal_cocycle_restriction_matches_reference():
+    g = lie_catalog("sl2")
+    A = comm_catalog("fun:3*sq2")
+    uc = universal_cocycle(g, A)
+    ss = SupportStructure(uc.current)
+    psi = uc.cocycle
+    assert psi.coeff_dim == 3
+    slices = [psi] + [
+        Cocycle2(psi.parent, len(slots),
+                 {key: tuple(value[a] for a in slots) for key, value in psi.values.items()})
+        for slots in ((0,), (1, 2))
+    ]
+    for component in slices:
+        nonzero = 0
+        for names in _subsets(ss, [("1", "2"), ("2", "3")]):
+            ref = restrict_class_reference(component, ss, Corner(ss, names))
+            nonzero += bool(ref.values)
+            for subset in (names, Corner(ss, names)):
+                _assert_same_cocycle(restrict_class(component, ss, subset), ref)
+        assert nonzero > 1
