@@ -44,6 +44,9 @@ def golden_cases():
     cases += [
         ["universality", "sl2", "fun:4*sq2"],
         ["cocycle-check", "sl2", "sq2*jets:2"],
+        # the twist-glue benchmark twists: coboundary witnesses with m = 9 and m = 17
+        ["twist", "sl2", "sq2*jets:3"],
+        ["twist", "so3", "sq2*sq2"],
         # refused at the default cochain ceiling: exit 3 names the size
         ["universality", "sl3", "sq2*sq2"],
         ["h2", "sl2", "--coeff-dim", "3"],
