@@ -48,7 +48,11 @@ the others to check that they form a cocycle.
 Cocycle2.cocycle_defect evaluates d psi from the same nonzero brackets
 against the nonzero values of psi, in O(bracket nnz * n * m), without
 visiting the comb(n, 3) triples, and OneCochain.coboundary costs
-O(bracket nnz * m).
+O(bracket nnz * m).  Both keep integer totals: the cochain's values are
+scaled by the lcm of their denominators and the structure constants by
+the lcm of theirs, and only the results are divided back into Fractions.
+coboundary_witness solves all m slots of its cocycle with one
+elimination of d^1 (linalg.solve_many), not one elimination per slot.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -74,7 +78,7 @@ from .linalg import (
     kernel_basis,
     quotient_space,
     rref_with_transform,
-    solve_linear,
+    solve_many,
     vector,
     zero_vector,
 )
@@ -89,6 +93,28 @@ def _guard(n: int, degree: int, coeff_dim: int, ceiling: Optional[int]):
     needed = comb(n, degree) * coeff_dim
     if needed > limit:
         raise ResourceCeilingError(needed, limit)
+
+
+def _integer_brackets(L: LieAlgebra):
+    """(den, brackets): the nonzero brackets as ((a, b), {k: den * c})
+    items with integer values, den the lcm of the structure constants'
+    denominators.  Built on each call in O(bracket nnz)."""
+    brackets = L.nonzero_brackets()
+    den = lcm(*{c.denominator for _, row in brackets for c in row.values()})
+    return den, [
+        (pair, {k: c.numerator * (den // c.denominator) for k, c in row.items()})
+        for pair, row in brackets
+    ]
+
+
+def _scaled_slots(value: Sequence, den: int) -> list:
+    """The nonzero slots (s, den * x) of a value tuple whose denominators divide den."""
+    return [(s, x.numerator * (den // x.denominator)) for s, x in enumerate(value) if x]
+
+
+def _common_denominator(values) -> int:
+    """The lcm of the denominators of all entries of the value tuples."""
+    return lcm(*{x.denominator for value in values for x in value})
 
 
 def _rank_of(n: int, k: int):
@@ -360,15 +386,20 @@ class Cocycle2:
         {a, b} with psi([x_a, x_b], x_c) != 0 adds that value to the sorted
         triple, with sign - when c sorts between a and b.  The answer is
         the lexicographically first triple whose total is nonzero, with
-        that total.
+        that total.  The totals are integers: psi's values are scaled by
+        the lcm of their denominators and the brackets by that of theirs,
+        and only the returned total is divided back.
         """
         L = self.parent
-        rows = [{} for _ in range(L.dim)]  # rows[k][c] = psi(x_k, x_c)
+        bden, brackets = _integer_brackets(L)
+        vden = _common_denominator(self.values.values())
+        rows = [{} for _ in range(L.dim)]  # rows[k][c] = vden * psi(x_k, x_c), nonzero slots
         for (i, j), value in self.values.items():
-            rows[i][j] = value
-            rows[j][i] = tuple(-x for x in value)
+            scaled = _scaled_slots(value, vden)
+            rows[i][j] = scaled
+            rows[j][i] = [(s, -x) for s, x in scaled]
         totals = {}
-        for (a, b), bracket in L.nonzero_brackets():
+        for (a, b), bracket in brackets:
             for k, coef in bracket.items():
                 for c, value in rows[k].items():
                     if c < a:
@@ -381,14 +412,15 @@ class Cocycle2:
                         continue
                     total = totals.get(triple)
                     if total is None:
-                        total = totals[triple] = [_ZERO] * self.coeff_dim
-                    for s, x in enumerate(value):
+                        total = totals[triple] = [0] * self.coeff_dim
+                    for s, x in value:
                         total[s] += sign * x
         nonzero = [triple for triple, total in totals.items() if any(total)]
         if not nonzero:
             return None
         first = min(nonzero)
-        return (first, tuple(totals[first]))
+        den = bden * vden
+        return (first, tuple(Fraction(x, den) for x in totals[first]))
 
     def __repr__(self):
         return (
@@ -430,17 +462,21 @@ class OneCochain:
 
     def coboundary(self) -> Cocycle2:
         """(d beta)(x, y) = -beta([x, y]), read from the nonzero brackets
-        only, in O(bracket nnz * m)."""
+        only, in O(bracket nnz * m), with integer totals scaled as in
+        Cocycle2.cocycle_defect."""
         L = self.parent
+        bden, brackets = _integer_brackets(L)
+        vden = _common_denominator(self.values)
+        scaled = [_scaled_slots(value, vden) for value in self.values]
+        den = bden * vden
         table = {}
-        for pair, bracket in L.nonzero_brackets():
-            total = [_ZERO] * self.coeff_dim
+        for pair, bracket in brackets:
+            total = [0] * self.coeff_dim
             for k, c in bracket.items():
-                for a, x in enumerate(self.values[k]):
-                    if x:
-                        total[a] -= c * x
+                for a, x in scaled[k]:
+                    total[a] -= c * x
             if any(total):
-                table[pair] = tuple(total)
+                table[pair] = tuple(Fraction(x, den) for x in total)
         return Cocycle2(L, self.coeff_dim, table)
 
     def __eq__(self, other):
@@ -680,9 +716,12 @@ def coboundary_witness(
 ) -> CoboundaryWitness:
     """Find beta with (d beta) = psi, or the class of psi in H^2.
 
-    psi must be a cocycle; otherwise NotACocycleError carries the first
-    violating basis triple.  The returned primitive is the canonical
-    solution of the linear system, so repeated runs agree bit for bit.
+    The resource ceiling is checked before psi's values are read: C^2 with
+    its factor m must fit.  psi must be a cocycle; otherwise
+    NotACocycleError carries the first violating basis triple.  The
+    returned primitive is the canonical solution of the linear system,
+    so repeated runs agree bit for bit; all m slots are solved by one
+    elimination of d^1.
     A given h2 must be H^2 of psi's algebra with psi's coefficients;
     anything else raises DimensionMismatchError.
     """
@@ -692,23 +731,25 @@ def coboundary_witness(
         and h2.coeff_dim == psi.coeff_dim
     ):
         raise DimensionMismatchError("h2 is not H^2 of the cocycle's algebra and coefficients")
-    defect = psi.cocycle_defect()
-    if defect is not None:
-        raise NotACocycleError(*defect)
     L = psi.parent
     m = psi.coeff_dim
     _guard(L.dim, 2, m, ceiling)
+    defect = psi.cocycle_defect()
+    if defect is not None:
+        raise NotACocycleError(*defect)
     flat = psi.flat()
+    slots = [flat[a::m] for a in range(m)]
     # a zero slot has the zero primitive, so psi = 0 needs no d^1
-    delta1 = ce_differential(L, 1, ceiling=ceiling) if any(flat) else None
-    primitive = []
-    for a in range(m):
-        slot = flat[a::m]
-        solution = solve_linear(delta1, slot) if any(slot) else zero_vector(L.dim)
-        if solution is None:
+    targets = [a for a in range(m) if any(slots[a])]
+    primitive = [zero_vector(L.dim)] * m
+    if targets:
+        delta1 = ce_differential(L, 1, ceiling=ceiling)
+        solutions = solve_many(delta1, [slots[a] for a in targets])
+        if None in solutions:
             if h2 is None:
                 h2 = cohomology(L, 2, m, ceiling=ceiling)
             return CoboundaryWitness(None, h2.class_coordinates(flat), h2)
-        primitive.append(solution)
+        for a, solution in zip(targets, solutions):
+            primitive[a] = solution
     beta = OneCochain(L, m, [tuple(x[i] for x in primitive) for i in range(L.dim)])
     return CoboundaryWitness(beta, None, None)

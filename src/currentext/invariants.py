@@ -28,7 +28,7 @@ from .linalg import (
     _as_fraction,
     quotient_space,
     rank,
-    solve_linear,
+    solve_many,
     vector,
 )
 
@@ -251,17 +251,12 @@ def factor_through(F: UniversalFormSpace, beta: BilinearForm) -> FactorMap:
     # kappa values on the symmetric basis span V, so K has full column rank
     # and the canonical solve is the unique solution.
     kappa_rows = SparseMatrix.from_dense(F.kappa_table) if F.sym.dim else SparseMatrix.zeros(0, v)
-    matrix = []
-    for a in range(w):
-        target = tuple(
-            beta.value(*F.sym.pairs[t])[a] for t in range(F.sym.dim)
+    values = [beta.value(*pair) for pair in F.sym.pairs]
+    matrix = solve_many(kappa_rows, [tuple(value[a] for value in values) for a in range(w)])
+    if None in matrix:
+        raise InternalConsistencyError(
+            "invariant symmetric form failed to factor through kappa"
         )
-        row = solve_linear(kappa_rows, target)
-        if row is None:
-            raise InternalConsistencyError(
-                "invariant symmetric form failed to factor through kappa"
-            )
-        matrix.append(row)
     result = FactorMap(F, w, matrix)
     n = F.parent.dim
     for i in range(n):

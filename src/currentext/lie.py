@@ -22,6 +22,7 @@ from .linalg import (
     quotient_space,
     rank,
     solve_linear,
+    solve_many,
     vector,
 )
 
@@ -428,17 +429,17 @@ def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]])
     span = SparseMatrix.from_dense([flat(m) for m in mats]).transpose()
     if rank(span) != n:
         raise ValueError("matrix basis is not linearly independent")
-    entries = []
-    for i, j in combinations(range(n), 2):
+    pairs = list(combinations(range(n), 2))
+    commutators = []
+    for i, j in pairs:
         a, b = mats[i], mats[j]
-        comm = [
-            [
-                sum((a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(d)), _ZERO)
-                for c in range(d)
-            ]
+        commutators.append(tuple(
+            sum((a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(d)), _ZERO)
             for r in range(d)
-        ]
-        coords = solve_linear(span, flat(comm))
+            for c in range(d)
+        ))
+    entries = []
+    for (i, j), coords in zip(pairs, solve_many(span, commutators)):
         if coords is None:
             raise ValueError(f"commutator of basis elements {i}, {j} leaves the span")
         for k, c in enumerate(coords):

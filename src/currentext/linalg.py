@@ -14,7 +14,10 @@ sparse rational matrices, so this module fixes the conventions once:
   the canonical basis representation for every subspace, which makes
   subspace equality a syntactic check;
 * linear solves return the canonical solution with all free coordinates
-  set to zero, so computed witnesses are reproducible.
+  set to zero, so computed witnesses are reproducible;
+* one elimination serves every right-hand side of a matrix: solve_many
+  augments one column per right-hand side and eliminates once, and
+  solve_linear is its one-column case.
 
 Cost contract: the bookkeeping around the elimination is linear in the
 nonzeros it touches.  Empty rows never reach the eliminator; back
@@ -444,6 +447,48 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
     return Subspace.from_spanning(m.cols, list(generators.values()))
 
 
+def solve_many(m: SparseMatrix, bs: Sequence[Sequence]) -> list[Optional[Vec]]:
+    """Canonical solutions of m x = b for every b in bs, in order, with
+    None for each b that is not in the image.
+
+    One elimination serves all of them: right-hand side t is augmented
+    column m.cols + t, and pivots are taken among the columns of m only.
+    The remainder rows then span exactly the combinations of the rows of
+    m that vanish, so b_t has no solution precisely when its column is
+    nonzero in some remainder row.  Otherwise the pivot rows, reduced,
+    give the solution with free coordinates zero; it is unique, so it is
+    the one a solve of b_t alone returns.  A length mismatch raises
+    DimensionMismatchError.
+    """
+    for b in bs:
+        if len(b) != m.rows:
+            raise DimensionMismatchError(
+                f"solve: right-hand side length {len(b)} != {m.rows} rows"
+            )
+    if not bs:
+        return []
+    aug = m.cols
+    rows = m.row_dicts()
+    for t, b in enumerate(bs):
+        for i, value in enumerate(b):
+            value = _as_fraction(value)
+            if value:
+                rows[i][aug + t] = value
+    pivots, remainder = _eliminate(_integer_rows(rows, aug + len(bs)), aug)
+    inconsistent = {col for row in remainder for col in row}
+    pivot_cols, echelon = _back_substitute(pivots)
+    out = []
+    for t in range(len(bs)):
+        if aug + t in inconsistent:
+            out.append(None)
+            continue
+        x = [_ZERO] * m.cols
+        for pivot, row in zip(pivot_cols, echelon):
+            x[pivot] = row.get(aug + t, _ZERO)
+        out.append(tuple(x))
+    return out
+
+
 def solve_linear(m: SparseMatrix, b: Sequence) -> Optional[Vec]:
     """Canonical solution of m x = b, or None when b is not in the image.
 
@@ -451,24 +496,7 @@ def solve_linear(m: SparseMatrix, b: Sequence) -> Optional[Vec]:
     usage error (DimensionMismatchError), reported distinctly from "no
     solution".
     """
-    if len(b) != m.rows:
-        raise DimensionMismatchError(
-            f"solve: right-hand side length {len(b)} != {m.rows} rows"
-        )
-    aug_col = m.cols
-    rows = m.row_dicts()
-    for i, value in enumerate(b):
-        value = _as_fraction(value)
-        if value:
-            rows[i][aug_col] = value
-    pivots, remainder = _eliminate(_integer_rows(rows, aug_col + 1), aug_col)
-    if any(remainder):
-        return None
-    pivot_cols, echelon = _back_substitute(pivots)
-    x = [_ZERO] * m.cols
-    for pivot, row in zip(pivot_cols, echelon):
-        x[pivot] = row.get(aug_col, _ZERO)
-    return tuple(x)
+    return solve_many(m, [b])[0]
 
 
 class QuotientSpace:

@@ -11,7 +11,9 @@ obviously correct, which is the point.  cohomology_reference and kaehler_referen
 are the exceptions: they solve the whole scalar complex and the whole
 all-triples Leibniz span with the package's own linear algebra, as
 references for the weight-zero block and the product-class split, not
-for the elimination.
+for the elimination.  coboundary_witness_reference likewise solves each
+coefficient slot with the package's solve_linear, as the reference for
+solving all slots in one elimination.
 """
 
 from fractions import Fraction
@@ -263,6 +265,30 @@ def coboundary_reference(beta):
         if any(total):
             table[(i, j)] = tuple(total)
     return table
+
+
+def coboundary_witness_reference(psi):
+    """The primitive or the class of a cocycle psi, one solve of d^1 per
+    coefficient slot.
+
+    Slot a of psi.flat() is solved alone with the package's solve_linear;
+    the first slot with no solution gives psi's class coordinates in the
+    package's H^2.  psi is not checked to be a cocycle.  Returns
+    (beta values as a tuple of m-tuples, None) or (None, class coordinates).
+    """
+    from currentext.cohomology import ce_differential, cohomology
+    from currentext.linalg import solve_linear
+
+    L, m = psi.parent, psi.coeff_dim
+    flat = psi.flat()
+    delta1 = ce_differential(L, 1)
+    primitive = []
+    for a in range(m):
+        solution = solve_linear(delta1, flat[a::m])
+        if solution is None:
+            return None, cohomology(L, 2, m).class_coordinates(flat)
+        primitive.append(solution)
+    return tuple(tuple(x[i] for x in primitive) for i in range(L.dim)), None
 
 
 def cohomology_reference(L, p, m):

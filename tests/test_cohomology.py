@@ -16,7 +16,12 @@ from currentext.cohomology import (
     coboundary_witness,
     cohomology,
 )
-from currentext.current import current_algebra
+from currentext.current import (
+    GValuedOneForm,
+    current_algebra,
+    twist_difference,
+    universal_cocycle,
+)
 from currentext.errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -24,6 +29,7 @@ from currentext.errors import (
     ResourceCeilingError,
 )
 from currentext.lie import LieAlgebra
+from currentext.locality import Cover, SupportStructure, restrict_class
 
 F = Fraction
 
@@ -171,8 +177,6 @@ def test_witness_rejects_foreign_h2():
 
 def test_universal_cocycle_class_is_nonzero():
     # the canonical cocycle on sl2 (x) QQ[x,y]/(x^2,y^2) has no primitive
-    from currentext.current import universal_cocycle
-
     uc = universal_cocycle(lie_catalog("sl2"), comm_catalog("sq2"))
     witness = coboundary_witness(uc.cocycle)
     assert not witness.is_exact
@@ -188,6 +192,66 @@ def test_witness_rejects_non_cocycle():
     with pytest.raises(NotACocycleError) as info:
         coboundary_witness(bad)
     assert len(info.value.triple) == 3 and any(info.value.defect)
+
+
+def test_witness_ceiling_comes_before_the_cocycle_check():
+    # C^2(sl3, Q) has comb(8, 2) = 28 entries: below that ceiling the
+    # refusal comes first, before the defect totals are allocated
+    L = lie_catalog("sl3")
+    bad = Cocycle2(L, 1, {(0, 2): (F(1),)})
+    assert _needed(lambda: coboundary_witness(bad, ceiling=27)) == 28
+    with pytest.raises(NotACocycleError):
+        coboundary_witness(bad, ceiling=28)
+
+
+def _assert_witness_matches_reference(psi):
+    from oracles import coboundary_witness_reference
+
+    witness = coboundary_witness(psi)
+    beta, coords = coboundary_witness_reference(psi)
+    assert (witness.beta.values if witness.is_exact else None) == beta
+    assert witness.class_coordinates == coords
+    return witness
+
+
+@pytest.mark.parametrize("gname, aname, m", [("sl2", "sq2*jets:3", 9), ("so3", "sq2*sq2", 17)])
+def test_twist_witness_matches_per_slot_solves(gname, aname, m):
+    # the twist-glue benchmark's twists: all m slots of tau are exact
+    g, A = lie_catalog(gname), comm_catalog(aname)
+    uc = universal_cocycle(g, A)
+    rng = random.Random(f"twist {gname} {aname}")
+    entries = {}
+    for i in range(g.dim):
+        for t in range(uc.kaehler.dim_omega1):
+            value = rng.randint(-3, 3)
+            if value:
+                entries[(i, t)] = F(value)
+    xi = GValuedOneForm(g.dim, uc.kaehler.dim_omega1, entries)
+    tau = twist_difference(g, A, xi, uc=uc).tau
+    assert tau.coeff_dim == m
+    assert _assert_witness_matches_reference(tau).is_exact
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_glue_restriction_witnesses_match_per_slot_solves(m):
+    ca = current_algebra(lie_catalog("sl2"), comm_catalog("fun:6*sq2"))
+    ss = SupportStructure(ca)
+    cover = Cover(ss, [(str(k), str(k + 1)) for k in range(1, 6)])
+    rng = random.Random(f"glue {m}")
+    beta0 = OneCochain(ca.total, m, [tuple(F(rng.randint(-3, 3)) for _ in range(m))
+                                     for _ in range(ca.dim)])
+    psi = beta0.coboundary()
+    for subset in cover.subsets:
+        assert _assert_witness_matches_reference(restrict_class(psi, ss, subset)).is_exact
+
+
+def test_witness_of_a_class_with_one_exact_slot_matches_per_slot_solves():
+    # on heis3 ([x, y] = z) slot 0, psi(x, y) = 1, is d beta for beta(z) = -1;
+    # slot 1, psi(x, z) = 1, has scalar class (1, 0), so coordinate 0 * 2 + 1
+    L = lie_catalog("heis3")
+    psi = Cocycle2(L, 2, {(0, 1): (F(1), F(0)), (0, 2): (F(0), F(1))})
+    witness = _assert_witness_matches_reference(psi)
+    assert witness.class_coordinates == (F(0), F(1), F(0), F(0))
 
 
 def test_resource_ceiling():
@@ -266,6 +330,55 @@ def test_cocycle_defect_matches_triple_walk(name, m):
         bump = tuple(F(rng.randint(1, 3)) for _ in range(m))
         bad = psi + Cocycle2(L, m, {pair: bump})
         assert bad.cocycle_defect() == cocycle_defect_reference(bad)
+
+
+def _rescaled(L, scales):
+    """L on the basis s_i b_i: [s_i b_i, s_j b_j] = sum_k (s_i s_j / s_k) c_ijk s_k b_k."""
+    entries = [(i, j, k, scales[i] * scales[j] / scales[k] * c)
+               for i, j, k, c in L.structure_entries()]
+    return LieAlgebra(L.labels, entries)
+
+
+RESCALED = (
+    ("sl2", (F(1, 2), F(1), F(1, 3))),
+    ("sl3", (F(1, 2), F(1, 3), F(1), F(2, 5), F(1), F(3), F(1, 6), F(5, 2))),
+    ("sl2 (x) jets:2", (F(1, 2), F(1), F(1), F(3, 5), F(1, 3), F(1))),
+)
+
+
+@pytest.mark.parametrize("name, scales", RESCALED, ids=[name for name, _ in RESCALED])
+@pytest.mark.parametrize("m", [1, 3])
+def test_cocycle_defect_matches_triple_walk_with_denominators(name, scales, m):
+    # non-integer structure constants and values with denominators 2, 3
+    # and 5: the integer totals, divided back, are the exact Fractions
+    from oracles import coboundary_reference, cocycle_defect_reference
+
+    L = _rescaled(_oracle_algebra(name), scales)
+    assert any(c.denominator > 1 for _, _, _, c in L.structure_entries())
+    rng = random.Random(f"denominators {name} {m}")
+    pairs = list(combinations(range(L.dim), 2))
+
+    def value():
+        return F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
+
+    for _ in range(4):
+        beta = OneCochain(L, m, [tuple(value() for _ in range(m)) for _ in range(L.dim)])
+        psi = beta.coboundary()
+        assert psi.values == coboundary_reference(beta)
+        assert psi.cocycle_defect() is None
+        pair = pairs[rng.randrange(len(pairs))]
+        bad = psi + Cocycle2(L, m, {pair: tuple(value() for _ in range(m))})
+        assert bad.cocycle_defect() == cocycle_defect_reference(bad)
+
+
+def test_cocycle_defect_total_keeps_its_denominator():
+    # psi(x_0, x_2) = 1/5 on rescaled sl3 fails on (0, 1, 2) with total 1/15
+    from oracles import cocycle_defect_reference
+
+    L = _rescaled(lie_catalog("sl3"), dict(RESCALED)["sl3"])
+    bad = Cocycle2(L, 1, {(0, 2): (F(1, 5),)})
+    assert bad.cocycle_defect() == ((0, 1, 2), (F(1, 15),))
+    assert bad.cocycle_defect() == cocycle_defect_reference(bad)
 
 
 def _block_rows(L, p, m):

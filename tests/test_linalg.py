@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currentext.errors import DimensionMismatchError
 from currentext.linalg import (
@@ -13,9 +14,10 @@ from currentext.linalg import (
     rref_rows,
     rref_with_transform,
     solve_linear,
+    solve_many,
 )
 
-from oracles import dense_kernel_rref, dense_rank, dense_rref
+from oracles import dense_canonical_solve, dense_kernel_rref, dense_rank, dense_rref
 
 F = Fraction
 
@@ -96,6 +98,63 @@ def test_solve_random_consistency():
         x = solve_linear(m, b)
         assert x is not None
         assert m.matvec(x) == b
+
+
+def test_solve_many_mixes_consistent_inconsistent_and_zero_right_hand_sides():
+    # rows 0 and 1 leave one remainder row, the zero row 3 another: the
+    # two inconsistent right-hand sides fail in different remainder rows
+    m = SparseMatrix.from_dense([[1, 1], [2, 2], [0, 3], [0, 0]])
+    bs = [(1, 2, 0, 0), (1, 3, 0, 0), (0, 0, 0, 0), (2, 4, 6, 0), (0, 0, 0, 1)]
+    assert solve_many(m, bs) == [(F(1), F(0)), None, (F(0), F(0)), (F(0), F(2)), None]
+    assert solve_many(m, bs) == [solve_linear(m, b) for b in bs]
+
+
+def test_solve_many_of_no_right_hand_sides_is_empty():
+    assert solve_many(SparseMatrix.from_dense([[1, 2], [3, 4]]), []) == []
+
+
+def test_solve_many_on_a_matrix_with_no_rows():
+    assert solve_many(SparseMatrix.zeros(0, 3), [(), ()]) == [(F(0),) * 3] * 2
+
+
+def test_solve_many_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError):
+        solve_many(SparseMatrix.identity(2), [(1, 2), (1, 2, 3)])
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _systems(draw):
+    """A rational matrix, mostly zero, with right-hand sides that are in
+    its image, arbitrary (often outside it) or zero, mixed in one list."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(F(0)), _RATIONALS)
+    dense = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    m = SparseMatrix.from_dense(dense)
+    bs = []
+    for kind in draw(st.lists(st.sampled_from(("image", "any", "zero")), max_size=6)):
+        if kind == "image":
+            bs.append(m.matvec(draw(st.lists(_RATIONALS, min_size=cols, max_size=cols))))
+        elif kind == "any":
+            bs.append(tuple(draw(st.lists(_RATIONALS, min_size=rows, max_size=rows))))
+        else:
+            bs.append((F(0),) * rows)
+    return dense, m, bs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_systems())
+def test_solve_many_matches_single_solves_and_the_dense_oracle(system):
+    dense, m, bs = system
+    solutions = solve_many(m, bs)
+    assert len(solutions) == len(bs)
+    for b, x in zip(bs, solutions):
+        assert x == solve_linear(m, b)
+        expected = dense_canonical_solve(dense, b)
+        assert x == (None if expected is None else tuple(expected))
 
 
 def test_quotient_by_coordinate_line():
