@@ -465,8 +465,6 @@ def solve_many(m: SparseMatrix, bs: Sequence[Sequence]) -> list[Optional[Vec]]:
             raise DimensionMismatchError(
                 f"solve: right-hand side length {len(b)} != {m.rows} rows"
             )
-    if not bs:
-        return []
     aug = m.cols
     rows = m.row_dicts()
     for t, b in enumerate(bs):
