@@ -1,12 +1,14 @@
 """Chevalley-Eilenberg cochain complexes with trivial coefficients.
 
 Only the scalar complex C^p(L, QQ) is assembled.  Its basis is the
-strictly increasing p-tuples of basis indices, numbered by their
-lexicographic rank in combinations(range(dim L), p).  Trivial
-coefficients QQ^m are a tensor factor: C^p(L, QQ^m) = C^p(L, QQ) (x) QQ^m
-with flat index rank * m + a for coefficient slot a, the differential
-is d (x) id, and H^p(L, QQ^m) = H^p(L, QQ) (x) QQ^m.  So the scalar
-complex is solved once and each slot flat[a::m] of a cochain is handled
+strictly increasing p-tuples of basis indices, and outside a matrix a
+cochain is keyed by them: a scalar cochain is {p-tuple: value}, and one
+with values in QQ^m is {p-tuple: m-tuple}, as in Cocycle2.values.  Only
+matrix rows and columns number the tuples, by lexicographic rank in
+combinations(range(dim L), p).  Trivial coefficients QQ^m are a tensor
+factor: C^p(L, QQ^m) = C^p(L, QQ) (x) QQ^m, the differential is d (x) id,
+and H^p(L, QQ^m) = H^p(L, QQ) (x) QQ^m.  So the scalar complex is solved
+once and each coefficient slot a of a cochain, {t: value[a]}, is handled
 by the scalar answer.  The differential is fixed once and for all as
 
     (d psi)(x_0, ..., x_p) =
@@ -134,19 +136,16 @@ def _rank_of(n: int, k: int):
     return rank
 
 
-def _tuple_of_rank(r: int, n: int, k: int) -> tuple:
-    """Inverse of _rank_of: the increasing k-tuple of lexicographic rank r."""
-    out = []
-    c = 0
-    for left in range(k, 0, -1):
-        count = comb(n - 1 - c, left - 1)  # tuples whose next entry is c
-        while r >= count:
-            r -= count
-            c += 1
-            count = comb(n - 1 - c, left - 1)
-        out.append(c)
-        c += 1
-    return tuple(out)
+def _check_element(L: LieAlgebra, coords: Sequence) -> None:
+    if len(coords) != L.dim:
+        raise DimensionMismatchError("element length must match the algebra dimension")
+
+
+def _check_tuple(t, n: int, p: int) -> None:
+    """Raise unless t is an increasing p-tuple in range(n)."""
+    if not (isinstance(t, tuple) and len(t) == p
+            and all(a < b for a, b in zip((-1,) + t, t + (n,)))):
+        raise DimensionMismatchError(f"cochain key {t!r} is not an increasing {p}-tuple")
 
 
 def _torus_weights(L: LieAlgebra) -> list:
@@ -242,8 +241,7 @@ def ce_differential(
     the weight-zero p-tuples, numbered by position in lexicographic order,
     and since d preserves weights only weight-zero rows have entries.
     C^p = 0 for p > dim L.  With coefficients QQ^m the differential is
-    this matrix tensored with the identity of QQ^m (flat index
-    rank * m + a); it is never expanded.
+    this matrix tensored with the identity of QQ^m; it is never expanded.
     """
     if p < 0:
         raise ValueError(f"degree {p} out of range for dim {L.dim}")
@@ -265,9 +263,9 @@ class Cocycle2:
     construction.
     """
 
-    __slots__ = ("parent", "coeff_dim", "values", "note")
+    __slots__ = ("parent", "coeff_dim", "values")
 
-    def __init__(self, parent: LieAlgebra, coeff_dim: int, values=(), note: Optional[str] = None):
+    def __init__(self, parent: LieAlgebra, coeff_dim: int, values=()):
         self.parent = parent
         self.coeff_dim = coeff_dim
         table = {}
@@ -281,24 +279,10 @@ class Cocycle2:
             if any(value):
                 table[(i, j)] = value
         self.values = table
-        self.note = note
 
     @classmethod
-    def zero(cls, parent: LieAlgebra, coeff_dim: int, note: Optional[str] = None) -> "Cocycle2":
-        return cls(parent, coeff_dim, {}, note)
-
-    @classmethod
-    def from_flat(cls, parent: LieAlgebra, coeff_dim: int, flat: Sequence) -> "Cocycle2":
-        """Inverse of flat(): pair (i, j) of rank r holds flat[r*m : (r+1)*m]."""
-        m = coeff_dim
-        if len(flat) != comb(parent.dim, 2) * m:
-            raise DimensionMismatchError("flat cocycle vector has wrong length")
-        table = {}
-        for r, pair in enumerate(combinations(range(parent.dim), 2)):
-            value = flat[r * m:(r + 1) * m]
-            if any(value):
-                table[pair] = value
-        return cls(parent, m, table)
+    def zero(cls, parent: LieAlgebra, coeff_dim: int) -> "Cocycle2":
+        return cls(parent, coeff_dim, {})
 
     def value(self, i: int, j: int) -> Vec:
         if i == j:
@@ -308,24 +292,13 @@ class Cocycle2:
         v = self.values.get((j, i))
         return tuple(-x for x in v) if v else zero_vector(self.coeff_dim)
 
-    def flat(self) -> Vec:
-        """Coordinates in C^2(L, QQ^m): entry rank(i, j) * m + a is the
-        value's slot a, pairs ranked lexicographically as in ce_differential."""
-        zero = zero_vector(self.coeff_dim)
-        pairs = combinations(range(self.parent.dim), 2)
-        return tuple(x for pair in pairs for x in self.values.get(pair, zero))
-
     def slot(self, a: int) -> dict:
-        """Coefficient slot a as a sparse scalar 2-cochain {pair rank: value},
-        pairs ranked lexicographically as in flat()."""
-        n = self.parent.dim
-        return {
-            i * (2 * n - i - 1) // 2 + j - i - 1: value[a]
-            for (i, j), value in self.values.items()
-            if value[a]
-        }
+        """Coefficient slot a as a scalar 2-cochain {(i, j): value}."""
+        return {pair: value[a] for pair, value in self.values.items() if value[a]}
 
     def apply(self, u: Sequence, v: Sequence) -> Vec:
+        _check_element(self.parent, u)
+        _check_element(self.parent, v)
         out = [_ZERO] * self.coeff_dim
         nz_u = [(i, _as_fraction(a)) for i, a in enumerate(u) if a]
         nz_v = [(j, _as_fraction(b)) for j, b in enumerate(v) if b]
@@ -448,10 +421,8 @@ class OneCochain:
     def zero(cls, parent: LieAlgebra, coeff_dim: int) -> "OneCochain":
         return cls(parent, coeff_dim, [zero_vector(coeff_dim)] * parent.dim)
 
-    def flat(self) -> Vec:
-        return tuple(x for v in self.values for x in v)
-
     def apply(self, coords: Sequence) -> Vec:
+        _check_element(self.parent, coords)
         out = [_ZERO] * self.coeff_dim
         for i, c in enumerate(coords):
             if c:
@@ -493,12 +464,13 @@ class OneCochain:
 class Cohomology:
     """H^p(L, QQ^m) = H^p(L, QQ) (x) QQ^m with echelon-normalised representatives.
 
-    The scalar representatives rep_k are sparse cocycles {tuple rank:
-    value} whose classes form the reduced echelon basis of
-    ker d^p / im d^{p-1} in the canonical quotient coordinates, so the
-    output is deterministic.  Representative k * m + a is rep_k (x) e_a.
-    The quotient, class_rows and class_pivots live on the weight-zero
-    block: block column c is the p-tuple cochains[c].
+    The scalar representatives rep_k are sparse cocycles {p-tuple: value}
+    whose classes form the reduced echelon basis of ker d^p / im d^{p-1}
+    in the canonical quotient coordinates, so the output is deterministic.
+    Representative k * m + a is rep_k (x) e_a, and class coordinate
+    k * m + a belongs to it.  The quotient, class_rows and class_pivots
+    live on the weight-zero block: block column c is the p-tuple
+    cochains[c].
     """
 
     __slots__ = (
@@ -520,11 +492,9 @@ class Cohomology:
         self.degree = degree
         self.coeff_dim = coeff_dim
         self.cochains = tuple(cochains)
-        rank = _rank_of(parent.dim, degree)
-        ranks = [rank(t) for t in self.cochains]
-        self._column = {r: c for c, r in enumerate(ranks)}
+        self._column = {t: c for c, t in enumerate(self.cochains)}
         self.scalar_representatives = tuple(
-            {ranks[c]: value for c, value in sorted(rep.items())}
+            {self.cochains[c]: value for c, value in sorted(rep.items())}
             for rep in block_representatives
         )
         self.dimension = len(self.scalar_representatives) * coeff_dim
@@ -532,51 +502,40 @@ class Cohomology:
         self.class_rows = tuple(class_rows)
         self.class_pivots = tuple(class_pivots)
 
-    @property
-    def representatives(self):
-        """rep_k (x) e_a as dense flat vectors of C^p(L, QQ^m), k-major and
-        a-minor (flat index rank * m + a), built on each access."""
+    def class_coordinates(self, cochain: dict) -> Vec:
+        """Coordinates of a cocycle {p-tuple: m-tuple} in the representative
+        basis: slot a, {t: value[a]}, is a scalar cocycle, and its scalar
+        class coordinate k is coordinate k * m + a."""
         m = self.coeff_dim
-        size = comb(self.parent.dim, self.degree) * m
-        out = []
-        for rep in self.scalar_representatives:
-            for a in range(m):
-                flat = [_ZERO] * size
-                for r, value in rep.items():
-                    flat[r * m + a] = value
-                out.append(tuple(flat))
-        return tuple(out)
-
-    def class_coordinates(self, flat_vec: Sequence) -> Vec:
-        """Coordinates of a cocycle's class in the representative basis.
-
-        Slot a of the flat vector, flat_vec[a::m], is a scalar cocycle;
-        its scalar class coordinate k is coordinate k * m + a.
-        """
-        m = self.coeff_dim
-        if len(flat_vec) != comb(self.parent.dim, self.degree) * m:
-            raise DimensionMismatchError("flat cochain vector has wrong length")
+        slots = [{} for _ in range(m)]
+        for t, value in cochain.items():
+            if len(value) != m:
+                raise DimensionMismatchError(
+                    f"cochain value has length {len(value)}, the coefficients have {m}"
+                )
+            for a, x in enumerate(value):
+                if x:
+                    slots[a][t] = x
         coords = [_ZERO] * self.dimension
-        for a in range(m):
-            slot = {col: x for col, x in enumerate(flat_vec[a::m]) if x}
+        for a, slot in enumerate(slots):
             if slot:
                 for k, c in self.scalar_class_coordinates(slot).items():
                     coords[k * m + a] = c
         return tuple(coords)
 
     def scalar_class_coordinates(self, slot: dict) -> dict:
-        """Class coordinates {k: c} of a scalar cocycle in H^p(L, QQ), the
-        cocycle given sparsely as {lexicographic tuple rank: value}.
+        """Class coordinates {k: c} of a scalar cocycle {p-tuple: value} in
+        H^p(L, QQ).
 
         The class is read from the weight-zero entries through the block.
         The other entries form a nonzero-weight cochain, which has class 0
         when it is a cocycle; d^p is applied to it to check that.
         """
         block, rest = {}, {}
-        for r, value in slot.items():
-            col = self._column.get(r)
+        for t, value in slot.items():
+            col = self._column.get(t)
             if col is None:
-                rest[r] = value
+                rest[t] = value
             else:
                 block[col] = value
         defect = bool(rest) and not self._is_cocycle(rest)
@@ -595,30 +554,28 @@ class Cohomology:
         return coords
 
     def _is_cocycle(self, cochain: dict) -> bool:
-        """Whether d^p vanishes on the scalar cochain {tuple rank: value}."""
+        """Whether d^p vanishes on the scalar cochain {p-tuple: value}."""
         n, p = self.parent.dim, self.degree
-        ranks = [r for r, value in cochain.items() if value]
-        if any(not (0 <= r < comb(n, p)) for r in ranks):
-            raise DimensionMismatchError(f"vector has a column outside range({comb(n, p)})")
-        sources = [_tuple_of_rank(r, n, p) for r in ranks]
-        values = [_as_fraction(cochain[r]) for r in ranks]
+        for t in cochain:
+            _check_tuple(t, n, p)
+        sources = [t for t, value in cochain.items() if value]
+        values = [_as_fraction(cochain[t]) for t in sources]
         totals = {}
         for (target, c), entry in _assemble(self.parent, p, sources, tuple).items():
             totals[target] = totals.get(target, _ZERO) + entry * values[c]
         return not any(totals.values())
 
     def representative_cocycles(self):
-        """rep_k (x) e_a as Cocycle2 objects, in the order of representatives."""
+        """rep_k (x) e_a as Cocycle2 objects, k-major and a-minor."""
         if self.degree != 2:
             raise ValueError("representative_cocycles applies to degree 2 only")
         m = self.coeff_dim
         out = []
         for rep in self.scalar_representatives:
-            pairs = [(self.cochains[self._column[r]], value) for r, value in rep.items()]
             for a in range(m):
                 before, after = (_ZERO,) * a, (_ZERO,) * (m - a - 1)
                 out.append(Cocycle2(
-                    self.parent, m, {pair: before + (value,) + after for pair, value in pairs}
+                    self.parent, m, {t: before + (value,) + after for t, value in rep.items()}
                 ))
         return out
 
@@ -737,8 +694,13 @@ def coboundary_witness(
     defect = psi.cocycle_defect()
     if defect is not None:
         raise NotACocycleError(*defect)
-    flat = psi.flat()
-    slots = [flat[a::m] for a in range(m)]
+    # right-hand side a is slot a of psi, its rows the pair ranks of d^1
+    rank = _rank_of(L.dim, 2)
+    slots = [[_ZERO] * comb(L.dim, 2) for _ in range(m)]
+    for pair, value in psi.values.items():
+        r = rank(pair)
+        for a, x in enumerate(value):
+            slots[a][r] = x
     # a zero slot has the zero primitive, so psi = 0 needs no d^1
     targets = [a for a in range(m) if any(slots[a])]
     primitive = [zero_vector(L.dim)] * m
@@ -748,7 +710,7 @@ def coboundary_witness(
         if None in solutions:
             if h2 is None:
                 h2 = cohomology(L, 2, m, ceiling=ceiling)
-            return CoboundaryWitness(None, h2.class_coordinates(flat), h2)
+            return CoboundaryWitness(None, h2.class_coordinates(psi.values), h2)
         for a, solution in zip(targets, solutions):
             primitive[a] = solution
     beta = OneCochain(L, m, [tuple(x[i] for x in primitive) for i in range(L.dim)])

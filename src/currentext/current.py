@@ -620,12 +620,9 @@ def adjoin_unit_extend(
                 for k, c in A.product_basis(i - 1, j - 1).items():
                     entries.append((i, j, k + 1, c))
     unit = (_ONE,) + zero_vector(n)
-    idempotents = None
-    if A.idempotents is not None:
-        # local units survive; they need not sum to the new unit, so the
-        # extended algebra does not claim a full point decomposition
-        idempotents = None
-    A_plus = CommAlgebra(labels, entries, unit, idempotents)
+    # local units survive; they need not sum to the new unit, so the
+    # extended algebra does not claim a full point decomposition
+    A_plus = CommAlgebra(labels, entries, unit, None)
 
     def embed(a):
         return (_ZERO,) + tuple(_as_fraction(x) for x in a)
@@ -757,7 +754,7 @@ def universal_cocycle(
                                 value[t * w + u] = kv * bv
                 if any(value):
                     table[(fi, fj)] = tuple(value)
-    cocycle = Cocycle2(current.total, m, table, note)
+    cocycle = Cocycle2(current.total, m, table)
     return UniversalCocycle(current, forms, kaehler, cocycle, note)
 
 

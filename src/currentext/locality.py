@@ -38,7 +38,7 @@ from .errors import (
     NotDiagonalError,
 )
 from .lie import same_algebra
-from .linalg import SparseMatrix, Vec, solve_linear, vector
+from .linalg import SparseMatrix, Vec, _as_fraction, solve_linear, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -173,10 +173,12 @@ class Corner:
 
     ``indices`` lists the coefficient basis vectors over U in increasing
     order and ``back`` inverts it, so x_i (x) b_p is the corner's
-    x_i (x) b_back[p] and flat indices keep their order.
+    x_i (x) b_back[p] and flat indices keep their order.  ``local`` maps
+    each flat index of g (x) A to that corner index, or to None when b_p
+    lies outside the corner.
     """
 
-    __slots__ = ("structure", "subset", "indices", "back", "algebra", "current")
+    __slots__ = ("structure", "subset", "indices", "back", "local", "algebra", "current")
 
     def __init__(self, ss: SupportStructure, subset: Iterable[str]):
         self.structure = ss
@@ -187,6 +189,11 @@ class Corner:
             p for p in range(A.dim) if ss.point_of_basis[p] in wanted
         )
         self.back = back = {p: t for t, p in enumerate(self.indices)}
+        slots = [back.get(p) for p in range(A.dim)]
+        self.local = tuple(
+            None if t is None else i * len(back) + t
+            for i in range(ss.current.fibre.dim) for t in slots
+        )
         entries = []
         for t_i, p_i in enumerate(self.indices):
             for t_j, p_j in enumerate(self.indices):
@@ -225,14 +232,6 @@ def _corner_of(cochain, ss: SupportStructure, subset) -> Corner:
     return ss.corner(subset)
 
 
-def _local_index(ss: SupportStructure, corner: Corner, idx: int):
-    """Flat index of x_i (x) b_p in the corner current algebra, or None
-    when b_p lies outside the corner."""
-    i, p = ss.current.unflat(idx)
-    t = corner.back.get(p)
-    return None if t is None else i * corner.dim + t
-
-
 def restrict_class(psi: Cocycle2, ss: SupportStructure, subset: Iterable[str]) -> Cocycle2:
     """psi_U(xi, eta) = psi(extension of xi, extension of eta).
 
@@ -241,10 +240,10 @@ def restrict_class(psi: Cocycle2, ss: SupportStructure, subset: Iterable[str]) -
     the pairs of psi with both indices in the corner, in O(nnz psi).
     """
     corner = _corner_of(psi, ss, subset)
+    local = corner.local
     table = {}
-    for (i, j), value in sorted(psi.values.items()):
-        fi = _local_index(ss, corner, i)
-        fj = _local_index(ss, corner, j)
+    for (i, j), value in psi.values.items():
+        fi, fj = local[i], local[j]
         if fi is not None and fj is not None:
             table[(fi, fj)] = value
     return Cocycle2(corner.current.total, psi.coeff_dim, table)
@@ -352,7 +351,7 @@ def glue_primitives(
     values = []
     for idx in range(big.dim):
         corner, beta_i = owner[big.unflat(idx)[1]]
-        values.append(beta_i.values[_local_index(ss, corner, idx)])
+        values.append(beta_i.values[corner.local[idx]])
     beta = OneCochain(big.total, psi.coeff_dim, values)
     if beta.coboundary() != psi:
         raise InternalConsistencyError("glued primitive does not reproduce the cocycle")
@@ -379,25 +378,32 @@ class OneFormLocality:
         return self._kaehlers[key]
 
     def inject_form(self, w: Sequence, small, large) -> Vec:
-        """Extension by zero Omega1(A_W) -> Omega1(A_V) for W inside V."""
+        """Extension by zero Omega1(A_W) -> Omega1(A_V) for W inside V.
+
+        Coordinate t of w is the class [b_i d(b_j)] of representative
+        column i * dim A_W + j; it extends to the class of the same basis
+        pair in A_V, read from A_V's pair table (zero across product
+        classes).
+        """
         corner_w = self.corner(small)
         corner_v = self.corner(large)
         if not set(corner_w.subset) <= set(corner_v.subset):
             raise InputError("extension target must contain the source corner")
         kae_w = self.kaehler(corner_w.subset)
         kae_v = self.kaehler(corner_v.subset)
-        rep = kae_w.omega1.lift(w)
-        dw = corner_w.dim
-        dv = corner_v.dim
-        position = {p: t for t, p in enumerate(corner_v.indices)}
-        out = [_ZERO] * (dv * dv)
-        for idx, coef in enumerate(rep):
+        if len(w) != kae_w.dim_omega1:
+            raise DimensionMismatchError(
+                f"Omega1 element has length {len(w)}, Omega1 has dimension {kae_w.dim_omega1}"
+            )
+        position = [corner_v.back[p] for p in corner_w.indices]
+        out = [_ZERO] * kae_v.dim_omega1
+        for col, coef in zip(kae_w.omega1.rep_cols, w):
             if coef:
-                i, j = divmod(idx, dw)
-                vi = position[corner_w.indices[i]]
-                vj = position[corner_w.indices[j]]
-                out[vi * dv + vj] = coef
-        return kae_v.omega1.project(out)
+                i, j = divmod(col, corner_w.dim)
+                coef = _as_fraction(coef)
+                for t, value in kae_v._pairs.get((position[i], position[j]), {}).items():
+                    out[t] += coef * value
+        return tuple(out)
 
     def injection_matrix(self, small, large, *, bar: bool = True) -> SparseMatrix:
         """Matrix of the extension map on Omega1bar (or Omega1) classes."""

@@ -13,7 +13,14 @@ all-triples Leibniz span with the package's own linear algebra, as
 references for the weight-zero block and the product-class split, not
 for the elimination.  coboundary_witness_reference likewise solves each
 coefficient slot with the package's solve_linear, as the reference for
-solving all slots in one elimination.
+solving all slots in one elimination, and inject_form_reference projects
+a dense tensor with the package's Omega1 quotient, as the reference for
+reading extension by zero off the pair table.
+
+The package keys cochains by increasing index tuples, {p-tuple: m-tuple}.
+The dense references use flat vectors of C^p(L, Q^m) instead, entry
+rank * m + a holding slot a of the tuple of lexicographic rank rank;
+flat_cochain and tuple_cochain convert between the two forms.
 """
 
 from fractions import Fraction
@@ -267,11 +274,39 @@ def coboundary_reference(beta):
     return table
 
 
+def flat_cochain(cochain, n, p, m):
+    """Dense flat vector of a cochain {p-tuple: m-tuple} of C^p(L, Q^m), dim L = n."""
+    zero = (Fraction(0),) * m
+    return tuple(x for t in combinations(range(n), p) for x in cochain.get(t, zero))
+
+
+def tuple_cochain(flat, n, p, m):
+    """Inverse of flat_cochain: the nonzero values of a flat vector, keyed by tuple."""
+    assert len(flat) == comb(n, p) * m
+    out = {}
+    for r, t in enumerate(combinations(range(n), p)):
+        value = tuple(flat[r * m:(r + 1) * m])
+        if any(value):
+            out[t] = value
+    return out
+
+
+def dense_representatives(h):
+    """rep_k (x) e_a of a package Cohomology as flat vectors, k-major and a-minor."""
+    n, p, m = h.parent.dim, h.degree, h.coeff_dim
+    zero = Fraction(0)
+    return tuple(
+        flat_cochain({t: (zero,) * a + (value,) + (zero,) * (m - a - 1)
+                      for t, value in rep.items()}, n, p, m)
+        for rep in h.scalar_representatives for a in range(m)
+    )
+
+
 def coboundary_witness_reference(psi):
     """The primitive or the class of a cocycle psi, one solve of d^1 per
     coefficient slot.
 
-    Slot a of psi.flat() is solved alone with the package's solve_linear;
+    Slot a of psi's flat vector is solved alone with the package's solve_linear;
     the first slot with no solution gives psi's class coordinates in the
     package's H^2.  psi is not checked to be a cocycle.  Returns
     (beta values as a tuple of m-tuples, None) or (None, class coordinates).
@@ -280,13 +315,13 @@ def coboundary_witness_reference(psi):
     from currentext.linalg import solve_linear
 
     L, m = psi.parent, psi.coeff_dim
-    flat = psi.flat()
+    flat = flat_cochain(psi.values, L.dim, 2, m)
     delta1 = ce_differential(L, 1)
     primitive = []
     for a in range(m):
         solution = solve_linear(delta1, flat[a::m])
         if solution is None:
-            return None, cohomology(L, 2, m).class_coordinates(flat)
+            return None, cohomology(L, 2, m).class_coordinates(psi.values)
         primitive.append(solution)
     return tuple(tuple(x[i] for x in primitive) for i in range(L.dim)), None
 
@@ -497,3 +532,36 @@ def glue_primitives_reference(cover, primitives):
                     total[a] += x
         values.append(tuple(total))
     return OneCochain(big.total, m, values)
+
+
+def inject_form_reference(loc, w, small, large):
+    """Extension by zero Omega1(A_W) -> Omega1(A_V) through dense tensors:
+    w is lifted to a dim(A_W)^2 tensor, each pair (i, j) is moved to the
+    A_V pair of the same coefficient basis vectors, and the dim(A_V)^2
+    tensor is projected."""
+    corner_w, corner_v = loc.corner(small), loc.corner(large)
+    kae_w, kae_v = loc.kaehler(corner_w.subset), loc.kaehler(corner_v.subset)
+    dw, dv = corner_w.dim, corner_v.dim
+    position = {p: t for t, p in enumerate(corner_v.indices)}
+    out = [Fraction(0)] * (dv * dv)
+    for idx, coef in enumerate(kae_w.omega1.lift(w)):
+        if coef:
+            i, j = divmod(idx, dw)
+            out[position[corner_w.indices[i]] * dv + position[corner_w.indices[j]]] = coef
+    return kae_v.omega1.project(out)
+
+
+def injection_matrix_reference(loc, small, large, bar):
+    """Dense rows of the extension map on Omega1bar (bar) or Omega1
+    classes, one inject_form_reference per source unit vector."""
+    kae_w = loc.kaehler(loc.corner(small).subset)
+    kae_v = loc.kaehler(loc.corner(large).subset)
+    src_dim = kae_w.dim_omega1bar if bar else kae_w.dim_omega1
+    columns = []
+    for t in range(src_dim):
+        unit = _unit(src_dim, t)
+        w = kae_w.omega1bar.lift(unit) if bar else unit
+        image = inject_form_reference(loc, w, small, large)
+        columns.append(kae_v.bar(image) if bar else image)
+    rows = kae_v.dim_omega1bar if bar else kae_v.dim_omega1
+    return tuple(tuple(col[r] for col in columns) for r in range(rows))

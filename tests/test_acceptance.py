@@ -33,6 +33,8 @@ from currentext.lie import killing_form, perfect_witness
 from currentext.linalg import kernel_basis
 from currentext.locality import Cover, SupportStructure, glue_primitives, is_diagonal, restrict_class
 
+from oracles import tuple_cochain
+
 F = Fraction
 
 
@@ -196,7 +198,7 @@ def test_criterion_6_diagonality_of_cocycle_spaces():
             z2 = kernel_basis(ce_differential(ca.total, 2))
             assert z2.dim > 0, aname
             for vec in z2.basis_vectors():
-                psi = Cocycle2.from_flat(ca.total, 1, vec)
+                psi = Cocycle2(ca.total, 1, tuple_cochain(vec, ca.dim, 2, 1))
                 assert is_diagonal(psi, ss).ok, aname
 
 
@@ -229,7 +231,7 @@ def test_criterion_7_gluing():
             if c:
                 for t, x in enumerate(vec):
                     flat[t] += c * x
-        psi = Cocycle2.from_flat(ca.total, 1, flat)
+        psi = Cocycle2(ca.total, 1, tuple_cochain(flat, ca.dim, 2, 1))
         primitives = []
         for subset in cover.subsets:
             witness = coboundary_witness(restrict_class(psi, ss, subset))

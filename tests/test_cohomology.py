@@ -95,10 +95,11 @@ def test_h2_oracle_values():
 
 def test_h2_representatives_are_cocycles_with_independent_classes():
     result = cohomology(lie_catalog("heis3"), 2, 1)
-    assert len(result.representatives) == 2
-    for rep in result.representative_cocycles():
+    reps = result.representative_cocycles()
+    assert len(reps) == 2
+    for rep in reps:
         assert rep.cocycle_defect() is None
-    coords = [result.class_coordinates(v) for v in result.representatives]
+    coords = [result.class_coordinates(rep.values) for rep in reps]
     assert coords[0] == (F(1), F(0)) and coords[1] == (F(0), F(1))
 
 
@@ -271,11 +272,43 @@ def test_one_cochain_coboundary_convention():
     assert d_beta.value(2, 0) == (F(2),)
 
 
-def test_cocycle_flat_round_trip():
+def test_apply_rejects_vectors_of_the_wrong_length():
+    # heis3 has dimension 3: a shorter or longer vector is a usage error,
+    # never a value read off its first entries or a bare IndexError
+    L = lie_catalog("heis3")
+    psi = Cocycle2(L, 1, {(0, 1): (F(1),)})
+    assert psi.apply([1, 0, 0], [0, 1, 0]) == (F(1),)
+    for u, v in (([1, 0, 0, 0, 5], [0, 1, 0, 0, 7]), ([1], [0, 1]),
+                 ([1, 0, 0], [0, 1]), ([1, 0], [0, 1, 0])):
+        with pytest.raises(DimensionMismatchError):
+            psi.apply(u, v)
+    beta = OneCochain(L, 1, [(F(1),), (F(2),), (F(3),)])
+    assert beta.apply([1, 1, 0]) == (F(3),)
+    for coords in ([1, 1], [1, 1, 0, 0]):
+        with pytest.raises(DimensionMismatchError):
+            beta.apply(coords)
+
+
+def test_slot_is_keyed_by_pair():
     L = lie_catalog("heis3")
     psi = Cocycle2(L, 2, {(0, 1): (F(1), F(-3)), (1, 2): (F(0), F(5))})
-    again = Cocycle2.from_flat(L, 2, psi.flat())
-    assert again == psi
+    assert psi.slot(0) == {(0, 1): F(1)}
+    assert psi.slot(1) == {(0, 1): F(-3), (1, 2): F(5)}
+
+
+def test_class_coordinates_reject_malformed_cochains():
+    # a value of the wrong coefficient length, and keys that are not
+    # increasing pairs in range(3), are usage errors
+    h2 = cohomology(lie_catalog("heis3"), 2, 2)
+    assert h2.class_coordinates({(0, 2): (F(0), F(1))}) == (F(0), F(1), F(0), F(0))
+    for cochain in ({(0, 2): (F(1),)}, {(0, 2): (F(1), F(0), F(0))}):
+        with pytest.raises(DimensionMismatchError):
+            h2.class_coordinates(cochain)
+    for key in ((2, 0), (1, 1), (0, 3), (-1, 2), (0,), (0, 1, 2)):
+        with pytest.raises(DimensionMismatchError):
+            h2.class_coordinates({key: (F(1), F(0))})
+        with pytest.raises(DimensionMismatchError):
+            h2.scalar_class_coordinates({key: F(1)})
 
 
 def _oracle_algebra(name):
@@ -397,7 +430,14 @@ def _block_rows(L, p, m):
 def test_h2_with_coefficients_matches_block_complex(name, m):
     # the scalar complex tensored with Q^m against the m-fold block
     # complex of the triple walk, eliminated densely
-    from oracles import dense_canonical_solve, dense_kernel_rref, dense_rank
+    from oracles import (
+        dense_canonical_solve,
+        dense_kernel_rref,
+        dense_rank,
+        dense_representatives,
+        flat_cochain,
+        tuple_cochain,
+    )
 
     L = _oracle_algebra(name)
     d1, d2 = _block_rows(L, 1, m), _block_rows(L, 2, m)
@@ -409,11 +449,12 @@ def test_h2_with_coefficients_matches_block_complex(name, m):
     identity = [tuple(F(int(r == c)) for c in range(h2.dimension))
                 for r in range(h2.dimension)]
     rng = random.Random(f"{name} {m}")
-    for k, rep in enumerate(h2.representatives):
+    for k, rep in enumerate(dense_representatives(h2)):
         assert not any(sum(x * y for x, y in zip(row, rep)) for row in d2)
-        assert h2.class_coordinates(rep) == identity[k]
+        assert h2.class_coordinates(tuple_cochain(rep, L.dim, 2, m)) == identity[k]
         boundary = image[rng.randrange(len(image))]
-        assert h2.class_coordinates([x + y for x, y in zip(rep, boundary)]) == identity[k]
+        shifted = [x + y for x, y in zip(rep, boundary)]
+        assert h2.class_coordinates(tuple_cochain(shifted, L.dim, 2, m)) == identity[k]
     # an exact cocycle gets the dense canonical primitive (free
     # coordinates zero); a representative plus it keeps its class
     beta0 = OneCochain(L, m, [tuple(F(rng.randint(-3, 3)) for _ in range(m))
@@ -421,7 +462,8 @@ def test_h2_with_coefficients_matches_block_complex(name, m):
     psi = beta0.coboundary()
     witness = coboundary_witness(psi)
     assert witness.is_exact
-    assert list(witness.beta.flat()) == dense_canonical_solve(d1, psi.flat())
+    beta_flat = [x for value in witness.beta.values for x in value]
+    assert beta_flat == dense_canonical_solve(d1, flat_cochain(psi.values, L.dim, 2, m))
     for k, rep in enumerate(h2.representative_cocycles()[:2]):
         assert coboundary_witness(rep + psi, h2=h2).class_coordinates == identity[k]
 
@@ -484,7 +526,7 @@ def test_cohomology_above_the_dimension_is_zero():
     # C^p = 0 for p > dim L; h2 of a one-dimensional algebra once escaped
     # as a ValueError traceback from ce_differential
     assert cohomology(lie_catalog("abelian:1"), 2, 3).dimension == 0
-    assert cohomology(lie_catalog("sl2"), 4, 1).representatives == ()
+    assert cohomology(lie_catalog("sl2"), 4, 1).scalar_representatives == ()
     # (e, h, f) has weight 0
     assert ce_differential(lie_catalog("sl2"), 3, weight_zero=True).shape == (0, 1)
     for weight_zero in (False, True):
@@ -501,7 +543,7 @@ def test_cohomology_rejects_negative_coefficient_dimension():
 def test_zero_coefficients_give_zero_cohomology():
     L = lie_catalog("heis3")
     h2 = cohomology(L, 2, 0, ceiling=0)
-    assert h2.dimension == 0 and h2.class_coordinates(()) == ()
+    assert h2.dimension == 0 and h2.class_coordinates({}) == ()
     witness = coboundary_witness(Cocycle2.zero(L, 0), ceiling=0)
     assert witness.beta == OneCochain.zero(L, 0)
 
@@ -528,13 +570,14 @@ def _class_probes(L, p, m, representatives, rng):
 
 def _assert_matches_full_complex(L, p, m, rng):
     """Same dimension, representatives and classes as the whole complex."""
-    from oracles import cohomology_reference
+    from oracles import cohomology_reference, dense_representatives, tuple_cochain
 
     got, ref = cohomology(L, p, m), cohomology_reference(L, p, m)
     assert got.dimension == ref.dimension
-    assert got.representatives == ref.representatives
+    assert dense_representatives(got) == ref.representatives
     for flat in _class_probes(L, p, m, ref.representatives, rng):
-        assert got.class_coordinates(flat) == ref.class_coordinates(flat)
+        cochain = tuple_cochain(flat, L.dim, p, m)
+        assert got.class_coordinates(cochain) == ref.class_coordinates(flat)
 
 
 def _permuted(L, order):
@@ -617,18 +660,19 @@ def test_class_coordinates_reject_a_defect_of_nonzero_weight():
     h2 = cohomology(L, 2, 2)
     exact = OneCochain(L, 2, [(F(1), F(-2))] + [(F(0), F(0))] * 7).coboundary()
     bump = Cocycle2(L, 2, {(0, 2): (F(0), F(1))})
-    assert h2.class_coordinates(exact.flat()) == ()
+    assert h2.class_coordinates(exact.values) == ()
     assert bump.cocycle_defect() is not None
     with pytest.raises(InternalConsistencyError):
-        h2.class_coordinates((exact + bump).flat())
+        h2.class_coordinates((exact + bump).values)
     with pytest.raises(InternalConsistencyError):
         h2.scalar_class_coordinates((exact + bump).slot(1))
     # the same for a 1-cochain: the trace class of gl2 plus beta(E12) = 1,
     # for which (d beta)(E11, E12) = -beta(E12) != 0
     h1 = cohomology(lie_catalog("gl2"), 1, 1)
-    rep = list(h1.representatives[0])
+    rep = {t: (value,) for t, value in h1.scalar_representatives[0].items()}
+    assert (1,) not in rep
     assert h1.class_coordinates(rep) == (F(1),)
-    rep[1] += 1
+    rep[(1,)] = (F(1),)
     with pytest.raises(InternalConsistencyError):
         h1.class_coordinates(rep)
 

@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from currentext.catalog import comm_catalog, lie_catalog
 from currentext.cohomology import Cocycle2, OneCochain, ce_differential, coboundary_witness
 from currentext.current import CommAlgebra, current_algebra, universal_cocycle
-from currentext.errors import BadPrimitiveError, InputError, NotDiagonalError
+from currentext.errors import (
+    BadPrimitiveError,
+    DimensionMismatchError,
+    InputError,
+    NotDiagonalError,
+)
 from currentext.linalg import SparseMatrix, kernel_basis, rank
 from currentext.locality import (
     Corner,
@@ -20,7 +26,13 @@ from currentext.locality import (
     support_of,
 )
 
-from oracles import glue_primitives_reference, restrict_class_reference, restrict_cochain_reference
+from oracles import (
+    glue_primitives_reference,
+    injection_matrix_reference,
+    restrict_class_reference,
+    restrict_cochain_reference,
+    tuple_cochain,
+)
 
 F = Fraction
 
@@ -106,7 +118,7 @@ def test_cocycle_space_basis_is_diagonal():
         z2 = kernel_basis(ce_differential(ca.total, 2))
         assert z2.dim > 0
         for vec in z2.basis_vectors():
-            psi = Cocycle2.from_flat(ca.total, 1, vec)
+            psi = Cocycle2(ca.total, 1, tuple_cochain(vec, ca.dim, 2, 1))
             assert is_diagonal(psi, ss).ok
 
 
@@ -236,7 +248,7 @@ def test_local_identity_axiom():
     for c, vec in zip(combo, z2.basis_vectors()):
         for t, x in enumerate(vec):
             flat[t] += c * x
-    psi = Cocycle2.from_flat(ca.total, 1, flat)
+    psi = Cocycle2(ca.total, 1, tuple_cochain(flat, ca.dim, 2, 1))
     primitives = []
     for subset in cover.subsets:
         witness = coboundary_witness(restrict_class(psi, ss, subset))
@@ -317,6 +329,38 @@ def test_cosheaf_statement_2_common_class():
     w_w = loc.extend_class(w0, ("2",), W)
     found = loc.common_class(w_v, w_w, V, W)
     assert found == w0
+
+
+def _permuted_with_points(A, order):
+    """A on the basis order[0], order[1], ..., its idempotents included."""
+    new = {old: r for r, old in enumerate(order)}
+    entries = [(new[i], new[j], new[k], c) for i, j, k, c in A.entries()]
+    return CommAlgebra(
+        [A.labels[old] for old in order], entries, [A.unit[old] for old in order],
+        [(label, [e[old] for old in order]) for label, e in A.idempotents],
+    )
+
+
+@pytest.mark.parametrize("basis", ["catalog", "permuted"])
+@pytest.mark.parametrize("name", ["fun:3*sq2", "fun:3*jets:2", "fun:2*sq2*jets:2"])
+def test_injection_matrix_matches_the_dense_reference(name, basis):
+    # every corner into every corner containing it, on Omega1bar and Omega1
+    A = comm_catalog(name)
+    if basis == "permuted":
+        order = list(range(A.dim))
+        random.Random(f"{name}/inject").shuffle(order)
+        A = _permuted_with_points(A, order)
+    loc = OneFormLocality(SupportStructure(current_algebra(lie_catalog("sl2"), A)))
+    points = loc.structure.points
+    subsets = [s for k in range(1, len(points) + 1) for s in combinations(points, k)]
+    for small in subsets:
+        for large in subsets:
+            if set(small) <= set(large):
+                for bar in (True, False):
+                    got = loc.injection_matrix(small, large, bar=bar).to_dense()
+                    assert got == injection_matrix_reference(loc, small, large, bar)
+    with pytest.raises(DimensionMismatchError):
+        loc.inject_form((F(1),) * (loc.kaehler(points[:1]).dim_omega1 + 1), points[:1], points)
 
 
 def test_common_class_rejects_disagreeing_extensions():
