@@ -232,7 +232,7 @@ def _load_algebra(name: str, want: str):
 
     want is "lie", "comm" or "any"; a kind mismatch is a DocumentError.
     """
-    looks_like_file = name.endswith(".json") or os.sep in name or os.path.exists(name)
+    looks_like_file = name.endswith(".json") or os.sep in name or os.path.isfile(name)
     if looks_like_file:
         try:
             with open(name, "r", encoding="utf-8") as handle:
@@ -638,7 +638,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument(
         "--max-cochain",
-        type=int,
+        type=nonnegative_int,
         default=None,
         metavar="N",
         help="cochain space entry ceiling (default 200000)",

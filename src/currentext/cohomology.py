@@ -34,11 +34,18 @@ the representatives are exactly those of the whole complex.  With an
 empty torus (heis3, abelian:n, so3) every tuple has weight zero and the
 block is the whole complex, on the same code path.
 
+The torus weights are kept as integers: each torus coordinate is scaled
+by the lcm of its eigenvalues' denominators, which changes no weight sum
+from zero to nonzero, so the weight-zero tuples are found by summing ints.
+
 Cost contract: the differential is assembled by one routine from the
 nonzero brackets only (for each source tuple, the pairs a < b bracketing
 into one of its indices), so assembly costs O(nnz) rather than a visit to
 every target tuple; ce_differential runs it on every tuple or, with
 weight_zero, on the weight-zero block, which is what cohomology() solves.
+Assembly sums ints: the structure constants are scaled by the lcm of
+their denominators, and that lcm becomes the denominator of the
+matrix's integer rows, which the eliminator then reads as they are.
 Kernels, projections and representatives are then computed on sparse
 rows (see ``linalg`` for the elimination costs), and m costs only the
 expansion of the scalar answer, never a bigger matrix.  The resource
@@ -149,13 +156,17 @@ def _check_tuple(t, n: int, p: int) -> None:
 
 
 def _torus_weights(L: LieAlgebra) -> list:
-    """Weight of every basis element under the torus of the basis.
+    """Integer weight of every basis element under the torus of the basis.
 
     The torus is every basis element x_t whose ad is diagonal in the basis
     ([x_t, x_j] in QQ x_j for all j) with a nonzero eigenvalue.  Two such
     elements commute, since [x_t, x_s] lies in QQ x_s and in QQ x_t.  The
     weight of x_j is the tuple of its eigenvalues under the torus elements
-    in index order; with an empty torus every weight is ().
+    in index order, coordinate r scaled by the lcm of the denominators of
+    coordinate r over all j, so weights are integer tuples.  The scaling
+    is positive and the same for every basis element, so a tuple of basis
+    elements has weight zero exactly when its eigenvalues sum to zero.
+    With an empty torus every weight is ().
     """
     n = L.dim
     diagonal = [True] * n
@@ -167,13 +178,17 @@ def _torus_weights(L: LieAlgebra) -> list:
         if row.keys() != {i}:
             diagonal[j] = False
     torus = {t: r for r, t in enumerate(t for t in range(n) if diagonal[t] and bracketed[t])}
-    weights = [[_ZERO] * len(torus) for _ in range(n)]
+    weights = [[0] * len(torus) for _ in range(n)]
     for (i, j), row in L.nonzero_brackets():
         if i in torus:
             weights[j][torus[i]] = row[j]
         if j in torus:
             weights[i][torus[j]] = -row[i]
-    return [tuple(w) for w in weights]
+    scales = [lcm(*[w[r].denominator for w in weights]) for r in range(len(torus))]
+    return [
+        tuple(x.numerator * (s // x.denominator) for x, s in zip(w, scales))
+        for w in weights
+    ]
 
 
 def _weight_zero_tuples(weights: list, k: int) -> list:
@@ -185,7 +200,7 @@ def _weight_zero_tuples(weights: list, k: int) -> list:
     buckets = {}
     for i, w in enumerate(weights):
         buckets.setdefault(w, []).append(i)
-    zero = (_ZERO,) * (len(weights[0]) if weights else 0)
+    zero = (0,) * (len(weights[0]) if weights else 0)
     out = []
     for prefix in combinations(range(len(weights)), k - 1):
         # zero keeps the sum's length when the prefix is empty
@@ -196,20 +211,24 @@ def _weight_zero_tuples(weights: list, k: int) -> list:
     return out
 
 
-def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> dict:
-    """Entries {(row_of(target), c): value} of d^p on the p-tuples sources[c].
+def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> tuple:
+    """(den, rows): d^p on the p-tuples sources[c] is rows[row_of(target)][c] / den.
 
+    The rows are integer: den is the lcm of the structure constants'
+    denominators and the brackets are scaled by it (_integer_brackets).
     Only nonzero brackets are visited, through the pairs a < b bracketing
     into each index k of a source: the entry of target rest + {a, b}
     (a, b at positions i < j) in source rest + {k} (k at position pos)
-    gains (-1)^(i+j+pos) [x_a, x_b]_k.  d preserves torus weights, so a
-    weight-zero source only reaches weight-zero targets.
+    gains (-1)^(i+j+pos) den [x_a, x_b]_k.  Entries that cancel are
+    removed, and a row may be left empty.  d preserves torus weights, so
+    a weight-zero source only reaches weight-zero targets.
     """
+    den, brackets = _integer_brackets(L)
     into = {}
-    for (a, b), bracket in L.nonzero_brackets():
+    for (a, b), bracket in brackets:
         for k, c in bracket.items():
             into.setdefault(k, []).append((a, b, (c, -c)))
-    data = {}
+    rows = {}
     for col, source in enumerate(sources):
         for pos, k in enumerate(source):
             rest = source[:pos] + source[pos + 1:]
@@ -219,15 +238,19 @@ def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> dict:
                 i = bisect_left(rest, a)
                 j = bisect_left(rest, b) + 1
                 target = rest[:i] + (a,) + rest[i:j - 1] + (b,) + rest[j - 1:]
-                key = (row_of(target), col)
                 term = signed[(i + j + pos) % 2]
-                value = data.get(key)
+                r = row_of(target)
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {col: term}
+                    continue
+                value = row.get(col)
                 value = term if value is None else value + term
                 if value:
-                    data[key] = value
+                    row[col] = value
                 else:
-                    data.pop(key, None)
-    return data
+                    del row[col]
+    return den, rows
 
 
 def ce_differential(
@@ -236,7 +259,8 @@ def ce_differential(
     """Matrix of the scalar differential C^p(L, QQ) -> C^{p+1}(L, QQ).
 
     Rows and columns are the lexicographic ranks of the index tuples; the
-    entries are those of _assemble on every p-tuple.  With weight_zero it
+    entries are those of _assemble on every p-tuple, kept as its integer
+    rows over the bracket denominator.  With weight_zero it
     is d^p restricted to the weight-zero p-cochains: the columns are only
     the weight-zero p-tuples, numbered by position in lexicographic order,
     and since d preserves weights only weight-zero rows have entries.
@@ -251,8 +275,8 @@ def ce_differential(
         sources = _weight_zero_tuples(_torus_weights(L), p)
     else:
         sources = list(combinations(range(n), p))
-    data = _assemble(L, p, sources, _rank_of(n, p + 1))
-    return SparseMatrix(comb(n, p + 1), len(sources), data)
+    den, rows = _assemble(L, p, sources, _rank_of(n, p + 1))
+    return SparseMatrix._from_integer_rows(comb(n, p + 1), len(sources), rows, den)
 
 
 class Cocycle2:
@@ -560,10 +584,11 @@ class Cohomology:
             _check_tuple(t, n, p)
         sources = [t for t, value in cochain.items() if value]
         values = [_as_fraction(cochain[t]) for t in sources]
-        totals = {}
-        for (target, c), entry in _assemble(self.parent, p, sources, tuple).items():
-            totals[target] = totals.get(target, _ZERO) + entry * values[c]
-        return not any(totals.values())
+        # the positive denominator of d^p does not change which totals vanish
+        _, rows = _assemble(self.parent, p, sources, tuple)
+        return not any(
+            sum(entry * values[c] for c, entry in row.items()) for row in rows.values()
+        )
 
     def representative_cocycles(self):
         """rep_k (x) e_a as Cocycle2 objects, k-major and a-minor."""

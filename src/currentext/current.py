@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .cohomology import Cocycle2, OneCochain, cohomology
@@ -436,13 +437,25 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     for s, members in enumerate(classes):
         for i in members:
             class_of[i] = s
+    # the relations as integer rows: every product constant is scaled by
+    # the lcm of their denominators, which rescales each Leibniz row and
+    # leaves the span alone
+    den = lcm(*{c.denominator for row in A._table.values() for c in row.values()})
+    products = {
+        pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+        for pair, row in A._table.items()
+    }
+
+    def product(i, j):
+        return products.get((i, j) if i <= j else (j, i), {})
+
     relations = [
-        {i * d + j: _ONE}
+        {i * d + j: 1}
         for i in range(d) for j in range(d) if class_of[i] != class_of[j]
     ]
 
     def add(row, idx, value):
-        updated = row.get(idx, _ZERO) + value
+        updated = row.get(idx, 0) + value
         if updated:
             row[idx] = updated
         elif idx in row:
@@ -451,14 +464,14 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     for members in classes:
         for x, a in enumerate(members):
             for b in members[x:]:
-                ab = A.product_basis(a, b)
+                ab = product(a, b)
                 for c in members:
                     row = {}
                     for k, coef in ab.items():
                         add(row, c * d + k, coef)
-                    for k, coef in A.product_basis(c, a).items():
+                    for k, coef in product(c, a).items():
                         add(row, k * d + b, -coef)
-                    for k, coef in A.product_basis(c, b).items():
+                    for k, coef in product(c, b).items():
                         add(row, k * d + a, -coef)
                     relations.append(row)
     omega1 = quotient_space(ambient, Subspace.from_spanning(ambient, relations))

@@ -6,10 +6,14 @@ sparse rational matrices, so this module fixes the conventions once:
 
 * scalars are ``fractions.Fraction`` (arbitrary precision, canonical
   reduced form with positive denominator);
-* elimination is fraction-free: rows are scaled to integers and reduced
-  by integer cross-multiplication with per-row gcd normalisation, so
-  intermediate entries never leave ZZ; fractions appear only when the
-  final reduced echelon form is normalised;
+* one row type reaches the eliminator: an integer row {col: int}.  A
+  SparseMatrix holds its nonzero rows in that form, each with one
+  positive denominator (row i is {col: int} / den), so kernel_basis,
+  rank and solve_many pass its rows on without reading a Fraction;
+* elimination is fraction-free: rows are reduced by integer
+  cross-multiplication with per-row gcd normalisation, so intermediate
+  entries never leave ZZ; fractions appear only when the final reduced
+  echelon form is normalised;
 * reduced row echelon form (pivot entries 1, pivot columns cleared) is
   the canonical basis representation for every subspace, which makes
   subspace equality a syntactic check;
@@ -20,12 +24,18 @@ sparse rational matrices, so this module fixes the conventions once:
   solve_linear is its one-column case.
 
 Cost contract: the bookkeeping around the elimination is linear in the
-nonzeros it touches.  Empty rows never reach the eliminator; back
-substitution walks each row's own pivot columns through a column ->
-pivot map, so it costs O(nnz of the echelon rows) updates rather than
-O(rank^2) lookups; kernel generators and projections onto a quotient are
-built as sparse rows, and reducing a sparse vector against a subspace
-touches only the pivot columns present in the vector.
+nonzeros it touches.  A matrix's integer rows go to the eliminator as
+they are, divided by their gcd when it is not 1.  Only values that cross
+the public boundary are read entry by entry: the vectors given to
+Subspace.from_spanning and rref_with_transform and the right-hand sides
+of solve_many are scaled to integer rows (int entries are taken as they
+are), the entries given to SparseMatrix become its integer rows, and
+Subspace.reduce reads its vector as Fractions.  Empty rows never reach
+the eliminator; back substitution walks each row's own pivot columns
+through a column -> pivot map, so it costs O(nnz of the echelon rows)
+updates rather than O(rank^2) lookups; kernel generators and projections
+onto a quotient are built as sparse rows, and reducing a sparse vector
+against a subspace touches only the pivot columns present in the vector.
 
 All functions are pure and deterministic: the same input yields the
 bit-identical output.
@@ -45,7 +55,6 @@ from .errors import DimensionMismatchError
 Vec = tuple  # tuple of Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -67,28 +76,49 @@ def zero_vector(n: int) -> Vec:
 
 
 class SparseMatrix:
-    """Immutable sparse rational matrix in triplet form.
+    """Immutable sparse rational matrix held as integer rows.
 
-    Entries are stored as a position -> Fraction map with no explicit
-    zeros and no duplicate positions.
+    A nonzero row i is stored as (den, {col: int}): its entries are
+    int / den, no stored int is zero, and den is positive and the lcm of
+    the entries' denominators, so the form is canonical.  Zero rows are
+    not stored.  The eliminator reads these integer rows as they are;
+    every public accessor returns Fractions.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, data: Mapping = ()):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        cleaned = {}
+        grouped = {}
         items = data.items() if isinstance(data, Mapping) else data
         for (i, j), value in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry position ({i}, {j}) out of range")
             value = _as_fraction(value)
             if value:
-                cleaned[(i, j)] = value
-        self._data = cleaned
+                grouped.setdefault(i, {})[j] = value
+        self._rows = {i: _scaled_row(row) for i, row in grouped.items()}
+
+    @classmethod
+    def _from_integer_rows(cls, rows: int, cols: int, int_rows: Mapping, den: int = 1):
+        """The rows x cols matrix whose row i is int_rows[i] / den.
+
+        The caller vouches for the input: integer values, positions in
+        range, den positive.  Empty rows are dropped and each row is
+        brought to its canonical denominator.
+        """
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._rows = {}
+        for i, row in int_rows.items():
+            if row:
+                g = gcd(den, *row.values()) if den > 1 else 1
+                m._rows[i] = (den // g, {j: v // g for j, v in row.items()} if g > 1 else row)
+        return m
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets: Iterable) -> "SparseMatrix":
@@ -124,7 +154,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls._from_integer_rows(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
@@ -136,26 +166,33 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self._data)
+        return sum(len(row) for _, row in self._rows.values())
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._data.get((i, j), _ZERO)
+        den, row = self._rows.get(i, (1, {}))
+        value = row.get(j)
+        return _ZERO if value is None else Fraction(value, den)
 
     def triplets(self):
         """Sorted (row, col, value) triplets; the canonical serialisation."""
-        return [(i, j, self._data[(i, j)]) for (i, j) in sorted(self._data)]
+        out = []
+        for i in sorted(self._rows):
+            den, row = self._rows[i]
+            out.extend((i, j, Fraction(row[j], den)) for j in sorted(row))
+        return out
 
     def row_dicts(self):
         out = [dict() for _ in range(self.rows)]
-        for (i, j), value in self._data.items():
-            out[i][j] = value
+        for i, (den, row) in self._rows.items():
+            out[i] = {j: Fraction(value, den) for j, value in row.items()}
         return out
 
     def column(self, j: int) -> Vec:
         col = [_ZERO] * self.rows
-        for (i, jj), value in self._data.items():
-            if jj == j:
-                col[i] = value
+        for i, (den, row) in self._rows.items():
+            value = row.get(j)
+            if value is not None:
+                col[i] = Fraction(value, den)
         return tuple(col)
 
     def matvec(self, v: Sequence) -> Vec:
@@ -164,20 +201,23 @@ class SparseMatrix:
                 f"matvec: vector length {len(v)} != {self.cols} columns"
             )
         out = [_ZERO] * self.rows
-        for (i, j), value in self._data.items():
-            vj = v[j]
-            if vj:
-                out[i] += value * vj
+        for i, (den, row) in self._rows.items():
+            total = 0
+            for j, value in row.items():
+                vj = v[j]
+                if vj:
+                    total += value * vj
+            out[i] = Fraction(total, den)
         return tuple(out)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self._data.items()}
+            self.cols, self.rows, {(j, i): value for i, j, value in self.triplets()}
         )
 
     def to_dense(self):
         out = [[_ZERO] * self.cols for _ in range(self.rows)]
-        for (i, j), value in self._data.items():
+        for i, j, value in self.triplets():
             out[i][j] = value
         return tuple(tuple(row) for row in out)
 
@@ -185,64 +225,74 @@ class SparseMatrix:
         return (
             isinstance(other, SparseMatrix)
             and self.shape == other.shape
-            and self._data == other._data
+            and self._rows == other._rows
         )
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _gcd_normalize(row: dict) -> None:
+def _scaled_row(row: Mapping) -> tuple:
+    """(den, {col: den * value}) for a column -> nonzero int or Fraction
+    mapping, den the lcm of the values' denominators."""
+    den = lcm(*[value.denominator for value in row.values()])
+    if den == 1:
+        return 1, {j: value.numerator for j, value in row.items()}
+    return den, {j: value.numerator * (den // value.denominator) for j, value in row.items()}
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries: row itself when
+    that gcd is 1, a new dict otherwise."""
     g = 0
     for value in row.values():
         g = gcd(g, value)
         if g == 1:
-            return
-    if g > 1:
-        for col in row:
-            row[col] //= g
+            return row
+    return {col: value // g for col, value in row.items()} if g > 1 else row
 
 
-def _entries(v, n: int) -> dict:
+def _rational(value):
+    """An int as it is, any other value through _as_fraction."""
+    return value if type(value) is int else _as_fraction(value)
+
+
+def _entries(v, n: int, exact=_as_fraction) -> dict:
     """Nonzero entries of a length-n vector, given as a dense sequence or
-    as a column -> value mapping, as a column -> Fraction dict."""
+    as a column -> value mapping, as a column -> exact(value) dict."""
     if isinstance(v, (dict, Mapping)):
-        out = {j: _as_fraction(x) for j, x in v.items() if x}
+        out = {j: exact(x) for j, x in v.items() if x}
         if out and not (min(out) >= 0 and max(out) < n):
             raise DimensionMismatchError(f"vector has a column outside range({n})")
         return out
     if len(v) != n:
         raise DimensionMismatchError(f"vector length {len(v)} != {n}")
-    return {j: _as_fraction(x) for j, x in enumerate(v) if x}
+    return {j: exact(x) for j, x in enumerate(v) if x}
 
 
 def _integer_rows(rows: Iterable, cols: int):
-    """Scale rational rows (dicts or dense sequences) to integer dicts."""
-    out = []
-    for row in rows:
-        items = _entries(row, cols)
-        if not items:
-            out.append({})
-            continue
-        den = 1
-        for value in items.values():
-            den = lcm(den, value.denominator)
-        int_row = {
-            j: value.numerator * (den // value.denominator)
-            for j, value in items.items()
-        }
-        _gcd_normalize(int_row)
-        out.append(int_row)
-    return out
+    """Primitive integer rows of rational rows (dicts or dense sequences).
+
+    int entries are read as they are, so rows that are integer already
+    (the Kaehler relations) cost no Fraction per entry.
+    """
+    return [_primitive(_scaled_row(_entries(row, cols, _rational))[1]) for row in rows]
+
+
+def _matrix_rows(m: SparseMatrix):
+    """The nonzero rows of m as primitive integer rows, in row order."""
+    rows = m._rows
+    return [_primitive(rows[i][1]) for i in sorted(rows)]
 
 
 def _eliminate(int_rows, stop_col: int):
-    """Forward fraction-free elimination on integer rows.
+    """Forward fraction-free elimination on primitive integer rows.
 
     Returns (pivots, remainder): pivots is a list of (pivot column,
     integer row) in strictly increasing column order, remainder holds
     rows whose leading column is >= stop_col.  Pivot selection (sparsest
-    candidate, ties by original order) is deterministic.
+    candidate, ties by original order) is deterministic.  The input rows
+    are never mutated, so pivot and remainder rows may be input rows.
     """
     buckets = {}
     heap = []
@@ -257,7 +307,7 @@ def _eliminate(int_rows, stop_col: int):
 
     for seq, row in enumerate(int_rows):
         if row:
-            push(seq, dict(row))
+            push(seq, row)
 
     pivots = []
     remainder = []
@@ -287,8 +337,7 @@ def _eliminate(int_rows, stop_col: int):
                 elif col in new:
                     del new[col]
             if new:
-                _gcd_normalize(new)
-                push(seq, new)
+                push(seq, _primitive(new))
         pivots.append((lead, prow))
     return pivots, remainder
 
@@ -331,19 +380,8 @@ def rref_rows(rows: Iterable, cols: int):
     return _back_substitute(pivots)
 
 
-def _nonempty_rows(m: SparseMatrix):
-    """The nonzero rows of m as column -> value dicts, in row order."""
-    rows = {}
-    for (i, j), value in m._data.items():
-        if i in rows:
-            rows[i][j] = value
-        else:
-            rows[i] = {j: value}
-    return [rows[i] for i in sorted(rows)]
-
-
 def rank(m: SparseMatrix) -> int:
-    pivots, _ = _eliminate(_integer_rows(_nonempty_rows(m), m.cols), m.cols)
+    pivots, _ = _eliminate(_matrix_rows(m), m.cols)
     return len(pivots)
 
 
@@ -431,20 +469,24 @@ class Subspace:
 def kernel_basis(m: SparseMatrix) -> Subspace:
     """Solution space of m v = 0, canonicalised to reduced echelon form.
 
-    The generator of free column f is e_f minus row[f] e_pivot summed
-    over the echelon rows; all generators are built as sparse rows in one
-    pass over the echelon rows' nonzeros.
+    m's integer rows go to the eliminator as they are.  The generator of
+    free column f is e_f minus row[f] e_pivot summed over the echelon
+    rows; all generators are built as sparse rows in one pass over the
+    echelon rows' nonzeros, each negated (it spans the same line), scaled
+    to an integer row and eliminated once more into reduced echelon form.
     """
-    pivot_cols, rows = rref_rows(_nonempty_rows(m), m.cols)
+    pivots, _ = _eliminate(_matrix_rows(m), m.cols)
+    pivot_cols, rows = _back_substitute(pivots)
     pivot_set = set(pivot_cols)
-    generators = {
-        free: {free: _ONE} for free in range(m.cols) if free not in pivot_set
-    }
+    generators = {free: {free: -1} for free in range(m.cols) if free not in pivot_set}
     for pivot, row in zip(pivot_cols, rows):
         for col, value in row.items():
             if col != pivot:
-                generators[col][pivot] = -value
-    return Subspace.from_spanning(m.cols, list(generators.values()))
+                generators[col][pivot] = value
+    pivots, _ = _eliminate(
+        [_primitive(_scaled_row(row)[1]) for row in generators.values()], m.cols
+    )
+    return Subspace(m.cols, *_back_substitute(pivots))
 
 
 def solve_many(m: SparseMatrix, bs: Sequence[Sequence]) -> list[Optional[Vec]]:
@@ -466,13 +508,23 @@ def solve_many(m: SparseMatrix, bs: Sequence[Sequence]) -> list[Optional[Vec]]:
                 f"solve: right-hand side length {len(b)} != {m.rows} rows"
             )
     aug = m.cols
-    rows = m.row_dicts()
+    extra = {}
     for t, b in enumerate(bs):
-        for i, value in enumerate(b):
-            value = _as_fraction(value)
-            if value:
-                rows[i][aug + t] = value
-    pivots, remainder = _eliminate(_integer_rows(rows, aug + len(bs)), aug)
+        for i, value in _entries(b, m.rows).items():
+            extra.setdefault(i, []).append((aug + t, value))
+    # row i of [m | bs] is (ints | b_i) / den: scale it by den and by the
+    # lcm q of the denominators of den * b_i, then make it primitive
+    rows = []
+    for i in sorted(m._rows.keys() | extra.keys()):
+        den, row = m._rows.get(i, (1, {}))
+        if i in extra:
+            scaled = [(col, den * value) for col, value in extra[i]]
+            q = lcm(*[value.denominator for _, value in scaled])
+            row = {j: value * q for j, value in row.items()}
+            for col, value in scaled:
+                row[col] = value.numerator * (q // value.denominator)
+        rows.append(_primitive(row))
+    pivots, remainder = _eliminate(rows, aug)
     inconsistent = {col for row in remainder for col in row}
     pivot_cols, echelon = _back_substitute(pivots)
     out = []
@@ -564,10 +616,10 @@ def rref_with_transform(vectors: Sequence[Sequence], cols: int):
     k = len(vectors)
     rows = []
     for i, v in enumerate(vectors):
-        row = _entries(v, cols)
-        row[cols + i] = _ONE
-        rows.append(row)
-    pivots, _ = _eliminate(_integer_rows(rows, cols + k), cols)
+        den, row = _scaled_row(_entries(v, cols, _rational))
+        row[cols + i] = den
+        rows.append(_primitive(row))
+    pivots, _ = _eliminate(rows, cols)
     pivot_cols, echelon = _back_substitute(pivots)
     out = []
     for pivot, row in zip(pivot_cols, echelon):

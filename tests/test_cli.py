@@ -119,6 +119,35 @@ def test_negative_coeff_dim_is_usage_error(argv, capsys):
     assert run_command(argv + ["--coeff-dim", "0"]).exit_code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv, at_zero", [
+    (["h2", "heis3"], EXIT_RESOURCE),  # C^3 of heis3 has dimension 1 > 0
+    (["info", "sl2"], EXIT_OK),  # info builds no cochain space
+])
+def test_negative_max_cochain_is_usage_error(argv, at_zero, capsys):
+    report = run_command(argv + ["--max-cochain", "-5"])
+    assert report.exit_code == EXIT_USAGE
+    assert "--max-cochain" in report.results["error"]
+    assert main(argv + ["--max-cochain", "-5"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert run_command(argv + ["--max-cochain", "0"]).exit_code == at_zero
+    assert run_command(argv + ["--max-cochain", "100"]).exit_code == EXIT_OK
+
+
+def test_catalog_name_is_not_shadowed_by_a_directory(tmp_path, monkeypatch):
+    # only an existing file is read as a document; a directory named
+    # like a catalog entry leaves the catalog name alone
+    (tmp_path / "sl2").mkdir()
+    (tmp_path / "sq2").mkdir()
+    monkeypatch.chdir(tmp_path)
+    report = run_command(["info", "sl2"])
+    assert report.exit_code == EXIT_OK
+    assert report.results["dim"] == 3
+    assert run_command(["universality", "sl2", "sq2"]).exit_code == EXIT_OK
+    # an existing file without the .json suffix is still read as a document
+    (tmp_path / "mysl2").write_text(SL2_DOC, encoding="utf-8")
+    assert run_command(["killing", "mysl2"]).results["semisimple"] is True
+
+
 def test_unknown_catalog_name_is_input_error():
     assert run_command(["killing", "sl17"]).exit_code == EXIT_INPUT
 

@@ -29,6 +29,7 @@ from currentext.errors import (
     ResourceCeilingError,
 )
 from currentext.lie import LieAlgebra
+from currentext.linalg import SparseMatrix, solve_many
 from currentext.locality import Cover, SupportStructure, restrict_class
 
 F = Fraction
@@ -676,3 +677,181 @@ def test_class_coordinates_reject_a_defect_of_nonzero_weight():
     with pytest.raises(InternalConsistencyError):
         h1.class_coordinates(rep)
 
+
+
+# --- the integer row path off the integer lattice ---------------------------
+#
+# ce_differential keeps integer rows over the bracket denominator, the
+# eliminator reads them as they are, and the torus weights are scaled to
+# integers.  On rescaled bases the structure constants, the rows of d and
+# the torus eigenvalues have denominators, so every scale differs from 1.
+
+OFF_LATTICE = RESCALED + (
+    ("sl2", (F(2), F(1, 3), F(1, 2))),  # ad(h/3) has eigenvalues 2/3 and -2/3
+    ("gl2", (F(1, 3), F(2), F(1, 5), F(3, 4))),
+    ("sl2 (x) fun:2", (F(1, 2), F(1), F(1, 3), F(3, 2), F(1), F(2, 5))),
+)
+OFF_LATTICE_IDS = [f"{name} {','.join(map(str, s))}" for name, s in OFF_LATTICE]
+
+
+def _off_lattice(name, scales):
+    return _rescaled(_oracle_algebra(name), scales)
+
+
+def _fraction_weights(L):
+    """The torus eigenvalues, unscaled: x_t is a torus element when every
+    [x_t, x_j] is a multiple of x_j and one of them is nonzero."""
+    torus = [t for t in range(L.dim)
+             if all(set(L.bracket_basis(t, j)) <= {j} for j in range(L.dim))
+             and any(L.bracket_basis(t, j) for j in range(L.dim))]
+    return [tuple(F(L.bracket_basis(t, j).get(j, 0)) for t in torus) for j in range(L.dim)]
+
+
+def _weight_zero_walk(weights, k):
+    """Every increasing k-tuple whose weights sum to zero, by brute force."""
+    rank = len(weights[0]) if weights else 0
+    return [t for t in combinations(range(len(weights)), k)
+            if not any(sum(weights[i][r] for i in t) for r in range(rank))]
+
+
+def _accessor_values(d):
+    """Every value the public accessors of a matrix hand out."""
+    values = [v for _, _, v in d.triplets()]
+    values += [d.entry(i, j) for i, j, _ in d.triplets()]
+    values += [v for row in d.row_dicts() for v in row.values()]
+    values += [v for c in range(d.cols) for v in d.column(c)]
+    values += list(d.matvec([F(c + 1, 2) for c in range(d.cols)]))
+    values += list(d.matvec([1] * d.cols))
+    values += [v for row in d.to_dense() for v in row]
+    values += [v for _, _, v in d.transpose().triplets()]
+    return values
+
+
+def test_off_lattice_inputs_have_denominators():
+    for name, scales in OFF_LATTICE:
+        L = _off_lattice(name, scales)
+        assert any(c.denominator > 1 for _, _, _, c in L.structure_entries())
+        assert any(v.denominator > 1 for _, _, v in ce_differential(L, 1).triplets())
+    # all but rescaled sl2 and sl2 (x) jets:2 have fractional torus eigenvalues
+    fractional = [t for t, (name, scales) in enumerate(OFF_LATTICE)
+                  if any(x.denominator > 1
+                         for w in _fraction_weights(_off_lattice(name, scales)) for x in w)]
+    assert fractional == [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("name, scales", OFF_LATTICE, ids=OFF_LATTICE_IDS)
+def test_ce_differential_off_the_integer_lattice(name, scales):
+    # full and weight-zero d^p against the triple walk, read through
+    # every accessor as Fractions
+    from oracles import ce_differential_reference
+
+    L = _off_lattice(name, scales)
+    exact = _fraction_weights(L)
+    for p in range(4):
+        rows, cols, triplets = ce_differential_reference(L, p, 1)
+        full = ce_differential(L, p)
+        assert full.shape == (rows, cols)
+        assert full.triplets() == triplets
+        rank = {t: r for r, t in enumerate(combinations(range(L.dim), p))}
+        col = {rank[t]: c for c, t in enumerate(_weight_zero_walk(exact, p))}
+        block = ce_differential(L, p, weight_zero=True)
+        assert block.shape == (rows, len(col))
+        assert block.triplets() == [(i, col[j], v) for i, j, v in triplets if j in col]
+        for d in (full, block):
+            assert all(type(v) is Fraction for v in _accessor_values(d))
+            assert d == SparseMatrix.from_triplets(d.rows, d.cols, d.triplets())
+
+
+@pytest.mark.parametrize("name, scales", OFF_LATTICE, ids=OFF_LATTICE_IDS)
+@pytest.mark.parametrize("m", [1, 2])
+def test_cohomology_off_the_integer_lattice(name, scales, m):
+    from oracles import dense_rank
+
+    L = _off_lattice(name, scales)
+    for p in (1, 2):
+        _assert_matches_full_complex(L, p, m, random.Random(f"off lattice {name} {p} {m}"))
+    # and dim H^2 against a dense elimination of the triple walk
+    d1, d2 = _block_rows(L, 1, 1), _block_rows(L, 2, 1)
+    assert cohomology(L, 2, m).dimension == m * (len(d2[0]) - dense_rank(d2) - dense_rank(d1))
+
+
+def _rhs_off_lattice(L, d1, rng):
+    """Right-hand sides of d^1 with denominators 2, 3 and 5: three in
+    the image, two drawn at random."""
+    def value():
+        return F(rng.randint(-4, 4), rng.choice((2, 3, 5)))
+
+    bs = [d1.matvec([value() for _ in range(L.dim)]) for _ in range(3)]
+    bs += [tuple(value() if rng.random() < 0.5 else F(0) for _ in range(d1.rows))
+           for _ in range(2)]
+    return bs
+
+
+@pytest.mark.parametrize("name, scales", OFF_LATTICE, ids=OFF_LATTICE_IDS)
+def test_solve_many_on_d1_off_the_integer_lattice(name, scales):
+    from oracles import dense_canonical_solve
+
+    L = _off_lattice(name, scales)
+    d1 = ce_differential(L, 1)
+    bs = _rhs_off_lattice(L, d1, random.Random(f"solve {name}"))
+    got = solve_many(d1, bs)
+    assert [None if x is None else list(x) for x in got] == [
+        dense_canonical_solve(_block_rows(L, 1, 1), b) for b in bs
+    ]
+    assert None not in got[:3]
+    assert all(type(v) is Fraction for x in got if x is not None for v in x)
+
+
+def test_rows_reaching_the_eliminator_are_the_integer_fraction_rows(monkeypatch):
+    # kernel_basis, rank and solve_many hand the matrix's integer rows to
+    # the eliminator: exactly the primitive rows _integer_rows makes of
+    # the Fraction rows (with the right-hand sides appended for solve_many)
+    from currentext import linalg
+
+    seen = []
+    eliminate = linalg._eliminate
+
+    def record(rows, stop_col):
+        seen.append(list(rows))
+        return eliminate(seen[-1], stop_col)
+
+    monkeypatch.setattr(linalg, "_eliminate", record)
+    for name, scales in OFF_LATTICE:
+        L = _off_lattice(name, scales)
+        for p in (1, 2):
+            for d in (ce_differential(L, p), ce_differential(L, p, weight_zero=True)):
+                want = linalg._integer_rows([row for row in d.row_dicts() if row], d.cols)
+                for solve in (linalg.kernel_basis, linalg.rank):
+                    seen.clear()
+                    solve(d)
+                    assert seen[0] == want
+        d1 = ce_differential(L, 1)
+        bs = _rhs_off_lattice(L, d1, random.Random(f"rows {name}"))
+        augmented = d1.row_dicts()
+        for t, b in enumerate(bs):
+            for i, x in enumerate(b):
+                if x:
+                    augmented[i][d1.cols + t] = x
+        seen.clear()
+        solve_many(d1, bs)
+        assert seen[0] == linalg._integer_rows(
+            [row for row in augmented if row], d1.cols + len(bs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_weights_give_the_fraction_weight_zero_tuples(data):
+    name, scales = data.draw(st.sampled_from(OFF_LATTICE), label="algebra")
+    L = _off_lattice(name, scales)
+    L = _permuted(L, data.draw(st.permutations(range(L.dim)), label="order"))
+    weights, exact = _torus_weights(L), _fraction_weights(L)
+    assert all(type(x) is int for w in weights for x in w)
+    # coordinate r is the eigenvalue column r times one positive scale
+    for r in range(len(exact[0])):
+        ratios = {F(w[r]) / e[r] for w, e in zip(weights, exact) if e[r]}
+        assert len(ratios) == 1 and min(ratios) > 0
+        assert all(bool(w[r]) == bool(e[r]) for w, e in zip(weights, exact))
+    for k in range(4):
+        want = _weight_zero_walk(exact, k)
+        assert _weight_zero_tuples(weights, k) == want
+        assert _weight_zero_tuples(exact, k) == want
