@@ -43,8 +43,9 @@ nonzero brackets only (for each source tuple, the pairs a < b bracketing
 into one of its indices), so assembly costs O(nnz) rather than a visit to
 every target tuple; ce_differential runs it on every tuple or, with
 weight_zero, on the weight-zero block, which is what cohomology() solves.
-Assembly sums ints: the structure constants are scaled by the lcm of
-their denominators, and that lcm becomes the denominator of the
+Assembly sums ints: it reads the algebra's integer bracket table, the
+structure constants scaled by the lcm of their denominators and built
+once with the algebra, and that lcm becomes the denominator of the
 matrix's integer rows, which the eliminator then reads as they are.
 Kernels, projections and representatives are then computed on sparse
 rows (see ``linalg`` for the elimination costs), and m costs only the
@@ -54,14 +55,25 @@ factor m, before anything is assembled, however small the block.  A
 cochain given to Cohomology's class maps is split by weight: its
 weight-zero entries are read through the block, and d^p is applied to
 the others to check that they form a cocycle.
+
+Cochain form: Cocycle2 and OneCochain hold their values as integer
+m-tuples over one positive denominator, in lowest terms (the gcd of the
+denominator and every entry is 1), so the form is canonical and ==
+compares the stored integers.  The public constructors check and convert
+their input and scale it to that form; the package's own routines build
+cochains from integers directly, in O(nnz) with no Fraction, and divide
+by the gcd once.  Sums, negation, restriction, gluing and the twist work
+on the integers; values, value, slot, entries and apply, and the error
+payloads, build Fractions only when they are read.
 Cocycle2.cocycle_defect evaluates d psi from the same nonzero brackets
 against the nonzero values of psi, in O(bracket nnz * n * m), without
 visiting the comb(n, 3) triples, and OneCochain.coboundary costs
-O(bracket nnz * m).  Both keep integer totals: the cochain's values are
-scaled by the lcm of their denominators and the structure constants by
-the lcm of theirs, and only the results are divided back into Fractions.
+O(bracket nnz * m).  Both sum the stored integers against the integer
+brackets, and only the results carry the two denominators' product.
 coboundary_witness solves all m slots of its cocycle with one
-elimination of d^1 (linalg.solve_many), not one elimination per slot.
+elimination of d^1 (linalg.solve_many), each slot handed over as the
+sparse integer mapping {pair rank: int}, and divides the solutions by
+the cocycle's denominator once.
 """
 
 from __future__ import annotations
@@ -69,7 +81,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -102,28 +114,6 @@ def _guard(n: int, degree: int, coeff_dim: int, ceiling: Optional[int]):
     needed = comb(n, degree) * coeff_dim
     if needed > limit:
         raise ResourceCeilingError(needed, limit)
-
-
-def _integer_brackets(L: LieAlgebra):
-    """(den, brackets): the nonzero brackets as ((a, b), {k: den * c})
-    items with integer values, den the lcm of the structure constants'
-    denominators.  Built on each call in O(bracket nnz)."""
-    brackets = L.nonzero_brackets()
-    den = lcm(*{c.denominator for _, row in brackets for c in row.values()})
-    return den, [
-        (pair, {k: c.numerator * (den // c.denominator) for k, c in row.items()})
-        for pair, row in brackets
-    ]
-
-
-def _scaled_slots(value: Sequence, den: int) -> list:
-    """The nonzero slots (s, den * x) of a value tuple whose denominators divide den."""
-    return [(s, x.numerator * (den // x.denominator)) for s, x in enumerate(value) if x]
-
-
-def _common_denominator(values) -> int:
-    """The lcm of the denominators of all entries of the value tuples."""
-    return lcm(*{x.denominator for value in values for x in value})
 
 
 def _rank_of(n: int, k: int):
@@ -214,8 +204,8 @@ def _weight_zero_tuples(weights: list, k: int) -> list:
 def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> tuple:
     """(den, rows): d^p on the p-tuples sources[c] is rows[row_of(target)][c] / den.
 
-    The rows are integer: den is the lcm of the structure constants'
-    denominators and the brackets are scaled by it (_integer_brackets).
+    The rows are integer: they are read from the algebra's integer
+    brackets, and den is their denominator.
     Only nonzero brackets are visited, through the pairs a < b bracketing
     into each index k of a source: the entry of target rest + {a, b}
     (a, b at positions i < j) in source rest + {k} (k at position pos)
@@ -223,7 +213,7 @@ def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> tuple:
     removed, and a row may be left empty.  d preserves torus weights, so
     a weight-zero source only reaches weight-zero targets.
     """
-    den, brackets = _integer_brackets(L)
+    den, brackets = L._integer_table
     into = {}
     for (a, b), bracket in brackets:
         for k, c in bracket.items():
@@ -279,20 +269,43 @@ def ce_differential(
     return SparseMatrix._from_integer_rows(comb(n, p + 1), len(sources), rows, den)
 
 
+def _content(den: int, values) -> int:
+    """The gcd of den and every entry of the integer tuples in values."""
+    g = den
+    for value in values:
+        if g == 1:
+            break
+        g = gcd(g, *value)
+    return g
+
+
+def _integer_tuples(values: list) -> tuple:
+    """(den, ints): Fraction tuples as integer tuples over den, the lcm of
+    their entries' denominators."""
+    den = lcm(*{x.denominator for value in values for x in value})
+    return den, [tuple(x.numerator * (den // x.denominator) for x in value) for value in values]
+
+
+def _fractions(value: tuple, den: int) -> Vec:
+    return tuple(Fraction(x, den) for x in value)
+
+
 class Cocycle2:
     """Alternating bilinear map on L with values in QQ^m.
 
     Values are stored for i < j only; i > j is derived by negation and
     the diagonal is zero, so the stored object is alternating by
-    construction.
+    construction.  The value at (i, j) is _num[(i, j)] / _den: integer
+    m-tuples over one positive denominator, no stored tuple zero, and
+    the gcd of _den and every stored entry 1.  The form is canonical, so
+    == compares the stored integers.  values, value, slot, entries and
+    apply build Fractions when they are read.
     """
 
-    __slots__ = ("parent", "coeff_dim", "values")
+    __slots__ = ("parent", "coeff_dim", "_num", "_den")
 
     def __init__(self, parent: LieAlgebra, coeff_dim: int, values=()):
-        self.parent = parent
-        self.coeff_dim = coeff_dim
-        table = {}
+        keys, checked = [], []
         items = values.items() if hasattr(values, "items") else values
         for (i, j), value in items:
             if not (0 <= i < j < parent.dim):
@@ -300,25 +313,57 @@ class Cocycle2:
             value = vector(value)
             if len(value) != coeff_dim:
                 raise DimensionMismatchError("cocycle value has wrong coefficient length")
-            if any(value):
-                table[(i, j)] = value
-        self.values = table
+            keys.append((i, j))
+            checked.append(value)
+        den, ints = _integer_tuples(checked)
+        self._set(parent, coeff_dim, dict(zip(keys, ints)), den)
+
+    @classmethod
+    def _from_integers(cls, parent: LieAlgebra, coeff_dim: int, num: dict, den: int = 1):
+        """The cocycle with value num[(i, j)] / den at each pair.
+
+        The caller vouches for the input: increasing pairs in range, int
+        m-tuples and den positive.  Built in O(nnz) with no Fraction.
+        """
+        psi = cls.__new__(cls)
+        psi._set(parent, coeff_dim, num, den)
+        return psi
+
+    def _set(self, parent, coeff_dim, num, den):
+        """Store num / den in canonical form: zero tuples dropped, num and
+        den divided by their gcd."""
+        num = {pair: value for pair, value in num.items() if any(value)}
+        g = _content(den, num.values())
+        if g > 1:
+            num = {pair: tuple(x // g for x in value) for pair, value in num.items()}
+        self.parent = parent
+        self.coeff_dim = coeff_dim
+        self._num = num
+        self._den = den // g
 
     @classmethod
     def zero(cls, parent: LieAlgebra, coeff_dim: int) -> "Cocycle2":
-        return cls(parent, coeff_dim, {})
+        return cls._from_integers(parent, coeff_dim, {})
+
+    @property
+    def values(self) -> dict:
+        """{(i, j): value tuple} over the nonzero pairs i < j, as Fractions."""
+        den = self._den
+        return {pair: _fractions(value, den) for pair, value in self._num.items()}
 
     def value(self, i: int, j: int) -> Vec:
         if i == j:
             return zero_vector(self.coeff_dim)
         if i < j:
-            return self.values.get((i, j), zero_vector(self.coeff_dim))
-        v = self.values.get((j, i))
-        return tuple(-x for x in v) if v else zero_vector(self.coeff_dim)
+            v = self._num.get((i, j))
+            return _fractions(v, self._den) if v else zero_vector(self.coeff_dim)
+        v = self._num.get((j, i))
+        return _fractions([-x for x in v], self._den) if v else zero_vector(self.coeff_dim)
 
     def slot(self, a: int) -> dict:
         """Coefficient slot a as a scalar 2-cochain {(i, j): value}."""
-        return {pair: value[a] for pair, value in self.values.items() if value[a]}
+        den = self._den
+        return {pair: Fraction(value[a], den) for pair, value in self._num.items() if value[a]}
 
     def apply(self, u: Sequence, v: Sequence) -> Vec:
         _check_element(self.parent, u)
@@ -336,26 +381,26 @@ class Cocycle2:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self._num
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
         if not same_algebra(other.parent, self.parent) or other.coeff_dim != self.coeff_dim:
             raise DimensionMismatchError("cocycle mismatch in addition")
-        table = dict(self.values)
-        for key, value in other.values.items():
-            current = table.get(key)
-            merged = value if current is None else tuple(a + b for a, b in zip(current, value))
-            if any(merged):
-                table[key] = merged
-            elif key in table:
-                del table[key]
-        return Cocycle2(self.parent, self.coeff_dim, table)
+        # both sides over the lcm of the two denominators
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        table = {pair: tuple(a * x for x in value) for pair, value in self._num.items()}
+        zero = (0,) * self.coeff_dim
+        for pair, value in other._num.items():
+            table[pair] = tuple(x + b * y for x, y in zip(table.get(pair, zero), value))
+        return Cocycle2._from_integers(self.parent, self.coeff_dim, table, den)
 
     def __neg__(self) -> "Cocycle2":
-        return Cocycle2(
+        return Cocycle2._from_integers(
             self.parent,
             self.coeff_dim,
-            {k: tuple(-x for x in v) for k, v in self.values.items()},
+            {pair: tuple(-x for x in value) for pair, value in self._num.items()},
+            self._den,
         )
 
     def __sub__(self, other: "Cocycle2") -> "Cocycle2":
@@ -366,12 +411,13 @@ class Cocycle2:
             isinstance(other, Cocycle2)
             and same_algebra(other.parent, self.parent)
             and other.coeff_dim == self.coeff_dim
-            and other.values == self.values
+            and other._den == self._den
+            and other._num == self._num
         )
 
     def entries(self):
         """Sorted (i, j, value tuple) triplets; canonical serialisation."""
-        return [(i, j, self.values[(i, j)]) for (i, j) in sorted(self.values)]
+        return [(i, j, _fractions(self._num[(i, j)], self._den)) for (i, j) in sorted(self._num)]
 
     def cocycle_defect(self) -> Optional[tuple]:
         """First basis triple violating the cocycle identity, or None.
@@ -383,18 +429,17 @@ class Cocycle2:
         {a, b} with psi([x_a, x_b], x_c) != 0 adds that value to the sorted
         triple, with sign - when c sorts between a and b.  The answer is
         the lexicographically first triple whose total is nonzero, with
-        that total.  The totals are integers: psi's values are scaled by
-        the lcm of their denominators and the brackets by that of theirs,
-        and only the returned total is divided back.
+        that total.  The totals are integers, psi's stored integers against
+        the algebra's integer brackets, and only the returned total is
+        divided back.
         """
         L = self.parent
-        bden, brackets = _integer_brackets(L)
-        vden = _common_denominator(self.values.values())
-        rows = [{} for _ in range(L.dim)]  # rows[k][c] = vden * psi(x_k, x_c), nonzero slots
-        for (i, j), value in self.values.items():
-            scaled = _scaled_slots(value, vden)
-            rows[i][j] = scaled
-            rows[j][i] = [(s, -x) for s, x in scaled]
+        bden, brackets = L._integer_table
+        rows = [{} for _ in range(L.dim)]  # rows[k][c] = den * psi(x_k, x_c), nonzero slots
+        for (i, j), value in self._num.items():
+            nonzero = [(s, x) for s, x in enumerate(value) if x]
+            rows[i][j] = nonzero
+            rows[j][i] = [(s, -x) for s, x in nonzero]
         totals = {}
         for (a, b), bracket in brackets:
             for k, coef in bracket.items():
@@ -416,34 +461,64 @@ class Cocycle2:
         if not nonzero:
             return None
         first = min(nonzero)
-        den = bden * vden
-        return (first, tuple(Fraction(x, den) for x in totals[first]))
+        return (first, _fractions(totals[first], bden * self._den))
 
     def __repr__(self):
         return (
             f"Cocycle2(dim L = {self.parent.dim}, coeff_dim = {self.coeff_dim}, "
-            f"nonzero pairs = {len(self.values)})"
+            f"nonzero pairs = {len(self._num)})"
         )
 
 
 class OneCochain:
-    """Linear map L -> QQ^m given by its values on the basis."""
+    """Linear map L -> QQ^m given by its values on the basis.
 
-    __slots__ = ("parent", "coeff_dim", "values")
+    Held as Cocycle2 holds its values: basis element i has value
+    _num[i] / _den, integer m-tuples over one positive denominator with
+    the gcd of _den and every entry 1, so == compares the integers.
+    values and apply build Fractions when they are read.
+    """
+
+    __slots__ = ("parent", "coeff_dim", "_num", "_den")
 
     def __init__(self, parent: LieAlgebra, coeff_dim: int, values):
-        self.parent = parent
-        self.coeff_dim = coeff_dim
-        self.values = tuple(vector(v) for v in values)
-        if len(self.values) != parent.dim:
+        values = [vector(v) for v in values]
+        if len(values) != parent.dim:
             raise DimensionMismatchError("one-cochain table must cover the basis")
-        for v in self.values:
+        for v in values:
             if len(v) != coeff_dim:
                 raise DimensionMismatchError("one-cochain value has wrong length")
+        den, ints = _integer_tuples(values)
+        self._set(parent, coeff_dim, ints, den)
+
+    @classmethod
+    def _from_integers(cls, parent: LieAlgebra, coeff_dim: int, num, den: int = 1):
+        """The 1-cochain with value num[i] / den at basis element i.
+
+        The caller vouches for the input: one int m-tuple per basis
+        element and den positive.  Built in O(dim L * m) with no Fraction.
+        """
+        beta = cls.__new__(cls)
+        beta._set(parent, coeff_dim, num, den)
+        return beta
+
+    def _set(self, parent, coeff_dim, num, den):
+        """Store num / den with num and den divided by their gcd."""
+        g = _content(den, num)
+        self.parent = parent
+        self.coeff_dim = coeff_dim
+        self._num = tuple(num) if g == 1 else tuple(tuple(x // g for x in v) for v in num)
+        self._den = den // g
 
     @classmethod
     def zero(cls, parent: LieAlgebra, coeff_dim: int) -> "OneCochain":
-        return cls(parent, coeff_dim, [zero_vector(coeff_dim)] * parent.dim)
+        return cls._from_integers(parent, coeff_dim, [(0,) * coeff_dim] * parent.dim)
+
+    @property
+    def values(self) -> tuple:
+        """The value tuple of every basis element, as Fractions."""
+        den = self._den
+        return tuple(_fractions(v, den) for v in self._num)
 
     def apply(self, coords: Sequence) -> Vec:
         _check_element(self.parent, coords)
@@ -451,34 +526,34 @@ class OneCochain:
         for i, c in enumerate(coords):
             if c:
                 c = _as_fraction(c)
-                for a, x in enumerate(self.values[i]):
-                    out[a] += c * x
-        return tuple(out)
+                for a, x in enumerate(self._num[i]):
+                    if x:
+                        out[a] += c * x
+        return tuple(x / self._den for x in out)
 
     def coboundary(self) -> Cocycle2:
         """(d beta)(x, y) = -beta([x, y]), read from the nonzero brackets
-        only, in O(bracket nnz * m), with integer totals scaled as in
-        Cocycle2.cocycle_defect."""
+        only, in O(bracket nnz * m): integer totals of the stored integers
+        against the algebra's integer brackets, over the product of the
+        two denominators."""
         L = self.parent
-        bden, brackets = _integer_brackets(L)
-        vden = _common_denominator(self.values)
-        scaled = [_scaled_slots(value, vden) for value in self.values]
-        den = bden * vden
+        bden, brackets = L._integer_table
+        nonzero = [[(a, x) for a, x in enumerate(v) if x] for v in self._num]
         table = {}
         for pair, bracket in brackets:
             total = [0] * self.coeff_dim
             for k, c in bracket.items():
-                for a, x in scaled[k]:
+                for a, x in nonzero[k]:
                     total[a] -= c * x
-            if any(total):
-                table[pair] = tuple(Fraction(x, den) for x in total)
-        return Cocycle2(L, self.coeff_dim, table)
+            table[pair] = tuple(total)
+        return Cocycle2._from_integers(L, self.coeff_dim, table, bden * self._den)
 
     def __eq__(self, other):
         return (
             isinstance(other, OneCochain)
             and same_algebra(other.parent, self.parent)
-            and other.values == self.values
+            and other._den == self._den
+            and other._num == self._num
         )
 
     def __repr__(self):
@@ -719,16 +794,18 @@ def coboundary_witness(
     defect = psi.cocycle_defect()
     if defect is not None:
         raise NotACocycleError(*defect)
-    # right-hand side a is slot a of psi, its rows the pair ranks of d^1
+    # right-hand side a is slot a of psi's integers, {pair rank: int}
     rank = _rank_of(L.dim, 2)
-    slots = [[_ZERO] * comb(L.dim, 2) for _ in range(m)]
-    for pair, value in psi.values.items():
+    slots = [{} for _ in range(m)]
+    for pair, value in psi._num.items():
         r = rank(pair)
         for a, x in enumerate(value):
-            slots[a][r] = x
+            if x:
+                slots[a][r] = x
     # a zero slot has the zero primitive, so psi = 0 needs no d^1
-    targets = [a for a in range(m) if any(slots[a])]
-    primitive = [zero_vector(L.dim)] * m
+    targets = [a for a in range(m) if slots[a]]
+    num = [[0] * m for _ in range(L.dim)]
+    den = 1
     if targets:
         delta1 = ce_differential(L, 1, ceiling=ceiling)
         solutions = solve_many(delta1, [slots[a] for a in targets])
@@ -736,7 +813,11 @@ def coboundary_witness(
             if h2 is None:
                 h2 = cohomology(L, 2, m, ceiling=ceiling)
             return CoboundaryWitness(None, h2.class_coordinates(psi.values), h2)
+        # the solutions solve for psi's integers: divide by its denominator once
+        den = lcm(*{x.denominator for solution in solutions for x in solution})
         for a, solution in zip(targets, solutions):
-            primitive[a] = solution
-    beta = OneCochain(L, m, [tuple(x[i] for x in primitive) for i in range(L.dim)])
+            for i, x in enumerate(solution):
+                if x:
+                    num[i][a] = x.numerator * (den // x.denominator)
+    beta = OneCochain._from_integers(L, m, [tuple(v) for v in num], den * psi._den)
     return CoboundaryWitness(beta, None, None)

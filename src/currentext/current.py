@@ -403,6 +403,16 @@ def _product_classes(A: CommAlgebra) -> list:
     return list(classes.values())
 
 
+def _integer_products(A: CommAlgebra) -> tuple:
+    """(den, {(i, j): {k: den * c}}): A's product table for i <= j as
+    integers, den the lcm of the structure constants' denominators."""
+    den = lcm(*{c.denominator for row in A._table.values() for c in row.values()})
+    return den, {
+        pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+        for pair, row in A._table.items()
+    }
+
+
 def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     """Kaehler differentials of a unital algebra as an exact quotient.
 
@@ -440,11 +450,7 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     # the relations as integer rows: every product constant is scaled by
     # the lcm of their denominators, which rescales each Leibniz row and
     # leaves the span alone
-    den = lcm(*{c.denominator for row in A._table.values() for c in row.values()})
-    products = {
-        pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
-        for pair, row in A._table.items()
-    }
+    _, products = _integer_products(A)
 
     def product(i, j):
         return products.get((i, j) if i <= j else (j, i), {})
@@ -694,6 +700,14 @@ def adjoin_unit_extend(
     return UnitExtension(A_plus, embed, psi_plus, current_plus)
 
 
+def _sparse_integers(vectors) -> tuple:
+    """(den, rows): the nonzero entries of each Fraction vector as
+    (index, den * value) pairs, den the lcm of all their denominators."""
+    rows = [[(u, x) for u, x in enumerate(vec) if x] for vec in vectors]
+    den = lcm(*{x.denominator for row in rows for _, x in row})
+    return den, [[(u, x.numerator * (den // x.denominator)) for u, x in row] for row in rows]
+
+
 class UniversalCocycle:
     """The canonical cocycle with the spaces it is built from."""
 
@@ -741,33 +755,29 @@ def universal_cocycle(
     if w == 0:
         note = "Omega1bar = 0: the universal cocycle is the zero cocycle"
     # pairs in different product classes have [b_p d(b_q)] = 0; the
-    # stored pairs keep the lexicographic order of the loop they replace
-    bar_table = {}
-    for p, q in kaehler._pairs:
-        bar = kaehler.bar_pair(p, q)
-        if any(bar):
-            bar_table[(p, q)] = bar
+    # stored pairs keep the lexicographic order of the loop they replace.
+    # kappa and the bar classes are kept as their nonzero entries, scaled
+    # to integers, and omega is built in the cochains' integer form
+    bden, rows = _sparse_integers([kaehler.bar_pair(p, q) for p, q in kaehler._pairs])
+    bar_table = {pair: row for pair, row in zip(kaehler._pairs, rows) if row}
+    fibre_pairs = [(i, j) for i in range(g.dim) for j in range(i, g.dim)]
+    kden, rows = _sparse_integers([forms.kappa_basis(i, j) for i, j in fibre_pairs])
     # a flat pair fi < fj always has fibre indices i <= j, so each stored
     # value is read off the formula directly
     table = {}
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            kap = forms.kappa_basis(i, j)
-            if not any(kap):
+    for (i, j), kap in zip(fibre_pairs, rows):
+        if not kap:
+            continue
+        for (p, q), bar in bar_table.items():
+            fi, fj = current.flat(i, p), current.flat(j, q)
+            if fi >= fj:
                 continue
-            for (p, q), bar in bar_table.items():
-                fi, fj = current.flat(i, p), current.flat(j, q)
-                if fi >= fj:
-                    continue
-                value = [_ZERO] * m
-                for t, kv in enumerate(kap):
-                    if kv:
-                        for u, bv in enumerate(bar):
-                            if bv:
-                                value[t * w + u] = kv * bv
-                if any(value):
-                    table[(fi, fj)] = tuple(value)
-    cocycle = Cocycle2(current.total, m, table)
+            value = [0] * m
+            for t, kv in kap:
+                for u, bv in bar:
+                    value[t * w + u] = kv * bv
+            table[(fi, fj)] = tuple(value)
+    cocycle = Cocycle2._from_integers(current.total, m, table, kden * bden)
     return UniversalCocycle(current, forms, kaehler, cocycle, note)
 
 
@@ -833,6 +843,13 @@ def twist_difference(
 
     Then beta(x_b (x) b_q) = sum_t B[b][t] (x) N[t][q] and
     tau(x_a (x) b_p, x_b (x) b_q) = sum_r (b_p b_q)_r sum_t K[a, b][t] (x) N[t][r].
+
+    All of it is integer arithmetic.  N keeps only its nonzero entries,
+    and N, kappa, the coefficients of xi and the products of A are each
+    scaled by the lcm of their denominators; the brackets of g are its
+    integer table.  tau and beta are built in the cochains' integer form
+    over the product of those denominators, and no Fraction is built
+    after N and kappa are read.
     """
     if uc is None:
         uc = universal_cocycle(g, A)
@@ -841,49 +858,68 @@ def twist_difference(
     m = v * w
     if xi.fibre_dim != g.dim or xi.omega1_dim != kaehler.dim_omega1:
         raise DimensionMismatchError("one-form shape does not match g (x) Omega1")
-    da = A.dim
+    n, da = g.dim, A.dim
 
-    N = {}
-    for t in sorted({t for _, t in xi.entries}):
+    used = sorted({t for _, t in xi.entries})
+    bars = []
+    for t in used:
         unit = [_ZERO] * kaehler.dim_omega1
         unit[t] = _ONE
-        N[t] = [kaehler.bar(kaehler.module_action(A.basis_vector(r), unit)) for r in range(da)]
+        bars.extend(kaehler.bar(kaehler.module_action(A.basis_vector(r), unit)) for r in range(da))
+    nden, rows = _sparse_integers(bars)
+    N = {t: rows[x * da:(x + 1) * da] for x, t in enumerate(used)}
+    kden, rows = _sparse_integers([forms.kappa_basis(i, j) for i in range(n) for j in range(n)])
+    kappa = [rows[i * n:(i + 1) * n] for i in range(n)]
+    xden = lcm(*{coef.denominator for coef in xi.entries.values()})
+    gden, brackets = g._integer_table
+    ad = [{} for _ in range(n)]  # ad[c][b] = gden [z_c, x_b] as (k, int) pairs
+    for (i, j), row in brackets:
+        ad[i][j] = list(row.items())
+        ad[j][i] = [(k, -c) for k, c in row.items()]
+    aden, products = _integer_products(A)
 
     def accumulate(table, key, t, kap, scale):
-        if any(kap):
-            total = table.setdefault(key, {}).setdefault(t, [_ZERO] * v)
-            for s, x in enumerate(kap):
+        if kap:
+            total = table.setdefault(key, {}).setdefault(t, [0] * v)
+            for s, x in kap:
                 total[s] += scale * x
 
+    # B is scaled by xden kden, K by xden gden kden
     B, K = {}, {}
     for (c, t), coef in xi.entries.items():
-        for b in range(g.dim):
-            accumulate(B, b, t, forms.kappa_basis(c, b), coef)
-            for k, cc in g.bracket_basis(c, b).items():
-                for a in range(g.dim):
-                    accumulate(K, (a, b), t, forms.kappa_basis(a, k), coef * cc)
+        coef = coef.numerator * (xden // coef.denominator)
+        for b in range(n):
+            accumulate(B, b, t, kappa[c][b], coef)
+            for k, cc in ad[c].get(b, ()):
+                for a in range(n):
+                    accumulate(K, (a, b), t, kappa[a][k], coef * cc)
 
     def fold(parts, r):
         """sum_t parts[t] (x) N[t][r], flattened as s * w + u."""
-        out = [_ZERO] * m
+        out = [0] * m
         for t, kap in parts.items():
             bar = N[t][r]
-            for s, kv in enumerate(kap):
-                if kv:
-                    for u, bv in enumerate(bar):
-                        if bv:
+            if bar:
+                for s, kv in enumerate(kap):
+                    if kv:
+                        for u, bv in bar:
                             out[s * w + u] += kv * bv
         return out
 
-    beta = OneCochain(
-        current.total, m, [tuple(fold(B.get(b, {}), q)) for b in range(g.dim) for q in range(da)]
+    beta = OneCochain._from_integers(
+        current.total, m,
+        [tuple(fold(B.get(b, {}), q)) for b in range(n) for q in range(da)],
+        xden * kden * nden,
     )
-    folded = {pair: [fold(parts, r) for r in range(da)] for pair, parts in K.items()}
+    folded = {
+        pair: [[(idx, x) for idx, x in enumerate(fold(parts, r)) if x] for r in range(da)]
+        for pair, parts in K.items()
+    }
     table = {}
-    for a in range(g.dim):
+    for a in range(n):
         for p in range(da):
             fi = current.flat(a, p)
-            for b in range(g.dim):
+            for b in range(n):
                 by_r = folded.get((a, b))
                 if by_r is None:
                     continue
@@ -891,14 +927,13 @@ def twist_difference(
                     fj = current.flat(b, q)
                     if fi >= fj:
                         continue
-                    total = [_ZERO] * m
-                    for r, c in A.product_basis(p, q).items():
-                        for idx, x in enumerate(by_r[r]):
-                            if x:
-                                total[idx] += c * x
+                    total = [0] * m
+                    for r, c in products.get((p, q) if p <= q else (q, p), {}).items():
+                        for idx, x in by_r[r]:
+                            total[idx] += c * x
                     if any(total):
                         table[(fi, fj)] = tuple(total)
-    tau = Cocycle2(current.total, m, table)
+    tau = Cocycle2._from_integers(current.total, m, table, xden * gden * kden * nden * aden)
     if tau != beta.coboundary():
         raise InternalConsistencyError("twist difference is not the coboundary of its primitive")
     return TwistResult(tau, beta)

@@ -4,12 +4,16 @@ A LieAlgebra stores the bracket table [b_i, b_j] = sum_k c[i][j][k] b_k
 sparsely for i < j; the i > j case is derived by antisymmetry.  Raw
 input entries are kept so that the validator can report antisymmetry
 violations in malformed tables instead of silently symmetrising them.
+Next to the Fraction table it keeps the same brackets as integers over
+one denominator, built once with the algebra, for the cochain routines
+that sum ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, NotInDerivedAlgebraError
@@ -32,7 +36,7 @@ _ZERO = Fraction(0)
 class LieAlgebra:
     """Lie algebra over QQ given by sparse structure constants."""
 
-    __slots__ = ("labels", "_raw", "_table")
+    __slots__ = ("labels", "_raw", "_table", "_integer_table")
 
     def __init__(self, labels: Sequence[str], entries: Iterable = ()):
         """entries: iterable of (i, j, k, coefficient) meaning the
@@ -64,6 +68,13 @@ class LieAlgebra:
                 if (j, i) not in raw:
                     table[(j, i)] = {k: -v for k, v in row.items()}
         self._table = dict(sorted(table.items()))
+        # (den, [((i, j), {k: den * c})]): the same brackets as integers,
+        # den the lcm of the structure constants' denominators
+        den = lcm(*{c.denominator for row in self._table.values() for c in row.values()})
+        self._integer_table = den, [
+            (pair, {k: c.numerator * (den // c.denominator) for k, c in row.items()})
+            for pair, row in self._table.items()
+        ]
 
     @property
     def dim(self) -> int:

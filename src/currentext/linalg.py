@@ -28,8 +28,8 @@ nonzeros it touches.  A matrix's integer rows go to the eliminator as
 they are, divided by their gcd when it is not 1.  Only values that cross
 the public boundary are read entry by entry: the vectors given to
 Subspace.from_spanning and rref_with_transform and the right-hand sides
-of solve_many are scaled to integer rows (int entries are taken as they
-are), the entries given to SparseMatrix become its integer rows, and
+of solve_many (dense, or sparse {row: value} mappings) are scaled to
+integer rows (int entries are taken as they are), the entries given to SparseMatrix become its integer rows, and
 Subspace.reduce reads its vector as Fractions.  Empty rows never reach
 the eliminator; back substitution walks each row's own pivot columns
 through a column -> pivot map, so it costs O(nnz of the echelon rows)
@@ -259,15 +259,20 @@ def _rational(value):
 
 def _entries(v, n: int, exact=_as_fraction) -> dict:
     """Nonzero entries of a length-n vector, given as a dense sequence or
-    as a column -> value mapping, as a column -> exact(value) dict."""
+    as a column -> value mapping, as a column -> exact(value) dict.
+
+    Each value is tested after it is converted, since a string "0" is
+    truthy; a value that is false as given (a zero int or Fraction) is
+    skipped without converting it.
+    """
     if isinstance(v, (dict, Mapping)):
-        out = {j: exact(x) for j, x in v.items() if x}
+        out = {j: y for j, x in v.items() if x and (y := exact(x))}
         if out and not (min(out) >= 0 and max(out) < n):
             raise DimensionMismatchError(f"vector has a column outside range({n})")
         return out
     if len(v) != n:
         raise DimensionMismatchError(f"vector length {len(v)} != {n}")
-    return {j: exact(x) for j, x in enumerate(v) if x}
+    return {j: y for j, x in enumerate(v) if x and (y := exact(x))}
 
 
 def _integer_rows(rows: Iterable, cols: int):
@@ -489,9 +494,13 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
     return Subspace(m.cols, *_back_substitute(pivots))
 
 
-def solve_many(m: SparseMatrix, bs: Sequence[Sequence]) -> list[Optional[Vec]]:
+def solve_many(m: SparseMatrix, bs: Sequence) -> list[Optional[Vec]]:
     """Canonical solutions of m x = b for every b in bs, in order, with
     None for each b that is not in the image.
+
+    Each b is a dense sequence of length m.rows or a sparse row -> value
+    mapping; int entries are taken as they are, so an integer right-hand
+    side costs no Fraction on the way in.
 
     One elimination serves all of them: right-hand side t is augmented
     column m.cols + t, and pivots are taken among the columns of m only.
@@ -499,18 +508,19 @@ def solve_many(m: SparseMatrix, bs: Sequence[Sequence]) -> list[Optional[Vec]]:
     m that vanish, so b_t has no solution precisely when its column is
     nonzero in some remainder row.  Otherwise the pivot rows, reduced,
     give the solution with free coordinates zero; it is unique, so it is
-    the one a solve of b_t alone returns.  A length mismatch raises
+    the one a solve of b_t alone returns.  A dense b of the wrong length,
+    or a mapping with a row outside range(m.rows), raises
     DimensionMismatchError.
     """
     for b in bs:
-        if len(b) != m.rows:
+        if not isinstance(b, Mapping) and len(b) != m.rows:
             raise DimensionMismatchError(
                 f"solve: right-hand side length {len(b)} != {m.rows} rows"
             )
     aug = m.cols
     extra = {}
     for t, b in enumerate(bs):
-        for i, value in _entries(b, m.rows).items():
+        for i, value in _entries(b, m.rows, _rational).items():
             extra.setdefault(i, []).append((aug + t, value))
     # row i of [m | bs] is (ints | b_i) / den: scale it by den and by the
     # lcm q of the denominators of den * b_i, then make it primitive

@@ -14,12 +14,14 @@ partition function lambda_k is a coordinate mask, and a corner e_U A is
 the sub-basis over U.  Restriction, extension by zero and gluing are
 therefore re-indexings of the sparse tables: restrict_class costs
 O(nnz psi), restrict_cochain and glue_primitives O(dim * m), and no
-idempotent is ever multiplied out.
+idempotent is ever multiplied out.  They re-index the cochains' stored
+integers (see cohomology) and build no Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 from .cohomology import Cocycle2, OneCochain
@@ -116,16 +118,13 @@ class SupportStructure:
             self._corners[key] = Corner(self, key)
         return self._corners[key]
 
-    def support_of_coefficient(self, a: Sequence):
-        return _support_points(self.algebra, a)
-
     def support_of(self, u: Sequence):
         """Points where an element of g (x) A has a nonzero component."""
         if len(u) != self.current.dim:
             raise DimensionMismatchError("element length must match the current algebra")
         out = set()
         for idx, c in enumerate(u):
-            if c:
+            if _as_fraction(c):  # converted first: a string "0" is truthy
                 _, p = self.current.unflat(idx)
                 out.add(self.point_of_basis[p])
         return frozenset(out)
@@ -160,7 +159,7 @@ def is_diagonal(psi: Cocycle2, ss: SupportStructure) -> DiagonalReport:
     """
     if not same_algebra(psi.parent, ss.current.total):
         raise InputError("cocycle is not defined on the support structure's algebra")
-    for (i, j) in sorted(psi.values):
+    for (i, j) in sorted(psi._num):
         _, p = ss.current.unflat(i)
         _, q = ss.current.unflat(j)
         if ss.point_of_basis[p] != ss.point_of_basis[q]:
@@ -242,11 +241,11 @@ def restrict_class(psi: Cocycle2, ss: SupportStructure, subset: Iterable[str]) -
     corner = _corner_of(psi, ss, subset)
     local = corner.local
     table = {}
-    for (i, j), value in psi.values.items():
+    for (i, j), value in psi._num.items():
         fi, fj = local[i], local[j]
         if fi is not None and fj is not None:
             table[(fi, fj)] = value
-    return Cocycle2(corner.current.total, psi.coeff_dim, table)
+    return Cocycle2._from_integers(corner.current.total, psi.coeff_dim, table, psi._den)
 
 
 def restrict_cochain(beta: OneCochain, ss: SupportStructure, subset) -> OneCochain:
@@ -254,11 +253,11 @@ def restrict_cochain(beta: OneCochain, ss: SupportStructure, subset) -> OneCocha
     corner = _corner_of(beta, ss, subset)
     da = ss.algebra.dim
     values = [
-        beta.values[i * da + p]
+        beta._num[i * da + p]
         for i in range(ss.current.fibre.dim)
         for p in corner.indices
     ]
-    return OneCochain(corner.current.total, beta.coeff_dim, values)
+    return OneCochain._from_integers(corner.current.total, beta.coeff_dim, values, beta._den)
 
 
 class Cover:
@@ -339,20 +338,24 @@ def glue_primitives(
             raise BadPrimitiveError(idx, None, "wrong corner algebra")
         local = restrict_class(psi, ss, corner)
         defect = beta_i.coboundary() - local
-        if defect.values:
-            pair = sorted(defect.values)[0]
-            raise BadPrimitiveError(idx, pair, defect.values[pair])
+        if not defect.is_zero():
+            pair = min(defect._num)
+            raise BadPrimitiveError(idx, pair, defect.value(*pair))
     owner = [None] * ss.algebra.dim
     for part, corner, beta_i in zip(cover.parts, corners, primitives):
         for p in corner.indices:
             if ss.point_of_basis[p] in part:
                 owner[p] = (corner, beta_i)
+    # the primitives' integers over the lcm of their denominators
+    den = lcm(*[beta_i._den for beta_i in primitives])
     big = ss.current
     values = []
     for idx in range(big.dim):
         corner, beta_i = owner[big.unflat(idx)[1]]
-        values.append(beta_i.values[corner.local[idx]])
-    beta = OneCochain(big.total, psi.coeff_dim, values)
+        value = beta_i._num[corner.local[idx]]
+        scale = den // beta_i._den
+        values.append(value if scale == 1 else tuple(scale * x for x in value))
+    beta = OneCochain._from_integers(big.total, psi.coeff_dim, values, den)
     if beta.coboundary() != psi:
         raise InternalConsistencyError("glued primitive does not reproduce the cocycle")
     return beta

@@ -17,12 +17,14 @@ from currentext.cohomology import (
     cohomology,
 )
 from currentext.current import (
+    CommAlgebra,
     GValuedOneForm,
     current_algebra,
     twist_difference,
     universal_cocycle,
 )
 from currentext.errors import (
+    BadPrimitiveError,
     DimensionMismatchError,
     InternalConsistencyError,
     NotACocycleError,
@@ -30,7 +32,13 @@ from currentext.errors import (
 )
 from currentext.lie import LieAlgebra
 from currentext.linalg import SparseMatrix, solve_many
-from currentext.locality import Cover, SupportStructure, restrict_class
+from currentext.locality import (
+    Cover,
+    SupportStructure,
+    glue_primitives,
+    restrict_class,
+    restrict_cochain,
+)
 
 F = Fraction
 
@@ -855,3 +863,201 @@ def test_integer_weights_give_the_fraction_weight_zero_tuples(data):
         want = _weight_zero_walk(exact, k)
         assert _weight_zero_tuples(weights, k) == want
         assert _weight_zero_tuples(exact, k) == want
+
+
+# --- integer cochains off the integer lattice -------------------------------
+#
+# Cocycle2 and OneCochain hold integer m-tuples over one denominator in
+# lowest terms, and coboundary, cocycle_defect, the sums, restriction,
+# gluing, the witness and the twist work on those integers against the
+# algebras' integer tables.  On rescaled bases the structure constants
+# and the cochain values have denominators 2, 3 and 5.
+
+def _rescaled_comm(A, scales):
+    """A on the basis s_i b_i, with its unit and idempotents in that basis."""
+    entries = [(i, j, k, scales[i] * scales[j] / scales[k] * c) for i, j, k, c in A.entries()]
+    unit = [x / s for x, s in zip(A.unit, scales)]
+    idempotents = [(label, [x / s for x, s in zip(e, scales)]) for label, e in A.idempotents]
+    return CommAlgebra(A.labels, entries, unit, idempotents)
+
+
+def _off_lattice_current():
+    """sl2 (x) fun:2*sq2 on rescaled bases of both factors."""
+    g = _rescaled(lie_catalog("sl2"), (F(1, 2), F(1), F(1, 3)))
+    A = _rescaled_comm(comm_catalog("fun:2*sq2"),
+                       (F(1, 2), F(3), F(2, 5), F(1, 3), F(1), F(1, 2), F(5, 3), F(2)))
+    return g, A, current_algebra(g, A)
+
+
+def _fraction_value(rng):
+    return F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
+
+
+def _random_one_cochain(L, m, rng):
+    return OneCochain(L, m, [tuple(_fraction_value(rng) for _ in range(m))
+                             for _ in range(L.dim)])
+
+
+def _combined(a, b, sign, m):
+    """The value table of a + sign * b, from two {pair: m-tuple} tables."""
+    out = {}
+    zero = (F(0),) * m
+    for pair in a.keys() | b.keys():
+        value = tuple(x + sign * y for x, y in zip(a.get(pair, zero), b.get(pair, zero)))
+        if any(value):
+            out[pair] = value
+    return out
+
+
+def _same_integers(a, b):
+    return a == b and a._num == b._num and a._den == b._den
+
+
+@pytest.mark.parametrize("name, scales", OFF_LATTICE, ids=OFF_LATTICE_IDS)
+@pytest.mark.parametrize("m", [1, 3])
+def test_cochain_arithmetic_off_the_integer_lattice(name, scales, m):
+    from oracles import coboundary_reference, cocycle_defect_reference
+
+    L = _off_lattice(name, scales)
+    rng = random.Random(f"integer cochains {name} {m}")
+    pairs = list(combinations(range(L.dim), 2))
+    for _ in range(3):
+        beta = _random_one_cochain(L, m, rng)
+        psi = beta.coboundary()
+        assert psi.values == coboundary_reference(beta)
+        assert psi.cocycle_defect() is None and cocycle_defect_reference(psi) is None
+        other = Cocycle2(L, m, {pair: tuple(_fraction_value(rng) for _ in range(m))
+                                for pair in rng.sample(pairs, min(3, len(pairs)))})
+        for sign, got in ((1, psi + other), (-1, psi - other)):
+            assert got.values == _combined(psi.values, other.values, sign, m)
+            assert got.cocycle_defect() == cocycle_defect_reference(got)
+        assert _same_integers((psi + other) - other, psi)
+        assert _same_integers(psi - psi, Cocycle2.zero(L, m))
+
+
+@pytest.mark.parametrize("name, scales", OFF_LATTICE, ids=OFF_LATTICE_IDS)
+def test_witness_off_the_integer_lattice(name, scales):
+    # exact cocycles with denominators, and the same plus each H^2
+    # representative, against one solve per slot
+    L = _off_lattice(name, scales)
+    rng = random.Random(f"integer witness {name}")
+    for m in (1, 2):
+        psi = _random_one_cochain(L, m, rng).coboundary()
+        assert psi._den > 1
+        witness = _assert_witness_matches_reference(psi)
+        assert witness.is_exact and witness.beta.coboundary() == psi
+        for rep in cohomology(L, 2, m).representative_cocycles():
+            assert not _assert_witness_matches_reference(psi + rep).is_exact
+
+
+def test_two_routes_to_one_cochain_store_the_same_integers():
+    L = _off_lattice(*OFF_LATTICE[1])
+    half = Cocycle2(L, 1, {(0, 1): (F(1, 2),)})
+    assert (half._num, half._den) == ({(0, 1): (1,)}, 2)
+    # 1/2 + 1/2 is stored as 1 over 1, not 2 over 2
+    assert _same_integers(half + half, Cocycle2(L, 1, {(0, 1): (1,)}))
+    assert _same_integers(-(-half), half)
+    rng = random.Random("two routes")
+    beta = _random_one_cochain(L, 2, rng)
+    assert _same_integers(OneCochain(L, 2, beta.values), beta)
+    psi = beta.coboundary()
+    assert _same_integers(Cocycle2(L, 2, psi.values), psi)
+    assert _same_integers(Cocycle2(L, 2, [((i, j), value) for i, j, value in psi.entries()]), psi)
+    # the primitive found by the witness has the same coboundary, stored alike
+    assert _same_integers(coboundary_witness(psi).beta.coboundary(), psi)
+
+
+def test_accessors_of_integer_cochains_return_fractions():
+    def fractions(values):
+        values = list(values)
+        return values and all(type(x) is Fraction for x in values)
+
+    L = _off_lattice(*OFF_LATTICE[1])
+    rng = random.Random("accessors")
+    for beta in (_random_one_cochain(L, 2, rng), OneCochain(L, 2, [(1, 0)] * L.dim)):
+        psi = beta.coboundary()
+        assert fractions(x for value in beta.values for x in value)
+        assert fractions(beta.apply([F(1, 2)] + [0] * (L.dim - 1)))
+        assert fractions(x for value in psi.values.values() for x in value)
+        (i, j), _ = next(iter(psi.values.items()))
+        assert fractions(psi.value(i, j) + psi.value(j, i) + psi.value(i, i))
+        assert psi.value(j, i) == tuple(-x for x in psi.value(i, j))
+        assert fractions(psi.slot(0).values())
+        assert fractions(x for _, _, value in psi.entries() for x in value)
+        u = [F(k + 1, 2) for k in range(L.dim)]
+        v = [F(1, k + 1) for k in range(L.dim)]
+        assert fractions(psi.apply(u, v))
+    bad = Cocycle2(L, 1, {(0, 2): (F(1, 5),)})
+    with pytest.raises(NotACocycleError) as err:
+        coboundary_witness(bad)
+    assert fractions(err.value.defect)
+
+
+def test_restriction_and_gluing_off_the_integer_lattice():
+    from oracles import (
+        glue_primitives_reference,
+        restrict_class_reference,
+        restrict_cochain_reference,
+    )
+
+    g, A, ca = _off_lattice_current()
+    ss = SupportStructure(ca)
+    cover = Cover(ss, [("1",), ("1", "2")])
+    rng = random.Random("integer locality")
+    for m in (1, 2):
+        beta = _random_one_cochain(ca.total, m, rng)
+        psi = beta.coboundary()
+        assert psi._den > 1
+        primitives = []
+        for subset in cover.subsets:
+            corner = ss.corner(subset)
+            local = restrict_class(psi, ss, subset)
+            assert _same_integers(local, restrict_class_reference(psi, ss, corner))
+            assert _same_integers(restrict_cochain(beta, ss, subset),
+                                  restrict_cochain_reference(beta, ss, corner))
+            witness = _assert_witness_matches_reference(local)
+            primitives.append(witness.beta)
+        glued = glue_primitives(psi, cover, primitives)
+        assert _same_integers(glued, glue_primitives_reference(cover, primitives))
+        assert glued.coboundary() == psi
+        # a primitive off by 1/3 at one basis element is refused, with its
+        # defect as Fractions
+        spoiled = [list(value) for value in primitives[0].values]
+        spoiled[0][0] += F(1, 3)
+        bad = OneCochain(primitives[0].parent, m, spoiled)
+        with pytest.raises(BadPrimitiveError) as err:
+            glue_primitives(psi, cover, [bad] + primitives[1:])
+        assert all(type(x) is Fraction for x in err.value.defect)
+    # restricting keeps only the corner's pairs and their denominators
+    one = [fi for fi in range(ca.dim) if ss.point_of_basis[ca.unflat(fi)[1]] == "1"]
+    two = [fi for fi in range(ca.dim) if ss.point_of_basis[ca.unflat(fi)[1]] == "2"]
+    psi = Cocycle2(ca.total, 1, {(one[0], one[1]): (F(1, 2),), (two[0], two[1]): (F(1, 3),)})
+    assert psi._den == 6
+    assert restrict_class(psi, ss, ["1"])._den == 2
+
+
+def test_twist_difference_off_the_integer_lattice():
+    from oracles import twist_difference_reference
+
+    g, A, ca = _off_lattice_current()
+    uc = universal_cocycle(g, A, current=ca)
+    m = uc.coeff_dim
+    # omega itself, read off its formula with Fraction products
+    table = {}
+    for fi, fj in combinations(range(ca.dim), 2):
+        (i, p), (j, q) = ca.unflat(fi), ca.unflat(fj)
+        kap, bar = uc.forms.kappa_basis(i, j), uc.kaehler.bar_pair(p, q)
+        table[(fi, fj)] = tuple(k * b for k in kap for b in bar)
+    assert _same_integers(uc.cocycle, Cocycle2(ca.total, m, table))
+    assert uc.cocycle._den > 1
+    rng = random.Random("integer twist")
+    entries = {(i, t): _fraction_value(rng)
+               for i in range(g.dim) for t in range(uc.kaehler.dim_omega1)}
+    xi = GValuedOneForm(g.dim, uc.kaehler.dim_omega1, entries)
+    result = twist_difference(g, A, xi, uc=uc)
+    assert result.tau == result.beta.coboundary()
+    assert result.tau._den > 1 and not result.tau.is_zero()
+    tau, beta = twist_difference_reference(g, A, xi, uc)
+    assert result.tau.values == tau
+    assert result.beta.values == beta
+    assert _assert_witness_matches_reference(result.tau).is_exact

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,3 +326,48 @@ def test_sparse_vector_column_out_of_range():
         sub.reduce({3: F(1)})
     with pytest.raises(DimensionMismatchError):
         rref_with_transform([{-1: F(1)}], 3)
+
+
+def test_a_string_zero_is_not_an_entry():
+    # "0" is truthy; it must be read as the rational it names before its
+    # test, or it reaches the eliminator as a zero entry of an integer row
+    sub = Subspace.from_spanning(2, [["0", 1]])
+    assert sub.pivots == (1,)
+    assert sub == Subspace.from_spanning(2, [[0, 1]])
+    assert rref_with_transform([["0", "1"]], 2) == [((F(0), F(1)), (F(1),), 1)]
+    assert rref_with_transform([{0: "0", 1: "1"}], 2) == rref_with_transform([[0, 1]], 2)
+    # a string zero in a right-hand side is no evidence against a solution
+    m = SparseMatrix.from_dense([[1, 0], [0, 0]])
+    assert solve_linear(m, ["1", "0"]) == (F(1), F(0))
+    assert solve_many(m, [{1: "0"}, {0: "1/2", 1: "0"}]) == [(F(0), F(0)), (F(1, 2), F(0))]
+
+
+@pytest.mark.parametrize("to_int", [True, False], ids=["int", "Fraction"])
+def test_solve_many_on_mapping_right_hand_sides(to_int):
+    # sparse {row: value} right-hand sides give what their dense forms
+    # give, and what the dense oracle gives; int entries are read as
+    # they are
+    rng = random.Random(f"mapping {to_int}")
+
+    def value():
+        x = rng.randint(-4, 4)
+        return x if to_int else F(x, rng.choice((1, 2, 3, 5)))
+
+    for m in _oracle_matrices():
+        image = m.matvec([F(rng.randint(-3, 3)) for _ in range(m.cols)])
+        scale = lcm(*[x.denominator for x in image])
+        bs = [{i: value() for i in range(m.rows) if rng.random() < 0.5} for _ in range(4)]
+        bs.append({i: int(x * scale) if to_int else x for i, x in enumerate(image) if x})
+        dense_bs = [[b.get(i, 0) for i in range(m.rows)] for b in bs]
+        got = solve_many(m, bs)
+        assert got == solve_many(m, dense_bs)
+        for b, x in zip(dense_bs, got):
+            expected = dense_canonical_solve(m.to_dense(), b)
+            assert x == (None if expected is None else tuple(expected))
+        assert got[-1] is not None
+        assert all(type(v) is Fraction for x in got if x is not None for v in x)
+
+
+def test_solve_many_rejects_a_mapping_row_out_of_range():
+    with pytest.raises(DimensionMismatchError):
+        solve_many(SparseMatrix.identity(2), [{2: 1}])

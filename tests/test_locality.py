@@ -53,6 +53,15 @@ def test_support_of_basis_elements():
     assert support_of(both, ss) == frozenset({"1", "2"})
 
 
+def test_support_of_reads_string_coordinates_as_rationals():
+    # "0" is truthy as a string; as a coordinate it is zero
+    g, A, ca, ss = _setup("sl2", "fun:2")
+    assert ss.support_of(["0"] * ca.dim) == frozenset()
+    u = ["0"] * ca.dim
+    u[ca.flat(1, 1)] = "1/2"
+    assert ss.support_of(u) == frozenset({"2"})
+
+
 def test_disjoint_supports_bracket_to_zero():
     g, A, ca, ss = _setup()
     u = ca.tensor(g.basis_element(0).coords, (1, 1, 0))
