@@ -29,13 +29,14 @@ they are, divided by their gcd when it is not 1.  Only values that cross
 the public boundary are read entry by entry: the vectors given to
 Subspace.from_spanning and rref_with_transform and the right-hand sides
 of solve_many (dense, or sparse {row: value} mappings) are scaled to
-integer rows (int entries are taken as they are), the entries given to SparseMatrix become its integer rows, and
-Subspace.reduce reads its vector as Fractions.  Empty rows never reach
-the eliminator; back substitution walks each row's own pivot columns
-through a column -> pivot map, so it costs O(nnz of the echelon rows)
-updates rather than O(rank^2) lookups; kernel generators and projections
-onto a quotient are built as sparse rows, and reducing a sparse vector
-against a subspace touches only the pivot columns present in the vector.
+integer rows (int entries are taken as they are), the entries given to
+SparseMatrix become its integer rows, and Subspace.reduce reads its
+vector as Fractions.  Empty rows never reach the eliminator; back
+substitution walks each row's own pivot columns through a column ->
+pivot map, so it costs O(nnz of the echelon rows) updates rather than
+O(rank^2) lookups; kernel generators and projections onto a quotient are
+built as sparse rows, and reducing a sparse vector against a subspace
+touches only the pivot columns present in the vector.
 
 All functions are pure and deterministic: the same input yields the
 bit-identical output.
