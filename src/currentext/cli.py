@@ -145,7 +145,7 @@ def _parse_triplets(raw, dim, where):
             raise DocumentError(f"{where}[{pos}] must be [i, j, k, coefficient]")
         i, j, k, coeff = entry
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if type(idx) is not int or not 0 <= idx < dim:  # a bool is an int too
                 raise DocumentError(f"{where}[{pos}]: index {idx!r} out of range for dim {dim}")
         out.append((i, j, k, _parse_rational(coeff, f"{where}[{pos}]")))
     return out
@@ -168,7 +168,7 @@ def parse_algebra_document(text: str):
     if kind not in ("lie", "comm"):
         raise DocumentError('document "kind" must be "lie" or "comm"')
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:  # a bool is an int too
         raise DocumentError('document "dim" must be a nonnegative integer')
     if "labels" in doc:
         labels = doc["labels"]

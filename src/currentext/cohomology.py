@@ -96,6 +96,7 @@ from .linalg import (
     Subspace,
     Vec,
     _as_fraction,
+    _integer_rows,
     kernel_basis,
     quotient_space,
     rref_with_transform,
@@ -567,9 +568,10 @@ class Cohomology:
     whose classes form the reduced echelon basis of ker d^p / im d^{p-1}
     in the canonical quotient coordinates, so the output is deterministic.
     Representative k * m + a is rep_k (x) e_a, and class coordinate
-    k * m + a belongs to it.  The quotient, class_rows and class_pivots
-    live on the weight-zero block: block column c is the p-tuple
-    cochains[c].
+    k * m + a belongs to it.  The quotient lives on the weight-zero
+    block: block column c is the p-tuple cochains[c].  classes is the
+    subspace of quotient coordinates spanned by the classes of the
+    representatives; its echelon row k is the class of rep_k.
     """
 
     __slots__ = (
@@ -580,13 +582,12 @@ class Cohomology:
         "scalar_representatives",
         "cochains",
         "quotient",
-        "class_rows",
-        "class_pivots",
+        "classes",
         "_column",
     )
 
     def __init__(self, parent, degree, coeff_dim, cochains, block_representatives,
-                 quotient, class_rows, class_pivots):
+                 quotient, classes):
         self.parent = parent
         self.degree = degree
         self.coeff_dim = coeff_dim
@@ -598,8 +599,7 @@ class Cohomology:
         )
         self.dimension = len(self.scalar_representatives) * coeff_dim
         self.quotient = quotient
-        self.class_rows = tuple(class_rows)
-        self.class_pivots = tuple(class_pivots)
+        self.classes = classes
 
     def class_coordinates(self, cochain: dict) -> Vec:
         """Coordinates of a cocycle {p-tuple: m-tuple} in the representative
@@ -638,15 +638,10 @@ class Cohomology:
             else:
                 block[col] = value
         defect = bool(rest) and not self._is_cocycle(rest)
+        # the class rows are reduced: coordinate k is q at pivot k
         q = self.quotient.project(block)
-        coords = {}
-        for k, (pivot, row) in enumerate(zip(self.class_pivots, self.class_rows)):
-            c = q.get(pivot)
-            if c:
-                coords[k] = c
-                for col, value in row.items():
-                    q[col] = q.get(col, _ZERO) - c * value
-        if defect or any(q.values()):
+        coords = {k: q[c] for k, c in enumerate(self.classes.pivots) if c in q}
+        if defect or not self.classes.contains(q):
             raise InternalConsistencyError(
                 "vector class lies outside the cocycle span; input is not a cocycle"
             )
@@ -705,7 +700,7 @@ def cohomology(
     if p >= 2:
         _guard(L.dim, p, m, ceiling)
     if m == 0:  # QQ^0 = 0: nothing to assemble
-        return Cohomology(L, p, m, (), (), None, (), ())
+        return Cohomology(L, p, m, (), (), None, None)
     cochains = _weight_zero_tuples(_torus_weights(L), p)
     d_up = ce_differential(L, p, ceiling=ceiling, weight_zero=True)
     size = d_up.cols
@@ -727,22 +722,23 @@ def cohomology(
     projected = [quotient.project(row) for row in z_rows]
     reduced = rref_with_transform(projected, quotient.dim)
     representatives = []
-    class_rows = []
-    class_pivots = []
-    for vec_part, combo, pivot in reduced:
+    for _, combo, _ in reduced:
         rep = {}
         for t, coef in enumerate(combo):
             if coef:
                 for col, value in z_rows[t].items():
                     rep[col] = rep.get(col, _ZERO) + coef * value
         representatives.append({col: value for col, value in rep.items() if value})
-        class_rows.append({col: value for col, value in enumerate(vec_part) if value})
-        class_pivots.append(pivot)
-    if len(class_rows) != cocycles.dim - image.dim:
+    if len(representatives) != cocycles.dim - image.dim:
         raise InternalConsistencyError(
             "cohomology dimension bookkeeping failed (is d o d = 0 violated?)"
         )
-    return Cohomology(L, p, m, cochains, representatives, quotient, class_rows, class_pivots)
+    classes = Subspace(
+        quotient.dim,
+        [pivot for _, _, pivot in reduced],
+        _integer_rows([vec_part for vec_part, _, _ in reduced], quotient.dim),
+    )
+    return Cohomology(L, p, m, cochains, representatives, quotient, classes)
 
 
 class CoboundaryWitness:

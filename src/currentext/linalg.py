@@ -4,19 +4,20 @@ Everything downstream (cohomology differentials, derivation systems,
 Kaehler relation spans) reduces to kernels, solves and quotients of
 sparse rational matrices, so this module fixes the conventions once:
 
-* scalars are ``fractions.Fraction`` (arbitrary precision, canonical
-  reduced form with positive denominator);
-* one row type reaches the eliminator: an integer row {col: int}.  A
-  SparseMatrix holds its nonzero rows in that form, each with one
-  positive denominator (row i is {col: int} / den), so kernel_basis,
-  rank and solve_many pass its rows on without reading a Fraction;
-* elimination is fraction-free: rows are reduced by integer
-  cross-multiplication with per-row gcd normalisation, so intermediate
-  entries never leave ZZ; fractions appear only when the final reduced
-  echelon form is normalised;
+* public values are ``fractions.Fraction`` (arbitrary precision,
+  canonical reduced form with positive denominator);
+* one row form is held inside: an integer row {col: int}.  A
+  SparseMatrix holds each nonzero row in that form over one positive
+  denominator (row i is {col: int} / den), and a Subspace holds its
+  echelon rows in it;
+* rows are combined in one place, the row step _row_step
+  (prow[col] * row - row[col] * prow), with per-row gcd normalisation,
+  so forward elimination, back substitution and reduction against a
+  subspace never leave ZZ;
 * reduced row echelon form (pivot entries 1, pivot columns cleared) is
-  the canonical basis representation for every subspace, which makes
-  subspace equality a syntactic check;
+  the canonical basis of every subspace.  It is stored as primitive
+  integer rows with a positive pivot entry, one per reduced row, so the
+  form stays canonical and subspace equality a syntactic check;
 * linear solves return the canonical solution with all free coordinates
   set to zero, so computed witnesses are reproducible;
 * one elimination serves every right-hand side of a matrix: solve_many
@@ -24,18 +25,18 @@ sparse rational matrices, so this module fixes the conventions once:
   solve_linear is its one-column case.
 
 Cost contract: the bookkeeping around the elimination is linear in the
-nonzeros it touches.  A matrix's integer rows go to the eliminator as
-they are, divided by their gcd when it is not 1.  Only values that cross
-the public boundary are read entry by entry: the vectors given to
-Subspace.from_spanning and rref_with_transform and the right-hand sides
-of solve_many (dense, or sparse {row: value} mappings) are scaled to
-integer rows (int entries are taken as they are), the entries given to
-SparseMatrix become its integer rows, and Subspace.reduce reads its
-vector as Fractions.  Empty rows never reach the eliminator; back
-substitution walks each row's own pivot columns through a column ->
-pivot map, so it costs O(nnz of the echelon rows) updates rather than
-O(rank^2) lookups; kernel generators and projections onto a quotient are
-built as sparse rows, and reducing a sparse vector against a subspace
+nonzeros it touches, and a Fraction is built only where a public
+accessor reads a value, one per output entry.  A matrix's integer rows
+go to the eliminator as they are, divided by their gcd when it is not 1.
+Values that cross the public boundary are scaled to integer rows over
+one denominator (int entries are taken as they are): the vectors given
+to Subspace.from_spanning, rref_with_transform and Subspace.reduce, the
+right-hand sides of solve_many (dense, or sparse {row: value} mappings)
+and the entries given to SparseMatrix.  Empty rows never reach the
+eliminator; back substitution walks each row's own pivot columns through
+a column -> pivot map, so it costs O(nnz of the echelon rows) row-step
+updates rather than O(rank^2) lookups; kernel generators are built as
+sparse integer rows, and reducing a sparse vector against a subspace
 touches only the pivot columns present in the vector.
 
 All functions are pure and deterministic: the same input yields the
@@ -253,27 +254,25 @@ def _primitive(row: dict) -> dict:
     return {col: value // g for col, value in row.items()} if g > 1 else row
 
 
-def _rational(value):
-    """An int as it is, any other value through _as_fraction."""
-    return value if type(value) is int else _as_fraction(value)
-
-
-def _entries(v, n: int, exact=_as_fraction) -> dict:
+def _entries(v, n: int) -> dict:
     """Nonzero entries of a length-n vector, given as a dense sequence or
-    as a column -> value mapping, as a column -> exact(value) dict.
+    as a column -> value mapping, as a column -> value dict: an int is
+    taken as it is, any other value through _as_fraction.
 
     Each value is tested after it is converted, since a string "0" is
     truthy; a value that is false as given (a zero int or Fraction) is
     skipped without converting it.
     """
-    if isinstance(v, (dict, Mapping)):
-        out = {j: y for j, x in v.items() if x and (y := exact(x))}
-        if out and not (min(out) >= 0 and max(out) < n):
-            raise DimensionMismatchError(f"vector has a column outside range({n})")
-        return out
-    if len(v) != n:
+    if isinstance(v, Mapping):
+        items = v.items()
+    elif len(v) != n:
         raise DimensionMismatchError(f"vector length {len(v)} != {n}")
-    return {j: y for j, x in enumerate(v) if x and (y := exact(x))}
+    else:
+        items = enumerate(v)
+    out = {j: y for j, x in items if x and (y := x if type(x) is int else _as_fraction(x))}
+    if out and not (min(out) >= 0 and max(out) < n):
+        raise DimensionMismatchError(f"vector has a column outside range({n})")
+    return out
 
 
 def _integer_rows(rows: Iterable, cols: int):
@@ -282,13 +281,27 @@ def _integer_rows(rows: Iterable, cols: int):
     int entries are read as they are, so rows that are integer already
     (the Kaehler relations) cost no Fraction per entry.
     """
-    return [_primitive(_scaled_row(_entries(row, cols, _rational))[1]) for row in rows]
+    return [_primitive(_scaled_row(_entries(row, cols))[1]) for row in rows]
 
 
 def _matrix_rows(m: SparseMatrix):
     """The nonzero rows of m as primitive integer rows, in row order."""
     rows = m._rows
     return [_primitive(rows[i][1]) for i in sorted(rows)]
+
+
+def _row_step(prow: dict, row: dict, col: int) -> dict:
+    """prow[col] * row - row[col] * prow, a new dict that is zero on col:
+    the one place where rows are combined.  No input is mutated."""
+    a, b = prow[col], row[col]
+    new = {c: a * value for c, value in row.items()}
+    for c, value in prow.items():
+        updated = new.get(c, 0) - b * value
+        if updated:
+            new[c] = updated
+        elif c in new:
+            del new[c]
+    return new
 
 
 def _eliminate(int_rows, stop_col: int):
@@ -329,61 +342,33 @@ def _eliminate(int_rows, stop_col: int):
             buckets.clear()
             break
         best = min(range(len(candidates)), key=lambda t: (len(candidates[t][1]), candidates[t][0]))
-        pseq, prow = candidates[best]
-        pivot_value = prow[lead]
+        prow = candidates[best][1]
         for idx, (seq, row) in enumerate(candidates):
-            if idx == best:
-                continue
-            factor = row[lead]
-            new = {col: pivot_value * value for col, value in row.items()}
-            for col, value in prow.items():
-                updated = new.get(col, 0) - factor * value
-                if updated:
-                    new[col] = updated
-                elif col in new:
-                    del new[col]
-            if new:
+            if idx != best and (new := _row_step(prow, row, lead)):
                 push(seq, _primitive(new))
         pivots.append((lead, prow))
     return pivots, remainder
 
 
 def _back_substitute(pivots):
-    """Turn forward-eliminated pivot rows into reduced echelon fraction rows.
+    """Turn forward-eliminated pivot rows into reduced echelon integer rows.
 
-    Rows are reduced from the last pivot up.  A reduced row is zero on
-    every other pivot column, so subtracting it from a row clears one
-    pivot column and never fills another: the pivot columns to clear are
-    exactly the row's own, found through the column -> pivot index map
-    and cleared in increasing order.
+    Returns (pivot_columns, rows): each row is primitive with a positive
+    pivot entry, and divided by that entry it is the reduced echelon row,
+    so the form is canonical.  Rows are reduced from the last pivot up.
+    A reduced row is zero on every other pivot column, so a row step
+    against it clears one pivot column and never fills another: the
+    pivot columns to clear are exactly the row's own.
     """
     cols = [c for c, _ in pivots]
     index = {c: idx for idx, c in enumerate(cols)}
     out = [None] * len(pivots)
     for idx in range(len(pivots) - 1, -1, -1):
         col, row = pivots[idx]
-        lead = row[col]
-        frow = {c: Fraction(v, lead) for c, v in row.items()}
         for later in sorted(index[c] for c in row if c != col and c in index):
-            coef = frow[cols[later]]
-            for c, v in out[later].items():
-                updated = frow.get(c, _ZERO) - coef * v
-                if updated:
-                    frow[c] = updated
-                elif c in frow:
-                    del frow[c]
-        out[idx] = frow
+            row = _primitive(_row_step(out[later], row, cols[later]))
+        out[idx] = row if row[col] > 0 else {c: -value for c, value in row.items()}
     return cols, out
-
-
-def rref_rows(rows: Iterable, cols: int):
-    """Reduced row echelon form of a list of rows.
-
-    Returns (pivot_columns, echelon_rows) with echelon_rows a list of
-    column -> Fraction dicts, pivot entries equal to 1.
-    """
-    pivots, _ = _eliminate(_integer_rows(rows, cols), cols)
-    return _back_substitute(pivots)
 
 
 def rank(m: SparseMatrix) -> int:
@@ -392,7 +377,8 @@ def rank(m: SparseMatrix) -> int:
 
 
 class Subspace:
-    """Subspace of QQ^n held by its reduced echelon basis."""
+    """Subspace of QQ^n held by its reduced echelon basis, as the integer
+    rows _back_substitute returns; the accessors build Fractions."""
 
     __slots__ = ("ambient_dim", "pivots", "_rows", "_index")
 
@@ -404,8 +390,8 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
-        pivots, rows = rref_rows(vectors, ambient_dim)
-        return cls(ambient_dim, pivots, rows)
+        pivots, _ = _eliminate(_integer_rows(vectors, ambient_dim), ambient_dim)
+        return cls(ambient_dim, *_back_substitute(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -416,11 +402,11 @@ class Subspace:
         return len(self.pivots)
 
     def basis_matrix(self) -> SparseMatrix:
-        return SparseMatrix.from_rows(self._rows, self.ambient_dim)
+        return SparseMatrix.from_rows(self.basis_rows(), self.ambient_dim)
 
     def basis_vectors(self):
         out = []
-        for row in self._rows:
+        for row in self.basis_rows():
             v = [_ZERO] * self.ambient_dim
             for col, value in row.items():
                 v[col] = value
@@ -429,36 +415,42 @@ class Subspace:
 
     def basis_rows(self):
         """The reduced echelon basis as column -> Fraction dicts."""
-        return [dict(row) for row in self._rows]
+        return [
+            {col: Fraction(value, row[c]) for col, value in row.items()}
+            for c, row in zip(self.pivots, self._rows)
+        ]
+
+    def _residue(self, v):
+        """(den, row): v minus its projection, an integer row over den.
+
+        The basis is reduced, so a row step clearing one pivot column
+        never fills another: only the pivot columns present in v are
+        visited, and each step multiplies den by the pivot entry it uses.
+        """
+        den, out = _scaled_row(_entries(v, self.ambient_dim))
+        for pivot in sorted(c for c in out if c in self._index):
+            row = self._rows[self._index[pivot]]
+            out = _row_step(row, out, pivot)
+            den *= row[pivot]
+        return den, out
 
     def reduce(self, v):
         """Subtract the projection onto this subspace; result has zero
         coordinates on all pivot columns.
 
         A dense vector gives a dense list, a column -> value mapping a
-        dict.  The basis is reduced, so clearing one pivot column never
-        fills another, and only the pivot columns present in v are
-        visited.
+        dict, of Fractions.
         """
-        out = _entries(v, self.ambient_dim)
-        index = self._index
-        for pivot in sorted(c for c in out if c in index):
-            coef = out[pivot]
-            for col, value in self._rows[index[pivot]].items():
-                updated = out.get(col, _ZERO) - coef * value
-                if updated:
-                    out[col] = updated
-                elif col in out:
-                    del out[col]
-        if isinstance(v, (dict, Mapping)):
-            return out
+        den, out = self._residue(v)
+        if isinstance(v, Mapping):
+            return {col: Fraction(value, den) for col, value in out.items()}
         dense = [_ZERO] * self.ambient_dim
         for col, value in out.items():
-            dense[col] = value
+            dense[col] = Fraction(value, den)
         return dense
 
-    def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+    def contains(self, v) -> bool:
+        return not self._residue(v)[1]
 
     def __eq__(self, other):
         return (
@@ -476,22 +468,27 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
     """Solution space of m v = 0, canonicalised to reduced echelon form.
 
     m's integer rows go to the eliminator as they are.  The generator of
-    free column f is e_f minus row[f] e_pivot summed over the echelon
-    rows; all generators are built as sparse rows in one pass over the
-    echelon rows' nonzeros, each negated (it spans the same line), scaled
-    to an integer row and eliminated once more into reduced echelon form.
+    free column f is e_f minus (row[f] / row[pivot]) e_pivot summed over
+    the echelon rows.  The terms of every generator are collected in one
+    pass over the echelon rows' nonzeros; each generator is negated (it
+    spans the same line), scaled by the lcm of its pivot entries to an
+    integer row, and the generators are eliminated once more.
     """
     pivots, _ = _eliminate(_matrix_rows(m), m.cols)
     pivot_cols, rows = _back_substitute(pivots)
     pivot_set = set(pivot_cols)
-    generators = {free: {free: -1} for free in range(m.cols) if free not in pivot_set}
+    terms = {free: [] for free in range(m.cols) if free not in pivot_set}
     for pivot, row in zip(pivot_cols, rows):
         for col, value in row.items():
             if col != pivot:
-                generators[col][pivot] = value
-    pivots, _ = _eliminate(
-        [_primitive(_scaled_row(row)[1]) for row in generators.values()], m.cols
-    )
+                terms[col].append((pivot, value, row[pivot]))
+    generators = []
+    for free, column in terms.items():
+        den = lcm(*[lead for _, _, lead in column])
+        generators.append(_primitive(
+            {free: -den} | {pivot: value * (den // lead) for pivot, value, lead in column}
+        ))
+    pivots, _ = _eliminate(generators, m.cols)
     return Subspace(m.cols, *_back_substitute(pivots))
 
 
@@ -521,19 +518,16 @@ def solve_many(m: SparseMatrix, bs: Sequence) -> list[Optional[Vec]]:
     aug = m.cols
     extra = {}
     for t, b in enumerate(bs):
-        for i, value in _entries(b, m.rows, _rational).items():
-            extra.setdefault(i, []).append((aug + t, value))
+        for i, value in _entries(b, m.rows).items():
+            extra.setdefault(i, {})[aug + t] = value
     # row i of [m | bs] is (ints | b_i) / den: scale it by den and by the
     # lcm q of the denominators of den * b_i, then make it primitive
     rows = []
     for i in sorted(m._rows.keys() | extra.keys()):
         den, row = m._rows.get(i, (1, {}))
         if i in extra:
-            scaled = [(col, den * value) for col, value in extra[i]]
-            q = lcm(*[value.denominator for _, value in scaled])
-            row = {j: value * q for j, value in row.items()}
-            for col, value in scaled:
-                row[col] = value.numerator * (q // value.denominator)
+            q, scaled = _scaled_row({col: den * value for col, value in extra[i].items()})
+            row = {j: value * q for j, value in row.items()} | scaled
         rows.append(_primitive(row))
     pivots, remainder = _eliminate(rows, aug)
     inconsistent = {col for row in remainder for col in row}
@@ -545,7 +539,8 @@ def solve_many(m: SparseMatrix, bs: Sequence) -> list[Optional[Vec]]:
             continue
         x = [_ZERO] * m.cols
         for pivot, row in zip(pivot_cols, echelon):
-            x[pivot] = row.get(aug + t, _ZERO)
+            if aug + t in row:
+                x[pivot] = Fraction(row[aug + t], row[pivot])
         out.append(tuple(x))
     return out
 
@@ -627,7 +622,7 @@ def rref_with_transform(vectors: Sequence[Sequence], cols: int):
     k = len(vectors)
     rows = []
     for i, v in enumerate(vectors):
-        den, row = _scaled_row(_entries(v, cols, _rational))
+        den, row = _scaled_row(_entries(v, cols))
         row[cols + i] = den
         rows.append(_primitive(row))
     pivots, _ = _eliminate(rows, cols)
@@ -636,10 +631,11 @@ def rref_with_transform(vectors: Sequence[Sequence], cols: int):
     for pivot, row in zip(pivot_cols, echelon):
         vec_part = [_ZERO] * cols
         combo = [_ZERO] * k
+        lead = row[pivot]
         for col, value in row.items():
             if col < cols:
-                vec_part[col] = value
+                vec_part[col] = Fraction(value, lead)
             else:
-                combo[col - cols] = value
+                combo[col - cols] = Fraction(value, lead)
         out.append((tuple(vec_part), tuple(combo), pivot))
     return out

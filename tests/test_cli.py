@@ -69,6 +69,23 @@ def test_parse_rejects_bad_schema():
         parse_algebra_document("not json at all")
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "lie", "dim": True},
+    {"kind": "comm", "dim": False},
+    {"kind": "lie", "dim": 2, "brackets": [[False, True, True, "1"]]},
+    {"kind": "comm", "dim": 1, "products": [[0, 0, False, "1"]]},
+])
+def test_booleans_are_not_integers(doc, tmp_path, capsys):
+    # JSON true/false load as Python bools, which are ints: "dim": true
+    # would otherwise be a 1-dimensional algebra and an index false be 0
+    with pytest.raises(DocumentError):
+        parse_algebra_document(json.dumps(doc))
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["info", str(path)]) == EXIT_INPUT
+    capsys.readouterr()
+
+
 def test_parse_rejects_jacobi_violation():
     doc = json.dumps(
         {

@@ -686,6 +686,23 @@ def test_class_coordinates_reject_a_defect_of_nonzero_weight():
         h1.class_coordinates(rep)
 
 
+@pytest.mark.parametrize("name, p, key", [
+    ("sl3", 2, (0, 1)),  # psi(h1, h2) = 1
+    ("sl3", 1, (0,)),  # beta(h1) = 1
+    ("gl2", 2, (0, 3)),  # psi(E11, E22) = 1
+    ("gl2", 1, (0,)),  # beta(E11) = 1, off the trace class
+])
+def test_class_coordinates_reject_a_weight_zero_non_cocycle(name, p, key):
+    # the cochain lies in the weight-zero block, so only the check that its
+    # quotient coordinates lie in the span of the classes can refuse it
+    h = cohomology(lie_catalog(name), p, 1)
+    assert key in h.cochains
+    with pytest.raises(InternalConsistencyError):
+        h.scalar_class_coordinates({key: F(1)})
+    with pytest.raises(InternalConsistencyError):
+        h.class_coordinates({key: (F(1),)})
+
+
 
 # --- the integer row path off the integer lattice ---------------------------
 #

@@ -12,7 +12,6 @@ from currentext.linalg import (
     kernel_basis,
     quotient_space,
     rank,
-    rref_rows,
     rref_with_transform,
     solve_linear,
     solve_many,
@@ -280,13 +279,13 @@ def test_oracle_matrices_cover_full_and_zero_rank():
     assert any(0 < r < full for r, full in ranks)
 
 
-def test_rref_rows_matches_dense_oracle():
+def test_from_spanning_matches_dense_oracle():
     for m in _oracle_matrices():
-        pivots, rows = rref_rows(m.row_dicts(), m.cols)
+        sub = Subspace.from_spanning(m.cols, m.row_dicts())
         want_pivots, want_rows = dense_rref(m.to_dense(), m.cols)
-        assert list(pivots) == want_pivots
-        assert [[row.get(c, 0) for c in range(m.cols)] for row in rows] == want_rows
-        assert rref_rows(m.to_dense(), m.cols) == (pivots, rows)
+        assert list(sub.pivots) == want_pivots
+        assert [[row.get(c, 0) for c in range(m.cols)] for row in sub.basis_rows()] == want_rows
+        assert Subspace.from_spanning(m.cols, m.to_dense()) == sub
 
 
 def test_kernel_basis_matches_dense_oracle():
@@ -318,6 +317,19 @@ def test_sparse_and_dense_vectors_agree():
             projected = q.project(dense)
             assert q.project(sparse) == {t: x for t, x in enumerate(projected) if x}
         assert rref_with_transform(sparse_vectors, n) == rref_with_transform(dense_vectors, n)
+
+
+def test_contains_reads_the_reduced_values():
+    # a reduced mapping is keyed by columns, and column 0 is falsy
+    zero = Subspace.zero(2)
+    assert not zero.contains({0: 1})
+    assert not zero.contains({1: F(1, 2)})
+    assert zero.contains({0: 0, 1: "0"})
+    assert not zero.contains((1, 0))
+    line = Subspace.from_spanning(3, [(2, 0, 4)])
+    assert line.contains({0: F(1, 2), 2: 1})
+    assert not line.contains({0: 1, 2: 1})
+    assert line.contains((0, 0, 0))
 
 
 def test_sparse_vector_column_out_of_range():
