@@ -11,9 +11,9 @@ sparse rational matrices, so this module fixes the conventions once:
   denominator (row i is {col: int} / den), and a Subspace holds its
   echelon rows in it;
 * rows are combined in one place, the row step _row_step
-  (prow[col] * row - row[col] * prow), with per-row gcd normalisation,
-  so forward elimination, back substitution and reduction against a
-  subspace never leave ZZ;
+  (prow[col] * row - row[col] * prow), so forward elimination, back
+  substitution and reduction against a subspace never leave ZZ; the
+  first two divide each new row by the gcd of its entries;
 * reduced row echelon form (pivot entries 1, pivot columns cleared) is
   the canonical basis of every subspace.  It is stored as primitive
   integer rows with a positive pivot entry, one per reduced row, so the
@@ -34,10 +34,10 @@ to Subspace.from_spanning, rref_with_transform and Subspace.reduce, the
 right-hand sides of solve_many (dense, or sparse {row: value} mappings)
 and the entries given to SparseMatrix.  Empty rows never reach the
 eliminator; back substitution walks each row's own pivot columns through
-a column -> pivot map, so it costs O(nnz of the echelon rows) row-step
-updates rather than O(rank^2) lookups; kernel generators are built as
-sparse integer rows, and reducing a sparse vector against a subspace
-touches only the pivot columns present in the vector.
+a column -> pivot map, one row step per pivot column the row holds,
+rather than O(rank^2) lookups; kernel generators are built as sparse
+integer rows, and reducing a sparse vector against a subspace takes one
+row step per pivot column present in the vector.
 
 All functions are pure and deterministic: the same input yields the
 bit-identical output.
