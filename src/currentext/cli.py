@@ -632,7 +632,48 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
+_ALGEBRA = (("algebra",), {})
+_FIBRE = (("fibre",), {})
+_COEFFICIENTS = (("coefficients",), {})
+_COEFF_DIM = (("--coeff-dim",), {"type": nonnegative_int, "default": 1, "metavar": "M"})
+_SEED = (("--seed",), {"type": int, "default": 0})
+
+# (name, help, handler, arguments), each argument (flags, add_argument keywords)
+_SUBCOMMANDS = (
+    ("validate", "validate algebras", _cmd_validate, (
+        (("algebras",), {"nargs": "*"}),
+        (("--all",), {"action": "store_true", "help": "validate the whole catalog"}),
+    )),
+    ("info", "basic facts about an algebra", _cmd_info, (_ALGEBRA,)),
+    ("killing", "Killing form and semisimplicity", _cmd_killing, (_ALGEBRA,)),
+    ("derivations", "derivation space", _cmd_derivations, (_ALGEBRA,)),
+    ("witness", "commutator decomposition", _cmd_witness, (
+        _ALGEBRA,
+        (("element",), {"help": "basis label, index, or JSON coordinate list"}),
+    )),
+    ("vform", "universal invariant form", _cmd_vform, (_ALGEBRA,)),
+    ("h2", "second cohomology, trivial coefficients", _cmd_h2, (_ALGEBRA, _COEFF_DIM)),
+    ("kaehler", "Kaehler differentials", _cmd_kaehler, (_ALGEBRA,)),
+    ("omegabar", "one-forms modulo exact forms", _cmd_omegabar, (_ALGEBRA,)),
+    ("current", "current algebra g (x) A", _cmd_current, (_FIBRE, _COEFFICIENTS)),
+    ("cocycle-check", "canonical cocycle identities", _cmd_cocycle_check,
+     (_FIBRE, _COEFFICIENTS)),
+    ("universality", "the map phi -> [phi o omega]", _cmd_universality,
+     (_FIBRE, _COEFFICIENTS, _COEFF_DIM)),
+    ("twist", "connection twist coboundary", _cmd_twist, (_FIBRE, _COEFFICIENTS, _SEED)),
+    ("glue-demo", "restrict, solve, glue primitives", _cmd_glue_demo, (
+        _FIBRE,
+        _COEFFICIENTS,
+        (("--cover",), {"required": True, "help": 'point subsets, e.g. "1,2;2,3;3,4"'}),
+        _SEED,
+    )),
+)
+
+
+def _build_parser(argv=()) -> _Parser:
+    """The CLI parser.  When argv[0] names a subcommand only that one is
+    registered, which is all parsing argv needs; otherwise all of them
+    are, so that help and the invalid-choice error list every name."""
     parser = _Parser(prog="currentext", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -644,75 +685,12 @@ def _build_parser() -> _Parser:
         help="cochain space entry ceiling (default 200000)",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    p = sub.add_parser("validate", parents=[common], help="validate algebras")
-    p.add_argument("algebras", nargs="*")
-    p.add_argument("--all", action="store_true", help="validate the whole catalog")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("info", parents=[common], help="basic facts about an algebra")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("killing", parents=[common], help="Killing form and semisimplicity")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_killing)
-
-    p = sub.add_parser("derivations", parents=[common], help="derivation space")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_derivations)
-
-    p = sub.add_parser("witness", parents=[common], help="commutator decomposition")
-    p.add_argument("algebra")
-    p.add_argument("element", help="basis label, index, or JSON coordinate list")
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("vform", parents=[common], help="universal invariant form")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_vform)
-
-    p = sub.add_parser("h2", parents=[common], help="second cohomology, trivial coefficients")
-    p.add_argument("algebra")
-    p.add_argument("--coeff-dim", type=nonnegative_int, default=1, metavar="M")
-    p.set_defaults(func=_cmd_h2)
-
-    p = sub.add_parser("kaehler", parents=[common], help="Kaehler differentials")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_kaehler)
-
-    p = sub.add_parser("omegabar", parents=[common], help="one-forms modulo exact forms")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_omegabar)
-
-    p = sub.add_parser("current", parents=[common], help="current algebra g (x) A")
-    p.add_argument("fibre")
-    p.add_argument("coefficients")
-    p.set_defaults(func=_cmd_current)
-
-    p = sub.add_parser("cocycle-check", parents=[common], help="canonical cocycle identities")
-    p.add_argument("fibre")
-    p.add_argument("coefficients")
-    p.set_defaults(func=_cmd_cocycle_check)
-
-    p = sub.add_parser("universality", parents=[common], help="the map phi -> [phi o omega]")
-    p.add_argument("fibre")
-    p.add_argument("coefficients")
-    p.add_argument("--coeff-dim", type=nonnegative_int, default=1, metavar="M")
-    p.set_defaults(func=_cmd_universality)
-
-    p = sub.add_parser("twist", parents=[common], help="connection twist coboundary")
-    p.add_argument("fibre")
-    p.add_argument("coefficients")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_twist)
-
-    p = sub.add_parser("glue-demo", parents=[common], help="restrict, solve, glue primitives")
-    p.add_argument("fibre")
-    p.add_argument("coefficients")
-    p.add_argument("--cover", required=True, help='point subsets, e.g. "1,2;2,3;3,4"')
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_glue_demo)
-
+    named = [spec for spec in _SUBCOMMANDS if argv and spec[0] == argv[0]]
+    for name, help_text, func, arguments in named or _SUBCOMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -722,7 +700,8 @@ def run_command(argv) -> Report:
     All expected failure modes are folded into the report's exit code;
     only truly unexpected exceptions propagate.
     """
-    parser = _build_parser()
+    argv = list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

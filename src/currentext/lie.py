@@ -308,26 +308,31 @@ def derivations(L: LieAlgebra) -> DerivationSpace:
     Unknowns are the n^2 matrix entries D[r][c] in row-major order.
     """
     n = L.dim
+    # the nonzero brackets, read once: into[k, c] = {r: [b_r, b_c]_k} and
+    # outof[k, c] = {r: [b_c, b_r]_k}
+    into, outof = {}, {}
+    for (a, b), coords in L.nonzero_brackets():
+        for k, v in coords.items():
+            neg = -v
+            into.setdefault((k, b), {})[a] = v
+            into.setdefault((k, a), {})[b] = neg
+            outof.setdefault((k, a), {})[b] = v
+            outof.setdefault((k, b), {})[a] = neg
     rows = []
     for i, j in combinations(range(n), 2):
         bracket = L.bracket_basis(i, j)
         for k in range(n):
-            row = {}
-
-            def add(r, c, value):
-                if value:
+            # D[k][l] [b_i, b_j]_l - D[r][i] [b_r, b_j]_k - D[r][j] [b_i, b_r]_k
+            row = {k * n + l: coef for l, coef in bracket.items()}
+            for c, column in ((i, outof.get((k, j), {})), (j, into.get((k, i), {}))):
+                for r, value in column.items():
                     idx = r * n + c
-                    updated = row.get(idx, _ZERO) + value
-                    if updated:
+                    if idx not in row:
+                        row[idx] = value
+                    elif updated := row[idx] + value:
                         row[idx] = updated
-                    elif idx in row:
+                    else:
                         del row[idx]
-
-            for l, coef in bracket.items():
-                add(k, l, coef)
-            for r in range(n):
-                add(r, i, -L.bracket_basis(r, j).get(k, _ZERO))
-                add(r, j, -L.bracket_basis(i, r).get(k, _ZERO))
             rows.append(row)
     system = SparseMatrix.from_rows(rows, n * n)
     kernel = kernel_basis(system)
@@ -425,30 +430,55 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
 def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]]) -> LieAlgebra:
     """Structure constants of a matrix Lie algebra spanned by ``mats``.
 
-    The matrices must be linearly independent and closed under the
+    Every matrix must be d x d for one d, with one label per matrix.  The
+    matrices must be linearly independent and closed under the
     commutator; both conditions are checked exactly.
     """
     n = len(mats)
+    if len(labels) != n:
+        raise ValueError(f"label count {len(labels)} != matrix count {n}")
     if n == 0:
         return LieAlgebra(labels, ())
     d = len(mats[0])
-    mats = [tuple(tuple(_as_fraction(x) for x in row) for row in m) for m in mats]
+    # each matrix as its nonzero entries, row r -> {column: value}
+    sparse = []
+    for t, m in enumerate(mats):
+        if len(m) != d or any(len(row) != d for row in m):
+            raise ValueError(
+                f"matrices must be square and of one size: matrix {t} is not {d} x {d}"
+            )
+        rows = {}
+        for r, row in enumerate(m):
+            nonzero = {c: y for c, x in enumerate(row) if (y := _as_fraction(x))}
+            if nonzero:
+                rows[r] = nonzero
+        sparse.append(rows)
 
-    def flat(m):
-        return tuple(x for row in m for x in row)
-
-    span = SparseMatrix.from_dense([flat(m) for m in mats]).transpose()
+    # column k of span is matrix k, flattened row-major
+    span = SparseMatrix(d * d, n, {
+        (r * d + c, k): x
+        for k, rows in enumerate(sparse)
+        for r, nonzero in rows.items()
+        for c, x in nonzero.items()
+    })
     if rank(span) != n:
         raise ValueError("matrix basis is not linearly independent")
+
+    def add_product(out, a, b, sign):
+        # out += sign * a b, over the nonzero entries of a and b only
+        for r, a_row in a.items():
+            for t, x in a_row.items():
+                for c, y in b.get(t, {}).items():
+                    idx = r * d + c
+                    out[idx] = out.get(idx, 0) + sign * x * y
+
     pairs = list(combinations(range(n), 2))
     commutators = []
     for i, j in pairs:
-        a, b = mats[i], mats[j]
-        commutators.append(tuple(
-            sum((a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(d)), _ZERO)
-            for r in range(d)
-            for c in range(d)
-        ))
+        commutator = {}
+        add_product(commutator, sparse[i], sparse[j], 1)
+        add_product(commutator, sparse[j], sparse[i], -1)
+        commutators.append(commutator)
     entries = []
     for (i, j), coords in zip(pairs, solve_many(span, commutators)):
         if coords is None:

@@ -2,16 +2,17 @@
 
 The elimination oracles deliberately share no code with the package:
 plain Gaussian elimination over Fraction on dense row lists.  The
-term-by-term references below them (CE differential, cocycle defect,
-coboundary, twist difference, Kaehler module action, restriction and
-gluing over a cover) evaluate each defining formula entry by entry and
-read the package's objects only through basic accessors such as
-bracket_basis, product_basis, kappa_basis, pair_class and bar.  Slow but
-obviously correct, which is the point.  cohomology_reference and kaehler_reference
-are the exceptions: they solve the whole scalar complex and the whole
-all-triples Leibniz span with the package's own linear algebra, as
-references for the weight-zero block and the product-class split, not
-for the elimination.  coboundary_witness_reference likewise solves each
+term-by-term references below them (matrix commutators, CE differential,
+cocycle defect, coboundary, twist difference, Kaehler module action,
+restriction and gluing over a cover) evaluate each defining formula
+entry by entry and read the package's objects only through basic
+accessors such as bracket_basis, product_basis, kappa_basis, pair_class
+and bar.  Slow but obviously correct, which is the point.
+cohomology_reference and kaehler_reference are the exceptions: they
+solve the whole scalar complex and the whole all-triples Leibniz span
+with the package's own linear algebra, as references for the
+weight-zero block and the product-class split, not for the
+elimination.  coboundary_witness_reference likewise solves each
 coefficient slot with the package's solve_linear, as the reference for
 solving all slots in one elimination, and inject_form_reference projects
 a dense tensor with the package's Omega1 quotient, as the reference for
@@ -90,6 +91,29 @@ def dense_solve(rows, rhs):
     for r, col in enumerate(pivots):
         x[col] = m[r][cols] / m[r][col]
     return x
+
+
+def lie_from_matrices_reference(mats):
+    """Structure entries (i, j, k, c), i < j, of the Lie algebra spanned by
+    the d x d matrices mats: each commutator by the dense formula
+    [a, b][r][c] = sum_t a[r][t] b[t][c] - b[r][t] a[t][c], then its
+    coordinates in the basis mats by dense elimination.  The matrices must
+    be independent and closed under the commutator."""
+    n, d = len(mats), len(mats[0])
+    mats = [[[Fraction(x) for x in row] for row in m] for m in mats]
+    span = [[mats[k][r][c] for k in range(n)] for r in range(d) for c in range(d)]
+    out = []
+    for i, j in combinations(range(n), 2):
+        a, b = mats[i], mats[j]
+        commutator = [
+            sum((a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(d)), Fraction(0))
+            for r in range(d)
+            for c in range(d)
+        ]
+        coords = dense_solve(span, commutator)
+        assert coords is not None, f"commutator {i}, {j} leaves the span"
+        out.extend((i, j, k, x) for k, x in enumerate(coords) if x)
+    return out
 
 
 def dense_canonical_solve(rows, rhs):

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -8,6 +9,8 @@ from currentext.cli import (
     EXIT_PROPERTY,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    UsageError,
+    _build_parser,
     main,
     parse_algebra_document,
     run_command,
@@ -121,9 +124,77 @@ def test_document_file_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+SUBCOMMANDS = (
+    "validate", "info", "killing", "derivations", "witness", "vform", "h2",
+    "kaehler", "omegabar", "current", "cocycle-check", "universality", "twist",
+    "glue-demo",
+)
+# arguments each subcommand parses without a usage error
+VALID_ARGS = {
+    "validate": [], "info": ["sl2"], "killing": ["sl2"], "derivations": ["sl2"],
+    "witness": ["sl2", "h"], "vform": ["sl2"], "h2": ["sl2"], "kaehler": ["sq2"],
+    "omegabar": ["sq2"], "current": ["sl2", "sq2"], "cocycle-check": ["sl2", "sq2"],
+    "universality": ["sl2", "sq2"], "twist": ["sl2", "sq2"],
+    "glue-demo": ["sl2", "fun:2", "--cover", "1;2"],
+}
+
+
 def test_unknown_subcommand_is_usage_error():
-    assert run_command(["frobnicate"]).exit_code == EXIT_USAGE
+    report = run_command(["frobnicate"])
+    assert report.exit_code == EXIT_USAGE
+    assert all(repr(name) in report.results["error"] for name in SUBCOMMANDS)
     assert run_command([]).exit_code == EXIT_USAGE
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _parse_outcome(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_parser_of_one_subcommand_reads_as_the_full_parser(name):
+    alone, full = _subparsers(_build_parser([name])), _subparsers(_build_parser([]))
+    assert list(alone) == [name] and tuple(full) == SUBCOMMANDS
+    assert alone[name].format_help() == full[name].format_help()
+    valid = VALID_ARGS[name]
+    cases = {
+        "missing positional": [name],
+        "bad --format": [name] + valid + ["--format", "xml"],
+        "unrecognized argument": [name] + valid + ["--bogus"],
+        "valid": [name] + valid,
+    }
+    for case, argv in cases.items():
+        outcome = _parse_outcome(_build_parser(argv), argv)
+        assert outcome == _parse_outcome(_build_parser([]), argv), case
+        if case in ("bad --format", "unrecognized argument"):
+            assert isinstance(outcome, str), case
+        if case == "valid":
+            assert outcome["subcommand"] == name
+    if name != "validate":  # validate takes any number of names
+        assert isinstance(_parse_outcome(_build_parser([name]), [name]), str)
+
+
+def test_run_command_builds_only_the_named_subcommand(monkeypatch):
+    registered = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run_command(["h2", "sl2"]).exit_code == EXIT_OK
+    assert registered == ["h2"]
+    registered.clear()
+    assert run_command(["frobnicate"]).exit_code == EXIT_USAGE
+    assert registered == list(SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("argv", [["h2", "sl2"], ["universality", "sl2", "sq2"]])

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currentext.catalog import lie_catalog
 from currentext.errors import NotInDerivedAlgebraError
@@ -13,12 +14,13 @@ from currentext.lie import (
     direct_sum,
     is_perfect,
     killing_form,
+    lie_from_matrices,
     perfect_witness,
     realify,
     validate_lie,
 )
 
-from oracles import dense_nullity
+from oracles import dense_nullity, dense_solve, lie_from_matrices_reference
 
 F = Fraction
 
@@ -219,3 +221,95 @@ def test_realified_sl2_constants():
     assert L.bracket_basis(3, 5) == {1: F(-1)}
     # [e, if] = i h
     assert L.bracket_basis(0, 5) == {4: F(1)}
+
+
+def _unit_matrix(d, i, j):
+    return tuple(tuple(int((r, c) == (i, j)) for c in range(d)) for r in range(d))
+
+
+def _matmul(a, b):
+    return [[sum((a[r][t] * b[t][c] for t in range(len(b))), F(0)) for c in range(len(b[0]))]
+            for r in range(len(a))]
+
+
+# matrix bases: sl2 on (e, h, f) as in the catalog's constants, sl3 and
+# gl2 as the catalog builds them
+MATRIX_BASES = {
+    "sl2": (("e", "h", "f"), [_unit_matrix(2, 0, 1), ((1, 0), (0, -1)), _unit_matrix(2, 1, 0)]),
+    "sl3": (
+        ("h1", "h2", "e1", "e2", "e3", "f1", "f2", "f3"),
+        [((1, 0, 0), (0, -1, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0), (0, 0, -1))]
+        + [_unit_matrix(3, i, j) for i, j in ((0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0))],
+    ),
+    "gl2": (
+        ("E11", "E12", "E21", "E22"),
+        [_unit_matrix(2, i, j) for i in range(2) for j in range(2)],
+    ),
+}
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_nonzero_rationals = _rationals.filter(bool)
+
+
+@st.composite
+def _conjugated_bases(draw):
+    """A catalog matrix basis, each matrix scaled by a nonzero rational and
+    conjugated by one invertible P = (unit lower) (invertible upper); the
+    span stays closed under the commutator."""
+    name = draw(st.sampled_from(sorted(MATRIX_BASES)))
+    labels, mats = MATRIX_BASES[name]
+    d = len(mats[0])
+    lower = [[F(r == c) if r <= c else draw(_rationals) for c in range(d)] for r in range(d)]
+    upper = [[draw(_nonzero_rationals) if r == c else (draw(_rationals) if r < c else F(0))
+              for c in range(d)] for r in range(d)]
+    p = _matmul(lower, upper)
+    p_inverse_columns = [dense_solve(p, [F(r == c) for r in range(d)]) for c in range(d)]
+    p_inverse = [[p_inverse_columns[c][r] for c in range(d)] for r in range(d)]
+    scales = [draw(_nonzero_rationals) for _ in mats]
+    return name, labels, [
+        [[s * x for x in row] for row in _matmul(_matmul(p, m), p_inverse)]
+        for s, m in zip(scales, mats)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_conjugated_bases())
+def test_lie_from_matrices_matches_dense_commutators(basis):
+    name, labels, mats = basis
+    L = lie_from_matrices(labels, mats)
+    assert L.labels == labels
+    assert L.structure_entries() == lie_from_matrices_reference(mats)
+    assert validate_lie(L).ok
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_BASES))
+def test_lie_from_matrices_of_catalog_bases(name):
+    labels, mats = MATRIX_BASES[name]
+    L = lie_from_matrices(labels, mats)
+    assert L.structure_entries() == lie_from_matrices_reference(mats)
+    assert L.structure_entries() == lie_catalog(name).structure_entries()
+
+
+@pytest.mark.parametrize("labels, mats, message", [
+    # E11 + E12 is dependent on E11 and E12
+    pytest.param("abc", [_unit_matrix(2, 0, 0), _unit_matrix(2, 0, 1), ((1, 1), (0, 0))],
+                 "not linearly independent", id="dependent"),
+    # [E12, E21] = E11 - E22 is not in their span
+    pytest.param("ab", [_unit_matrix(2, 0, 1), _unit_matrix(2, 1, 0)],
+                 "commutator of basis elements 0, 1", id="not-closed"),
+    pytest.param("a", [((1, 0, 0), (0, 1, 0))], "matrix 0 is not 2 x 2", id="one-2x3"),
+    pytest.param("ab", [((1, 0, 0), (0, 1, 0)), ((0, 0, 1), (0, 0, 0))],
+                 "matrix 0 is not 2 x 2", id="two-2x3"),
+    pytest.param("ab", [_unit_matrix(2, 0, 0), _unit_matrix(3, 0, 0)],
+                 "matrix 1 is not 2 x 2", id="two-sizes"),
+    pytest.param("ab", [_unit_matrix(2, 0, 0), ((0, 0), (0,))],
+                 "matrix 1 is not 2 x 2", id="ragged"),
+    pytest.param("a", [_unit_matrix(2, 0, 0), _unit_matrix(2, 1, 1)],
+                 "label count 1 != matrix count 2", id="too-few-labels"),
+    pytest.param("abc", [_unit_matrix(2, 0, 0), _unit_matrix(2, 1, 1)],
+                 "label count 3 != matrix count 2", id="too-many-labels"),
+    pytest.param("a", [], "label count 1 != matrix count 0", id="no-matrices"),
+])
+def test_lie_from_matrices_rejects_bad_bases(labels, mats, message):
+    with pytest.raises(ValueError, match=message):
+        lie_from_matrices(tuple(labels), mats)
