@@ -40,8 +40,10 @@ def golden_cases():
             ["universality", fibre, coeff],
             ["twist", fibre, coeff],
             ["cocycle-check", fibre, coeff],
+            ["current", fibre, coeff],
         ]
     cases += [
+        ["validate", "--all"],
         ["universality", "sl2", "fun:4*sq2"],
         ["cocycle-check", "sl2", "sq2*jets:2"],
         # the twist-glue benchmark twists: coboundary witnesses with m = 9 and m = 17
