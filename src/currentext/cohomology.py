@@ -90,7 +90,7 @@ from .errors import (
     NotACocycleError,
     ResourceCeilingError,
 )
-from .lie import LieAlgebra, same_algebra
+from .lie import LieAlgebra, _coboundary_totals, same_algebra
 from .linalg import (
     SparseMatrix,
     Subspace,
@@ -426,43 +426,22 @@ class Cocycle2:
         The identity checked is psi([x,y],z) - psi([x,z],y) + psi([y,z],x) = 0
         on each triple i < j < k, equivalently the vanishing of the
         differential fixed above.  d psi is accumulated from the nonzero
-        brackets: each pair a < b with [x_a, x_b] != 0 and each c outside
-        {a, b} with psi([x_a, x_b], x_c) != 0 adds that value to the sorted
-        triple, with sign - when c sorts between a and b.  The answer is
-        the lexicographically first triple whose total is nonzero, with
-        that total.  The totals are integers, psi's stored integers against
-        the algebra's integer brackets, and only the returned total is
-        divided back.
+        brackets by lie._coboundary_totals, the accumulator of the Jacobi
+        check.  The answer is the lexicographically first triple whose
+        total is nonzero, with that total.  The totals are integers, psi's
+        stored integers against the algebra's integer brackets, and only
+        the returned total is divided back.
         """
         L = self.parent
-        bden, brackets = L._integer_table
-        rows = [{} for _ in range(L.dim)]  # rows[k][c] = den * psi(x_k, x_c), nonzero slots
-        for (i, j), value in self._num.items():
-            nonzero = [(s, x) for s, x in enumerate(value) if x]
-            rows[i][j] = nonzero
-            rows[j][i] = [(s, -x) for s, x in nonzero]
-        totals = {}
-        for (a, b), bracket in brackets:
-            for k, coef in bracket.items():
-                for c, value in rows[k].items():
-                    if c < a:
-                        triple, sign = (c, a, b), coef
-                    elif c > b:
-                        triple, sign = (a, b, c), coef
-                    elif a < c < b:
-                        triple, sign = (a, c, b), -coef
-                    else:
-                        continue
-                    total = totals.get(triple)
-                    if total is None:
-                        total = totals[triple] = [0] * self.coeff_dim
-                    for s, x in value:
-                        total[s] += sign * x
-        nonzero = [triple for triple, total in totals.items() if any(total)]
-        if not nonzero:
+        cochain = (
+            (pair, [(s, x) for s, x in enumerate(value) if x])
+            for pair, value in self._num.items()
+        )
+        totals = _coboundary_totals(L, cochain, self.coeff_dim)
+        if not totals:
             return None
-        first = min(nonzero)
-        return (first, _fractions(totals[first], bden * self._den))
+        first = min(totals)
+        return (first, _fractions(totals[first], L._integer_table[0] * self._den))
 
     def __repr__(self):
         return (

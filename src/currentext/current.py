@@ -15,6 +15,7 @@ is a bijection; universality_map computes it as an explicit matrix.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -29,7 +30,7 @@ from .errors import (
     NonUnitalError,
     NotDiagonalError,
 )
-from .invariants import UniversalFormSpace, v_space_and_kappa
+from .invariants import v_space_and_kappa
 from .lie import LieAlgebra, killing_form, same_algebra
 from .linalg import (
     QuotientSpace,
@@ -142,6 +143,13 @@ class CommAlgebra:
         key = (i, j) if i <= j else (j, i)
         return self._table.get(key, {})
 
+    def nonzero_products(self) -> list:
+        """The nonzero products b_p b_q in both orders, as ((p, q),
+        {r: coefficient}) items in lexicographic pair order.  The coordinate
+        maps are shared with the algebra and must not be mutated."""
+        mirrored = [((q, p), row) for (p, q), row in self._table.items() if p != q]
+        return sorted([*self._table.items(), *mirrored], key=lambda item: item[0])
+
     def product(self, u: Sequence, v: Sequence) -> Vec:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatchError("product operands must match the algebra dimension")
@@ -180,22 +188,22 @@ class CommAlgebra:
             for k in sorted(set(row) | set(mirror)):
                 if row.get(k, _ZERO) != mirror.get(k, _ZERO):
                     comm.append((i, j, k, row.get(k, _ZERO) - mirror.get(k, _ZERO)))
-        assoc = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = self.product(
-                        self.product(self.basis_vector(i), self.basis_vector(j)),
-                        self.basis_vector(k),
-                    )
-                    right = self.product(
-                        self.basis_vector(i),
-                        self.product(self.basis_vector(j), self.basis_vector(k)),
-                    )
-                    if left != right:
-                        assoc.append(
-                            ((i, j, k), tuple(a - b for a, b in zip(left, right)))
-                        )
+        # (b_p b_q) b_r - b_r (b_p b_q) from the nonzero products: each
+        # b_p b_q with a b_t-coordinate x meets each nonzero b_t b_r = b_r b_t,
+        # adding to triple (p, q, r) and subtracting from triple (r, p, q)
+        nonzero = [{} for _ in range(n)]  # nonzero[p][q] = b_p b_q
+        for (p, q), row in self._table.items():
+            nonzero[p][q] = nonzero[q][p] = row
+        totals = defaultdict(lambda: [_ZERO] * n)
+        for p in range(n):
+            for q, pq in nonzero[p].items():
+                for t, x in pq.items():
+                    for r, tr in nonzero[t].items():
+                        left, right = totals[(p, q, r)], totals[(r, p, q)]
+                        for s, y in tr.items():
+                            left[s] += x * y
+                            right[s] -= x * y
+        assoc = [(triple, tuple(total)) for triple, total in sorted(totals.items()) if any(total)]
         unit_viol = []
         if self.unit is not None:
             for i in range(n):
@@ -231,22 +239,18 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra, sep: str = "*") -> CommAlgebra:
     def flat(i, p):
         return i * db + p
 
+    # the nonzero products of A (i <= j) against those of B in both orders;
+    # for i == j only p <= q, so each flat pair appears once with its
+    # lower index first
+    b_products = B.nonzero_products()
     entries = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if j < i:
+    for (i, j), prod_a in sorted(A._table.items()):
+        for (p, q), prod_b in b_products:
+            if i == j and p > q:
                 continue
-            prod_a = A.product_basis(i, j)
-            if not prod_a:
-                continue
-            for p in range(db):
-                for q in range(db):
-                    if (i, p) > (j, q):
-                        continue
-                    prod_b = B.product_basis(p, q)
-                    for r, ca in prod_a.items():
-                        for s, cb in prod_b.items():
-                            entries.append((flat(i, p), flat(j, q), flat(r, s), ca * cb))
+            for r, ca in prod_a.items():
+                for s, cb in prod_b.items():
+                    entries.append((flat(i, p), flat(j, q), flat(r, s), ca * cb))
     unit = None
     if A.is_unital and B.is_unital:
         unit = [A.unit[i] * B.unit[p] for i in range(A.dim) for p in range(db)]
@@ -512,27 +516,20 @@ class CurrentAlgebra:
     def __init__(self, fibre: LieAlgebra, coeff: CommAlgebra):
         self.fibre = fibre
         self.coeff = coeff
-        entries = []
+        # each nonzero bracket [x_i, x_j] (i < j) against each nonzero product
+        # b_p b_q in both orders: i < j gives flat i * da + p < j * da + q,
+        # and each (flat pair, k * da + r) arises once, so nothing is summed
         da = coeff.dim
-        for i, j, k, c in fibre.structure_entries():
-            for p in range(da):
-                for q in range(da):
-                    flat_i = i * da + p
-                    flat_j = j * da + q
-                    if flat_i >= flat_j:
-                        continue
-                    for r, m in coeff.product_basis(p, q).items():
-                        entries.append((flat_i, flat_j, k * da + r, c * m))
-        # fibre pairs (i, q) vs (j, p) with i < j always give flat_i < flat_j;
-        # i == j contributes nothing since [x, x] = 0.
-        labels = [f"{g}*{a}" for g in fibre.labels for a in coeff.labels]
-        merged = {}
-        for fi, fj, fk, value in entries:
-            key = (fi, fj, fk)
-            merged[key] = merged.get(key, _ZERO) + value
-        self.total = LieAlgebra(
-            labels, [(i, j, k, v) for (i, j, k), v in sorted(merged.items()) if v]
+        products = coeff.nonzero_products()
+        entries = sorted(
+            (i * da + p, j * da + q, k * da + r, c * m)
+            for (i, j), bracket in fibre.nonzero_brackets()
+            for (p, q), product in products
+            for k, c in bracket.items()
+            for r, m in product.items()
         )
+        labels = [f"{g}*{a}" for g in fibre.labels for a in coeff.labels]
+        self.total = LieAlgebra(labels, entries)
 
     @property
     def dim(self) -> int:
@@ -728,26 +725,16 @@ class UniversalCocycle:
         return f"UniversalCocycle(coeff_dim = {self.coeff_dim}, note = {self.note!r})"
 
 
-def universal_cocycle(
-    g: LieAlgebra,
-    A: CommAlgebra,
-    *,
-    forms: Optional[UniversalFormSpace] = None,
-    kaehler: Optional[KaehlerModule] = None,
-    current: Optional[CurrentAlgebra] = None,
-) -> UniversalCocycle:
+def universal_cocycle(g: LieAlgebra, A: CommAlgebra) -> UniversalCocycle:
     """omega(x (x) a, y (x) b) = kappa(x, y) (x) [a d(b)] on g (x) A.
 
     Coefficient coordinates flatten V(g) (x) Omega1bar as
     t * dim(Omega1bar) + u.  When Omega1bar = 0 the zero cocycle (with
     zero-dimensional coefficient space) is returned, with a note.
     """
-    if forms is None:
-        forms = v_space_and_kappa(g)
-    if kaehler is None:
-        kaehler = kaehler_module(A)
-    if current is None:
-        current = CurrentAlgebra(g, A)
+    forms = v_space_and_kappa(g)
+    kaehler = kaehler_module(A)
+    current = CurrentAlgebra(g, A)
     v = forms.dim
     w = kaehler.dim_omega1bar
     m = v * w

@@ -170,7 +170,7 @@ class UniversalFormSpace:
         return f"UniversalFormSpace(dim V = {self.dim}, parent dim = {self.parent.dim})"
 
 
-def v_space_and_kappa(L: LieAlgebra, ders: Optional[DerivationSpace] = None) -> UniversalFormSpace:
+def v_space_and_kappa(L: LieAlgebra) -> UniversalFormSpace:
     """Build V(L) = S2(L) / <der(L).S2(L)> and kappa = projection of
     the symmetrised tensor.
 
@@ -184,8 +184,7 @@ def v_space_and_kappa(L: LieAlgebra, ders: Optional[DerivationSpace] = None) -> 
     1 here against 2 for gl2, 0 against 3 for heis3 and 0 against 6 for
     abelian:3.  The criterion V(abelian:n) = 0 refers to this definition.
     """
-    if ders is None:
-        ders = derivations(L)
+    ders = derivations(L)
     sym = SymSquare(L)
     generators = []
     for D in ders.basis:

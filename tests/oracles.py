@@ -2,12 +2,14 @@
 
 The elimination oracles deliberately share no code with the package:
 plain Gaussian elimination over Fraction on dense row lists.  The
-term-by-term references below them (matrix commutators, CE differential,
-cocycle defect, coboundary, twist difference, Kaehler module action,
-restriction and gluing over a cover) evaluate each defining formula
-entry by entry and read the package's objects only through basic
-accessors such as bracket_basis, product_basis, kappa_basis, pair_class
-and bar.  Slow but obviously correct, which is the point.
+term-by-term references below them (matrix commutators, the Jacobi and
+associativity walks over every basis triple, the current-algebra and
+tensor-product builders over every basis pair, CE differential, cocycle
+defect, coboundary, twist difference, Kaehler module action, restriction
+and gluing over a cover) evaluate each defining formula entry by entry
+and read the package's objects only through basic accessors such as
+bracket_basis, product_basis, kappa_basis, pair_class and bar.  Slow
+but obviously correct, which is the point.
 cohomology_reference and kaehler_reference are the exceptions: they
 solve the whole scalar complex and the whole all-triples Leibniz span
 with the package's own linear algebra, as references for the
@@ -167,6 +169,90 @@ def dense_kernel_rref(rows, cols):
             v[pivot] = -row[free]
         generators.append(v)
     return dense_rref(generators, cols)
+
+
+def jacobi_violations_reference(L):
+    """validate_lie's Jacobi list by walking every basis triple.
+
+    For each i < j < k the cyclic sum [[x_i,x_j],x_k] + [[x_j,x_k],x_i] +
+    [[x_k,x_i],x_j] is summed term by term through bracket_basis, and the
+    triples with a nonzero sum are listed with it, in lexicographic order.
+    """
+    n = L.dim
+    out = []
+    for i, j, k in combinations(range(n), 3):
+        defect = [Fraction(0)] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, coef in L.bracket_basis(a, b).items():
+                for s, c2 in L.bracket_basis(t, c).items():
+                    defect[s] += coef * c2
+        if any(defect):
+            out.append(((i, j, k), tuple(defect)))
+    return out
+
+
+def associativity_violations_reference(A):
+    """CommAlgebra.validate's associativity list by walking all dim^3
+    ordered basis triples with dense products: ((i, j, k), (b_i b_j) b_k -
+    b_i (b_j b_k)) wherever that is nonzero, in lexicographic order."""
+    n = A.dim
+    e = [A.basis_vector(i) for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = A.product(A.product(e[i], e[j]), e[k])
+                right = A.product(e[i], A.product(e[j], e[k]))
+                if left != right:
+                    out.append(((i, j, k), tuple(a - b for a, b in zip(left, right))))
+    return out
+
+
+def current_algebra_reference(g, A):
+    """(labels, structure entries) of g (x) A from the formula
+    [x_i (x) b_p, x_j (x) b_q] = [x_i, x_j] (x) b_p b_q over every pair of
+    flat indices fi < fj, summed per (fi, fj, fk) and sorted."""
+    da = A.dim
+    totals = {}
+    for fi, fj in combinations(range(g.dim * da), 2):
+        (i, p), (j, q) = divmod(fi, da), divmod(fj, da)
+        for k, c in g.bracket_basis(i, j).items():
+            for r, m in A.product_basis(p, q).items():
+                key = (fi, fj, k * da + r)
+                totals[key] = totals.get(key, Fraction(0)) + c * m
+    labels = tuple(f"{x}*{a}" for x in g.labels for a in A.labels)
+    return labels, [(i, j, k, v) for (i, j, k), v in sorted(totals.items()) if v]
+
+
+def tensor_comm_reference(A, B, sep="*"):
+    """(labels, entries, unit, idempotents) of A (x) B on the product
+    basis: the entries of (b_i (x) b_p)(b_j (x) b_q) = b_i b_j (x) b_p b_q
+    for every flat pair (i, p) <= (j, q) with i <= j, in loop order; the
+    unit and idempotents are tensored with B's unit (or A's)."""
+    db = B.dim
+    labels = [f"{a}{sep}{b}" for a in A.labels for b in B.labels]
+    entries = []
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            prod_a = A.product_basis(i, j)
+            for p in range(db):
+                for q in range(db):
+                    if (i, p) > (j, q):
+                        continue
+                    for r, ca in prod_a.items():
+                        for s, cb in B.product_basis(p, q).items():
+                            entries.append((i * db + p, j * db + q, r * db + s, ca * cb))
+    unit = None
+    if A.unit is not None and B.unit is not None:
+        unit = [x * y for x in A.unit for y in B.unit]
+    idempotents = None
+    if A.idempotents is not None and B.unit is not None:
+        idempotents = [(label, tuple(x * y for x in e for y in B.unit))
+                       for label, e in A.idempotents]
+    elif A.unit is not None and A.idempotents is None and B.idempotents is not None:
+        idempotents = [(label, tuple(x * y for x in A.unit for y in e))
+                       for label, e in B.idempotents]
+    return labels, entries, unit, idempotents
 
 
 def ce_differential_reference(L, p, m):

@@ -101,6 +101,17 @@ def test_parse_rejects_jacobi_violation():
         parse_algebra_document(doc)
 
 
+def test_parse_names_the_first_three_associativity_triples():
+    # b0 b0 = b1 and b1 b1 = b0 fail associativity on four triples
+    doc = json.dumps({"kind": "comm", "dim": 2, "products": [[0, 0, 1, "1"], [1, 1, 0, "1"]]})
+    with pytest.raises(InvalidAlgebraError) as caught:
+        parse_algebra_document(doc)
+    assert str(caught.value) == (
+        "commutative algebra axioms fail: commutativity [], "
+        "associativity [(0, 0, 1), (0, 1, 1), (1, 0, 0)], unit [], idempotents []"
+    )
+
+
 def test_catalog_resolution_without_files():
     report = run_command(["info", "sl2"])
     assert report.exit_code == EXIT_OK

@@ -1056,8 +1056,9 @@ def test_restriction_and_gluing_off_the_integer_lattice():
 def test_twist_difference_off_the_integer_lattice():
     from oracles import twist_difference_reference
 
-    g, A, ca = _off_lattice_current()
-    uc = universal_cocycle(g, A, current=ca)
+    g, A, _ = _off_lattice_current()
+    uc = universal_cocycle(g, A)
+    ca = uc.current
     m = uc.coeff_dim
     # omega itself, read off its formula with Fraction products
     table = {}

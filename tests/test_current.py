@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currentext.catalog import comm_catalog, lie_catalog
 from currentext.cohomology import Cocycle2, OneCochain, coboundary_witness
@@ -21,11 +22,19 @@ from currentext.errors import (
     NoLocalUnitError,
     NonUnitalError,
 )
-from currentext.lie import validate_lie
+from currentext.lie import LieAlgebra, validate_lie
 from currentext.linalg import SparseMatrix, rank
 from currentext.locality import OneFormLocality, SupportStructure
 
-from oracles import dense_rank, kaehler_reference, module_action_reference
+from oracles import (
+    associativity_violations_reference,
+    current_algebra_reference,
+    dense_rank,
+    jacobi_violations_reference,
+    kaehler_reference,
+    module_action_reference,
+    tensor_comm_reference,
+)
 
 F = Fraction
 
@@ -35,6 +44,163 @@ COMM_CATALOG = ["jets:2", "jets:3", "sq2", "fun:2", "fun:3", "fun:2*sq2", "fun:2
 @pytest.mark.parametrize("name", COMM_CATALOG)
 def test_catalog_comm_algebras_valid(name):
     assert comm_catalog(name).validate().ok
+
+
+def test_commutativity_violation_reported():
+    # 1 * x = x against x * 1 = 2x; the i <= j entry wins, so the table
+    # is QQ[x]/x^2 and nothing else fails
+    A = CommAlgebra(("1", "x"), [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 2)], unit=(1, 0))
+    report = A.validate()
+    assert report.commutativity == [(0, 1, 1, F(-1))]
+    assert report.associativity == [] and report.unit == [] and report.idempotents == []
+
+
+def test_associativity_violations_reported():
+    # b0 b0 = b1 and b1 b1 = b0: (b0 b0) b1 = b0 but b0 (b0 b1) = 0, and so on
+    A = CommAlgebra(("b0", "b1"), [(0, 0, 1, 1), (1, 1, 0, 1)])
+    report = A.validate()
+    assert report.associativity == [
+        ((0, 0, 1), (F(1), F(0))),
+        ((0, 1, 1), (F(0), F(-1))),
+        ((1, 0, 0), (F(-1), F(0))),
+        ((1, 1, 0), (F(0), F(1))),
+    ]
+    assert report.commutativity == [] and report.unit == [] and report.idempotents == []
+
+
+def test_unit_violation_reported():
+    # functions on two points with the first point's idempotent as "unit"
+    A = CommAlgebra(("p", "q"), [(0, 0, 0, 1), (1, 1, 1, 1)], unit=(1, 0))
+    report = A.validate()
+    assert report.unit == [(1, (F(0), F(0)))]
+    assert report.commutativity == [] and report.associativity == []
+    assert report.idempotents == []
+
+
+def test_idempotent_violations_reported():
+    # e_q = 1 is idempotent but not orthogonal to e_p, and e_p + e_q != 1
+    A = CommAlgebra(("p", "q"), [(0, 0, 0, 1), (1, 1, 1, 1)], unit=(1, 1),
+                    idempotents=[("p", (1, 0)), ("q", (1, 1))])
+    report = A.validate()
+    assert report.idempotents == [
+        ("p", "q", (F(1), F(0))),
+        ("q", "p", (F(1), F(0))),
+        ("sum", "unit", (F(2), F(1))),
+    ]
+    assert report.commutativity == [] and report.associativity == [] and report.unit == []
+
+
+_values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+SMALL_COMM = ["jets:2", "jets:3", "sq2", "fun:2", "fun:3"]
+SMALL_LIE = ["sl2", "so3", "heis3", "gl2", "abelian:3"]
+
+
+def _entries(table):
+    return [(i, j, k, c) for (i, j, k), c in table.items()]
+
+
+def _changes(draw, n, size):
+    """Up to size random constants at random (i, j, k), either orientation."""
+    if not n:
+        return {}
+    index = st.integers(0, n - 1)
+    return draw(st.dictionaries(st.tuples(index, index, index), _values, max_size=size))
+
+
+@st.composite
+def _comm_tables(draw, names=COMM_CATALOG, max_dim=5):
+    """Catalog algebras on permuted bases with at most one constant changed
+    or added, and random tables with products in both orders, wrong units
+    and idempotents that are neither orthogonal nor sum to the unit."""
+    if draw(st.booleans()):
+        A = comm_catalog(draw(st.sampled_from(names)))
+        n = A.dim
+        order = draw(st.permutations(range(n)))
+
+        def move(v):
+            out = [F(0)] * n
+            for i, x in enumerate(v):
+                out[order[i]] = x
+            return out
+
+        table = {(order[i], order[j], order[k]): c for i, j, k, c in A.entries()}
+        table.update(_changes(draw, n, 1))
+        unit = move(A.unit) if A.is_unital else None
+        idempotents = None if A.idempotents is None else [
+            (label, move(e)) for label, e in A.idempotents
+        ]
+    else:
+        n = draw(st.integers(0, max_dim))
+        table = _changes(draw, n, 2 * n)
+        vectors = st.lists(_values, min_size=n, max_size=n)
+        unit = draw(st.none() | vectors)
+        idempotents = draw(st.none() | st.lists(vectors, max_size=2))
+        if idempotents is not None:
+            idempotents = [(str(t + 1), e) for t, e in enumerate(idempotents)]
+    return CommAlgebra([f"a{i}" for i in range(n)], _entries(table), unit, idempotents)
+
+
+@st.composite
+def _fibres(draw):
+    """Small catalog Lie algebras on permuted bases with at most one
+    constant changed or added."""
+    g = lie_catalog(draw(st.sampled_from(SMALL_LIE)))
+    order = draw(st.permutations(range(g.dim)))
+    table = {(order[i], order[j], order[k]): c for i, j, k, c in g.structure_entries()}
+    table.update(_changes(draw, g.dim, 1))
+    return LieAlgebra(g.labels, _entries(table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_comm_tables())
+def test_associativity_violations_match_the_triple_walk(A):
+    assert A.validate().associativity == associativity_violations_reference(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fibres(), _comm_tables(SMALL_COMM, 4), st.data())
+def test_jacobi_violations_of_current_algebras_match_the_triple_walk(g, A, data):
+    total = current_algebra(g, A).total
+    table = {(i, j, k): c for i, j, k, c in total.structure_entries()}
+    table.update(_changes(data.draw, total.dim, 1))
+    L = LieAlgebra(total.labels, _entries(table))
+    assert validate_lie(L).jacobi_violations == jacobi_violations_reference(L)
+
+
+@pytest.mark.parametrize("gname,aname", [
+    ("sl2", "sq2"), ("gl2", "fun:2*jets:2"), ("sl2+so3", "sq2"), ("sl3", "fun:2*sq2"),
+    ("sl2", "fun:8*sq2"),
+])
+def test_jacobi_violations_of_large_current_algebras_match_the_triple_walk(gname, aname):
+    # dims 12 to 96, each with one constant doubled so that Jacobi fails
+    total = current_algebra(lie_catalog(gname), comm_catalog(aname)).total
+    entries = total.structure_entries()
+    i, j, k, c = entries[len(entries) // 2]
+    entries[len(entries) // 2] = (i, j, k, 2 * c)
+    L = LieAlgebra(total.labels, entries)
+    report = validate_lie(L)
+    assert report.jacobi_violations
+    assert report.jacobi_violations == jacobi_violations_reference(L)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fibres(), _comm_tables())
+def test_current_algebra_matches_the_pairwise_builder(g, A):
+    total = current_algebra(g, A).total
+    labels, entries = current_algebra_reference(g, A)
+    assert total.labels == labels
+    assert total.structure_entries() == entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_comm_tables(), _comm_tables())
+def test_tensor_comm_matches_the_pairwise_builder(A, B):
+    T = tensor_comm(A, B)
+    R = CommAlgebra(*tensor_comm_reference(A, B))
+    assert T.labels == R.labels
+    assert list(T._raw.items()) == list(R._raw.items())
+    assert T.entries() == R.entries()
+    assert T.unit == R.unit and T.idempotents == R.idempotents
 
 
 def _kaehler_dims_oracle(A):

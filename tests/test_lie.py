@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from currentext.catalog import lie_catalog
-from currentext.errors import NotInDerivedAlgebraError
+from currentext.cli import EXIT_INTERNAL, run_command
+from currentext.errors import InternalConsistencyError, NotInDerivedAlgebraError
 from currentext.lie import (
     LieAlgebra,
     derivations,
@@ -20,7 +21,12 @@ from currentext.lie import (
     validate_lie,
 )
 
-from oracles import dense_nullity, dense_solve, lie_from_matrices_reference
+from oracles import (
+    dense_nullity,
+    dense_solve,
+    jacobi_violations_reference,
+    lie_from_matrices_reference,
+)
 
 F = Fraction
 
@@ -161,6 +167,22 @@ def test_perfect_witness_sl2_e_recombines():
     assert total == e
 
 
+def test_perfect_witness_recombination_failure_is_an_internal_error(monkeypatch):
+    # a solver that returns twice the solution recombines to 2x: the check
+    # must raise the package error (exit 70 from the CLI), not an assert
+    import currentext.lie as lie
+
+    solve = lie.solve_linear
+    monkeypatch.setattr(lie, "solve_linear",
+                        lambda matrix, rhs: tuple(2 * x for x in solve(matrix, rhs)))
+    L = lie_catalog("sl2")
+    with pytest.raises(InternalConsistencyError, match="witness recombination failed"):
+        perfect_witness(L, L.basis_element(1))
+    report = run_command(["witness", "sl2", "h"])
+    assert report.exit_code == EXIT_INTERNAL
+    assert report.results == {"error": "witness recombination failed"}
+
+
 def test_perfect_witness_heisenberg_defect():
     L = lie_catalog("heis3")
     with pytest.raises(NotInDerivedAlgebraError) as info:
@@ -249,6 +271,34 @@ MATRIX_BASES = {
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _nonzero_rationals = _rationals.filter(bool)
+
+
+@st.composite
+def _bracket_tables(draw):
+    """Catalog algebras on permuted bases with at most one constant
+    changed or added, and random tables up to dim 6.  Entries come in
+    both orientations, so the tables carry mirror mismatches, diagonal
+    entries and constants that break the Jacobi identity."""
+    if draw(st.booleans()):
+        L = lie_catalog(draw(st.sampled_from(CATALOG)))
+        n, extra = L.dim, 1
+        order = draw(st.permutations(range(n)))
+        table = {(order[i], order[j], order[k]): c for i, j, k, c in L.structure_entries()}
+    else:
+        n = draw(st.integers(0, 6))
+        extra, table = 3 * n, {}
+    if n:
+        index = st.integers(0, n - 1)
+        table.update(draw(st.dictionaries(st.tuples(index, index, index), _rationals,
+                                          max_size=extra)))
+    return LieAlgebra([f"b{i}" for i in range(n)],
+                      [(i, j, k, c) for (i, j, k), c in table.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bracket_tables())
+def test_jacobi_violations_match_the_triple_walk(L):
+    assert validate_lie(L).jacobi_violations == jacobi_violations_reference(L)
 
 
 @st.composite
