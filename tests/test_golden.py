@@ -32,9 +32,10 @@ PAIRS = (
 def golden_cases():
     cases = []
     for name in LIE_NAMES:
-        cases += [["vform", name], ["h2", name]]
+        cases += [["vform", name], ["h2", name], ["info", name], ["killing", name],
+                  ["derivations", name]]
     for name in COMM_NAMES:
-        cases += [["kaehler", name], ["omegabar", name]]
+        cases += [["kaehler", name], ["omegabar", name], ["info", name]]
     for fibre, coeff in PAIRS:
         cases += [
             ["universality", fibre, coeff],
@@ -60,6 +61,16 @@ def golden_cases():
         ["h2", "abelian:4", "--coeff-dim", "3", "--max-cochain", "18"],
         ["glue-demo", "sl2", "fun:3*jets:2", "--cover", "1,2;2,3"],
         ["glue-demo", "sl2", "fun:4*jets:2", "--cover", "1,2;2,3;3,4"],
+        # the catalog-sweep witnesses; x in heis3, E11 in gl2 and a1 in
+        # abelian:3 lie outside [g, g] and exit 2 with their defect class
+        ["witness", "sl2", "h"],
+        ["witness", "sl3", "h1"],
+        ["witness", "so3", "e1"],
+        ["witness", "heis3", "x"],
+        ["witness", "sl2C", "0"],
+        ["witness", "gl2", "E11"],
+        ["witness", "abelian:3", "a1"],
+        ["info", "sl2+so3"],
     ]
     return cases
 
