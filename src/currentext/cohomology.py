@@ -216,7 +216,7 @@ def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> tuple:
     """
     den, brackets = L._integer_table
     into = {}
-    for (a, b), bracket in brackets:
+    for (a, b), bracket in brackets.items():
         for k, c in bracket.items():
             into.setdefault(k, []).append((a, b, (c, -c)))
     rows = {}
@@ -520,7 +520,7 @@ class OneCochain:
         bden, brackets = L._integer_table
         nonzero = [[(a, x) for a, x in enumerate(v) if x] for v in self._num]
         table = {}
-        for pair, bracket in brackets:
+        for pair, bracket in brackets.items():
             total = [0] * self.coeff_dim
             for k, c in bracket.items():
                 for a, x in nonzero[k]:

@@ -11,6 +11,11 @@ exact forms.  The canonical 2-cocycle on g (x) A,
 takes values in V(g) (x) Omega1bar, and for semisimple g the map
 phi -> [phi o omega] from functionals on that target to H^2(g (x) A)
 is a bijection; universality_map computes it as an explicit matrix.
+
+CommAlgebra keeps its product constants in the structure table it shares
+with LieAlgebra (lie._StructureTable): a sparse table for i <= j, mirrored
+with sign +1, and its integer form, which the Kaehler relations and the
+connection twist read instead of rescaling the products on each call.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     NotDiagonalError,
 )
 from .invariants import v_space_and_kappa
-from .lie import LieAlgebra, killing_form, same_algebra
+from .lie import LieAlgebra, _StructureTable, killing_form, same_algebra
 from .linalg import (
     QuotientSpace,
     SparseMatrix,
@@ -70,7 +75,7 @@ class CommValidationReport:
         )
 
 
-class CommAlgebra:
+class CommAlgebra(_StructureTable):
     """Commutative associative algebra over QQ by structure constants.
 
     ``idempotents`` is an optional list of (point label, coordinates)
@@ -79,7 +84,16 @@ class CommAlgebra:
     Non-unital algebras may carry idempotents as local units only.
     """
 
-    __slots__ = ("labels", "_raw", "_table", "unit", "idempotents")
+    __slots__ = ("unit", "idempotents")
+
+    _sign = 1
+    _out_of_range = "product index ({},{},{}) out of range"
+    _duplicate = "duplicate product entry at ({},{},{})"
+    _operands = "product operands must match the algebra dimension"
+
+    product_basis = _StructureTable._basis_product
+    product = _StructureTable._product
+    entries = _StructureTable._entries
 
     def __init__(
         self,
@@ -88,30 +102,8 @@ class CommAlgebra:
         unit: Optional[Sequence] = None,
         idempotents=None,
     ):
-        self.labels = tuple(str(s) for s in labels)
-        n = len(self.labels)
-        raw = {}
-        for i, j, k, value in entries:
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise ValueError(f"product index ({i},{j},{k}) out of range")
-            value = _as_fraction(value)
-            if not value:
-                continue
-            row = raw.setdefault((i, j), {})
-            if k in row:
-                raise ValueError(f"duplicate product entry at ({i},{j},{k})")
-            row[k] = value
-        self._raw = raw
-        # canonical i <= j table; an entry in canonical order wins over the
-        # mirror of its transpose (they agree for valid input)
-        table = {}
-        for (i, j), row in raw.items():
-            if i <= j:
-                table[(i, j)] = dict(row)
-        for (i, j), row in raw.items():
-            if i > j and (j, i) not in table:
-                table[(j, i)] = dict(row)
-        self._table = table
+        super().__init__(labels, entries)
+        n = self.dim
         self.unit = vector(unit) if unit is not None else None
         if self.unit is not None and len(self.unit) != n:
             raise DimensionMismatchError("unit coordinates have wrong length")
@@ -126,10 +118,6 @@ class CommAlgebra:
             self.idempotents = None
 
     @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    @property
     def is_unital(self) -> bool:
         return self.unit is not None
 
@@ -139,10 +127,6 @@ class CommAlgebra:
             return None
         return tuple(label for label, _ in self.idempotents)
 
-    def product_basis(self, i: int, j: int) -> dict:
-        key = (i, j) if i <= j else (j, i)
-        return self._table.get(key, {})
-
     def nonzero_products(self) -> list:
         """The nonzero products b_p b_q in both orders, as ((p, q),
         {r: coefficient}) items in lexicographic pair order.  The coordinate
@@ -150,44 +134,13 @@ class CommAlgebra:
         mirrored = [((q, p), row) for (p, q), row in self._table.items() if p != q]
         return sorted([*self._table.items(), *mirrored], key=lambda item: item[0])
 
-    def product(self, u: Sequence, v: Sequence) -> Vec:
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatchError("product operands must match the algebra dimension")
-        out = [_ZERO] * self.dim
-        nz_u = [(i, _as_fraction(x)) for i, x in enumerate(u) if x]
-        nz_v = [(j, _as_fraction(x)) for j, x in enumerate(v) if x]
-        for i, a in nz_u:
-            for j, b in nz_v:
-                coef = a * b
-                for k, c in self.product_basis(i, j).items():
-                    out[k] += coef * c
-        return tuple(out)
-
     def basis_vector(self, i: int) -> Vec:
         out = [_ZERO] * self.dim
         out[i] = _ONE
         return tuple(out)
 
-    def entries(self):
-        out = []
-        for (i, j) in sorted(self._table):
-            row = self._table[(i, j)]
-            for k in sorted(row):
-                out.append((i, j, k, row[k]))
-        return out
-
     def validate(self) -> CommValidationReport:
         n = self.dim
-        comm = []
-        for (i, j), row in sorted(self._raw.items()):
-            if i >= j:
-                continue
-            mirror = self._raw.get((j, i))
-            if mirror is None:
-                continue
-            for k in sorted(set(row) | set(mirror)):
-                if row.get(k, _ZERO) != mirror.get(k, _ZERO):
-                    comm.append((i, j, k, row.get(k, _ZERO) - mirror.get(k, _ZERO)))
         # (b_p b_q) b_r - b_r (b_p b_q) from the nonzero products: each
         # b_p b_q with a b_t-coordinate x meets each nonzero b_t b_r = b_r b_t,
         # adding to triple (p, q, r) and subtracting from triple (r, p, q)
@@ -225,7 +178,7 @@ class CommAlgebra:
                         total[i] += x
                 if tuple(total) != self.unit:
                     idem_viol.append(("sum", "unit", tuple(total)))
-        return CommValidationReport(comm, assoc, unit_viol, idem_viol)
+        return CommValidationReport(self._mirror_defects(), assoc, unit_viol, idem_viol)
 
     def __repr__(self):
         return f"CommAlgebra(dim={self.dim}, labels={list(self.labels)})"
@@ -244,7 +197,7 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra, sep: str = "*") -> CommAlgebra:
     # lower index first
     b_products = B.nonzero_products()
     entries = []
-    for (i, j), prod_a in sorted(A._table.items()):
+    for (i, j), prod_a in A._table.items():
         for (p, q), prod_b in b_products:
             if i == j and p > q:
                 continue
@@ -407,16 +360,6 @@ def _product_classes(A: CommAlgebra) -> list:
     return list(classes.values())
 
 
-def _integer_products(A: CommAlgebra) -> tuple:
-    """(den, {(i, j): {k: den * c}}): A's product table for i <= j as
-    integers, den the lcm of the structure constants' denominators."""
-    den = lcm(*{c.denominator for row in A._table.values() for c in row.values()})
-    return den, {
-        pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
-        for pair, row in A._table.items()
-    }
-
-
 def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     """Kaehler differentials of a unital algebra as an exact quotient.
 
@@ -454,7 +397,7 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     # the relations as integer rows: every product constant is scaled by
     # the lcm of their denominators, which rescales each Leibniz row and
     # leaves the span alone
-    _, products = _integer_products(A)
+    _, products = A._integer_table
 
     def product(i, j):
         return products.get((i, j) if i <= j else (j, i), {})
@@ -698,9 +641,13 @@ def adjoin_unit_extend(
 
 
 def _sparse_integers(vectors) -> tuple:
-    """(den, rows): the nonzero entries of each Fraction vector as
-    (index, den * value) pairs, den the lcm of all their denominators."""
-    rows = [[(u, x) for u, x in enumerate(vec) if x] for vec in vectors]
+    """(den, rows): the nonzero entries of each Fraction vector, dense or
+    an index -> value dict in index order, as (index, den * value) pairs,
+    den the lcm of all their denominators."""
+    rows = [
+        [(u, x) for u, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x]
+        for vec in vectors
+    ]
     den = lcm(*{x.denominator for row in rows for _, x in row})
     return den, [[(u, x.numerator * (den // x.denominator)) for u, x in row] for row in rows]
 
@@ -821,8 +768,10 @@ def twist_difference(
     from three tables instead of one module action per term:
 
     - N[t][r] = [b_r . w_t] in Omega1bar, for each Omega1 coordinate t
-      that xi uses and each basis element b_r of A: at most
-      dim Omega1 * dim A module actions, vectors of length dim Omega1bar;
+      that xi uses and each basis element b_r of A.  w_t is [b_i d(b_j)]
+      for its representative column i * dim A + j, and
+      b_r [b_i d(b_j)] = sum_s (b_r b_i)_s [b_s d(b_j)] is summed from the
+      sparse pair table and projected as a sparse mapping;
     - B[b][t] = sum_c coef kappa(z_c, x_b), for each fibre index b;
     - K[a, b][t] = sum_c coef sum_k [z_c, x_b]_k kappa(x_a, x_k), for each
       fibre pair (a, b) that some bracket reaches; B and K hold vectors of
@@ -850,9 +799,13 @@ def twist_difference(
     used = sorted({t for _, t in xi.entries})
     bars = []
     for t in used:
-        unit = [_ZERO] * kaehler.dim_omega1
-        unit[t] = _ONE
-        bars.extend(kaehler.bar(kaehler.module_action(A.basis_vector(r), unit)) for r in range(da))
+        i, j = divmod(kaehler.omega1.rep_cols[t], da)
+        for r in range(da):
+            moved = {}
+            for s, c in A.product_basis(r, i).items():
+                for u, value in kaehler._pairs.get((s, j), {}).items():
+                    moved[u] = moved.get(u, 0) + c * value
+            bars.append(kaehler.omega1bar.project(moved))
     nden, rows = _sparse_integers(bars)
     N = {t: rows[x * da:(x + 1) * da] for x, t in enumerate(used)}
     kden, rows = _sparse_integers([forms.kappa_basis(i, j) for i in range(n) for j in range(n)])
@@ -860,10 +813,10 @@ def twist_difference(
     xden = lcm(*{coef.denominator for coef in xi.entries.values()})
     gden, brackets = g._integer_table
     ad = [{} for _ in range(n)]  # ad[c][b] = gden [z_c, x_b] as (k, int) pairs
-    for (i, j), row in brackets:
+    for (i, j), row in brackets.items():
         ad[i][j] = list(row.items())
         ad[j][i] = [(k, -c) for k, c in row.items()]
-    aden, products = _integer_products(A)
+    aden, products = A._integer_table
 
     def accumulate(table, key, t, kap, scale):
         if kap:

@@ -87,9 +87,9 @@ class BilinearForm:
         self.values = tuple(
             tuple(vector(v) for v in row) for row in values
         )
+        if len(self.values) != dim or any(len(row) != dim for row in self.values):
+            raise DimensionMismatchError("bilinear form table must be square")
         for row in self.values:
-            if len(row) != dim:
-                raise DimensionMismatchError("bilinear form table must be square")
             for v in row:
                 if len(v) != target_dim:
                     raise DimensionMismatchError("bilinear form value has wrong length")

@@ -1,13 +1,16 @@
 """Finite-dimensional Lie algebras given by rational structure constants.
 
-A LieAlgebra stores the bracket table [b_i, b_j] = sum_k c[i][j][k] b_k
-sparsely for i < j; the i > j case is derived by antisymmetry.  Raw
-input entries are kept so that the validator can report antisymmetry
-violations in malformed tables instead of silently symmetrising them.
-Next to the Fraction table it keeps the same brackets as integers over
-one denominator, built once with the algebra, for the cochain routines
-that sum ints.  The Jacobi identity is checked as the cocycle condition
-of the bracket read as a 2-cochain with values in L, in O(bracket nnz * n).
+_StructureTable holds the structure constants of a bilinear product on a
+basis, for LieAlgebra here and for CommAlgebra in current.  It parses the
+entries and keeps them raw, so that the validators can report mirror
+mismatches in malformed tables instead of silently resolving them; next
+to them it keeps a canonical sparse table for i <= j and the same
+constants as integers over one denominator, built once with the algebra,
+for the routines that sum ints.  A LieAlgebra stores the bracket
+[b_i, b_j] = sum_k c[i][j][k] b_k for i < j; the i > j case is derived by
+antisymmetry.  The Jacobi identity is checked as the cocycle condition of
+the bracket read as a 2-cochain with values in L, in O(bracket nnz * n),
+and [L, L] is spanned by the nonzero brackets.
 """
 
 from __future__ import annotations
@@ -34,82 +37,124 @@ from .linalg import (
 _ZERO = Fraction(0)
 
 
-class LieAlgebra:
-    """Lie algebra over QQ given by sparse structure constants."""
+class _StructureTable:
+    """Structure constants (b_i b_j)_k of a bilinear product on a basis.
+
+    The raw entries are kept as given, so that mirror mismatches can be
+    reported instead of silently resolved.  ``_table`` is the canonical
+    table for i <= j in pair order: the given orientation wins, and an
+    entry given only as (j, i) is mirrored with ``_sign``, -1 for a Lie
+    bracket (which rules out a diagonal) and +1 for a commutative
+    product.  ``_integer_table`` holds the same constants as integers
+    over one denominator, (den, {(i, j): {k: den * c}}), built once.
+    """
 
     __slots__ = ("labels", "_raw", "_table", "_integer_table")
 
+    # set by each subclass: the mirror sign and the error wording
+    _sign: int
+    _out_of_range: str
+    _duplicate: str
+    _operands: str
+
     def __init__(self, labels: Sequence[str], entries: Iterable = ()):
         """entries: iterable of (i, j, k, coefficient) meaning the
-        b_k-coordinate of [b_i, b_j]."""
+        b_k-coordinate of b_i b_j."""
         self.labels = tuple(str(s) for s in labels)
         n = len(self.labels)
         raw = {}
         for i, j, k, value in entries:
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise ValueError(f"structure constant index ({i},{j},{k}) out of range")
+                raise ValueError(self._out_of_range.format(i, j, k))
             value = _as_fraction(value)
             if not value:
                 continue
-            key = (i, j)
-            row = raw.setdefault(key, {})
+            row = raw.setdefault((i, j), {})
             if k in row:
-                raise ValueError(f"duplicate structure constant at ({i},{j},{k})")
+                raise ValueError(self._duplicate.format(i, j, k))
             row[k] = value
         self._raw = raw
-        # canonical i<j table; prefer the given orientation, mirror the other
+        sign = self._sign
         table = {}
         for (i, j), row in raw.items():
-            if i == j:
-                continue  # diagonal entries are validation failures, not brackets
-            if i < j:
-                if (i, j) not in table:
-                    table[(i, j)] = dict(row)
-            else:
-                if (j, i) not in raw:
-                    table[(j, i)] = {k: -v for k, v in row.items()}
+            if i < j or (i == j and sign > 0):
+                table[(i, j)] = row
+            elif i > j and (j, i) not in raw:
+                table[(j, i)] = row if sign > 0 else {k: -v for k, v in row.items()}
         self._table = dict(sorted(table.items()))
-        # (den, [((i, j), {k: den * c})]): the same brackets as integers,
-        # den the lcm of the structure constants' denominators
         den = lcm(*{c.denominator for row in self._table.values() for c in row.values()})
-        self._integer_table = den, [
-            (pair, {k: c.numerator * (den // c.denominator) for k, c in row.items()})
+        self._integer_table = den, {
+            pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
             for pair, row in self._table.items()
-        ]
+        }
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def bracket_basis(self, i: int, j: int) -> dict:
-        """Coordinates of [b_i, b_j] as a sparse index -> Fraction map."""
-        if i == j:
-            return {}
-        if i < j:
+    def _basis_product(self, i: int, j: int) -> dict:
+        """Coordinates of b_i b_j as a sparse index -> Fraction map, shared
+        with the algebra when i <= j or the product is symmetric."""
+        if i <= j:
             return self._table.get((i, j), {})
         row = self._table.get((j, i), {})
-        return {k: -v for k, v in row.items()}
+        return row if self._sign > 0 else {k: -v for k, v in row.items()}
+
+    def _product(self, u: Sequence, v: Sequence) -> Vec:
+        if len(u) != self.dim or len(v) != self.dim:
+            raise DimensionMismatchError(self._operands)
+        out = [_ZERO] * self.dim
+        nz_u = [(i, _as_fraction(x)) for i, x in enumerate(u) if x]
+        nz_v = [(j, _as_fraction(x)) for j, x in enumerate(v) if x]
+        for i, a in nz_u:
+            for j, b in nz_v:
+                coef = a * b
+                for k, c in self._basis_product(i, j).items():
+                    out[k] += coef * c
+        return tuple(out)
+
+    def _entries(self) -> list:
+        """Canonical sorted (i, j, k, coefficient) entries with i <= j."""
+        return [(i, j, k, row[k]) for (i, j), row in self._table.items() for k in sorted(row)]
+
+    def _mirror_defects(self) -> list:
+        """(i, j, k, defect) in sorted order for each raw entry of a pair
+        i < j given in both orientations that its mirror does not match,
+        the defect being (b_i b_j)_k - sign (b_j b_i)_k; for a bracket
+        also each diagonal entry, with its value."""
+        raw, sign = self._raw, self._sign
+        out = []
+        for (i, j), row in sorted(raw.items()):
+            if i == j and sign < 0:
+                out.extend((i, j, k, row[k]) for k in sorted(row))
+            mirror = raw.get((j, i))
+            if i < j and mirror is not None:
+                for k in sorted(row.keys() | mirror.keys()):
+                    defect = row.get(k, _ZERO) - sign * mirror.get(k, _ZERO)
+                    if defect:
+                        out.append((i, j, k, defect))
+        return out
+
+
+class LieAlgebra(_StructureTable):
+    """Lie algebra over QQ given by sparse structure constants."""
+
+    __slots__ = ()
+
+    _sign = -1
+    _out_of_range = "structure constant index ({},{},{}) out of range"
+    _duplicate = "duplicate structure constant at ({},{},{})"
+    _operands = "bracket operands must match the algebra dimension"
+
+    bracket_basis = _StructureTable._basis_product
+    bracket = _StructureTable._product
+    structure_entries = _StructureTable._entries
 
     def nonzero_brackets(self):
         """The nonzero brackets as ((i, j), {k: coefficient}) items with
         i < j, in lexicographic pair order.  The coordinate maps are shared
         with the algebra and must not be mutated."""
         return self._table.items()
-
-    def bracket(self, u: Sequence, v: Sequence) -> Vec:
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatchError("bracket operands must match the algebra dimension")
-        out = [_ZERO] * self.dim
-        nz_u = [(i, _as_fraction(x)) for i, x in enumerate(u) if x]
-        nz_v = [(j, _as_fraction(x)) for j, x in enumerate(v) if x]
-        for i, a in nz_u:
-            for j, b in nz_v:
-                if i == j:
-                    continue
-                coef = a * b
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += coef * c
-        return tuple(out)
 
     def ad(self, i: int) -> SparseMatrix:
         """Matrix of ad(b_i): column j holds the coordinates of [b_i, b_j]."""
@@ -126,15 +171,6 @@ class LieAlgebra:
         coords = [_ZERO] * self.dim
         coords[i] = Fraction(1)
         return Element(self, tuple(coords))
-
-    def structure_entries(self):
-        """Canonical sorted (i, j, k, coefficient) triplets with i < j."""
-        out = []
-        for (i, j) in sorted(self._table):
-            row = self._table[(i, j)]
-            for k in sorted(row):
-                out.append((i, j, k, row[k]))
-        return out
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, labels={list(self.labels)})"
@@ -238,7 +274,7 @@ def _coboundary_totals(L: LieAlgebra, cochain, m: int) -> dict:
         rows[i][j] = nonzero
         rows[j][i] = [(s, -x) for s, x in nonzero]
     totals = {}
-    for (a, b), bracket in brackets:
+    for (a, b), bracket in brackets.items():
         for k, coef in bracket.items():
             for c, value in rows[k].items():
                 if c < a:
@@ -260,28 +296,13 @@ def _coboundary_totals(L: LieAlgebra, cochain, m: int) -> dict:
 def validate_lie(L: LieAlgebra) -> ValidationReport:
     """Check antisymmetry, and the Jacobi identity on all basis triples as
     [[x,y],z] - [[x,z],y] + [[y,z],x] = d(bracket)(x, y, z) = 0."""
-    anti = []
-    for (i, j), row in sorted(L._raw.items()):
-        if i == j:
-            for k in sorted(row):
-                anti.append((i, j, k, row[k]))
-            continue
-        mirror = L._raw.get((j, i))
-        if mirror is None:
-            continue
-        if i > j:
-            continue  # reported once, from the (i, j) with i < j
-        for k in sorted(set(row) | set(mirror)):
-            defect = row.get(k, _ZERO) + mirror.get(k, _ZERO)
-            if defect:
-                anti.append((i, j, k, defect))
     den, brackets = L._integer_table
-    totals = _coboundary_totals(L, ((pair, list(b.items())) for pair, b in brackets), L.dim)
+    totals = _coboundary_totals(L, ((pair, list(b.items())) for pair, b in brackets.items()), L.dim)
     jacobi = [
         (triple, tuple(Fraction(x, den * den) for x in totals[triple]))
         for triple in sorted(totals)
     ]
-    return ValidationReport(anti, jacobi)
+    return ValidationReport(L._mirror_defects(), jacobi)
 
 
 def killing_form(L: LieAlgebra):
@@ -376,35 +397,27 @@ def derivations(L: LieAlgebra) -> DerivationSpace:
     return DerivationSpace(L, basis, all_inner, contains_inner)
 
 
-def bracket_pair_matrix(L: LieAlgebra):
-    """Matrix of the bracket map Lambda^2 L -> L: column (i, j) with
-    i < j holds the coordinates of [b_i, b_j]."""
-    n = L.dim
-    pairs = list(combinations(range(n), 2))
-    data = {}
-    for t, (i, j) in enumerate(pairs):
-        for k, c in L.bracket_basis(i, j).items():
-            data[(k, t)] = c
-    return pairs, SparseMatrix(n, len(pairs), data)
-
-
 def perfect_witness(L: LieAlgebra, x) -> list:
     """Write x as an exact finite sum of commutators.
 
     Returns [(mu_1, nu_1), ...] of Elements with x = sum [mu_t, nu_t].
     Raises NotInDerivedAlgebraError with the defect class in L/[L, L]
     when x is not a sum of commutators.
+
+    The columns solved against are the nonzero brackets [b_i, b_j], i < j,
+    in pair order: a zero bracket would be a free column, which the
+    canonical solution sets to zero, so leaving it out changes no pair.
     """
     coords = x.coords if isinstance(x, Element) else vector(x)
     if len(coords) != L.dim:
         raise DimensionMismatchError("element length must match the algebra dimension")
-    pairs, matrix = bracket_pair_matrix(L)
+    pairs = [pair for pair, _ in L.nonzero_brackets()]
+    matrix = SparseMatrix(L.dim, len(pairs), {
+        (k, t): c for t, (_, bracket) in enumerate(L.nonzero_brackets()) for k, c in bracket.items()
+    })
     solution = solve_linear(matrix, coords)
     if solution is None:
-        derived = Subspace.from_spanning(
-            L.dim, [matrix.column(t) for t in range(len(pairs))]
-        )
-        defect = quotient_space(L.dim, derived).project(coords)
+        defect = quotient_space(L.dim, derived_subalgebra(L)).project(coords)
         raise NotInDerivedAlgebraError(defect)
     witness = []
     total = [_ZERO] * L.dim
@@ -425,8 +438,8 @@ def perfect_witness(L: LieAlgebra, x) -> list:
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    pairs, matrix = bracket_pair_matrix(L)
-    return Subspace.from_spanning(L.dim, [matrix.column(t) for t in range(len(pairs))])
+    """[L, L], spanned by the nonzero brackets of basis elements."""
+    return Subspace.from_spanning(L.dim, L._integer_table[1].values())
 
 
 def is_perfect(L: LieAlgebra) -> bool:

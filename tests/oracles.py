@@ -18,7 +18,12 @@ elimination.  coboundary_witness_reference likewise solves each
 coefficient slot with the package's solve_linear, as the reference for
 solving all slots in one elimination, and inject_form_reference projects
 a dense tensor with the package's Omega1 quotient, as the reference for
-reading extension by zero off the pair table.
+reading extension by zero off the pair table.  derived_subalgebra_reference
+and perfect_witness_reference span and solve a column for every basis
+pair with the package's linear algebra, as the references for reading
+only the nonzero brackets.  lie_table_reference and comm_table_reference
+are the former constructor loops of the two kinds of algebra, and the
+two violations references their former mirror checks.
 
 The package keys cochains by increasing index tuples, {p-tuple: m-tuple}.
 The dense references use flat vectors of C^p(L, Q^m) instead, entry
@@ -28,7 +33,7 @@ flat_cochain and tuple_cochain convert between the two forms.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from types import SimpleNamespace
 
 
@@ -169,6 +174,154 @@ def dense_kernel_rref(rows, cols):
             v[pivot] = -row[free]
         generators.append(v)
     return dense_rref(generators, cols)
+
+
+def _raw_table(entries):
+    """{(i, j): {k: coefficient}}: the nonzero entries as given."""
+    raw = {}
+    for i, j, k, value in entries:
+        value = Fraction(value)
+        if value:
+            raw.setdefault((i, j), {})[k] = value
+    return raw
+
+
+def _tables(raw, table, basis):
+    """The reference namespace of a structure-constant table: the raw
+    entries, the canonical table and its integer form (den, {pair: {k:
+    den * c}}), the sorted entries, the basis product and a dense product
+    that sums every pair of coordinates through it."""
+    den = lcm(*{c.denominator for row in table.values() for c in row.values()})
+    integer = den, {
+        pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+        for pair, row in table.items()
+    }
+    entries = [(i, j, k, table[(i, j)][k]) for (i, j) in sorted(table)
+               for k in sorted(table[(i, j)])]
+
+    def dense(u, v):
+        out = [Fraction(0)] * len(u)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                for k, c in basis(i, j).items():
+                    out[k] += Fraction(a) * Fraction(b) * c
+        return tuple(out)
+
+    return SimpleNamespace(raw=raw, table=table, integer_table=integer, entries=entries,
+                           basis=basis, product=dense)
+
+
+def lie_table_reference(entries):
+    """LieAlgebra's tables by its former constructor loop: an (i, j) with
+    i < j is taken as given, one given only as (j, i) is negated, and a
+    diagonal entry is dropped; the table is in pair order."""
+    raw = _raw_table(entries)
+    table = {}
+    for (i, j), row in raw.items():
+        if i == j:
+            continue
+        if i < j:
+            if (i, j) not in table:
+                table[(i, j)] = dict(row)
+        elif (j, i) not in raw:
+            table[(j, i)] = {k: -v for k, v in row.items()}
+    table = dict(sorted(table.items()))
+
+    def basis(i, j):
+        if i == j:
+            return {}
+        if i < j:
+            return table.get((i, j), {})
+        return {k: -v for k, v in table.get((j, i), {}).items()}
+
+    return _tables(raw, table, basis)
+
+
+def comm_table_reference(entries):
+    """CommAlgebra's tables by its former constructor loop: an (i, j) with
+    i <= j is taken as given, one given only as (j, i) is copied; the
+    table is in the order the entries were given."""
+    raw = _raw_table(entries)
+    table = {}
+    for (i, j), row in raw.items():
+        if i <= j:
+            table[(i, j)] = dict(row)
+    for (i, j), row in raw.items():
+        if i > j and (j, i) not in table:
+            table[(j, i)] = dict(row)
+
+    def basis(i, j):
+        return table.get((i, j) if i <= j else (j, i), {})
+
+    return _tables(raw, table, basis)
+
+
+def antisymmetry_violations_reference(raw):
+    """validate_lie's antisymmetry list by its former loop: each diagonal
+    entry, then for a pair i < j given in both orientations each k where
+    [b_i, b_j]_k + [b_j, b_i]_k != 0, in sorted order."""
+    anti = []
+    for (i, j), row in sorted(raw.items()):
+        if i == j:
+            for k in sorted(row):
+                anti.append((i, j, k, row[k]))
+            continue
+        mirror = raw.get((j, i))
+        if mirror is None or i > j:
+            continue
+        for k in sorted(set(row) | set(mirror)):
+            defect = row.get(k, Fraction(0)) + mirror.get(k, Fraction(0))
+            if defect:
+                anti.append((i, j, k, defect))
+    return anti
+
+
+def commutativity_violations_reference(raw):
+    """CommAlgebra.validate's commutativity list by its former loop: for a
+    pair i < j given in both orders, each k where (b_i b_j)_k differs from
+    (b_j b_i)_k, with the difference, in sorted order."""
+    comm = []
+    for (i, j), row in sorted(raw.items()):
+        if i >= j:
+            continue
+        mirror = raw.get((j, i))
+        if mirror is None:
+            continue
+        for k in sorted(set(row) | set(mirror)):
+            if row.get(k, Fraction(0)) != mirror.get(k, Fraction(0)):
+                comm.append((i, j, k, row.get(k, Fraction(0)) - mirror.get(k, Fraction(0))))
+    return comm
+
+
+def _bracket_pair_matrix(L):
+    """The bracket map Lambda^2 L -> L with a dense column for every pair
+    i < j, zero brackets included."""
+    from currentext.linalg import SparseMatrix
+
+    pairs = list(combinations(range(L.dim), 2))
+    data = {(k, t): c for t, (i, j) in enumerate(pairs) for k, c in L.bracket_basis(i, j).items()}
+    return pairs, SparseMatrix(L.dim, len(pairs), data)
+
+
+def derived_subalgebra_reference(L):
+    """[L, L] spanned by the dense columns of every basis pair."""
+    from currentext.linalg import Subspace
+
+    pairs, matrix = _bracket_pair_matrix(L)
+    return Subspace.from_spanning(L.dim, [matrix.column(t) for t in range(len(pairs))])
+
+
+def perfect_witness_reference(L, coords):
+    """perfect_witness by a solve against every basis pair's column:
+    ([(i, j, coefficient)], None) for the pairs with a nonzero coefficient,
+    or (None, defect class in L/[L, L]) when coords is not in [L, L]."""
+    from currentext.linalg import quotient_space, solve_linear
+
+    pairs, matrix = _bracket_pair_matrix(L)
+    solution = solve_linear(matrix, coords)
+    if solution is None:
+        return None, quotient_space(L.dim, derived_subalgebra_reference(L)).project(coords)
+    return [(*pairs[t], c) for t, c in enumerate(solution) if c], None
 
 
 def jacobi_violations_reference(L):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from currentext.catalog import lie_catalog
-from currentext.errors import NotInvariantError, NotSymmetricError
+from currentext.errors import DimensionMismatchError, NotInvariantError, NotSymmetricError
 from currentext.invariants import (
     BilinearForm,
     SymSquare,
@@ -153,3 +153,13 @@ def test_factor_rejects_non_invariant():
     with pytest.raises(NotInvariantError) as info:
         factor_through(forms, BilinearForm.from_matrix(values))
     assert len(info.value.witness) == 3
+
+
+@pytest.mark.parametrize("values", [
+    [[(1,), (0,), (0,)]],  # one row of three
+    [[(1,), (0,), (0,)]] * 4,  # four rows of three
+    [[(1,), (0,)]] * 3,  # three rows of two
+])
+def test_bilinear_form_rejects_a_table_of_the_wrong_shape(values):
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        BilinearForm(3, 1, values)

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from currentext.catalog import lie_catalog
 from currentext.cli import EXIT_INTERNAL, run_command
-from currentext.errors import InternalConsistencyError, NotInDerivedAlgebraError
+from currentext.current import CommAlgebra
+from currentext.errors import (
+    DimensionMismatchError,
+    InternalConsistencyError,
+    NotInDerivedAlgebraError,
+)
 from currentext.lie import (
     LieAlgebra,
     derivations,
@@ -22,10 +27,16 @@ from currentext.lie import (
 )
 
 from oracles import (
+    antisymmetry_violations_reference,
+    comm_table_reference,
+    commutativity_violations_reference,
     dense_nullity,
     dense_solve,
+    derived_subalgebra_reference,
     jacobi_violations_reference,
     lie_from_matrices_reference,
+    lie_table_reference,
+    perfect_witness_reference,
 )
 
 F = Fraction
@@ -363,3 +374,119 @@ def test_lie_from_matrices_of_catalog_bases(name):
 def test_lie_from_matrices_rejects_bad_bases(labels, mats, message):
     with pytest.raises(ValueError, match=message):
         lie_from_matrices(tuple(labels), mats)
+
+
+@st.composite
+def _entry_lists(draw, sign):
+    """(dim, entries) up to dim 5 for a table with mirror sign ``sign``, in
+    shuffled order: entries in either orientation, diagonal entries, zero
+    coefficients, and for some off-diagonal entries a mirror entry that
+    agrees (sign times the value) or one that disagrees."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    given = draw(st.dictionaries(st.tuples(index, index, index), _rationals, max_size=3 * n))
+    entries = []
+    for (i, j, k), c in given.items():
+        entries.append((i, j, k, c))
+        if i != j and (j, i, k) not in given:
+            mirror = draw(st.sampled_from(["none", "agree", "disagree"]))
+            if mirror == "agree":
+                entries.append((j, i, k, sign * c))
+            elif mirror == "disagree":
+                entries.append((j, i, k, sign * c + draw(_nonzero_rationals)))
+    return n, draw(st.permutations(entries))
+
+
+# per kind: the class, its table and mirror-report references, and its
+# public basis product, dense product, entry list and mirror report
+TABLE_KINDS = {
+    "lie": (LieAlgebra, lie_table_reference, antisymmetry_violations_reference,
+            lambda L: (L.bracket_basis, L.bracket, L.structure_entries(),
+                       validate_lie(L).antisymmetry_violations)),
+    "comm": (CommAlgebra, comm_table_reference, commutativity_violations_reference,
+             lambda A: (A.product_basis, A.product, A.entries(), A.validate().commutativity)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_structure_table_matches_the_former_constructor(kind, data):
+    cls, reference, violations_reference, public = TABLE_KINDS[kind]
+    n, entries = data.draw(_entry_lists(cls._sign))
+    alg = cls([f"b{i}" for i in range(n)], entries)
+    ref = reference(entries)
+    assert alg._raw == ref.raw
+    assert alg._table == ref.table
+    assert list(alg._table) == sorted(alg._table)
+    assert alg._integer_table == ref.integer_table
+    basis, dense, listed, report = public(alg)
+    assert listed == ref.entries
+    assert report == violations_reference(ref.raw)
+    for i in range(n):
+        for j in range(n):
+            assert basis(i, j) == ref.basis(i, j)
+    vectors = st.lists(_rationals, min_size=n, max_size=n)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert dense(u, v) == ref.product(u, v)
+
+
+@pytest.mark.parametrize("cls, entries, message", [
+    (LieAlgebra, [(0, 1, 2, 1)], "structure constant index (0,1,2) out of range"),
+    (LieAlgebra, [(0, 1, 0, 1), (0, 1, 0, 2)], "duplicate structure constant at (0,1,0)"),
+    (CommAlgebra, [(-1, 0, 0, 1)], "product index (-1,0,0) out of range"),
+    (CommAlgebra, [(1, 1, 1, 1), (1, 1, 1, 1)], "duplicate product entry at (1,1,1)"),
+])
+def test_constructors_name_the_bad_entry(cls, entries, message):
+    with pytest.raises(ValueError) as info:
+        cls(("a", "b"), entries)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls, message", [
+    (LieAlgebra, "bracket operands must match the algebra dimension"),
+    (CommAlgebra, "product operands must match the algebra dimension"),
+])
+def test_dense_products_reject_operands_of_the_wrong_length(cls, message):
+    alg = cls(("a", "b"), [(0, 1, 0, 1)])
+    with pytest.raises(DimensionMismatchError) as info:
+        (alg.bracket if cls is LieAlgebra else alg.product)((1, 0), (1, 0, 0))
+    assert str(info.value) == message
+
+
+@st.composite
+def _algebras_with_zero_brackets(draw):
+    """heis3, gl2 or abelian:3, alone or in a direct sum with another
+    catalog algebra, on a permuted basis."""
+    L = lie_catalog(draw(st.sampled_from(["heis3", "gl2", "abelian:3"])))
+    if draw(st.booleans()):
+        other = lie_catalog(draw(st.sampled_from(["sl2", "so3", "heis3", "gl2", "abelian:3"])))
+        L = direct_sum(*draw(st.permutations([L, other])))
+    order = draw(st.permutations(range(L.dim)))
+    return LieAlgebra(L.labels, [(order[i], order[j], order[k], c)
+                                 for i, j, k, c in L.structure_entries()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_algebras_with_zero_brackets(), st.data())
+def test_perfect_witness_matches_the_solve_over_every_pair(L, data):
+    n = L.dim
+    vectors = st.lists(_rationals, min_size=n, max_size=n)
+    if data.draw(st.booleans()):  # a sum of two brackets, inside [L, L]
+        x = tuple(a + b for a, b in zip(L.bracket(data.draw(vectors), data.draw(vectors)),
+                                        L.bracket(data.draw(vectors), data.draw(vectors))))
+    else:
+        x = tuple(data.draw(vectors))
+    derived = derived_subalgebra_reference(L)
+    assert derived_subalgebra(L) == derived
+    assert is_perfect(L) == (derived.dim == n)
+    pairs, defect = perfect_witness_reference(L, x)
+    if pairs is None:
+        with pytest.raises(NotInDerivedAlgebraError) as info:
+            perfect_witness(L, x)
+        assert info.value.defect_coordinates == defect
+        return
+    unit = [tuple(F(int(t == i)) for t in range(n)) for i in range(n)]
+    assert [(mu.coords, nu.coords) for mu, nu in perfect_witness(L, x)] == [
+        (tuple(c * e for e in unit[i]), unit[j]) for i, j, c in pairs
+    ]
