@@ -61,6 +61,9 @@ def golden_cases():
         ["h2", "abelian:4", "--coeff-dim", "3", "--max-cochain", "18"],
         ["glue-demo", "sl2", "fun:3*jets:2", "--cover", "1,2;2,3"],
         ["glue-demo", "sl2", "fun:4*jets:2", "--cover", "1,2;2,3;3,4"],
+        # corners whose coefficient factor sq2 is nilpotent past its unit
+        ["glue-demo", "sl2", "fun:3*sq2", "--cover", "1,2;2,3"],
+        ["glue-demo", "so3", "fun:2*sq2", "--cover", "1;2"],
         # the catalog-sweep witnesses; x in heis3, E11 in gl2 and a1 in
         # abelian:3 lie outside [g, g] and exit 2 with their defect class
         ["witness", "sl2", "h"],
