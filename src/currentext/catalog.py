@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .current import CommAlgebra, tensor_comm
 from .errors import CatalogError
-from .lie import LieAlgebra, direct_sum, lie_from_matrices, realify
+from .lie import LieAlgebra, _gl, direct_sum, realify
 
 _ONE = Fraction(1)
 
@@ -50,40 +50,11 @@ def _abelian(n: int) -> LieAlgebra:
 
 
 def _sl3() -> LieAlgebra:
-    def E(i, j):
-        return tuple(
-            tuple(_ONE if (r, c) == (i, j) else Fraction(0) for c in range(3))
-            for r in range(3)
-        )
-
-    def diag(*values):
-        return tuple(
-            tuple(Fraction(values[r]) if r == c else Fraction(0) for c in range(3))
-            for r in range(3)
-        )
-
+    # h1 = E11 - E22, h2 = E22 - E33 and the root vectors E_ab of gl(3),
+    # whose coordinate a * 3 + b is the matrix entry (a, b)
     labels = ("h1", "h2", "e1", "e2", "e3", "f1", "f2", "f3")
-    mats = [
-        diag(1, -1, 0),
-        diag(0, 1, -1),
-        E(0, 1),
-        E(1, 2),
-        E(0, 2),
-        E(1, 0),
-        E(2, 1),
-        E(2, 0),
-    ]
-    return lie_from_matrices(labels, mats)
-
-
-def _gl2() -> LieAlgebra:
-    def E(i, j):
-        return tuple(
-            tuple(_ONE if (r, c) == (i, j) else Fraction(0) for c in range(2))
-            for r in range(2)
-        )
-
-    return lie_from_matrices(("E11", "E12", "E21", "E22"), [E(0, 0), E(0, 1), E(1, 0), E(1, 1)])
+    vectors = [{0: 1, 4: -1}, {4: 1, 8: -1}, {1: 1}, {5: 1}, {2: 1}, {3: 1}, {7: 1}, {6: 1}]
+    return LieAlgebra(labels, _gl(3)._entries_on(vectors))
 
 
 def _sl2c() -> LieAlgebra:
@@ -141,7 +112,7 @@ def _lie_single(name: str) -> LieAlgebra:
     if name == "sl2C":
         return _sl2c()
     if name == "gl2":
-        return _gl2()
+        return _gl(2)
     if name.startswith("abelian:"):
         try:
             n = int(name.split(":", 1)[1])

@@ -89,6 +89,7 @@ class CommAlgebra(_StructureTable):
     _sign = 1
     _out_of_range = "product index ({},{},{}) out of range"
     _duplicate = "duplicate product entry at ({},{},{})"
+    _leaves_span = "product of basis elements {}, {} leaves the span"
     _operands = "product operands must match the algebra dimension"
 
     product_basis = _StructureTable._basis_product
@@ -111,9 +112,13 @@ class CommAlgebra(_StructureTable):
             self.idempotents = tuple(
                 (str(label), vector(coords)) for label, coords in idempotents
             )
-            for _, coords in self.idempotents:
+            seen = set()
+            for label, coords in self.idempotents:
                 if len(coords) != n:
                     raise DimensionMismatchError("idempotent coordinates have wrong length")
+                if label in seen:
+                    raise ValueError(f"duplicate idempotent point label {label!r}")
+                seen.add(label)
         else:
             self.idempotents = None
 
@@ -206,19 +211,24 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra, sep: str = "*") -> CommAlgebra:
                     entries.append((flat(i, p), flat(j, q), flat(r, s), ca * cb))
     unit = None
     if A.is_unital and B.is_unital:
-        unit = [A.unit[i] * B.unit[p] for i in range(A.dim) for p in range(db)]
+        unit = _outer(A.unit, B.unit)
     idempotents = None
     if A.idempotents is not None and B.is_unital:
-        idempotents = [
-            (label, tuple(e[i] * B.unit[p] for i in range(A.dim) for p in range(db)))
-            for label, e in A.idempotents
-        ]
+        idempotents = [(label, _outer(e, B.unit)) for label, e in A.idempotents]
     elif A.is_unital and A.idempotents is None and B.idempotents is not None:
-        idempotents = [
-            (label, tuple(A.unit[i] * e[p] for i in range(A.dim) for p in range(db)))
-            for label, e in B.idempotents
-        ]
+        idempotents = [(label, _outer(A.unit, e)) for label, e in B.idempotents]
     return CommAlgebra(labels, entries, unit, idempotents)
+
+
+def _outer(u: Vec, v: Vec) -> Vec:
+    """u (x) v on the product basis, multiplying nonzero coordinates only."""
+    out = [_ZERO] * (len(u) * len(v))
+    nonzero_v = [(p, y) for p, y in enumerate(v) if y]
+    for i, x in enumerate(u):
+        if x:
+            for p, y in nonzero_v:
+                out[i * len(v) + p] = x * y
+    return tuple(out)
 
 
 class KaehlerModule:

@@ -5,8 +5,10 @@ basis, for LieAlgebra here and for CommAlgebra in current.  It parses the
 entries and keeps them raw, so that the validators can report mirror
 mismatches in malformed tables instead of silently resolving them; next
 to them it keeps a canonical sparse table for i <= j and the same
-constants as integers over one denominator, built once with the algebra,
-for the routines that sum ints.  A LieAlgebra stores the bracket
+constants as integers over one denominator, built on first read, for
+the routines that sum ints.  Its _entries_on builds the constants on a
+computed basis, for lie_from_matrices inside gl(d) and for locality's
+corners.  A LieAlgebra stores the bracket
 [b_i, b_j] = sum_k c[i][j][k] b_k for i < j; the i > j case is derived by
 antisymmetry.  The Jacobi identity is checked as the cocycle condition of
 the bracket read as a 2-cochain with values in L, in O(bracket nnz * n),
@@ -16,7 +18,7 @@ and [L, L] is spanned by the nonzero brackets.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -35,6 +37,7 @@ from .linalg import (
 )
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class _StructureTable:
@@ -46,16 +49,19 @@ class _StructureTable:
     entry given only as (j, i) is mirrored with ``_sign``, -1 for a Lie
     bracket (which rules out a diagonal) and +1 for a commutative
     product.  ``_integer_table`` holds the same constants as integers
-    over one denominator, (den, {(i, j): {k: den * c}}), built once.
+    over one denominator, (den, {(i, j): {k: den * c}}), built on first
+    read.
     """
 
-    __slots__ = ("labels", "_raw", "_table", "_integer_table")
+    __slots__ = ("labels", "_raw", "_table", "_integers")
 
     # set by each subclass: the mirror sign and the error wording
     _sign: int
     _out_of_range: str
     _duplicate: str
+    _leaves_span: str
     _operands: str
+    _dependent = "basis is not linearly independent"
 
     def __init__(self, labels: Sequence[str], entries: Iterable = ()):
         """entries: iterable of (i, j, k, coefficient) meaning the
@@ -82,11 +88,17 @@ class _StructureTable:
             elif i > j and (j, i) not in raw:
                 table[(j, i)] = row if sign > 0 else {k: -v for k, v in row.items()}
         self._table = dict(sorted(table.items()))
-        den = lcm(*{c.denominator for row in self._table.values() for c in row.values()})
-        self._integer_table = den, {
-            pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
-            for pair, row in self._table.items()
-        }
+        self._integers = None
+
+    @property
+    def _integer_table(self):
+        if self._integers is None:
+            den = lcm(*{c.denominator for row in self._table.values() for c in row.values()})
+            self._integers = den, {
+                pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+                for pair, row in self._table.items()
+            }
+        return self._integers
 
     @property
     def dim(self) -> int:
@@ -117,6 +129,36 @@ class _StructureTable:
         """Canonical sorted (i, j, k, coefficient) entries with i <= j."""
         return [(i, j, k, row[k]) for (i, j), row in self._table.items() for k in sorted(row)]
 
+    def _entries_on(self, vectors: Sequence) -> list:
+        """Canonical entries (i, j, k, c) of the product on the span of
+        ``vectors``, sparse {coordinate: value} maps in this basis, in their
+        coordinates: i < j for a bracket, i <= j for a product.  Dependent
+        vectors raise ValueError ``_dependent``, and the first pair whose
+        product leaves the span ``_leaves_span``; one solve_many gives the
+        coordinates of every product."""
+        m, table, sign = len(vectors), self._table, self._sign
+        span = SparseMatrix(self.dim, m, {(p, t): x for t, v in enumerate(vectors)
+                                          for p, x in v.items()})
+        if rank(span) != m:
+            raise ValueError(self._dependent)
+        pairs = [(i, j) for i in range(m) for j in range(i + (sign < 0), m)]
+        products = []
+        for i, j in pairs:
+            out = {}
+            for p, x in vectors[i].items():
+                for q, y in vectors[j].items():
+                    row = table.get((p, q) if p <= q else (q, p), {})
+                    coef = x * y if p <= q else sign * x * y
+                    for k, c in row.items():
+                        out[k] = out.get(k, 0) + coef * c
+            products.append(out)
+        entries = []
+        for (i, j), coords in zip(pairs, solve_many(span, products)):
+            if coords is None:
+                raise ValueError(self._leaves_span.format(i, j))
+            entries.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+        return entries
+
     def _mirror_defects(self) -> list:
         """(i, j, k, defect) in sorted order for each raw entry of a pair
         i < j given in both orientations that its mirror does not match,
@@ -144,6 +186,7 @@ class LieAlgebra(_StructureTable):
     _sign = -1
     _out_of_range = "structure constant index ({},{},{}) out of range"
     _duplicate = "duplicate structure constant at ({},{},{})"
+    _leaves_span = "commutator of basis elements {}, {} leaves the span"
     _operands = "bracket operands must match the algebra dimension"
 
     bracket_basis = _StructureTable._basis_product
@@ -468,12 +511,26 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(labels, entries)
 
 
+def _gl(d: int) -> LieAlgebra:
+    """gl(d) on the unit matrices E_ab, flattened row-major as a * d + b,
+    from [E_ab, E_ce] = delta_bc E_ae - delta_ea E_cb."""
+    entries = []
+    for a, b, c, e in product(range(d), repeat=4):
+        if a * d + b < c * d + e:
+            if b == c:
+                entries.append((a * d + b, c * d + e, a * d + e, _ONE))
+            if e == a:
+                entries.append((a * d + b, c * d + e, c * d + b, -_ONE))
+    return LieAlgebra([f"E{a + 1}{b + 1}" for a in range(d) for b in range(d)], entries)
+
+
 def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]]) -> LieAlgebra:
     """Structure constants of a matrix Lie algebra spanned by ``mats``.
 
     Every matrix must be d x d for one d, with one label per matrix.  The
-    matrices must be linearly independent and closed under the
-    commutator; both conditions are checked exactly.
+    constants are gl(d)'s on the span of the matrices flattened row-major
+    (_entries_on), which checks exactly that they are linearly
+    independent and closed under the commutator.
     """
     n = len(mats)
     if len(labels) != n:
@@ -481,53 +538,16 @@ def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]])
     if n == 0:
         return LieAlgebra(labels, ())
     d = len(mats[0])
-    # each matrix as its nonzero entries, row r -> {column: value}
-    sparse = []
     for t, m in enumerate(mats):
         if len(m) != d or any(len(row) != d for row in m):
             raise ValueError(
                 f"matrices must be square and of one size: matrix {t} is not {d} x {d}"
             )
-        rows = {}
-        for r, row in enumerate(m):
-            nonzero = {c: y for c, x in enumerate(row) if (y := _as_fraction(x))}
-            if nonzero:
-                rows[r] = nonzero
-        sparse.append(rows)
-
-    # column k of span is matrix k, flattened row-major
-    span = SparseMatrix(d * d, n, {
-        (r * d + c, k): x
-        for k, rows in enumerate(sparse)
-        for r, nonzero in rows.items()
-        for c, x in nonzero.items()
-    })
-    if rank(span) != n:
-        raise ValueError("matrix basis is not linearly independent")
-
-    def add_product(out, a, b, sign):
-        # out += sign * a b, over the nonzero entries of a and b only
-        for r, a_row in a.items():
-            for t, x in a_row.items():
-                for c, y in b.get(t, {}).items():
-                    idx = r * d + c
-                    out[idx] = out.get(idx, 0) + sign * x * y
-
-    pairs = list(combinations(range(n), 2))
-    commutators = []
-    for i, j in pairs:
-        commutator = {}
-        add_product(commutator, sparse[i], sparse[j], 1)
-        add_product(commutator, sparse[j], sparse[i], -1)
-        commutators.append(commutator)
-    entries = []
-    for (i, j), coords in zip(pairs, solve_many(span, commutators)):
-        if coords is None:
-            raise ValueError(f"commutator of basis elements {i}, {j} leaves the span")
-        for k, c in enumerate(coords):
-            if c:
-                entries.append((i, j, k, c))
-    return LieAlgebra(labels, entries)
+    return LieAlgebra(labels, _gl(d)._entries_on([
+        {r * d + c: y for r, row in enumerate(m) for c, x in enumerate(row)
+         if (y := _as_fraction(x))}
+        for m in mats
+    ]))
 
 
 def realify(L: LieAlgebra, imag_prefix: str = "i") -> LieAlgebra:

@@ -11,11 +11,13 @@ The basis is point-aligned: SupportStructure accepts A only when every
 basis vector b_p sits over a single point s(p) and e_s(p) b_p = b_p.
 Then e_s b_p is b_p or 0 according to s(p), multiplying x (x) b_p by a
 partition function lambda_k is a coordinate mask, and a corner e_U A is
-the sub-basis over U.  Restriction, extension by zero and gluing are
-therefore re-indexings of the sparse tables: restrict_class costs
-O(nnz psi), restrict_cochain and glue_primitives O(dim * m), and no
-idempotent is ever multiplied out.  They re-index the cochains' stored
-integers (see cohomology) and build no Fraction.
+the sub-basis over U, its table read off A by the one builder of
+structure constants on a computed basis, _StructureTable._entries_on.
+Restriction, extension by zero and gluing are therefore re-indexings of
+the sparse tables: restrict_class costs O(nnz psi), restrict_cochain and
+glue_primitives O(dim * m), and no idempotent is ever multiplied out.
+They re-index the cochains' stored integers (see cohomology) and build
+no Fraction.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class SupportStructure:
     basis pairs.  Corners are built once per subset (see corner).
     """
 
-    __slots__ = ("current", "points", "point_of_basis", "_point_index", "_corners")
+    __slots__ = ("current", "points", "point_of_basis", "_idempotents", "_corners")
 
     def __init__(self, current: CurrentAlgebra):
         A = current.coeff
@@ -63,7 +65,7 @@ class SupportStructure:
             raise InputError("coefficient algebra has no idempotent decomposition")
         self.current = current
         self.points = tuple(label for label, _ in A.idempotents)
-        self._point_index = {label: s for s, label in enumerate(self.points)}
+        self._idempotents = dict(A.idempotents)
         point_of_basis = []
         for p in range(A.dim):
             supp = _support_points(A, A.basis_vector(p))
@@ -73,7 +75,7 @@ class SupportStructure:
                     "at a single point; corner operations are undefined"
                 )
             label = next(iter(supp))
-            e = dict(A.idempotents)[label]
+            e = self._idempotents[label]
             if A.product(e, A.basis_vector(p)) != A.basis_vector(p):
                 raise InputError(
                     f"idempotent at {label} does not fix basis vector {A.labels[p]}"
@@ -87,7 +89,7 @@ class SupportStructure:
         return self.current.coeff
 
     def idempotent(self, label: str) -> Vec:
-        return dict(self.algebra.idempotents)[label]
+        return self._idempotents[label]
 
     def indicator(self, labels: Iterable[str]) -> Vec:
         """Sum of the idempotents over a set of points."""
@@ -193,17 +195,10 @@ class Corner:
             None if t is None else i * len(back) + t
             for i in range(ss.current.fibre.dim) for t in slots
         )
-        entries = []
-        for t_i, p_i in enumerate(self.indices):
-            for t_j, p_j in enumerate(self.indices):
-                if t_i > t_j:
-                    continue
-                for k, c in A.product_basis(p_i, p_j).items():
-                    if k not in back:
-                        raise InternalConsistencyError(
-                            "corner product left the corner span"
-                        )
-                    entries.append((t_i, t_j, back[k], c))
+        try:
+            entries = A._entries_on([{p: 1} for p in self.indices])
+        except ValueError:
+            raise InternalConsistencyError("corner product left the corner span") from None
         unit = ss.indicator(self.subset)
         idempotents = [
             (label, tuple(ss.idempotent(label)[p] for p in self.indices))

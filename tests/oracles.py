@@ -2,7 +2,8 @@
 
 The elimination oracles deliberately share no code with the package:
 plain Gaussian elimination over Fraction on dense row lists.  The
-term-by-term references below them (matrix commutators, the Jacobi and
+term-by-term references below them (matrix commutators, products on a
+computed basis and on a corner's basis vectors, the Jacobi and
 associativity walks over every basis triple, the current-algebra and
 tensor-product builders over every basis pair, CE differential, cocycle
 defect, coboundary, twist difference, Kaehler module action, restriction
@@ -121,6 +122,42 @@ def lie_from_matrices_reference(mats):
         assert coords is not None, f"commutator {i}, {j} leaves the span"
         out.extend((i, j, k, x) for k, x in enumerate(coords) if x)
     return out
+
+
+def entries_on_reference(A, vectors):
+    """Structure entries (i, j, k, c) of A's product on the span of the
+    sparse {coordinate: value} vectors, i < j for a bracket and i <= j
+    for a product: each product by A's dense _product, then its
+    coordinates in the vectors by dense elimination.  The vectors must be
+    independent and their span closed."""
+    n, m = A.dim, len(vectors)
+    dense = [[Fraction(v.get(p, 0)) for p in range(n)] for v in vectors]
+    span = [[dense[t][p] for t in range(m)] for p in range(n)]
+    assert dense_rank(span) == m, "vectors are dependent"
+    out = []
+    for i in range(m):
+        for j in range(i + (A._sign < 0), m):
+            coords = dense_solve(span, A._product(dense[i], dense[j]))
+            assert coords is not None, f"product {i}, {j} leaves the span"
+            out.extend((i, j, k, x) for k, x in enumerate(coords) if x)
+    return out
+
+
+def corner_entries_reference(A, indices):
+    """Product entries (t_i, t_j, t_k, c), t_i <= t_j, of the corner of A
+    on the basis vectors ``indices``, in sorted order: every product of
+    two of them re-indexed, each of its coordinates required to lie in
+    the corner (the former Corner constructor loop)."""
+    back = {p: t for t, p in enumerate(indices)}
+    entries = []
+    for t_i, p_i in enumerate(indices):
+        for t_j, p_j in enumerate(indices):
+            if t_i > t_j:
+                continue
+            for k, c in A.product_basis(p_i, p_j).items():
+                assert k in back, "corner product left the corner span"
+                entries.append((t_i, t_j, back[k], c))
+    return sorted(entries)
 
 
 def dense_canonical_solve(rows, rhs):

@@ -112,6 +112,23 @@ def test_parse_names_the_first_three_associativity_triples():
     )
 
 
+def test_duplicate_idempotent_labels_are_refused(tmp_path):
+    # two idempotents labelled "p" on fun:2's table: each command used to
+    # read them as one point, and cocycle-check blamed the wrong one
+    doc = json.loads(FUN2_DOC)
+    for item in doc["idempotents"]:
+        item["point"] = "p"
+    with pytest.raises(DocumentError, match="duplicate idempotent point label 'p'"):
+        parse_algebra_document(json.dumps(doc))
+    path = tmp_path / "two_p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(path)], ["info", str(path)],
+                 ["cocycle-check", "sl2", str(path)]):
+        report = run_command(argv)
+        assert report.exit_code == EXIT_INPUT
+        assert "duplicate idempotent point label 'p'" in json.dumps(report.results)
+
+
 def test_catalog_resolution_without_files():
     report = run_command(["info", "sl2"])
     assert report.exit_code == EXIT_OK

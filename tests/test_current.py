@@ -77,6 +77,12 @@ def test_unit_violation_reported():
     assert report.idempotents == []
 
 
+def test_duplicate_idempotent_labels_raise():
+    with pytest.raises(ValueError, match="duplicate idempotent point label 'p'"):
+        CommAlgebra(("a", "b"), [(0, 0, 0, 1), (1, 1, 1, 1)], (1, 1),
+                    idempotents=[("p", (1, 0)), ("p", (0, 1))])
+
+
 def test_idempotent_violations_reported():
     # e_q = 1 is idempotent but not orthogonal to e_p, and e_p + e_q != 1
     A = CommAlgebra(("p", "q"), [(0, 0, 0, 1), (1, 1, 1, 1)], unit=(1, 1),

@@ -5,16 +5,18 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from currentext.catalog import lie_catalog
+from currentext.catalog import comm_catalog, lie_catalog
 from currentext.cli import EXIT_INTERNAL, run_command
 from currentext.current import CommAlgebra
 from currentext.errors import (
+    CatalogError,
     DimensionMismatchError,
     InternalConsistencyError,
     NotInDerivedAlgebraError,
 )
 from currentext.lie import (
     LieAlgebra,
+    _gl,
     derivations,
     derived_subalgebra,
     direct_sum,
@@ -30,9 +32,11 @@ from oracles import (
     antisymmetry_violations_reference,
     comm_table_reference,
     commutativity_violations_reference,
+    corner_entries_reference,
     dense_nullity,
     dense_solve,
     derived_subalgebra_reference,
+    entries_on_reference,
     jacobi_violations_reference,
     lie_from_matrices_reference,
     lie_table_reference,
@@ -376,6 +380,88 @@ def test_lie_from_matrices_rejects_bad_bases(labels, mats, message):
         lie_from_matrices(tuple(labels), mats)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gl_matches_the_dense_commutators_of_unit_matrices(d):
+    L = _gl(d)
+    assert L.labels == tuple(f"E{a + 1}{b + 1}" for a in range(d) for b in range(d))
+    mats = [_unit_matrix(d, a, b) for a in range(d) for b in range(d)]
+    assert L.structure_entries() == lie_from_matrices_reference(mats)
+    assert validate_lie(L).ok
+
+
+_BASIS_CHANGE_NAMES = ("sl2", "so3", "heis3", "gl2", "sl2+so3", "fun:2*sq2", "sq2*jets:2")
+
+
+def _catalog_algebra(name):
+    try:
+        return lie_catalog(name)
+    except CatalogError:
+        return comm_catalog(name)
+
+
+def _unimodular_columns(draw, n):
+    """The columns of (unit lower) (unit upper), small integer factors, with
+    the columns permuted: an integer basis change of determinant +-1."""
+    small = st.integers(-1, 1)
+    lower = [[int(r == c) if r <= c else draw(small) for c in range(n)] for r in range(n)]
+    upper = [[int(r == c) if r >= c else draw(small) for c in range(n)] for r in range(n)]
+    p = [[sum(lower[r][t] * upper[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+    return [[p[r][c] for r in range(n)] for c in draw(st.permutations(range(n)))]
+
+
+@st.composite
+def _computed_bases(draw):
+    """(algebra, sparse vectors, corner indices or None): a random
+    unimodular basis change of a catalog algebra of either kind, or a
+    corner of fun:n * X on its basis vectors, mixed inside the corner by
+    a unimodular change or not."""
+    if draw(st.booleans()):
+        A = _catalog_algebra(draw(st.sampled_from(_BASIS_CHANGE_NAMES)))
+        columns = _unimodular_columns(draw, A.dim)
+        return A, [{p: x for p, x in enumerate(col) if x} for col in columns], None
+    n = draw(st.integers(1, 4))
+    A = comm_catalog(f"fun:{n}*" + draw(st.sampled_from(["sq2", "jets:2", "jets:3"])))
+    dx = A.dim // n  # basis vector s * dx + p lies over point s + 1
+    points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    indices = [s * dx + p for s in sorted(points) for p in range(dx)]
+    if draw(st.booleans()):
+        return A, [{p: 1} for p in indices], indices
+    columns = _unimodular_columns(draw, len(indices))
+    return A, [{indices[r]: x for r, x in enumerate(col) if x} for col in columns], None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_computed_bases())
+def test_entries_on_matches_the_dense_products(case):
+    A, vectors, corner = case
+    entries = A._entries_on(vectors)
+    assert entries == entries_on_reference(A, vectors)
+    if corner is not None:
+        assert entries == corner_entries_reference(A, corner)
+    if isinstance(A, LieAlgebra):
+        assert validate_lie(LieAlgebra([f"v{t}" for t in range(len(vectors))], entries)).ok
+
+
+@pytest.mark.parametrize("name, vectors, message", [
+    # sl2 on (e, h, f): e + h is dependent on e and h
+    ("sl2", [{0: 1}, {1: 1}, {0: 1, 1: 1}], "basis is not linearly independent"),
+    ("sq2", [{1: 1}, {1: 2}], "basis is not linearly independent"),
+    # gl2 on (E11, E12, E21, E22): [E11, E12] = E12 and [E11, E21] = -E21
+    # stay in the span, [E12, E21] = E11 - E22 is the first to leave it
+    ("gl2", [{0: 1}, {1: 1}, {2: 1}],
+     "^commutator of basis elements 1, 2 leaves the span$"),
+    ("so3", [{0: 1}, {1: 1}], "^commutator of basis elements 0, 1 leaves the span$"),
+    # jets:3 on (1, t, t^2): the first product, t t = t^2, leaves the span
+    ("jets:3", [{1: 1}, {0: 1}], "^product of basis elements 0, 0 leaves the span$"),
+    # sq2 on (1, x, y, xy): 1 x, x x = 0 and 1 y stay, x y = xy leaves
+    ("sq2", [{0: 1}, {1: 1}, {2: 1}],
+     "^product of basis elements 1, 2 leaves the span$"),
+])
+def test_entries_on_names_the_first_bad_pair(name, vectors, message):
+    with pytest.raises(ValueError, match=message):
+        _catalog_algebra(name)._entries_on(vectors)
+
+
 @st.composite
 def _entry_lists(draw, sign):
     """(dim, entries) up to dim 5 for a table with mirror sign ``sign``, in
@@ -429,6 +515,14 @@ def test_structure_table_matches_the_former_constructor(kind, data):
     vectors = st.lists(_rationals, min_size=n, max_size=n)
     u, v = data.draw(vectors), data.draw(vectors)
     assert dense(u, v) == ref.product(u, v)
+
+
+@pytest.mark.parametrize("cls", [LieAlgebra, CommAlgebra])
+def test_integer_table_is_built_on_first_read(cls):
+    A = cls(("a", "b", "c"), [(0, 1, 2, F(1, 2)), (2, 0, 1, F(-3, 4))])
+    assert A._integers is None
+    assert A._integer_table == (4, {(0, 1): {2: 2}, (0, 2): {1: -3 * A._sign}})
+    assert A._integer_table is A._integer_table
 
 
 @pytest.mark.parametrize("cls, entries, message", [

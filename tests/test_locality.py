@@ -11,6 +11,7 @@ from currentext.errors import (
     BadPrimitiveError,
     DimensionMismatchError,
     InputError,
+    InternalConsistencyError,
     NotDiagonalError,
 )
 from currentext.linalg import SparseMatrix, kernel_basis, rank
@@ -27,6 +28,7 @@ from currentext.locality import (
 )
 
 from oracles import (
+    corner_entries_reference,
     glue_primitives_reference,
     injection_matrix_reference,
     restrict_class_reference,
@@ -395,6 +397,27 @@ def test_corner_requires_point_homogeneous_basis():
     ca = CurrentAlgebra(lie_catalog("sl2"), A)
     with pytest.raises(InputError):
         SupportStructure(ca)
+
+
+@pytest.mark.parametrize("aname", ["fun:3*sq2", "fun:2*sq2", "fun:3*jets:2", "fun:6*sq2"])
+def test_corner_table_matches_the_former_loop(aname):
+    g, A, ca, ss = _setup("sl2", aname)
+    for size in range(1, len(ss.points) + 1):
+        for names in combinations(ss.points, size):
+            corner = ss.corner(names)
+            assert corner.algebra.entries() == corner_entries_reference(A, corner.indices)
+            assert corner.algebra.labels == tuple(A.labels[p] for p in corner.indices)
+            assert corner.algebra.unit == tuple(ss.indicator(names)[p] for p in corner.indices)
+            assert corner.algebra.points == names
+
+
+def test_corner_product_leaving_the_corner_is_an_internal_error():
+    # jets:3 over point 1 with its t^2 moved to point 2 by hand: t t = t^2
+    # leaves the corner {1} = (1, t)
+    g, A, ca, ss = _setup("sl2", "fun:2*jets:3")
+    ss.point_of_basis = ("1", "1", "2", "2", "2", "2")
+    with pytest.raises(InternalConsistencyError, match="corner product left the corner span"):
+        Corner(ss, ("1",))
 
 
 def test_restriction_rejects_cochains_of_another_algebra():
