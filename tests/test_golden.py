@@ -74,6 +74,10 @@ def golden_cases():
         ["witness", "gl2", "E11"],
         ["witness", "abelian:3", "a1"],
         ["info", "sl2+so3"],
+        # the sweep's semisimple fibre that is not simple: V is 2-dimensional
+        ["vform", "sl2+so3"],
+        ["derivations", "sl2+so3"],
+        ["killing", "sl2+so3"],
     ]
     return cases
 
