@@ -37,12 +37,14 @@ block is the whole complex, on the same code path.
 The torus weights are kept as integers: each torus coordinate is scaled
 by the lcm of its eigenvalues' denominators, which changes no weight sum
 from zero to nonzero, so the weight-zero tuples are found by summing ints.
+cohomology() reads the torus once and lists the weight-zero tuples of each
+degree once, and hands them to ce_differential as its sources.
 
 Cost contract: the differential is assembled by one routine from the
 nonzero brackets only (for each source tuple, the pairs a < b bracketing
 into one of its indices), so assembly costs O(nnz) rather than a visit to
-every target tuple; ce_differential runs it on every tuple or, with
-weight_zero, on the weight-zero block, which is what cohomology() solves.
+every target tuple; ce_differential runs it on every tuple or on the
+sources it is given, the weight-zero block that cohomology() solves.
 Assembly sums ints: it reads the algebra's integer bracket table, the
 structure constants scaled by the lcm of their denominators and built
 once with the algebra, and that lcm becomes the denominator of the
@@ -245,27 +247,29 @@ def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> tuple:
 
 
 def ce_differential(
-    L: LieAlgebra, p: int, *, ceiling: Optional[int] = None, weight_zero: bool = False
+    L: LieAlgebra, p: int, *, ceiling: Optional[int] = None, sources: Optional[Sequence] = None
 ) -> SparseMatrix:
     """Matrix of the scalar differential C^p(L, QQ) -> C^{p+1}(L, QQ).
 
-    Rows and columns are the lexicographic ranks of the index tuples; the
-    entries are those of _assemble on every p-tuple, kept as its integer
-    rows over the bracket denominator.  With weight_zero it
-    is d^p restricted to the weight-zero p-cochains: the columns are only
-    the weight-zero p-tuples, numbered by position in lexicographic order,
-    and since d preserves weights only weight-zero rows have entries.
-    C^p = 0 for p > dim L.  With coefficients QQ^m the differential is
-    this matrix tensored with the identity of QQ^m; it is never expanded.
+    Rows are the lexicographic ranks of the (p+1)-tuples and columns the
+    p-tuples in lexicographic order; the entries are those of _assemble,
+    kept as its integer rows over the bracket denominator.  Given sources,
+    increasing p-tuples, it is d^p restricted to those: they are the
+    columns, numbered by position.  cohomology() passes the weight-zero
+    p-tuples, and since d preserves weights only weight-zero rows then
+    have entries.  C^p = 0 for p > dim L.  With coefficients QQ^m the
+    differential is this matrix tensored with the identity of QQ^m; it is
+    never expanded.
     """
     if p < 0:
         raise ValueError(f"degree {p} out of range for dim {L.dim}")
     _guard(L.dim, p + 1, 1, ceiling)
     n = L.dim
-    if weight_zero:
-        sources = _weight_zero_tuples(_torus_weights(L), p)
-    else:
+    if sources is None:
         sources = list(combinations(range(n), p))
+    else:
+        for t in sources:
+            _check_tuple(t, n, p)
     den, rows = _assemble(L, p, sources, _rank_of(n, p + 1))
     return SparseMatrix._from_integer_rows(comb(n, p + 1), len(sources), rows, den)
 
@@ -666,8 +670,9 @@ def cohomology(
     """Compute H^p(L, QQ^m) = (ker d^p / im d^{p-1}) (x) QQ^m with representatives.
 
     Only the weight-zero block of the scalar complex is assembled, by
-    ce_differential(..., weight_zero=True), and solved (see the module
-    docstring); with an empty torus that block is the whole complex.
+    ce_differential on the weight-zero tuples, and solved (see the module
+    docstring); with an empty torus that block is the whole complex.  The
+    torus and the weight-zero tuples of each degree are computed once.
     The ceiling counts the full C^{p+1} and, for p >= 2, C^p with their
     factor m, before anything is assembled.
     """
@@ -680,8 +685,9 @@ def cohomology(
         _guard(L.dim, p, m, ceiling)
     if m == 0:  # QQ^0 = 0: nothing to assemble
         return Cohomology(L, p, m, (), (), None, None)
-    cochains = _weight_zero_tuples(_torus_weights(L), p)
-    d_up = ce_differential(L, p, ceiling=ceiling, weight_zero=True)
+    weights = _torus_weights(L)
+    cochains = _weight_zero_tuples(weights, p)
+    d_up = ce_differential(L, p, ceiling=ceiling, sources=cochains)
     size = d_up.cols
     cocycles = kernel_basis(d_up)
     if p == 1:
@@ -691,7 +697,8 @@ def cohomology(
         # ranks of p-tuples, are renumbered to the columns of d^p
         rank = _rank_of(L.dim, p)
         column = {rank(t): c for c, t in enumerate(cochains)}
-        d_down = ce_differential(L, p - 1, ceiling=ceiling, weight_zero=True)
+        d_down = ce_differential(L, p - 1, ceiling=ceiling,
+                                 sources=_weight_zero_tuples(weights, p - 1))
         image = Subspace.from_spanning(size, [
             {column[r]: value for r, value in span.items()}
             for span in d_down.transpose().row_dicts()

@@ -6,12 +6,24 @@ action yields the universal target V(L), and the composite
 kappa(x, y) = [x . y] is the universal invariant form: every symmetric
 bilinear form that is killed by all derivations factors uniquely
 through kappa, and factor_through computes that factorisation.
+
+Everything up to the quotient is integer.  Each generator D.(b_i . b_j)
+of the action span is a sparse integer row formed from the nonzero
+entries of the integer derivation columns (DerivationSpace._columns),
+and the rows reach the eliminator as they are.  kappa_table is read off
+the echelon rows of that span (QuotientSpace.project_units), one entry
+per nonzero, rather than projecting every unit vector of S2(L).
+BilinearForm.invariance_defect sums integers over the nonzero entries of
+each derivation.  The public values (kappa, kappa_table, the dense
+derivation basis, FactorMap) stay Fractions, and every operand length
+is checked (DimensionMismatchError).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -54,25 +66,14 @@ class SymSquare:
 
     def product_coords(self, x: Sequence, y: Sequence) -> Vec:
         """Coordinates of the symmetrised tensor x . y."""
+        if len(x) != self.parent.dim or len(y) != self.parent.dim:
+            raise DimensionMismatchError("symmetric product operands must match the algebra dimension")
         out = [_ZERO] * self.dim
         nz_x = [(i, _as_fraction(a)) for i, a in enumerate(x) if a]
         nz_y = [(j, _as_fraction(b)) for j, b in enumerate(y) if b]
         for i, a in nz_x:
             for j, b in nz_y:
                 out[self.flat(i, j)] += a * b
-        return tuple(out)
-
-    def derivation_image(self, D, t: int) -> Vec:
-        """D applied to the t-th basis vector b_i . b_j."""
-        i, j = self.pairs[t]
-        out = [_ZERO] * self.dim
-        for r in range(len(D)):
-            c = D[r][i]
-            if c:
-                out[self.flat(r, j)] += c
-            c = D[r][j]
-            if c:
-                out[self.flat(i, r)] += c
         return tuple(out)
 
 
@@ -110,21 +111,29 @@ class BilinearForm:
         return None
 
     def invariance_defect(self, ders: DerivationSpace) -> Optional[tuple]:
-        """First (derivation index, i, j) with beta(Dx,y) + beta(x,Dy) != 0."""
-        n = self.dim
-        for d_idx, D in enumerate(ders.basis):
+        """First (derivation index, i, j) with beta(Dx,y) + beta(x,Dy) != 0.
+
+        The sums are integer: beta is scaled to integers over one
+        denominator, each D to its integer columns (a positive scale
+        changes no zero test), and only their nonzero entries are visited."""
+        if ders.parent.dim != self.dim:
+            raise DimensionMismatchError("derivations act on an algebra of another dimension")
+        n, w = self.dim, self.target_dim
+        den = lcm(*[v.denominator for row in self.values for value in row for v in value])
+        beta = [[[(a, v.numerator * (den // v.denominator)) for a, v in enumerate(value) if v]
+                 for value in row] for row in self.values]
+        for d_idx, columns in enumerate(ders._columns()):
             for i in range(n):
                 for j in range(i, n):
-                    total = [_ZERO] * self.target_dim
-                    for r in range(n):
-                        c = D[r][i]
-                        if c:
-                            for a, v in enumerate(self.values[r][j]):
-                                total[a] += c * v
-                        c = D[r][j]
-                        if c:
-                            for a, v in enumerate(self.values[i][r]):
-                                total[a] += c * v
+                    if not (columns[i] or columns[j]):
+                        continue
+                    total = [0] * w
+                    for r, c in columns[i]:
+                        for a, v in beta[r][j]:
+                            total[a] += c * v
+                    for r, c in columns[j]:
+                        for a, v in beta[i][r]:
+                            total[a] += c * v
                     if any(total):
                         return (d_idx, i, j)
         return None
@@ -140,14 +149,7 @@ class UniversalFormSpace:
         self.sym = sym
         self.ders = ders
         self.v_space = v_space
-        self.kappa_table = tuple(
-            v_space.project(self._unit_sym(t)) for t in range(sym.dim)
-        )
-
-    def _unit_sym(self, t: int) -> Vec:
-        out = [_ZERO] * self.sym.dim
-        out[t] = Fraction(1)
-        return tuple(out)
+        self.kappa_table = v_space.project_units()
 
     @property
     def dim(self) -> int:
@@ -186,11 +188,22 @@ def v_space_and_kappa(L: LieAlgebra) -> UniversalFormSpace:
     """
     ders = derivations(L)
     sym = SymSquare(L)
+    flat = sym.flat
     generators = []
-    for D in ders.basis:
-        for t in range(sym.dim):
-            generators.append(sym.derivation_image(D, t))
-    sub = Subspace.from_spanning(sym.dim, generators)
+    for columns in ders._columns():
+        for i, j in sym.pairs:
+            # D.(b_i . b_j) = sum_r D[r][i] b_r . b_j + D[r][j] b_i . b_r
+            if not (columns[i] or columns[j]):
+                continue
+            out = {}
+            for r, c in columns[i]:
+                t = flat(r, j)
+                out[t] = out.get(t, 0) + c
+            for r, c in columns[j]:
+                t = flat(i, r)
+                out[t] = out.get(t, 0) + c
+            generators.append({t: c for t, c in out.items() if c})
+    sub = Subspace._from_integer_rows(sym.dim, generators)
     return UniversalFormSpace(L, sym, ders, quotient_space(sym.dim, sub))
 
 
@@ -205,6 +218,10 @@ class FactorMap:
         self.matrix = tuple(tuple(row) for row in matrix)
 
     def apply(self, v_coords: Sequence) -> Vec:
+        if len(v_coords) != self.source.dim:
+            raise DimensionMismatchError(
+                f"V(L) coordinates have length {len(v_coords)}, not {self.source.dim}"
+            )
         return tuple(
             sum((row[t] * v_coords[t] for t in range(len(v_coords)) if v_coords[t]), _ZERO)
             for row in self.matrix

@@ -13,13 +13,21 @@ corners.  A LieAlgebra stores the bracket
 antisymmetry.  The Jacobi identity is checked as the cocycle condition of
 the bracket read as a 2-cochain with values in L, in O(bracket nnz * n),
 and [L, L] is spanned by the nonzero brackets.
+
+The derivation layer reads the integer table too.  derivations assembles
+its n * C(n, 2) x n^2 system as integer rows from the nonzero brackets,
+tests each ad(b_i) against the kernel as a sparse integer row, and keeps
+the kernel's integer echelon rows; DerivationSpace hands them to V(L) and
+to the invariance check as integer columns, and builds the dense basis
+only when it is read.  killing_form sums c_il^k c_jk^l over pairs of
+nonzero integer brackets and divides by the squared denominator once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InternalConsistencyError, NotInDerivedAlgebraError
@@ -199,14 +207,6 @@ class LieAlgebra(_StructureTable):
         with the algebra and must not be mutated."""
         return self._table.items()
 
-    def ad(self, i: int) -> SparseMatrix:
-        """Matrix of ad(b_i): column j holds the coordinates of [b_i, b_j]."""
-        data = {}
-        for j in range(self.dim):
-            for k, c in self.bracket_basis(i, j).items():
-                data[(k, j)] = c
-        return SparseMatrix(self.dim, self.dim, data)
-
     def element(self, coords: Sequence) -> "Element":
         return Element(self, vector(coords))
 
@@ -350,44 +350,84 @@ def validate_lie(L: LieAlgebra) -> ValidationReport:
 
 def killing_form(L: LieAlgebra):
     """Killing form matrix B(x, y) = trace(ad x . ad y) and the
-    semisimplicity flag det B != 0 (Cartan's criterion over QQ)."""
+    semisimplicity flag det B != 0 (Cartan's criterion over QQ).
+
+    B(b_i, b_j) = sum_{k,l} c_il^k c_jk^l with [b_i, b_l] = sum_k c_il^k b_k.
+    The sum runs over pairs of nonzero integer brackets, and each entry is
+    divided by the square of the bracket denominator once.
+    """
     n = L.dim
-    ads = [L.ad(i).row_dicts() for i in range(n)]
-    matrix = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            trace = _ZERO
-            for k in range(n):
-                row_i = ads[i][k]
-                for l, v in row_i.items():
-                    w = ads[j][l].get(k)
-                    if w:
-                        trace += v * w
-            matrix[i][j] = trace
-            matrix[j][i] = trace
-    dense = tuple(tuple(row) for row in matrix)
-    semisimple = rank(SparseMatrix.from_dense(dense)) == n if n else True
+    den, brackets = L._integer_table
+    into = {}  # into[l, k] = [(i, c), ...] for [b_i, b_l]_k = c / den
+    for (a, b), coords in brackets.items():
+        for k, c in coords.items():
+            into.setdefault((b, k), []).append((a, c))
+            into.setdefault((a, k), []).append((b, -c))
+    rows = [{} for _ in range(n)]
+    for (l, k), terms in into.items():
+        partners = into.get((k, l), ())
+        for i, c in terms:
+            row = rows[i]
+            for j, d in partners:
+                row[j] = row.get(j, 0) + c * d
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
+    square = den * den
+    dense = tuple(
+        tuple(Fraction(row[j], square) if j in row else _ZERO for j in range(n)) for row in rows
+    )
+    semisimple = rank(SparseMatrix._from_integer_rows(n, n, dict(enumerate(rows)), square)) == n
     return dense, semisimple
 
 
 class DerivationSpace:
-    """Basis of der(L) inside all dim x dim matrices.
+    """der(L) inside all dim x dim matrices, D[r][c] at flat index r * dim + c.
 
-    ``all_inner`` records whether ad(L) already spans the whole space,
+    ``kernel`` is der(L) as a Subspace of the flat matrices, the kernel of
+    the derivation equations; the package reads its integer echelon rows,
+    each a basis derivation times its positive pivot entry.  ``basis`` is
+    the same reduced echelon basis as dense matrices of Fractions, built
+    when it is first read.  ``contains_inner`` records whether every ad(x)
+    solves the equations and ``all_inner`` whether ad(L) is all of der(L),
     which is the case exactly when L is semisimple in the catalog.
     """
 
-    __slots__ = ("parent", "basis", "all_inner", "contains_inner")
+    __slots__ = ("parent", "kernel", "all_inner", "contains_inner", "_basis")
 
-    def __init__(self, parent, basis, all_inner, contains_inner):
+    def __init__(self, parent, kernel, all_inner, contains_inner):
         self.parent = parent
-        self.basis = tuple(basis)
+        self.kernel = kernel
         self.all_inner = all_inner
         self.contains_inner = contains_inner
+        self._basis = None
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.kernel.dim
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            n = self.parent.dim
+            self._basis = tuple(
+                tuple(tuple(row.get(r * n + c, _ZERO) for c in range(n)) for r in range(n))
+                for row in self.kernel.basis_rows()
+            )
+        return self._basis
+
+    def _columns(self) -> list:
+        """The basis derivations, each scaled by its pivot entry to
+        integers, as columns: out[d][c] = [(r, lead * D_d[r][c]), ...] over
+        the nonzero entries.  A positive scale changes neither the span of
+        D.x nor which expressions in D vanish."""
+        n = self.parent.dim
+        out = []
+        for row in self.kernel._rows:
+            columns = [[] for _ in range(n)]
+            for idx, value in row.items():
+                r, c = divmod(idx, n)
+                columns[c].append((r, value))
+            out.append(columns)
+        return out
 
     def __repr__(self):
         return f"DerivationSpace(dim={self.dim}, all_inner={self.all_inner})"
@@ -396,22 +436,29 @@ class DerivationSpace:
 def derivations(L: LieAlgebra) -> DerivationSpace:
     """Solve D[b_i,b_j] = [D b_i, b_j] + [b_i, D b_j] for matrices D.
 
-    Unknowns are the n^2 matrix entries D[r][c] in row-major order.
+    Unknowns are the n^2 matrix entries D[r][c] in row-major order.  The
+    n * C(n, 2) equations are integer rows over the bracket denominator,
+    read off the nonzero integer brackets, and ad(b_a) is tested against
+    the kernel as the sparse integer row of those brackets too.
     """
     n = L.dim
-    # the nonzero brackets, read once: into[k, c] = {r: [b_r, b_c]_k} and
-    # outof[k, c] = {r: [b_c, b_r]_k}
+    den, brackets = L._integer_table
+    # into[k, c] = {r: [b_r, b_c]_k} and outof[k, c] = {r: [b_c, b_r]_k},
+    # and ads[a] = ad(b_a) flattened: [b_a, b_b]_k sits at D[k][b]
     into, outof = {}, {}
-    for (a, b), coords in L.nonzero_brackets():
+    ads = [{} for _ in range(n)]
+    for (a, b), coords in brackets.items():
         for k, v in coords.items():
             neg = -v
             into.setdefault((k, b), {})[a] = v
             into.setdefault((k, a), {})[b] = neg
             outof.setdefault((k, a), {})[b] = v
             outof.setdefault((k, b), {})[a] = neg
-    rows = []
-    for i, j in combinations(range(n), 2):
-        bracket = L.bracket_basis(i, j)
+            ads[a][k * n + b] = v
+            ads[b][k * n + a] = neg
+    rows = {}
+    for pair, (i, j) in enumerate(combinations(range(n), 2)):
+        bracket = brackets.get((i, j), {})
         for k in range(n):
             # D[k][l] [b_i, b_j]_l - D[r][i] [b_r, b_j]_k - D[r][j] [b_i, b_r]_k
             row = {k * n + l: coef for l, coef in bracket.items()}
@@ -424,20 +471,14 @@ def derivations(L: LieAlgebra) -> DerivationSpace:
                         row[idx] = updated
                     else:
                         del row[idx]
-            rows.append(row)
-    system = SparseMatrix.from_rows(rows, n * n)
+            rows[pair * n + k] = row
+    system = SparseMatrix._from_integer_rows(n * comb(n, 2), n * n, rows, den)
     kernel = kernel_basis(system)
-    basis = []
-    for flat in kernel.basis_vectors():
-        basis.append(tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n)))
-    ad_span = Subspace.from_spanning(
-        n * n, [tuple(x for row in L.ad(i).to_dense() for x in row) for i in range(n)]
+    contains_inner = all(kernel.contains(ad) for ad in ads)
+    all_inner = contains_inner and (
+        rank(SparseMatrix._from_integer_rows(n, n * n, dict(enumerate(ads)))) == kernel.dim
     )
-    contains_inner = all(
-        kernel.contains(v) for v in ad_span.basis_vectors()
-    )
-    all_inner = contains_inner and ad_span.dim == kernel.dim
-    return DerivationSpace(L, basis, all_inner, contains_inner)
+    return DerivationSpace(L, kernel, all_inner, contains_inner)
 
 
 def perfect_witness(L: LieAlgebra, x) -> list:

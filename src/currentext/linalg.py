@@ -32,8 +32,10 @@ Values that cross the public boundary are scaled to integer rows over
 one denominator (int entries are taken as they are): the vectors given
 to Subspace.from_spanning, rref_with_transform and Subspace.reduce, the
 right-hand sides of solve_many (dense, or sparse {row: value} mappings)
-and the entries given to SparseMatrix.  Empty rows never reach the
-eliminator; back substitution walks each row's own pivot columns through
+and the entries given to SparseMatrix.  Integer rows a caller builds
+itself go in through SparseMatrix._from_integer_rows or
+Subspace._from_integer_rows, with no conversion.  Empty rows never reach
+the eliminator; back substitution walks each row's own pivot columns through
 a column -> pivot map, one row step per pivot column the row holds,
 rather than O(rank^2) lookups; kernel generators are built as sparse
 integer rows, and reducing a sparse vector against a subspace takes one
@@ -394,6 +396,15 @@ class Subspace:
         return cls(ambient_dim, *_back_substitute(pivots))
 
     @classmethod
+    def _from_integer_rows(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
+        """The span of integer rows {col: int}, which the caller vouches
+        for: int values, none zero, columns in range(ambient_dim).  They
+        go to the eliminator as they are, divided by their gcd when it is
+        not 1."""
+        pivots, _ = _eliminate([_primitive(row) for row in rows], ambient_dim)
+        return cls(ambient_dim, *_back_substitute(pivots))
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, (), ())
 
@@ -591,6 +602,28 @@ class QuotientSpace:
                 for c, value in sorted(reduced.items())
             }
         return tuple(reduced[c] for c in self.rep_cols)
+
+    def project_units(self) -> tuple:
+        """project(e_t) for every unit vector e_t of the ambient space, in
+        order, read off the echelon rows: a representative column is a
+        unit coordinate, and pivot column t of echelon row R maps to
+        -R[c] / R[t] on each representative column c of R, since R is
+        zero on the other pivot columns."""
+        position = {c: q for q, c in enumerate(self.rep_cols)}
+        rows = dict(zip(self.subspace.pivots, self.subspace._rows))
+        out = []
+        for t in range(self.ambient_dim):
+            coords = [_ZERO] * len(position)
+            row = rows.get(t)
+            if row is None:
+                coords[position[t]] = Fraction(1)
+            else:
+                lead = row[t]
+                for c, value in row.items():
+                    if c != t:
+                        coords[position[c]] = Fraction(-value, lead)
+            out.append(tuple(coords))
+        return tuple(out)
 
     def lift(self, q: Sequence) -> Vec:
         if len(q) != self.dim:

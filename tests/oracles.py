@@ -22,7 +22,13 @@ a dense tensor with the package's Omega1 quotient, as the reference for
 reading extension by zero off the pair table.  derived_subalgebra_reference
 and perfect_witness_reference span and solve a column for every basis
 pair with the package's linear algebra, as the references for reading
-only the nonzero brackets.  lie_table_reference and comm_table_reference
+only the nonzero brackets.  derivations_reference,
+v_space_and_kappa_reference, killing_form_reference and
+invariance_defect_reference are the former dense derivation layer: the
+n^2-unknown system, the S2 action span and the kappa projections of unit
+vectors as dense Fraction rows through the package's Subspace and
+quotient, the Killing traces of dense ad matrices, and the invariance
+sums over every r.  lie_table_reference and comm_table_reference
 are the former constructor loops of the two kinds of algebra, and the
 two violations references their former mirror checks.
 
@@ -443,6 +449,103 @@ def tensor_comm_reference(A, B, sep="*"):
         idempotents = [(label, tuple(x * y for x in A.unit for y in e))
                        for label, e in B.idempotents]
     return labels, entries, unit, idempotents
+
+
+def _ad_reference(L, i):
+    """ad(b_i) as a dense n x n list: column j holds [b_i, b_j]."""
+    n = L.dim
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k, c in L.bracket_basis(i, j).items():
+            out[k][j] = Fraction(c)
+    return out
+
+
+def killing_form_reference(L):
+    """(matrix, semisimple): trace(ad b_i . ad b_j) on dense ad matrices,
+    one entry at a time, and det B != 0 by dense rank."""
+    n = L.dim
+    ads = [_ad_reference(L, i) for i in range(n)]
+    matrix = tuple(
+        tuple(sum((ads[i][k][l] * ads[j][l][k] for k in range(n) for l in range(n)), Fraction(0))
+              for j in range(n))
+        for i in range(n)
+    )
+    return matrix, dense_rank(matrix) == n
+
+
+def derivations_reference(L):
+    """der(L) from the dense n^2-unknown system, one row per (i < j, k):
+    D[k][l] [b_i, b_j]_l - D[r][i] [b_r, b_j]_k - D[r][j] [b_i, b_r]_k.
+    The kernel, the span of the flattened ad(b_i) and the containment test
+    are the package's linear algebra on dense Fraction rows.  Returns a
+    namespace with kernel, basis (dense matrices), contains_inner and
+    all_inner."""
+    from currentext.linalg import SparseMatrix, Subspace, kernel_basis
+
+    n = L.dim
+    rows = []
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            row = [Fraction(0)] * (n * n)
+            for l, coef in L.bracket_basis(i, j).items():
+                row[k * n + l] += coef
+            for r in range(n):
+                row[r * n + i] -= L.bracket_basis(r, j).get(k, 0)
+                row[r * n + j] -= L.bracket_basis(i, r).get(k, 0)
+            rows.append(row)
+    kernel = kernel_basis(SparseMatrix.from_dense(rows) if rows else SparseMatrix.zeros(0, n * n))
+    basis = tuple(tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
+                  for flat in kernel.basis_vectors())
+    ad_span = Subspace.from_spanning(
+        n * n, [[x for row in _ad_reference(L, i) for x in row] for i in range(n)])
+    contains_inner = all(kernel.contains(v) for v in ad_span.basis_vectors())
+    return SimpleNamespace(kernel=kernel, basis=basis, contains_inner=contains_inner,
+                           all_inner=contains_inner and ad_span.dim == kernel.dim)
+
+
+def derivation_image_reference(sym, D, t):
+    """D.(b_i . b_j) = D b_i . b_j + b_i . D b_j for the t-th symmetric
+    basis pair (i, j), as a dense vector over sym's pairs."""
+    i, j = sym.pairs[t]
+    out = [Fraction(0)] * sym.dim
+    for r in range(len(D)):
+        out[sym.flat(r, j)] += D[r][i]
+        out[sym.flat(i, r)] += D[r][j]
+    return tuple(out)
+
+
+def v_space_and_kappa_reference(L, basis):
+    """(V, kappa_table) for the dense derivation basis ``basis``: V is the
+    Subspace spanned by every dense derivation image, and kappa_table[t]
+    the projection of the t-th unit vector of S2(L) to S2(L) / V, each by
+    the package's Subspace and quotient."""
+    from currentext.invariants import SymSquare
+    from currentext.linalg import Subspace, quotient_space
+
+    sym = SymSquare(L)
+    span = Subspace.from_spanning(
+        sym.dim, [derivation_image_reference(sym, D, t) for D in basis for t in range(sym.dim)])
+    quotient = quotient_space(sym.dim, span)
+    units = [tuple(Fraction(int(s == t)) for s in range(sym.dim)) for t in range(sym.dim)]
+    return span, tuple(quotient.project(u) for u in units)
+
+
+def invariance_defect_reference(form, basis):
+    """First (derivation index, i, j), i <= j, with
+    beta(D b_i, b_j) + beta(b_i, D b_j) != 0, over the dense matrices of
+    ``basis`` and every r."""
+    n = form.dim
+    for d_idx, D in enumerate(basis):
+        for i in range(n):
+            for j in range(i, n):
+                total = [Fraction(0)] * form.target_dim
+                for r in range(n):
+                    for a in range(form.target_dim):
+                        total[a] += D[r][i] * form.values[r][j][a] + D[r][j] * form.values[i][r][a]
+                if any(total):
+                    return (d_idx, i, j)
+    return None
 
 
 def ce_differential_reference(L, p, m):

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -489,8 +490,13 @@ def test_ce_differential_ceiling_counts_every_target_tuple():
     # the weight-zero d^2 of sl3 has 4 of the 28 pairs as columns, and
     # its guard still counts all comb(8, 3) = 56 target triples
     L = lie_catalog("sl3")
-    assert ce_differential(L, 2, ceiling=56, weight_zero=True).cols == 4
-    assert _needed(lambda: ce_differential(L, 2, ceiling=55, weight_zero=True)) == 56
+    assert _block(L, 2, ceiling=56).cols == 4
+    assert _needed(lambda: _block(L, 2, ceiling=55)) == 56
+
+
+def _block(L, p, **kwargs):
+    """d^p on the weight-zero p-tuples, the block cohomology() solves."""
+    return ce_differential(L, p, sources=_weight_zero_tuples(_torus_weights(L), p), **kwargs)
 
 
 def _needed(call):
@@ -537,9 +543,9 @@ def test_cohomology_above_the_dimension_is_zero():
     assert cohomology(lie_catalog("abelian:1"), 2, 3).dimension == 0
     assert cohomology(lie_catalog("sl2"), 4, 1).scalar_representatives == ()
     # (e, h, f) has weight 0
-    assert ce_differential(lie_catalog("sl2"), 3, weight_zero=True).shape == (0, 1)
-    for weight_zero in (False, True):
-        assert ce_differential(lie_catalog("sl2"), 4, weight_zero=weight_zero).shape == (0, 0)
+    assert _block(lie_catalog("sl2"), 3).shape == (0, 1)
+    for d in (ce_differential(lie_catalog("sl2"), 4), _block(lie_catalog("sl2"), 4)):
+        assert d.shape == (0, 0)
     report = run_command(["h2", "abelian:1", "--format", "json"])
     assert report.exit_code == 0 and report.results["dim"] == 0
 
@@ -651,7 +657,7 @@ def test_weight_zero_differential_is_the_full_one_restricted(name):
     weights = _torus_weights(L)
     for p in range(4):
         full = ce_differential(L, p)
-        block = ce_differential(L, p, weight_zero=True)
+        block = _block(L, p)
         rank = {k: {t: r for r, t in enumerate(combinations(range(L.dim), k))}
                 for k in (p, p + 1)}
         col = {rank[p][t]: c for c, t in enumerate(_weight_zero_tuples(weights, p))}
@@ -660,6 +666,33 @@ def test_weight_zero_differential_is_the_full_one_restricted(name):
         assert block.triplets() == [
             (i, col[j], value) for i, j, value in full.triplets() if j in col]
         assert {i for i, _, _ in block.triplets()} <= targets
+
+
+def test_differential_on_given_sources():
+    # any increasing tuples give those columns, in the order given, and
+    # anything else is refused
+    L = _oracle_algebra("sl2 (x) fun:2*sq2")
+    full = ce_differential(L, 1)
+    picked = ce_differential(L, 1, sources=[(5,), (2,)])
+    assert picked.triplets() == sorted(
+        (i, c, value) for i, j, value in full.triplets() for c, t in enumerate((5, 2)) if j == t)
+    for bad in ([(2, 1)], [(0,)], [(0, L.dim)], [[0, 1]]):
+        with pytest.raises(DimensionMismatchError, match="is not an increasing 2-tuple"):
+            ce_differential(L, 2, sources=bad)
+
+
+def test_cohomology_reads_the_torus_once(monkeypatch):
+    # one torus and one weight-zero listing per degree, each handed to the
+    # two differentials (the package's attribute cohomology is the
+    # function, so the module is looked up by name)
+    module = importlib.import_module("currentext.cohomology")
+    calls = []
+    torus, tuples = module._torus_weights, module._weight_zero_tuples
+    monkeypatch.setattr(module, "_torus_weights", lambda L: calls.append("torus") or torus(L))
+    monkeypatch.setattr(module, "_weight_zero_tuples",
+                        lambda w, k: calls.append(k) or tuples(w, k))
+    assert cohomology(lie_catalog("gl2"), 2, 1).dimension == 0
+    assert calls == ["torus", 2, 1]
 
 
 def test_class_coordinates_reject_a_defect_of_nonzero_weight():
@@ -779,7 +812,7 @@ def test_ce_differential_off_the_integer_lattice(name, scales):
         assert full.triplets() == triplets
         rank = {t: r for r, t in enumerate(combinations(range(L.dim), p))}
         col = {rank[t]: c for c, t in enumerate(_weight_zero_walk(exact, p))}
-        block = ce_differential(L, p, weight_zero=True)
+        block = _block(L, p)
         assert block.shape == (rows, len(col))
         assert block.triplets() == [(i, col[j], v) for i, j, v in triplets if j in col]
         for d in (full, block):
@@ -844,7 +877,7 @@ def test_rows_reaching_the_eliminator_are_the_integer_fraction_rows(monkeypatch)
     for name, scales in OFF_LATTICE:
         L = _off_lattice(name, scales)
         for p in (1, 2):
-            for d in (ce_differential(L, p), ce_differential(L, p, weight_zero=True)):
+            for d in (ce_differential(L, p), _block(L, p)):
                 want = linalg._integer_rows([row for row in d.row_dicts() if row], d.cols)
                 for solve in (linalg.kernel_basis, linalg.rank):
                     seen.clear()

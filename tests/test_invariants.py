@@ -12,7 +12,7 @@ from currentext.invariants import (
 )
 from currentext.lie import derivations, killing_form
 
-from oracles import dense_nullity
+from oracles import dense_nullity, derivation_image_reference
 
 F = Fraction
 
@@ -22,7 +22,7 @@ def _derivation_span_nullity_oracle(name):
     L = lie_catalog(name)
     sym = SymSquare(L)
     rows = [
-        list(sym.derivation_image(D, t))
+        list(derivation_image_reference(sym, D, t))
         for D in derivations(L).basis
         for t in range(sym.dim)
     ]
@@ -163,3 +163,27 @@ def test_factor_rejects_non_invariant():
 def test_bilinear_form_rejects_a_table_of_the_wrong_shape(values):
     with pytest.raises(DimensionMismatchError, match="must be square"):
         BilinearForm(3, 1, values)
+
+
+@pytest.mark.parametrize("x", [(1,), (1, 0, 0, 0)])
+def test_kappa_rejects_an_operand_of_the_wrong_length(x):
+    forms = v_space_and_kappa(lie_catalog("sl2"))
+    with pytest.raises(DimensionMismatchError, match="must match the algebra dimension"):
+        forms.kappa(x, (0, 1, 0))
+    with pytest.raises(DimensionMismatchError, match="must match the algebra dimension"):
+        forms.sym.product_coords((0, 1, 0), x)
+
+
+def test_invariance_defect_rejects_derivations_of_another_dimension():
+    form = BilinearForm.from_matrix([[F(int(i == j)) for j in range(3)] for i in range(3)])
+    with pytest.raises(DimensionMismatchError, match="another dimension"):
+        form.invariance_defect(derivations(lie_catalog("sl3")))
+
+
+@pytest.mark.parametrize("coords", [[], [1, 0]])
+def test_factor_map_rejects_coordinates_of_the_wrong_length(coords):
+    forms = v_space_and_kappa(lie_catalog("sl2"))
+    phi = factor_through(forms, forms.kappa_form())
+    assert phi.apply([F(3)]) == (F(3),)
+    with pytest.raises(DimensionMismatchError, match="V\\(L\\) coordinates have length"):
+        phi.apply(coords)

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from currentext.catalog import comm_catalog, lie_catalog
 from currentext.cli import EXIT_INTERNAL, run_command
-from currentext.current import CommAlgebra
+from currentext.current import CommAlgebra, current_algebra
 from currentext.errors import (
     CatalogError,
     DimensionMismatchError,
     InternalConsistencyError,
     NotInDerivedAlgebraError,
 )
+from currentext.invariants import BilinearForm, v_space_and_kappa
 from currentext.lie import (
     LieAlgebra,
     _gl,
@@ -37,10 +38,14 @@ from oracles import (
     dense_solve,
     derived_subalgebra_reference,
     entries_on_reference,
+    derivations_reference,
+    invariance_defect_reference,
     jacobi_violations_reference,
+    killing_form_reference,
     lie_from_matrices_reference,
     lie_table_reference,
     perfect_witness_reference,
+    v_space_and_kappa_reference,
 )
 
 F = Fraction
@@ -440,6 +445,57 @@ def test_entries_on_matches_the_dense_products(case):
         assert entries == corner_entries_reference(A, corner)
     if isinstance(A, LieAlgebra):
         assert validate_lie(LieAlgebra([f"v{t}" for t in range(len(vectors))], entries)).ok
+
+
+_DERIVATION_NAMES = ("sl2", "sl3", "gl2", "heis3", "sl2+so3", "sl2 (x) jets:2")
+
+
+def _derivation_fibre(name):
+    if name == "sl2 (x) jets:2":
+        return current_algebra(lie_catalog("sl2"), comm_catalog("jets:2")).total
+    return lie_catalog(name)
+
+
+@st.composite
+def _derivation_cases(draw):
+    """(algebra, bump): a unimodular basis change of a fibre whose
+    derivations are all inner or, for gl2, heis3 and sl2 (x) jets:2, not,
+    and None or a pair i <= j and a nonzero integer to add to the kappa
+    form there."""
+    base = _derivation_fibre(draw(st.sampled_from(_DERIVATION_NAMES)))
+    columns = _unimodular_columns(draw, base.dim)
+    L = LieAlgebra([f"v{t}" for t in range(base.dim)],
+                   base._entries_on([{p: x for p, x in enumerate(col) if x} for col in columns]))
+    if draw(st.booleans()):
+        return L, None
+    i = draw(st.integers(0, L.dim - 1))
+    j = draw(st.integers(i, L.dim - 1))
+    return L, (i, j, draw(st.integers(-2, 2).filter(bool)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_derivation_cases())
+def test_derivation_layer_matches_the_dense_references(case):
+    L, bump = case
+    forms = v_space_and_kappa(L)
+    ders = forms.ders
+    ref = derivations_reference(L)
+    assert ders.kernel == ref.kernel
+    assert ders.basis == ref.basis
+    assert (ders.contains_inner, ders.all_inner) == (ref.contains_inner, ref.all_inner)
+    span, kappa_table = v_space_and_kappa_reference(L, ref.basis)
+    assert forms.v_space.subspace == span
+    assert forms.kappa_table == kappa_table
+    assert killing_form(L) == killing_form_reference(L)
+    # the kappa form is invariant; bumped at one pair, it is not when some
+    # derivation reaches that pair, and the first witness is compared (on a
+    # zero V the zero form stands in for kappa)
+    values = [[value or (F(0),) for value in row] for row in forms.kappa_form().values]
+    if bump is not None:
+        i, j, x = bump
+        values[i][j] = values[j][i] = tuple(v + x for v in values[i][j])
+    form = BilinearForm(L.dim, len(values[0][0]), values)
+    assert form.invariance_defect(ders) == invariance_defect_reference(form, ref.basis)
 
 
 @pytest.mark.parametrize("name, vectors, message", [
