@@ -11,10 +11,9 @@ Everything up to the quotient is integer.  Each generator D.(b_i . b_j)
 of the action span is a sparse integer row formed from the nonzero
 entries of the integer derivation columns (DerivationSpace._columns),
 and the rows reach the eliminator as they are.  kappa_table is read off
-the echelon rows of that span (QuotientSpace.project_units), one entry
-per nonzero, rather than projecting every unit vector of S2(L).
-BilinearForm.invariance_defect sums integers over the nonzero entries of
-each derivation.  The public values (kappa, kappa_table, the dense
+the echelon rows of that span (QuotientSpace.project_units), with no
+reduction per basis pair.  BilinearForm.invariance_defect sums integers
+over the nonzero entries of each derivation.  The public values (kappa, kappa_table, the dense
 derivation basis, FactorMap) stay Fractions, and every operand length
 is checked (DimensionMismatchError).
 """
