@@ -13,9 +13,9 @@ entries of the integer derivation columns (DerivationSpace._columns),
 and the rows reach the eliminator as they are.  kappa_table is read off
 the echelon rows of that span (QuotientSpace.project_units), with no
 reduction per basis pair.  BilinearForm.invariance_defect sums integers
-over the nonzero entries of each derivation.  The public values (kappa, kappa_table, the dense
-derivation basis, FactorMap) stay Fractions, and every operand length
-is checked (DimensionMismatchError).
+over the nonzero entries of each derivation.  The public values (kappa,
+kappa_table, the dense derivation basis, FactorMap) stay Fractions, and
+every operand length is checked (DimensionMismatchError).
 """
 
 from __future__ import annotations
@@ -66,7 +66,9 @@ class SymSquare:
     def product_coords(self, x: Sequence, y: Sequence) -> Vec:
         """Coordinates of the symmetrised tensor x . y."""
         if len(x) != self.parent.dim or len(y) != self.parent.dim:
-            raise DimensionMismatchError("symmetric product operands must match the algebra dimension")
+            raise DimensionMismatchError(
+                "symmetric product operands must match the algebra dimension"
+            )
         out = [_ZERO] * self.dim
         nz_x = [(i, _as_fraction(a)) for i, a in enumerate(x) if a]
         nz_y = [(j, _as_fraction(b)) for j, b in enumerate(y) if b]

@@ -35,11 +35,11 @@ right-hand sides of solve_many (dense, or sparse {row: value} mappings)
 and the entries given to SparseMatrix.  Integer rows a caller builds
 itself go in through SparseMatrix._from_integer_rows or
 Subspace._from_integer_rows, with no conversion.  Empty rows never reach
-the eliminator; back substitution walks each row's own pivot columns through
-a column -> pivot map, one row step per pivot column the row holds,
-rather than O(rank^2) lookups; kernel generators are built as sparse
-integer rows, and reducing a sparse vector against a subspace takes one
-row step per pivot column present in the vector.
+the eliminator; back substitution walks each row's own pivot columns
+through a column -> pivot map, one row step per pivot column the row
+holds, rather than O(rank^2) lookups; kernel generators are built as
+sparse integer rows, and reducing a sparse vector against a subspace
+takes one row step per pivot column present in the vector.
 
 All functions are pure and deterministic: the same input yields the
 bit-identical output.
