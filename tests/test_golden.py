@@ -1,7 +1,9 @@
 """Golden JSON outputs of the CLI, compared byte for byte.
 
-Each case's ``--format json`` report is pinned in ``tests/golden/``.  A
-change that alters an answer on purpose regenerates the files with
+Each case's ``--format json`` report is pinned in ``tests/golden/``, and
+a few cases' text reports are pinned next to them as ``.txt``: the JSON
+sorts its keys, so only the text pins the order of the ``input`` lines.
+A change that alters an answer on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -82,13 +84,32 @@ def golden_cases():
     return cases
 
 
+# the text report of a success, of exit 1 with results per name, of a
+# failure with a defect class and of a refusal at the cochain ceiling
+TEXT_CASES = (
+    ["universality", "sl2", "sq2", "--coeff-dim", "2"],
+    ["glue-demo", "sl2", "fun:3*jets:2", "--cover", "1,2;2,3"],
+    ["validate", "--all"],
+    ["witness", "heis3", "x"],
+    ["h2", "abelian:4", "--coeff-dim", "3", "--max-cochain", "17"],
+)
+
+
 def golden_path(argv) -> pathlib.Path:
     slug = re.sub(r"[^A-Za-z0-9.+-]+", "_", "_".join(argv).replace("*", "x"))
     return GOLDEN_DIR / f"{slug.strip('_')}.json"
 
 
+def text_path(argv) -> pathlib.Path:
+    return golden_path(argv).with_suffix(".txt")
+
+
 def render(argv) -> str:
     return run_command(list(argv) + ["--format", "json"]).to_json()
+
+
+def render_text(argv) -> str:
+    return run_command(list(argv)).to_text()
 
 
 @pytest.mark.parametrize("argv", golden_cases(), ids=" ".join)
@@ -98,10 +119,19 @@ def test_cli_output_matches_golden(argv):
     assert render(argv) == path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv", TEXT_CASES, ids=" ".join)
+def test_cli_text_output_matches_golden(argv):
+    path = text_path(argv)
+    assert path.exists(), f"missing golden file {path.name}"
+    assert render_text(argv) == path.read_text(encoding="utf-8")
+
+
 def test_golden_file_names_are_distinct():
     paths = [golden_path(argv) for argv in golden_cases()]
     assert len(set(paths)) == len(paths)
     assert sorted(GOLDEN_DIR.glob("*.json")) == sorted(paths)
+    texts = [text_path(argv) for argv in TEXT_CASES]
+    assert sorted(GOLDEN_DIR.glob("*.txt")) == sorted(texts)
 
 
 if __name__ == "__main__":
@@ -109,4 +139,7 @@ if __name__ == "__main__":
     for argv in golden_cases():
         golden_path(argv).write_text(render(argv), encoding="utf-8")
         print(golden_path(argv).name)
+    for argv in TEXT_CASES:
+        text_path(argv).write_text(render_text(argv), encoding="utf-8")
+        print(text_path(argv).name)
     sys.exit(0)
