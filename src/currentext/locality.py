@@ -332,8 +332,9 @@ def glue_primitives(
         if not same_algebra(beta_i.parent, corner.current.total):
             raise BadPrimitiveError(idx, None, "wrong corner algebra")
         local = restrict_class(psi, ss, corner)
-        defect = beta_i.coboundary() - local
-        if not defect.is_zero():
+        d_beta = beta_i.coboundary()
+        if d_beta != local:  # the difference only names the failing pair
+            defect = d_beta - local
             pair = min(defect._num)
             raise BadPrimitiveError(idx, pair, defect.value(*pair))
     owner = [None] * ss.algebra.dim
