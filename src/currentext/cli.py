@@ -1,15 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: one table of subcommands, one parser per call.
 
-Algebras are taken either from the built-in catalog by name (sl2,
-heis3, abelian:4, sl2+so3, jets:3, fun:2*sq2, ...) or from JSON
-documents when the argument names an existing file or ends in ``.json``.
-Reports go to stdout as human-readable text or canonical JSON
-(``--format json``); canonical means byte-stable across runs, with all
-rationals rendered as "p/q" strings.
-
-Exit codes: 0 success, 1 invalid input, 2 a checked mathematical
-property failed, 3 resource ceiling exceeded, 64 usage error, 70
-internal consistency failure (a bug, not a data problem).
+``_SUBCOMMANDS`` declares each subcommand once.  A call that names one
+builds its parser alone; help and bad names build the whole tree.
+Handlers return results; ``run_command`` builds every Report, echoing
+the parsed arguments, and maps exceptions to exit codes (``_FAILURES``)
+and exit codes to status words (``_STATUS``).  ``_DESCRIPTION`` is the
+text ``currentext --help`` prints.
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ from .current import (
     universality_map,
 )
 from .errors import (
+    CatalogError,
     CurrentExtError,
     DocumentError,
     InputError,
@@ -46,12 +43,36 @@ from .lie import LieAlgebra, derivations, is_perfect, killing_form, perfect_witn
 from .linalg import vector
 from .locality import Cover, SupportStructure, glue_primitives, is_diagonal, restrict_class
 
+_DESCRIPTION = """Command-line front end.
+
+Algebras are taken either from the built-in catalog by name (sl2,
+heis3, abelian:4, sl2+so3, jets:3, fun:2*sq2, ...) or from JSON
+documents when the argument names an existing file or ends in ``.json``.
+Reports go to stdout as human-readable text or canonical JSON
+(``--format json``); canonical means byte-stable across runs, with all
+rationals rendered as "p/q" strings.
+
+Exit codes: 0 success, 1 invalid input, 2 a checked mathematical
+property failed, 3 resource ceiling exceeded, 64 usage error, 70
+internal consistency failure (a bug, not a data problem).
+"""
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PROPERTY = 2
 EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+# the status word a report carries with each exit code
+_STATUS = {
+    EXIT_OK: "ok",
+    EXIT_INPUT: "invalid-input",
+    EXIT_PROPERTY: "property-failed",
+    EXIT_RESOURCE: "resource-limit",
+    EXIT_USAGE: "usage-error",
+    EXIT_INTERNAL: "internal-error",
+}
 
 
 class UsageError(Exception):
@@ -72,15 +93,18 @@ def _encode(value):
 
 
 class Report:
-    """Command outcome: echoed inputs, results, status, exit code."""
+    """Command outcome: echoed inputs, results, exit code and its status."""
 
-    def __init__(self, command, inputs, results, status="ok", exit_code=EXIT_OK):
+    def __init__(self, command, inputs, results, exit_code=EXIT_OK):
         self.command = command
         self.inputs = inputs
         self.results = results
-        self.status = status
         self.exit_code = exit_code
         self.format = "text"
+
+    @property
+    def status(self) -> str:
+        return _STATUS[self.exit_code]
 
     def to_json(self) -> str:
         payload = {
@@ -247,8 +271,11 @@ def _load_algebra(name: str, want: str):
     else:
         try:
             algebra = catalog.lie_catalog(name)
-        except InputError:
-            algebra = catalog.comm_catalog(name)
+        except InputError as lie_refusal:
+            try:
+                algebra = catalog.comm_catalog(name)
+            except InputError as comm_refusal:
+                raise CatalogError(f"{lie_refusal}; {comm_refusal}") from None
     if want == "lie" and not isinstance(algebra, LieAlgebra):
         raise DocumentError(f"{name!r} is not a Lie algebra")
     if want == "comm" and not isinstance(algebra, CommAlgebra):
@@ -298,22 +325,25 @@ def _random_one_form(fibre_dim, omega1_dim, seed):
 
 
 # --- subcommand implementations -------------------------------------------
+# Each returns its results, and its exit code when that is not 0.
 
-def _cmd_validate(args):
-    names = list(args.algebras)
+def _validate_names(args):
     if args.all:
         listing = catalog.catalog_listing()
-        names = list(listing["lie"]) + list(listing["comm"])
+        return list(listing["lie"]) + list(listing["comm"])
+    return list(args.algebras)
+
+
+def _cmd_validate(args):
+    names = _validate_names(args)
     if not names:
         raise UsageError("validate requires algebra names or --all")
     results = {}
-    failures = 0
     for name in names:
         try:
             algebra = _load_algebra(name, "any")
         except CurrentExtError as exc:
             results[name] = {"valid": False, "error": str(exc)}
-            failures += 1
             continue
         if isinstance(algebra, LieAlgebra):
             report = validate_lie(algebra)
@@ -324,82 +354,55 @@ def _cmd_validate(args):
                 "antisymmetry_violations": report.antisymmetry_violations,
                 "jacobi_violations": [list(v[0]) for v in report.jacobi_violations],
             }
-            failures += 0 if report.ok else 1
         else:
-            report = algebra.validate()
-            results[name] = {
-                "kind": "comm",
-                "dim": algebra.dim,
-                "valid": report.ok,
-            }
-            failures += 0 if report.ok else 1
-    status = "ok" if failures == 0 else "invalid-input"
-    return Report(
-        "validate",
-        {"algebras": names},
-        results,
-        status,
-        EXIT_OK if failures == 0 else EXIT_INPUT,
-    )
+            results[name] = {"kind": "comm", "dim": algebra.dim, "valid": algebra.validate().ok}
+    valid = all(entry["valid"] for entry in results.values())
+    return results, EXIT_OK if valid else EXIT_INPUT
 
 
 def _cmd_info(args):
     algebra = _load_algebra(args.algebra, "any")
     if isinstance(algebra, LieAlgebra):
-        results = {
+        return {
             "kind": "lie",
             "dim": algebra.dim,
             "labels": list(algebra.labels),
             "perfect": is_perfect(algebra),
             "semisimple": killing_form(algebra)[1],
         }
-    else:
-        results = {
-            "kind": "comm",
-            "dim": algebra.dim,
-            "labels": list(algebra.labels),
-            "unital": algebra.is_unital,
-            "points": list(algebra.points) if algebra.points else None,
-        }
-    return Report("info", {"algebra": args.algebra}, results)
+    return {
+        "kind": "comm",
+        "dim": algebra.dim,
+        "labels": list(algebra.labels),
+        "unital": algebra.is_unital,
+        "points": list(algebra.points) if algebra.points else None,
+    }
 
 
 def _cmd_killing(args):
     L = _load_algebra(args.algebra, "lie")
     matrix, semisimple = killing_form(L)
-    return Report(
-        "killing",
-        {"algebra": args.algebra},
-        {"matrix": _matrix_rows(matrix), "semisimple": semisimple},
-    )
+    return {"matrix": _matrix_rows(matrix), "semisimple": semisimple}
 
 
 def _cmd_derivations(args):
     L = _load_algebra(args.algebra, "lie")
     ders = derivations(L)
-    return Report(
-        "derivations",
-        {"algebra": args.algebra},
-        {
-            "dim": ders.dim,
-            "contains_inner": ders.contains_inner,
-            "all_inner": ders.all_inner,
-        },
-    )
+    return {
+        "dim": ders.dim,
+        "contains_inner": ders.contains_inner,
+        "all_inner": ders.all_inner,
+    }
 
 
 def _cmd_witness(args):
     L = _load_algebra(args.algebra, "lie")
     coords = _element_coords(L, args.element)
     pairs = perfect_witness(L, coords)
-    return Report(
-        "witness",
-        {"algebra": args.algebra, "element": args.element},
-        {
-            "pairs": [[list(mu.coords), list(nu.coords)] for mu, nu in pairs],
-            "count": len(pairs),
-        },
-    )
+    return {
+        "pairs": [[list(mu.coords), list(nu.coords)] for mu, nu in pairs],
+        "count": len(pairs),
+    }
 
 
 def _cmd_vform(args):
@@ -411,49 +414,38 @@ def _cmd_vform(args):
             value = forms.kappa_basis(i, j)
             if any(value):
                 kappa_entries.append([i, j, list(value)])
-    results = {
-        "dim_v": forms.dim,
-        "kappa": kappa_entries,
-    }
     matrix, semisimple = killing_form(L)
     factor = factor_through(forms, BilinearForm.from_matrix(matrix))
-    results["killing_factor"] = {
-        "matrix": _matrix_rows(factor.matrix),
-        "kernel_dim": factor.kernel_dim(),
+    return {
+        "dim_v": forms.dim,
+        "kappa": kappa_entries,
+        "killing_factor": {
+            "matrix": _matrix_rows(factor.matrix),
+            "kernel_dim": factor.kernel_dim(),
+        },
+        "semisimple": semisimple,
     }
-    results["semisimple"] = semisimple
-    return Report("vform", {"algebra": args.algebra}, results)
 
 
 def _cmd_h2(args):
     L = _load_algebra(args.algebra, "lie")
     result = cohomology(L, 2, args.coeff_dim, ceiling=args.max_cochain)
-    return Report(
-        "h2",
-        {"algebra": args.algebra, "coeff_dim": args.coeff_dim},
-        {
-            "dim": result.dimension,
-            "representatives": [
-                _cocycle_entries(rep) for rep in result.representative_cocycles()
-            ],
-        },
-    )
+    return {
+        "dim": result.dimension,
+        "representatives": [_cocycle_entries(rep) for rep in result.representative_cocycles()],
+    }
 
 
 def _cmd_kaehler(args):
     A = _load_algebra(args.algebra, "comm")
     module = kaehler_module(A)
     d_matrix = [list(module.d_basis(j)) for j in range(A.dim)]
-    return Report(
-        "kaehler",
-        {"algebra": args.algebra},
-        {
-            "dim": A.dim,
-            "dim_omega1": module.dim_omega1,
-            "dim_omega1bar": module.dim_omega1bar,
-            "d_columns": d_matrix,
-        },
-    )
+    return {
+        "dim": A.dim,
+        "dim_omega1": module.dim_omega1,
+        "dim_omega1bar": module.dim_omega1bar,
+        "d_columns": d_matrix,
+    }
 
 
 def _cmd_omegabar(args):
@@ -471,15 +463,11 @@ def _cmd_omegabar(args):
                 i, j = divmod(idx, A.dim)
                 terms.append([str(coeff), A.labels[i], A.labels[j]])
         reps.append(terms)
-    return Report(
-        "omegabar",
-        {"algebra": args.algebra},
-        {
-            "dim_omega1bar": module.dim_omega1bar,
-            "representatives": reps,
-            "term_format": "[coefficient, a, b] meaning coefficient * a d(b)",
-        },
-    )
+    return {
+        "dim_omega1bar": module.dim_omega1bar,
+        "representatives": reps,
+        "term_format": "[coefficient, a, b] meaning coefficient * a d(b)",
+    }
 
 
 def _cmd_current(args):
@@ -487,16 +475,12 @@ def _cmd_current(args):
     A = _load_algebra(args.coefficients, "comm")
     ca = CurrentAlgebra(g, A)
     report = validate_lie(ca.total)
-    return Report(
-        "current",
-        {"fibre": args.fibre, "coefficients": args.coefficients},
-        {
-            "dim": ca.dim,
-            "valid": report.ok,
-            "perfect": is_perfect(ca.total),
-            "labels": list(ca.total.labels),
-        },
-    )
+    return {
+        "dim": ca.dim,
+        "valid": report.ok,
+        "perfect": is_perfect(ca.total),
+        "labels": list(ca.total.labels),
+    }
 
 
 def _cmd_cocycle_check(args):
@@ -527,13 +511,7 @@ def _cmd_cocycle_check(args):
         "diagonal": diagonal,
         "note": uc.note,
     }
-    return Report(
-        "cocycle-check",
-        {"fibre": args.fibre, "coefficients": args.coefficients},
-        results,
-        "ok" if ok else "property-failed",
-        EXIT_OK if ok else EXIT_PROPERTY,
-    )
+    return results, EXIT_OK if ok else EXIT_PROPERTY
 
 
 def _cmd_universality(args):
@@ -549,14 +527,7 @@ def _cmd_universality(args):
         "matrix": _matrix_rows(result.matrix),
         "bijective": result.bijective,
     }
-    status = "ok" if result.bijective else "property-failed"
-    return Report(
-        "universality",
-        {"fibre": args.fibre, "coefficients": args.coefficients, "coeff_dim": args.coeff_dim},
-        results,
-        status,
-        EXIT_OK if result.bijective else EXIT_PROPERTY,
-    )
+    return results, EXIT_OK if result.bijective else EXIT_PROPERTY
 
 
 def _cmd_twist(args):
@@ -566,16 +537,12 @@ def _cmd_twist(args):
     xi = _random_one_form(g.dim, uc.kaehler.dim_omega1, args.seed)
     result = twist_difference(g, A, xi, uc=uc)
     witness = coboundary_witness(result.tau, ceiling=args.max_cochain)
-    return Report(
-        "twist",
-        {"fibre": args.fibre, "coefficients": args.coefficients, "seed": args.seed},
-        {
-            "xi_entries": [[i, t, c] for (i, t), c in sorted(xi.entries.items())],
-            "tau_nonzero_pairs": len(result.tau.values),
-            "coboundary_verified": True,  # twist_difference verifies internally
-            "class_unchanged": witness.is_exact,
-        },
-    )
+    return {
+        "xi_entries": [[i, t, c] for (i, t), c in sorted(xi.entries.items())],
+        "tau_nonzero_pairs": len(result.tau.values),
+        "coboundary_verified": True,  # twist_difference verifies internally
+        "class_unchanged": witness.is_exact,
+    }
 
 
 def _cmd_glue_demo(args):
@@ -595,27 +562,15 @@ def _cmd_glue_demo(args):
         local = restrict_class(psi, ss, subset)
         witness = coboundary_witness(local, ceiling=args.max_cochain)
         if not witness.is_exact:
-            return Report(
-                "glue-demo",
-                {"fibre": args.fibre, "coefficients": args.coefficients,
-                 "cover": args.cover, "seed": args.seed},
-                {"local_restriction_exact": False, "subset": list(subset)},
-                "property-failed",
-                EXIT_PROPERTY,
-            )
+            return {"local_restriction_exact": False, "subset": list(subset)}, EXIT_PROPERTY
         primitives.append(witness.beta)
     glued = glue_primitives(psi, cover, primitives)
-    return Report(
-        "glue-demo",
-        {"fibre": args.fibre, "coefficients": args.coefficients,
-         "cover": args.cover, "seed": args.seed},
-        {
-            "points": list(ss.points),
-            "cover_sets": [list(s) for s in cover.subsets],
-            "partition_parts": [list(p) for p in cover.parts],
-            "glued_matches": glued.coboundary() == psi,
-        },
-    )
+    return {
+        "points": list(ss.points),
+        "cover_sets": [list(s) for s in cover.subsets],
+        "partition_parts": [list(p) for p in cover.parts],
+        "glued_matches": glued.coboundary() == psi,
+    }
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -632,6 +587,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+_FORMAT = (("--format",), {"choices": ("text", "json"), "default": "text"})
+_MAX_COCHAIN = (("--max-cochain",), {
+    "type": nonnegative_int,
+    "default": None,
+    "metavar": "N",
+    "help": "cochain space entry ceiling (default 200000)",
+})
 _ALGEBRA = (("algebra",), {})
 _FIBRE = (("fibre",), {})
 _COEFFICIENTS = (("coefficients",), {})
@@ -669,71 +631,73 @@ _SUBCOMMANDS = (
     )),
 )
 
+# (exception class, exit code): the first class that matches decides;
+# any other exception propagates
+_FAILURES = (
+    (UsageError, EXIT_USAGE),
+    (ResourceCeilingError, EXIT_RESOURCE),
+    (PropertyError, EXIT_PROPERTY),
+    (InputError, EXIT_INPUT),
+    (InternalConsistencyError, EXIT_INTERNAL),
+)
+_FAILURE_CLASSES = tuple(cls for cls, _ in _FAILURES)
+
+# namespace entries a report does not echo as inputs
+_NOT_ECHOED = ("format", "max_cochain", "subcommand", "func")
+
+
+def _add_subcommand(parser, name, func, arguments):
+    # --format and --max-cochain come first, where they stand in every help text
+    for flags, options in (_FORMAT, _MAX_COCHAIN) + arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(subcommand=name, func=func)
+    return parser
+
 
 def _build_parser(argv=()) -> _Parser:
-    """The CLI parser.  When argv[0] names a subcommand only that one is
-    registered, which is all parsing argv needs; otherwise all of them
-    are, so that help and the invalid-choice error list every name."""
-    parser = _Parser(prog="currentext", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--max-cochain",
-        type=nonnegative_int,
-        default=None,
-        metavar="N",
-        help="cochain space entry ceiling (default 200000)",
-    )
+    """The parser for argv.  When argv[0] names a subcommand it is that
+    subcommand's parser alone, which parses argv[1:]; otherwise it is the
+    whole tree, so that help and the invalid-choice error list every name."""
+    for name, _, func, arguments in _SUBCOMMANDS:
+        if argv and argv[0] == name:
+            return _add_subcommand(_Parser(prog=f"currentext {name}"), name, func, arguments)
+    parser = _Parser(prog="currentext", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    named = [spec for spec in _SUBCOMMANDS if argv and spec[0] == argv[0]]
-    for name, help_text, func, arguments in named or _SUBCOMMANDS:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(func=func)
+    for name, help_text, func, arguments in _SUBCOMMANDS:
+        _add_subcommand(sub.add_parser(name, help=help_text), name, func, arguments)
     return parser
 
 
 def run_command(argv) -> Report:
     """Execute one CLI invocation and return its Report.
 
-    All expected failure modes are folded into the report's exit code;
-    only truly unexpected exceptions propagate.
+    Every expected failure becomes the report's exit code through
+    _FAILURES; any other exception propagates.
     """
     argv = list(argv)
     parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if parser.get_default("func") else argv)
     except UsageError as exc:
-        return Report(
-            "usage", {}, {"error": str(exc)}, "usage-error", EXIT_USAGE
-        )
-    if not getattr(args, "subcommand", None):
-        return Report(
-            "usage", {}, {"error": "a subcommand is required"}, "usage-error", EXIT_USAGE
-        )
-    fmt = getattr(args, "format", "text")
+        return Report("usage", {}, {"error": str(exc)}, EXIT_USAGE)
+    if not args.subcommand:
+        return Report("usage", {}, {"error": "a subcommand is required"}, EXIT_USAGE)
     try:
-        report = args.func(args)
-    except UsageError as exc:
-        report = Report(args.subcommand, {}, {"error": str(exc)}, "usage-error", EXIT_USAGE)
-    except ResourceCeilingError as exc:
-        report = Report(
-            args.subcommand, {}, {"error": str(exc)}, "resource-limit", EXIT_RESOURCE
-        )
-    except PropertyError as exc:
+        outcome = args.func(args)
+    except _FAILURE_CLASSES as exc:
+        code = next(code for cls, code in _FAILURES if isinstance(exc, cls))
         results = {"error": str(exc)}
         defect = getattr(exc, "defect_coordinates", None)
         if defect is not None:
             results["defect_class"] = list(defect)
-        report = Report(args.subcommand, {}, results, "property-failed", EXIT_PROPERTY)
-    except InputError as exc:
-        report = Report(args.subcommand, {}, {"error": str(exc)}, "invalid-input", EXIT_INPUT)
-    except InternalConsistencyError as exc:
-        report = Report(
-            args.subcommand, {}, {"error": str(exc)}, "internal-error", EXIT_INTERNAL
-        )
-    report.format = fmt
+        report = Report(args.subcommand, {}, results, code)
+    else:
+        results, code = outcome if isinstance(outcome, tuple) else (outcome, EXIT_OK)
+        inputs = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
+        if args.subcommand == "validate":  # --all echoes the names it expands to
+            inputs = {"algebras": _validate_names(args)}
+        report = Report(args.subcommand, inputs, results, code)
+    report.format = args.format
     return report
 
 

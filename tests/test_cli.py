@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from currentext import cli
 from currentext.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PROPERTY,
     EXIT_RESOURCE,
@@ -16,7 +18,12 @@ from currentext.cli import (
     run_command,
 )
 from currentext.current import CommAlgebra
-from currentext.errors import DocumentError, InvalidAlgebraError
+from currentext.errors import (
+    DocumentError,
+    InternalConsistencyError,
+    InvalidAlgebraError,
+    NotDiagonalError,
+)
 from currentext.lie import LieAlgebra
 
 SL2_DOC = json.dumps(
@@ -174,6 +181,18 @@ def test_unknown_subcommand_is_usage_error():
     assert run_command([]).exit_code == EXIT_USAGE
 
 
+# the namespace entries each subcommand declares after --format and --max-cochain
+OWN_DESTS = {
+    "validate": ["algebras", "all"], "info": ["algebra"], "killing": ["algebra"],
+    "derivations": ["algebra"], "witness": ["algebra", "element"], "vform": ["algebra"],
+    "h2": ["algebra", "coeff_dim"], "kaehler": ["algebra"], "omegabar": ["algebra"],
+    "current": ["fibre", "coefficients"], "cocycle-check": ["fibre", "coefficients"],
+    "universality": ["fibre", "coefficients", "coeff_dim"],
+    "twist": ["fibre", "coefficients", "seed"],
+    "glue-demo": ["fibre", "coefficients", "cover", "seed"],
+}
+
+
 def _subparsers(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
@@ -188,9 +207,13 @@ def _parse_outcome(parser, argv):
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_parser_of_one_subcommand_reads_as_the_full_parser(name):
-    alone, full = _subparsers(_build_parser([name])), _subparsers(_build_parser([]))
-    assert list(alone) == [name] and tuple(full) == SUBCOMMANDS
-    assert alone[name].format_help() == full[name].format_help()
+    alone, full = _build_parser([name]), _build_parser([])
+    assert tuple(_subparsers(full)) == SUBCOMMANDS
+    assert alone.format_help() == _subparsers(full)[name].format_help()
+    # help first, then the two options every subcommand shares: the help
+    # layout without a help text, which argparse words by Python version
+    dests = [action.dest for action in alone._actions]
+    assert dests == ["help", "format", "max_cochain"] + OWN_DESTS[name]
     valid = VALID_ARGS[name]
     cases = {
         "missing positional": [name],
@@ -199,30 +222,98 @@ def test_parser_of_one_subcommand_reads_as_the_full_parser(name):
         "valid": [name] + valid,
     }
     for case, argv in cases.items():
-        outcome = _parse_outcome(_build_parser(argv), argv)
-        assert outcome == _parse_outcome(_build_parser([]), argv), case
+        outcome = _parse_outcome(alone, argv[1:])
+        assert outcome == _parse_outcome(full, argv), case
         if case in ("bad --format", "unrecognized argument"):
             assert isinstance(outcome, str), case
         if case == "valid":
             assert outcome["subcommand"] == name
     if name != "validate":  # validate takes any number of names
-        assert isinstance(_parse_outcome(_build_parser([name]), [name]), str)
+        assert isinstance(_parse_outcome(alone, []), str)
 
 
 def test_run_command_builds_only_the_named_subcommand(monkeypatch):
-    registered = []
+    built, registered = [], []
+    init = argparse.ArgumentParser.__init__
     add_parser = argparse._SubParsersAction.add_parser
 
-    def spy(self, name, **kwargs):
+    def spy_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def spy_add_parser(self, name, **kwargs):
         registered.append(name)
         return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add_parser)
     assert run_command(["h2", "sl2"]).exit_code == EXIT_OK
-    assert registered == ["h2"]
-    registered.clear()
+    assert built == ["currentext h2"] and registered == []
+    built.clear()
     assert run_command(["frobnicate"]).exit_code == EXIT_USAGE
     assert registered == list(SUBCOMMANDS)
+    assert len(built) == 1 + len(SUBCOMMANDS)
+
+
+# one row per entry of the failure table: argv, exit code, status
+@pytest.mark.parametrize("argv, code, status", [
+    (["validate"], EXIT_USAGE, "usage-error"),
+    (["h2", "sl3", "--max-cochain", "5"], EXIT_RESOURCE, "resource-limit"),
+    (["witness", "heis3", "x"], EXIT_PROPERTY, "property-failed"),
+    (["killing", "sl17"], EXIT_INPUT, "invalid-input"),
+])
+def test_each_failure_class_has_one_exit_code(argv, code, status):
+    report = run_command(argv)
+    assert (report.command, report.exit_code, report.status) == (argv[0], code, status)
+    assert report.inputs == {}
+    assert set(report.results) == (
+        {"error", "defect_class"} if argv[0] == "witness" else {"error"}
+    )
+
+
+def test_internal_consistency_error_exits_70(monkeypatch):
+    def fail(L):
+        raise InternalConsistencyError("identity failed")
+
+    monkeypatch.setattr(cli, "killing_form", fail)
+    report = run_command(["killing", "sl2"])
+    assert (report.exit_code, report.status) == (EXIT_INTERNAL, "internal-error")
+    assert report.results == {"error": "identity failed"} and report.inputs == {}
+
+
+def test_property_error_without_defect_has_no_defect_class(monkeypatch):
+    def fail(L):
+        raise NotDiagonalError((0, 1))
+
+    monkeypatch.setattr(cli, "killing_form", fail)
+    report = run_command(["killing", "sl2"])
+    assert report.exit_code == EXIT_PROPERTY
+    assert list(report.results) == ["error"]
+
+
+def test_unexpected_exception_propagates(monkeypatch):
+    def fail(L):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(cli, "killing_form", fail)
+    with pytest.raises(ValueError, match="not a package error"):
+        run_command(["killing", "sl2"])
+
+
+@pytest.mark.parametrize("name, lie_refusal", [
+    ("sl2+", "malformed Lie algebra name 'sl2+'"),
+    ("abelian:-1", "bad abelian dimension in 'abelian:-1'"),
+    ("zzz", "unknown Lie algebra 'zzz'"),
+])
+def test_a_name_both_catalogs_refuse_names_both_refusals(name, lie_refusal):
+    comm_refusal = f"unknown commutative algebra {name!r}"
+    report = run_command(["info", name])
+    assert report.exit_code == EXIT_INPUT
+    assert report.results["error"] == f"{lie_refusal}; {comm_refusal}"
+    report = run_command(["validate", name, "sl2"])
+    assert report.exit_code == EXIT_INPUT
+    assert report.results[name]["error"] == f"{lie_refusal}; {comm_refusal}"
+    assert report.results["sl2"]["valid"] is True
 
 
 @pytest.mark.parametrize("argv", [["h2", "sl2"], ["universality", "sl2", "sq2"]])
