@@ -682,6 +682,9 @@ def run_command(argv) -> Report:
         return Report("usage", {}, {"error": str(exc)}, EXIT_USAGE)
     if not args.subcommand:
         return Report("usage", {}, {"error": "a subcommand is required"}, EXIT_USAGE)
+    inputs = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
+    if args.subcommand == "validate":  # --all echoes the names it expands to
+        inputs = {"algebras": _validate_names(args)}
     try:
         outcome = args.func(args)
     except _FAILURE_CLASSES as exc:
@@ -690,12 +693,9 @@ def run_command(argv) -> Report:
         defect = getattr(exc, "defect_coordinates", None)
         if defect is not None:
             results["defect_class"] = list(defect)
-        report = Report(args.subcommand, {}, results, code)
+        report = Report(args.subcommand, {}, results, code)  # a failure echoes no inputs yet
     else:
         results, code = outcome if isinstance(outcome, tuple) else (outcome, EXIT_OK)
-        inputs = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
-        if args.subcommand == "validate":  # --all echoes the names it expands to
-            inputs = {"algebras": _validate_names(args)}
         report = Report(args.subcommand, inputs, results, code)
     report.format = args.format
     return report

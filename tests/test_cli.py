@@ -271,33 +271,24 @@ def test_each_failure_class_has_one_exit_code(argv, code, status):
     )
 
 
-def test_internal_consistency_error_exits_70(monkeypatch):
+@pytest.mark.parametrize("exc, code, status", [
+    (InternalConsistencyError("identity failed"), EXIT_INTERNAL, "internal-error"),
+    # a property failure with no defect class
+    (NotDiagonalError((0, 1)), EXIT_PROPERTY, "property-failed"),
+    (ValueError("not a package error"), None, None),  # outside the table: it propagates
+])
+def test_a_handler_exception_maps_through_the_failure_table(monkeypatch, exc, code, status):
     def fail(L):
-        raise InternalConsistencyError("identity failed")
+        raise exc
 
     monkeypatch.setattr(cli, "killing_form", fail)
+    if code is None:
+        with pytest.raises(ValueError, match="not a package error"):
+            run_command(["killing", "sl2"])
+        return
     report = run_command(["killing", "sl2"])
-    assert (report.exit_code, report.status) == (EXIT_INTERNAL, "internal-error")
-    assert report.results == {"error": "identity failed"} and report.inputs == {}
-
-
-def test_property_error_without_defect_has_no_defect_class(monkeypatch):
-    def fail(L):
-        raise NotDiagonalError((0, 1))
-
-    monkeypatch.setattr(cli, "killing_form", fail)
-    report = run_command(["killing", "sl2"])
-    assert report.exit_code == EXIT_PROPERTY
-    assert list(report.results) == ["error"]
-
-
-def test_unexpected_exception_propagates(monkeypatch):
-    def fail(L):
-        raise ValueError("not a package error")
-
-    monkeypatch.setattr(cli, "killing_form", fail)
-    with pytest.raises(ValueError, match="not a package error"):
-        run_command(["killing", "sl2"])
+    assert (report.exit_code, report.status) == (code, status)
+    assert report.results == {"error": str(exc)} and report.inputs == {}
 
 
 @pytest.mark.parametrize("name, lie_refusal", [
