@@ -750,7 +750,6 @@ class CoboundaryWitness:
 def coboundary_witness(
     psi: Cocycle2,
     *,
-    h2: Optional[Cohomology] = None,
     ceiling: Optional[int] = None,
 ) -> CoboundaryWitness:
     """Find beta with (d beta) = psi, or the class of psi in H^2.
@@ -761,15 +760,7 @@ def coboundary_witness(
     returned primitive is the canonical solution of the linear system,
     so repeated runs agree bit for bit; all m slots are solved by one
     elimination of d^1.
-    A given h2 must be H^2 of psi's algebra with psi's coefficients;
-    anything else raises DimensionMismatchError.
     """
-    if h2 is not None and not (
-        same_algebra(h2.parent, psi.parent)
-        and h2.degree == 2
-        and h2.coeff_dim == psi.coeff_dim
-    ):
-        raise DimensionMismatchError("h2 is not H^2 of the cocycle's algebra and coefficients")
     L = psi.parent
     m = psi.coeff_dim
     _guard(L.dim, 2, m, ceiling)
@@ -792,8 +783,7 @@ def coboundary_witness(
         delta1 = ce_differential(L, 1, ceiling=ceiling)
         solutions = solve_many(delta1, [slots[a] for a in targets])
         if None in solutions:
-            if h2 is None:
-                h2 = cohomology(L, 2, m, ceiling=ceiling)
+            h2 = cohomology(L, 2, m, ceiling=ceiling)
             return CoboundaryWitness(None, h2.class_coordinates(psi.values), h2)
         # the solutions solve for psi's integers: divide by its denominator once
         den = lcm(*{x.denominator for solution in solutions for x in solution})

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -189,9 +188,10 @@ class CommAlgebra(_StructureTable):
         return f"CommAlgebra(dim={self.dim}, labels={list(self.labels)})"
 
 
-def tensor_comm(A: CommAlgebra, B: CommAlgebra, sep: str = "*") -> CommAlgebra:
-    """Tensor product of commutative algebras on the product basis."""
-    labels = [f"{a}{sep}{b}" for a in A.labels for b in B.labels]
+def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
+    """Tensor product of commutative algebras on the product basis, the
+    pair of labels a and b labelled a*b."""
+    labels = [f"{a}*{b}" for a in A.labels for b in B.labels]
     db = B.dim
 
     def flat(i, p):
@@ -406,7 +406,7 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
             class_of[i] = s
     # the relations as integer rows: every product constant is scaled by
     # the lcm of their denominators, which rescales each Leibniz row and
-    # leaves the span alone
+    # leaves the span alone; they reach the eliminator as they are
     _, products = A._integer_table
 
     def product(i, j):
@@ -437,7 +437,7 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
                     for k, coef in product(c, b).items():
                         add(row, k * d + a, -coef)
                     relations.append(row)
-    omega1 = quotient_space(ambient, Subspace.from_spanning(ambient, relations))
+    omega1 = quotient_space(ambient, Subspace._from_integer_rows(ambient, relations))
     # [b_i d(b_j)] for the pairs inside one class, in lexicographic order
     pairs = {}
     for i in range(d):
@@ -571,7 +571,9 @@ def adjoin_unit_extend(
     psi+(f, x (x) 1) = psi(f, x (x) lambda) for an idempotent local unit
     lambda on the support of f.  The value does not depend on the choice
     of lambda because psi is diagonal; diagonality is checked whenever A
-    carries an idempotent support structure.
+    carries an idempotent support structure.  psi+ is built in one pass
+    over psi's stored pairs, in O(nnz psi * m): bilinearity spreads each
+    value over the basis pairs it reaches.
     """
     if A.is_unital:
         raise ValueError("algebra is already unital")
@@ -604,49 +606,41 @@ def adjoin_unit_extend(
     if not same_algebra(psi.parent, current.total):
         raise ValueError("cocycle is not defined on the given current algebra")
     current_plus = CurrentAlgebra(g, A_plus)
+    lambdas = []
     if not psi.is_zero():
         if A.idempotents is not None:
             supports = [_support_points(A, A.basis_vector(p)) for p in range(n)]
-            for fi, fj in combinations(range(current.dim), 2):
-                i, p = current.unflat(fi)
-                j, q = current.unflat(fj)
-                if supports[p] & supports[q]:
-                    continue
-                if any(psi.value(fi, fj)):
+            for fi, fj in sorted(psi._num):
+                if not supports[current.unflat(fi)[1]] & supports[current.unflat(fj)[1]]:
                     raise NotDiagonalError((fi, fj))
         lambdas = [_local_unit(A, A.basis_vector(p)) for p in range(n)]
-    else:
-        lambdas = [zero_vector(n) for _ in range(n)]
+    # the local units as integer rows over one denominator
+    lden, rows = _sparse_integers(lambdas)
+    lam_rows = [dict(row) for row in rows]
     m = psi.coeff_dim
+    zero = (0,) * m
     table = {}
-    for i in range(g.dim):
-        for p_plus in range(n + 1):
-            for j in range(g.dim):
-                for q_plus in range(n + 1):
-                    fi = current_plus.flat(i, p_plus)
-                    fj = current_plus.flat(j, q_plus)
-                    if fi >= fj:
-                        continue
-                    if p_plus == 0 and q_plus == 0:
-                        continue  # constants against constants vanish
-                    if p_plus > 0 and q_plus > 0:
-                        value = psi.value(
-                            current.flat(i, p_plus - 1), current.flat(j, q_plus - 1)
-                        )
-                    elif q_plus == 0:
-                        # psi+(x_i (x) b_p, x_j (x) 1) = psi(x_i (x) b_p, x_j (x) lambda_p)
-                        lam = lambdas[p_plus - 1]
-                        u = current.tensor(g.basis_element(i).coords, A.basis_vector(p_plus - 1))
-                        v = current.tensor(g.basis_element(j).coords, lam)
-                        value = psi.apply(u, v)
-                    else:
-                        lam = lambdas[q_plus - 1]
-                        u = current.tensor(g.basis_element(i).coords, lam)
-                        v = current.tensor(g.basis_element(j).coords, A.basis_vector(q_plus - 1))
-                        value = psi.apply(u, v)
-                    if any(value):
-                        table[(fi, fj)] = value
-    psi_plus = Cocycle2(current_plus.total, m, table)
+
+    def add(a, b, scale, value):
+        """psi+(a, b) += scale * value, stored on the increasing pair."""
+        if a > b:
+            a, b, scale = b, a, -scale
+        old = table.get((a, b), zero)
+        table[(a, b)] = tuple(x + scale * y for x, y in zip(old, value))
+
+    # v = psi(x_i (x) b_p, x_j (x) b_q) is psi+ on the same pair, and adds
+    # lambda_p[q] v to psi+(x_i (x) b_p, x_j (x) 1) = psi(x_i (x) b_p, x_j (x) lambda_p)
+    # and -lambda_q[p] v to psi+(x_j (x) b_q, x_i (x) 1); constants pair to zero
+    for (fi, fj), value in psi._num.items():
+        i, p = current.unflat(fi)
+        j, q = current.unflat(fj)
+        a, b = current_plus.flat(i, p + 1), current_plus.flat(j, q + 1)
+        table[(a, b)] = tuple(lden * x for x in value)
+        if q in lam_rows[p]:
+            add(a, current_plus.flat(j, 0), lam_rows[p][q], value)
+        if p in lam_rows[q]:
+            add(b, current_plus.flat(i, 0), -lam_rows[q][p], value)
+    psi_plus = Cocycle2._from_integers(current_plus.total, m, table, lden * psi._den)
     return UnitExtension(A_plus, embed, psi_plus, current_plus)
 
 

@@ -591,11 +591,12 @@ def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]])
     ]))
 
 
-def realify(L: LieAlgebra, imag_prefix: str = "i") -> LieAlgebra:
+def realify(L: LieAlgebra) -> LieAlgebra:
     """View L with complexified scalars as a rational algebra of twice
-    the dimension, on the basis (b_0, ..., b_{n-1}, i b_0, ..., i b_{n-1})."""
+    the dimension, on the basis (b_0, ..., b_{n-1}, i b_0, ..., i b_{n-1}),
+    the label of i b_k being "i" before b_k's."""
     n = L.dim
-    labels = list(L.labels) + [imag_prefix + s for s in L.labels]
+    labels = list(L.labels) + ["i" + s for s in L.labels]
     entries = []
     for i, j, k, c in L.structure_entries():
         entries.append((i, j, k, c))

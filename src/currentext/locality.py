@@ -18,6 +18,17 @@ the sparse tables: restrict_class costs O(nnz psi), restrict_cochain and
 glue_primitives O(dim * m), and no idempotent is ever multiplied out.
 They re-index the cochains' stored integers (see cohomology) and build
 no Fraction.
+
+Extension by zero of one-form classes is a coordinate map, for the same
+reason.  A point-aligned basis puts every product class of A (see
+current.kaehler_module) over one point, and a corner's product classes
+are A's classes over its points, on a sub-basis kept in order.  The
+Leibniz span and d(A) split by product class, and the reduced echelon
+form of a span whose parts sit on disjoint columns is the union of the
+parts' forms, which is unique.  So the Omega1 and Omega1bar coordinates
+of a corner A_W are those of a larger corner A_V over W, in the same
+order (OneFormLocality._coordinates), and extending, decomposing and
+finding a common class read or scatter coordinates with no solve.
 """
 
 from __future__ import annotations
@@ -39,10 +50,11 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     InternalConsistencyError,
+    NonUnitalError,
     NotDiagonalError,
 )
 from .lie import same_algebra
-from .linalg import SparseMatrix, Vec, _as_fraction, solve_linear, vector
+from .linalg import SparseMatrix, Vec, _as_fraction, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -284,6 +296,8 @@ class Cover:
         self.lambdas = tuple(ss.indicator(part) for part in self.parts)
         self.companions = tuple(ss.indicator(s) for s in self.subsets)
         A = ss.algebra
+        if not A.is_unital:
+            raise NonUnitalError("a partition of unity requires a unital algebra")
         total = [_ZERO] * A.dim
         for lam in self.lambdas:
             for i, x in enumerate(lam):
@@ -359,7 +373,12 @@ def glue_primitives(
 
 class OneFormLocality:
     """Extension-by-zero and decomposition of one-form classes over
-    corners, with the corner Kaehler modules cached."""
+    corners, with the corner Kaehler modules cached.
+
+    Every map here is the coordinate map of _coordinates: coordinate t
+    of Omega1(A_W) (or Omega1bar(A_W)) is coordinate map[t] of A_V's,
+    and the extension by zero scatters through it.
+    """
 
     __slots__ = ("structure", "_kaehlers")
 
@@ -376,13 +395,17 @@ class OneFormLocality:
             self._kaehlers[key] = kaehler_module(self.corner(key).algebra)
         return self._kaehlers[key]
 
-    def inject_form(self, w: Sequence, small, large) -> Vec:
-        """Extension by zero Omega1(A_W) -> Omega1(A_V) for W inside V.
+    def _coordinates(self, small, large, bar: bool) -> tuple:
+        """(coordinates, size): the coordinate of A_V's Omega1 (bar:
+        Omega1bar) that each coordinate of A_W's becomes under extension
+        by zero, W inside V, and the dimension of A_V's space.
 
-        Coordinate t of w is the class [b_i d(b_j)] of representative
-        column i * dim A_W + j; it extends to the class of the same basis
-        pair in A_V, read from A_V's pair table (zero across product
-        classes).
+        Omega1 coordinate t of A_W is its representative column
+        i * dim A_W + j, the class [b_i d(b_j)]; the same basis pair is a
+        representative column of A_V, since both echelon forms are the
+        union of the same product classes' forms (see the module
+        docstring).  An Omega1bar coordinate is an Omega1 coordinate,
+        omega1bar.rep_cols, and passes on the same way.
         """
         corner_w = self.corner(small)
         corner_v = self.corner(large)
@@ -390,40 +413,35 @@ class OneFormLocality:
             raise InputError("extension target must contain the source corner")
         kae_w = self.kaehler(corner_w.subset)
         kae_v = self.kaehler(corner_v.subset)
-        if len(w) != kae_w.dim_omega1:
-            raise DimensionMismatchError(
-                f"Omega1 element has length {len(w)}, Omega1 has dimension {kae_w.dim_omega1}"
-            )
         position = [corner_v.back[p] for p in corner_w.indices]
-        out = [_ZERO] * kae_v.dim_omega1
-        for col, coef in zip(kae_w.omega1.rep_cols, w):
-            if coef:
-                i, j = divmod(col, corner_w.dim)
-                coef = _as_fraction(coef)
-                for t, value in kae_v._pairs.get((position[i], position[j]), {}).items():
-                    out[t] += coef * value
-        return tuple(out)
+        column = {c: t for t, c in enumerate(kae_v.omega1.rep_cols)}
+        coordinates = [
+            column.get(position[i] * corner_v.dim + position[j])
+            for i, j in (divmod(c, corner_w.dim) for c in kae_w.omega1.rep_cols)
+        ]
+        if bar:
+            column = {c: t for t, c in enumerate(kae_v.omega1bar.rep_cols)}
+            coordinates = [column.get(coordinates[c]) for c in kae_w.omega1bar.rep_cols]
+        if None in coordinates:
+            raise InternalConsistencyError("extension by zero left the coordinates")
+        return coordinates, len(column)
+
+    def inject_form(self, w: Sequence, small, large) -> Vec:
+        """Extension by zero Omega1(A_W) -> Omega1(A_V) for W inside V:
+        coordinate t of w moves to coordinate map[t] (_coordinates)."""
+        coordinates, size = self._coordinates(small, large, False)
+        if len(w) != len(coordinates):
+            raise DimensionMismatchError(
+                f"Omega1 element has length {len(w)}, Omega1 has dimension {len(coordinates)}"
+            )
+        return _scatter(w, coordinates, size)
 
     def injection_matrix(self, small, large, *, bar: bool = True) -> SparseMatrix:
-        """Matrix of the extension map on Omega1bar (or Omega1) classes."""
-        corner_w = self.corner(small)
-        kae_w = self.kaehler(corner_w.subset)
-        kae_v = self.kaehler(self.corner(large).subset)
-        src_dim = kae_w.dim_omega1bar if bar else kae_w.dim_omega1
-        columns = []
-        for t in range(src_dim):
-            unit = [_ZERO] * src_dim
-            unit[t] = _ONE
-            w = kae_w.omega1bar.lift(unit) if bar else tuple(unit)
-            image = self.inject_form(w, small, large)
-            columns.append(kae_v.bar(image) if bar else image)
-        rows = (kae_v.dim_omega1bar if bar else kae_v.dim_omega1)
-        data = {}
-        for c, col in enumerate(columns):
-            for r, x in enumerate(col):
-                if x:
-                    data[(r, c)] = x
-        return SparseMatrix(rows, src_dim, data)
+        """Matrix of the extension map on Omega1bar (or Omega1) classes:
+        a 1 at (map[t], t) for each source coordinate t."""
+        coordinates, size = self._coordinates(small, large, bar)
+        data = {(r, c): _ONE for c, r in enumerate(coordinates)}
+        return SparseMatrix(size, len(coordinates), data)
 
     def extend_class(self, w_bar: Sequence, small, large) -> Vec:
         """Extension by zero on Omega1bar classes; well-defined because
@@ -431,63 +449,54 @@ class OneFormLocality:
         kae_w = self.kaehler(self.corner(small).subset)
         if len(w_bar) != kae_w.dim_omega1bar:
             raise DimensionMismatchError("class coordinates have wrong length")
-        image = self.inject_form(kae_w.omega1bar.lift(w_bar), small, large)
-        return self.kaehler(self.corner(large).subset).bar(image)
+        return _scatter(w_bar, *self._coordinates(small, large, True))
+
+    def _union(self, corner_l: Corner, corner_r: Corner) -> Tuple[str, ...]:
+        both = set(corner_l.subset) | set(corner_r.subset)
+        return tuple(s for s in self.structure.points if s in both)
 
     def decompose_class(self, w_bar: Sequence, left, right):
         """Split a class on V u W into extensions from V and from W.
 
-        Returns (w_V, w_W) with extend(w_V) + extend(w_W) = w_bar; the
-        decomposition exists because the sharp partition of unity splits
-        every one-form, and is found by a canonical solve.
+        Returns (w_V, w_W) with extend(w_V) + extend(w_W) = w_bar: w_V
+        holds the coordinates of w_bar over V, and w_W those over W
+        outside V, with zero over V n W.  This is the canonical solution
+        of the stacked system [iota_V | iota_W] x = w_bar, whose columns
+        of W over the intersection repeat columns of V and are free.
         """
         corner_l = self.corner(left)
         corner_r = self.corner(right)
-        union = tuple(
-            s for s in self.structure.points
-            if s in set(corner_l.subset) | set(corner_r.subset)
-        )
+        union = self._union(corner_l, corner_r)
         kae_u = self.kaehler(union)
         if len(w_bar) != kae_u.dim_omega1bar:
             raise DimensionMismatchError("class coordinates have wrong length")
-        m_left = self.injection_matrix(corner_l.subset, union)
-        m_right = self.injection_matrix(corner_r.subset, union)
-        rows = kae_u.dim_omega1bar
-        stacked = {}
-        for r, c, x in m_left.triplets():
-            stacked[(r, c)] = x
-        for r, c, x in m_right.triplets():
-            stacked[(r, c + m_left.cols)] = x
-        system = SparseMatrix(rows, m_left.cols + m_right.cols, stacked)
-        solution = solve_linear(system, w_bar)
-        if solution is None:
+        w_bar = vector(w_bar)
+        to_left, _ = self._coordinates(corner_l.subset, union, True)
+        to_right, _ = self._coordinates(corner_r.subset, union, True)
+        taken = set(to_left)
+        w_left = tuple(w_bar[t] for t in to_left)
+        w_right = tuple(_ZERO if t in taken else w_bar[t] for t in to_right)
+        taken.update(to_right)
+        if any(x for t, x in enumerate(w_bar) if t not in taken):
             raise InternalConsistencyError(
                 "one-form class failed to decompose over the cover"
             )
-        w_left = solution[: m_left.cols]
-        w_right = solution[m_left.cols:]
-        return vector(w_left), vector(w_right)
+        return w_left, w_right
 
     def common_class(self, w_left: Sequence, w_right: Sequence, left, right):
         """Find the common class on the intersection when the extensions
         of two classes to the union agree.
 
-        Mirrors the primitive-splitting construction: the difference of
-        representatives is d(gamma); subtracting the sharp split of
-        gamma pushes both representatives into the intersection corner.
+        Agreeing extensions vanish outside the intersection, so the
+        common class is w_left's coordinates over V n W; it is checked to
+        extend back to both classes.
         """
         corner_l = self.corner(left)
         corner_r = self.corner(right)
         inter = tuple(
             s for s in corner_l.subset if s in set(corner_r.subset)
         )
-        union = tuple(
-            s for s in self.structure.points
-            if s in set(corner_l.subset) | set(corner_r.subset)
-        )
-        kae_u = self.kaehler(union)
-        kae_l = self.kaehler(corner_l.subset)
-        kae_r = self.kaehler(corner_r.subset)
+        union = self._union(corner_l, corner_r)
         ext_l = self.extend_class(w_left, corner_l.subset, union)
         ext_r = self.extend_class(w_right, corner_r.subset, union)
         if ext_l != ext_r:
@@ -498,37 +507,18 @@ class OneFormLocality:
                     "agreeing extensions over a disjoint cover must vanish"
                 )
             return ()
-        rep_l = self.inject_form(kae_l.omega1bar.lift(w_left), corner_l.subset, union)
-        rep_r = self.inject_form(kae_r.omega1bar.lift(w_right), corner_r.subset, union)
-        diff = tuple(a - b for a, b in zip(rep_l, rep_r))
-        corner_u = self.corner(union)
-        d_matrix = SparseMatrix.from_dense(
-            [kae_u.d_basis(j) for j in range(corner_u.dim)]
-        ).transpose()
-        gamma = solve_linear(d_matrix, diff)
-        if gamma is None:
-            raise InternalConsistencyError("agreeing classes differ by a non-exact form")
-        # sharp split of gamma over {left part, right remainder}
-        lam_left = [_ZERO] * corner_u.dim
-        for t, p in enumerate(corner_u.indices):
-            if self.structure.point_of_basis[p] in set(corner_l.subset):
-                lam_left[t] = _ONE
-        gamma_l = corner_u.algebra.product(
-            tuple(lam_left), gamma
-        )
-        # F = rep_l - d(gamma_l) has support in the intersection
-        d_gamma_l = kae_u.d(gamma_l)
-        common_u = tuple(a - b for a, b in zip(rep_l, d_gamma_l))
-        inject = self.injection_matrix(inter, union, bar=False)
-        pre = solve_linear(inject, common_u)
-        if pre is None:
-            raise InternalConsistencyError(
-                "common form is not supported in the intersection"
-            )
-        kae_i = self.kaehler(inter)
-        w_common = kae_i.bar(pre)
+        to_left, _ = self._coordinates(inter, corner_l.subset, True)
+        w_common = tuple(_as_fraction(w_left[t]) for t in to_left)
         if self.extend_class(w_common, inter, corner_l.subset) != vector(w_left):
             raise InternalConsistencyError("common class does not restrict to the left class")
         if self.extend_class(w_common, inter, corner_r.subset) != vector(w_right):
             raise InternalConsistencyError("common class does not restrict to the right class")
         return w_common
+
+
+def _scatter(w: Sequence, coordinates: Sequence[int], size: int) -> Vec:
+    """The length-size vector with w[t] at coordinates[t], zero elsewhere."""
+    out = [_ZERO] * size
+    for t, x in zip(coordinates, w):
+        out[t] = _as_fraction(x)
+    return tuple(out)

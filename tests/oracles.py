@@ -17,9 +17,14 @@ with the package's own linear algebra, as references for the
 weight-zero block and the product-class split, not for the
 elimination.  coboundary_witness_reference likewise solves each
 coefficient slot with the package's solve_linear, as the reference for
-solving all slots in one elimination, and inject_form_reference projects
+solving all slots in one elimination, inject_form_reference projects
 a dense tensor with the package's Omega1 quotient, as the reference for
-reading extension by zero off the pair table.  derived_subalgebra_reference
+extension by zero as a coordinate map, and decompose_class_reference
+solves the stacked extension matrices with solve_linear, as the
+reference for reading a class's coordinates.  adjoin_unit_extend_reference
+is the former loop over every basis pair of g (x) A+, evaluating psi
+with value and apply, as the reference for the one pass over psi's
+stored pairs.  derived_subalgebra_reference
 and perfect_witness_reference span and solve a column for every basis
 pair with the package's linear algebra, as the references for reading
 only the nonzero brackets.  derivations_reference,
@@ -420,13 +425,13 @@ def current_algebra_reference(g, A):
     return labels, [(i, j, k, v) for (i, j, k), v in sorted(totals.items()) if v]
 
 
-def tensor_comm_reference(A, B, sep="*"):
+def tensor_comm_reference(A, B):
     """(labels, entries, unit, idempotents) of A (x) B on the product
     basis: the entries of (b_i (x) b_p)(b_j (x) b_q) = b_i b_j (x) b_p b_q
     for every flat pair (i, p) <= (j, q) with i <= j, in loop order; the
     unit and idempotents are tensored with B's unit (or A's)."""
     db = B.dim
-    labels = [f"{a}{sep}{b}" for a in A.labels for b in B.labels]
+    labels = [f"{a}*{b}" for a in A.labels for b in B.labels]
     entries = []
     for i in range(A.dim):
         for j in range(i, A.dim):
@@ -968,3 +973,75 @@ def injection_matrix_reference(loc, small, large, bar):
         columns.append(kae_v.bar(image) if bar else image)
     rows = kae_v.dim_omega1bar if bar else kae_v.dim_omega1
     return tuple(tuple(col[r] for col in columns) for r in range(rows))
+
+
+def decompose_class_reference(loc, w_bar, left, right):
+    """(w_V, w_W) as the canonical solve_linear of the stacked system
+    [iota_V | iota_W] x = w_bar, its columns those of
+    injection_matrix_reference into the union."""
+    from currentext.linalg import SparseMatrix, solve_linear
+
+    left, right = loc.corner(left).subset, loc.corner(right).subset
+    union = tuple(s for s in loc.structure.points if s in set(left) | set(right))
+    m_left = injection_matrix_reference(loc, left, union, True)
+    m_right = injection_matrix_reference(loc, right, union, True)
+    cols_left = loc.kaehler(left).dim_omega1bar
+    cols = cols_left + loc.kaehler(right).dim_omega1bar
+    data = {}
+    for r, (row_left, row_right) in enumerate(zip(m_left, m_right)):
+        for c, x in enumerate(tuple(row_left) + tuple(row_right)):
+            if x:
+                data[(r, c)] = x
+    solution = solve_linear(SparseMatrix(len(m_left), cols, data), w_bar)
+    return solution[:cols_left], solution[cols_left:]
+
+
+def adjoin_unit_extend_reference(A, psi, current):
+    """psi+ on g (x) A+ by a loop over every pair of basis elements of
+    g (x) A+: psi.value on two non-constant ones, psi.apply against
+    x_j (x) lambda for a constant x_j (x) 1, lambda the local unit of the
+    other's coefficient.  The diagonality check first reads psi.value on
+    every pair of basis elements of g (x) A with disjoint supports and
+    raises NotDiagonalError on the first nonzero one."""
+    from currentext.cohomology import Cocycle2
+    from currentext.current import (
+        CurrentAlgebra,
+        _local_unit,
+        _support_points,
+        adjoin_unit_extend,
+    )
+    from currentext.errors import NotDiagonalError
+
+    g, n = current.fibre, A.dim
+    current_plus = CurrentAlgebra(g, adjoin_unit_extend(A).algebra)
+    lambdas = [(Fraction(0),) * n] * n
+    if not psi.is_zero():
+        if A.idempotents is not None:
+            supports = [_support_points(A, A.basis_vector(p)) for p in range(n)]
+            for fi, fj in combinations(range(current.dim), 2):
+                if supports[current.unflat(fi)[1]] & supports[current.unflat(fj)[1]]:
+                    continue
+                if any(psi.value(fi, fj)):
+                    raise NotDiagonalError((fi, fj))
+        lambdas = [_local_unit(A, A.basis_vector(p)) for p in range(n)]
+
+    def element(i, coeff):
+        return current.tensor(g.basis_element(i).coords, coeff)
+
+    table = {}
+    for fi, fj in combinations(range(current_plus.dim), 2):
+        i, p_plus = current_plus.unflat(fi)
+        j, q_plus = current_plus.unflat(fj)
+        if p_plus == 0 and q_plus == 0:
+            continue
+        if p_plus > 0 and q_plus > 0:
+            value = psi.value(current.flat(i, p_plus - 1), current.flat(j, q_plus - 1))
+        elif q_plus == 0:
+            value = psi.apply(element(i, A.basis_vector(p_plus - 1)),
+                              element(j, lambdas[p_plus - 1]))
+        else:
+            value = psi.apply(element(i, lambdas[q_plus - 1]),
+                              element(j, A.basis_vector(q_plus - 1)))
+        if any(value):
+            table[(fi, fj)] = value
+    return Cocycle2(current_plus.total, psi.coeff_dim, table)

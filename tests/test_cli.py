@@ -441,6 +441,18 @@ def test_glue_demo_command():
     assert report.results["glued_matches"] is True
 
 
+def test_glue_demo_refuses_a_non_unital_algebra(tmp_path):
+    # fun:2's two points without its unit: the idempotents partition no 1,
+    # which is an input error (exit 1), not an internal one (exit 70)
+    doc = json.loads(FUN2_DOC)
+    del doc["unit"]
+    path = tmp_path / "fun2_no_unit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report = run_command(["glue-demo", "sl2", str(path), "--cover", "1;2"])
+    assert report.exit_code == EXIT_INPUT
+    assert report.results == {"error": "a partition of unity requires a unital algebra"}
+
+
 def test_cocycle_check_command():
     report = run_command(["cocycle-check", "sl2", "fun:2*sq2"])
     assert report.exit_code == EXIT_OK

@@ -164,26 +164,12 @@ def test_witness_nonzero_class_reports_coordinates():
     L = lie_catalog("heis3")
     h2 = cohomology(L, 2, 1)
     rep = h2.representative_cocycles()[0]
-    witness = coboundary_witness(rep, h2=h2)
+    witness = coboundary_witness(rep)
     assert not witness.is_exact
     assert witness.class_coordinates == (F(1), F(0))
-
-
-def test_witness_rejects_foreign_h2():
-    # psi(x, z) = 1 on heis3 has class (1, 0) in its own H^2; an H^2 of
-    # another algebra, degree or coefficient space is refused, also for
-    # an exact cocycle, whose witness never reads it
-    L = lie_catalog("heis3")
+    # psi(x, z) = 1 on heis3 has class (1, 0)
     psi = Cocycle2(L, 1, {(0, 2): (F(1),)})
-    assert coboundary_witness(psi, h2=cohomology(L, 2, 1)).class_coordinates == (F(1), F(0))
-    for h2 in (
-        cohomology(lie_catalog("abelian:3"), 2, 1),
-        cohomology(L, 1, 1),
-        cohomology(L, 2, 2),
-    ):
-        for cocycle in (psi, Cocycle2.zero(L, 1)):
-            with pytest.raises(DimensionMismatchError):
-                coboundary_witness(cocycle, h2=h2)
+    assert coboundary_witness(psi).class_coordinates == (F(1), F(0))
 
 
 def test_universal_cocycle_class_is_nonzero():
@@ -475,7 +461,7 @@ def test_h2_with_coefficients_matches_block_complex(name, m):
     beta_flat = [x for value in witness.beta.values for x in value]
     assert beta_flat == dense_canonical_solve(d1, flat_cochain(psi.values, L.dim, 2, m))
     for k, rep in enumerate(h2.representative_cocycles()[:2]):
-        assert coboundary_witness(rep + psi, h2=h2).class_coordinates == identity[k]
+        assert coboundary_witness(rep + psi).class_coordinates == identity[k]
 
 
 def test_ce_differential_ceiling_counts_every_target_tuple():

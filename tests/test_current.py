@@ -21,12 +21,14 @@ from currentext.errors import (
     FibreNotSemisimpleError,
     NoLocalUnitError,
     NonUnitalError,
+    NotDiagonalError,
 )
 from currentext.lie import LieAlgebra, validate_lie
 from currentext.linalg import SparseMatrix, rank
 from currentext.locality import OneFormLocality, SupportStructure
 
 from oracles import (
+    adjoin_unit_extend_reference,
     associativity_violations_reference,
     current_algebra_reference,
     dense_rank,
@@ -580,6 +582,32 @@ def test_adjoin_unit_no_local_unit():
     assert not psi.is_zero()
     with pytest.raises(NoLocalUnitError):
         adjoin_unit_extend(Aug, psi, ca)
+
+
+@pytest.mark.parametrize("aname", ["fun:2", "fun:2*sq2", "fun:3*jets:2"])
+@pytest.mark.parametrize("gname", ["sl2", "so3", "heis3"])
+def test_adjoin_unit_extend_matches_the_dense_reference(gname, aname):
+    # A with its unit dropped keeps its points, so every basis vector has
+    # a local unit; coboundaries are diagonal
+    full = comm_catalog(aname)
+    A = CommAlgebra(full.labels, full.entries(), None, full.idempotents)
+    ca = current_algebra(lie_catalog(gname), A)
+    rng = random.Random(f"{gname} {aname}")
+    for m in (1, 2):
+        beta = OneCochain(ca.total, m, [
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m))
+            for _ in range(ca.dim)
+        ])
+        psi = beta.coboundary()
+        assert adjoin_unit_extend(A, psi, ca).cocycle == adjoin_unit_extend_reference(A, psi, ca)
+    # a value on x_0 (x) b_0 and the last basis element, over different
+    # points: both refuse it at the same first pair
+    bad = psi + Cocycle2(ca.total, m, {(0, ca.dim - 1): (F(1),) * m})
+    with pytest.raises(NotDiagonalError) as got:
+        adjoin_unit_extend(A, bad, ca)
+    with pytest.raises(NotDiagonalError) as want:
+        adjoin_unit_extend_reference(A, bad, ca)
+    assert got.value.pair == want.value.pair
 
 
 def test_twist_difference_zero():

@@ -29,6 +29,7 @@ from currentext.locality import (
 
 from oracles import (
     corner_entries_reference,
+    decompose_class_reference,
     glue_primitives_reference,
     injection_matrix_reference,
     restrict_class_reference,
@@ -355,7 +356,9 @@ def _permuted_with_points(A, order):
 @pytest.mark.parametrize("basis", ["catalog", "permuted"])
 @pytest.mark.parametrize("name", ["fun:3*sq2", "fun:3*jets:2", "fun:2*sq2*jets:2"])
 def test_injection_matrix_matches_the_dense_reference(name, basis):
-    # every corner into every corner containing it, on Omega1bar and Omega1
+    # every corner into every corner containing it, on Omega1bar and Omega1;
+    # every corner pair's decomposition of a seeded class on the union, and
+    # the common class of a seeded class's extensions from the intersection
     A = comm_catalog(name)
     if basis == "permuted":
         order = list(range(A.dim))
@@ -370,6 +373,27 @@ def test_injection_matrix_matches_the_dense_reference(name, basis):
                 for bar in (True, False):
                     got = loc.injection_matrix(small, large, bar=bar).to_dense()
                     assert got == injection_matrix_reference(loc, small, large, bar)
+    rng = random.Random(f"{name}/{basis}/classes")
+
+    def seeded_class(subset):
+        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(loc.kaehler(subset).dim_omega1bar))
+
+    def extended(w, small, large):
+        matrix = injection_matrix_reference(loc, small, large, True)
+        return tuple(sum(x * y for x, y in zip(row, w)) for row in matrix)
+
+    for left in subsets:
+        for right in subsets:
+            union = tuple(s for s in points if s in set(left) | set(right))
+            w_bar = seeded_class(union)
+            got = loc.decompose_class(w_bar, left, right)
+            assert got == decompose_class_reference(loc, w_bar, left, right)
+            inter = tuple(s for s in left if s in right)
+            if inter:
+                w0 = seeded_class(inter)
+                w_left, w_right = extended(w0, inter, left), extended(w0, inter, right)
+                assert loc.common_class(w_left, w_right, left, right) == w0
     with pytest.raises(DimensionMismatchError):
         loc.inject_form((F(1),) * (loc.kaehler(points[:1]).dim_omega1 + 1), points[:1], points)
 
