@@ -66,6 +66,10 @@ def golden_cases():
         # corners whose coefficient factor sq2 is nilpotent past its unit
         ["glue-demo", "sl2", "fun:3*sq2", "--cover", "1,2;2,3"],
         ["glue-demo", "so3", "fun:2*sq2", "--cover", "1;2"],
+        # a fibre with a centre: d^1 of gl2 has a free column, so the
+        # canonical primitives set a coordinate to zero
+        ["twist", "gl2", "fun:2*sq2"],
+        ["glue-demo", "gl2", "fun:3*sq2", "--cover", "1,2;2,3"],
         # the catalog-sweep witnesses; x in heis3, E11 in gl2 and a1 in
         # abelian:3 lie outside [g, g] and exit 2 with their defect class
         ["witness", "sl2", "h"],
