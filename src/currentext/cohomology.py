@@ -73,9 +73,13 @@ visiting the comb(n, 3) triples, and OneCochain.coboundary costs
 O(bracket nnz * m).  Both sum the stored integers against the integer
 brackets, and only the results carry the two denominators' product.
 coboundary_witness solves all m slots of its cocycle with one
-elimination of d^1 (linalg.solve_many), each slot handed over as the
-sparse integer mapping {pair rank: int}, and divides the solutions by
-the cocycle's denominator once.
+elimination of [d^1 | psi] (linalg._solve_rows).  It builds the integer
+rows itself, one per pair in brackets or psi in sorted (lexicographic
+rank) order: row (a, b) of d^1 is the negated integer bracket
+{k: -c_ab^k} over the bracket denominator, so slot t of psi's integers,
+scaled by that denominator, sits in column dim L + t.  The sparse
+solutions are read as integers over the lcm of their pivot entries, and
+divided by the cocycle's denominator once; no Fraction is built.
 """
 
 from __future__ import annotations
@@ -99,10 +103,11 @@ from .linalg import (
     Vec,
     _as_fraction,
     _integer_rows,
+    _primitive,
+    _solve_rows,
     kernel_basis,
     quotient_space,
     rref_with_transform,
-    solve_many,
     vector,
     zero_vector,
 )
@@ -767,29 +772,31 @@ def coboundary_witness(
     defect = psi.cocycle_defect()
     if defect is not None:
         raise NotACocycleError(*defect)
-    # right-hand side a is slot a of psi's integers, {pair rank: int}
-    rank = _rank_of(L.dim, 2)
-    slots = [{} for _ in range(m)]
-    for pair, value in psi._num.items():
-        r = rank(pair)
-        for a, x in enumerate(value):
-            if x:
-                slots[a][r] = x
-    # a zero slot has the zero primitive, so psi = 0 needs no d^1
-    targets = [a for a in range(m) if slots[a]]
     num = [[0] * m for _ in range(L.dim)]
     den = 1
-    if targets:
-        delta1 = ce_differential(L, 1, ceiling=ceiling)
-        solutions = solve_many(delta1, [slots[a] for a in targets])
+    # psi = 0 has the zero primitive and needs no d^1; so does any zero
+    # slot, whose right-hand-side column below is empty
+    if psi._num:
+        # row (a, b) of d^1 is -[x_a, x_b] / bden, so the integer row of
+        # pair (a, b) in [d^1 | psi._num] is {k: -c} and slot t of
+        # psi._num[(a, b)], times bden, in column n + t
+        n = L.dim
+        bden, brackets = L._integer_table
+        rows = []
+        for pair in sorted(brackets.keys() | psi._num.keys()):
+            row = {k: -c for k, c in brackets.get(pair, {}).items()}
+            for t, x in enumerate(psi._num.get(pair, ())):
+                if x:
+                    row[n + t] = bden * x
+            rows.append(_primitive(row))
+        solutions = _solve_rows(rows, n, m)
         if None in solutions:
             h2 = cohomology(L, 2, m, ceiling=ceiling)
             return CoboundaryWitness(None, h2.class_coordinates(psi.values), h2)
         # the solutions solve for psi's integers: divide by its denominator once
-        den = lcm(*{x.denominator for solution in solutions for x in solution})
-        for a, solution in zip(targets, solutions):
-            for i, x in enumerate(solution):
-                if x:
-                    num[i][a] = x.numerator * (den // x.denominator)
+        den = lcm(*[lead for solution in solutions for _, lead in solution.values()])
+        for t, solution in enumerate(solutions):
+            for i, (x, lead) in solution.items():
+                num[i][t] = x * (den // lead)
     beta = OneCochain._from_integers(L, m, [tuple(v) for v in num], den * psi._den)
     return CoboundaryWitness(beta, None, None)

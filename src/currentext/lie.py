@@ -36,11 +36,12 @@ from .linalg import (
     Subspace,
     Vec,
     _as_fraction,
+    _augmented_rows,
+    _solve_rows,
     kernel_basis,
     quotient_space,
     rank,
     solve_linear,
-    solve_many,
     vector,
 )
 
@@ -142,8 +143,9 @@ class _StructureTable:
         ``vectors``, sparse {coordinate: value} maps in this basis, in their
         coordinates: i < j for a bracket, i <= j for a product.  Dependent
         vectors raise ValueError ``_dependent``, and the first pair whose
-        product leaves the span ``_leaves_span``; one solve_many gives the
-        coordinates of every product."""
+        product leaves the span ``_leaves_span``; one solve gives the
+        coordinates of every product, sparse, as linalg._solve_rows
+        returns them."""
         m, table, sign = len(vectors), self._table, self._sign
         span = SparseMatrix(self.dim, m, {(p, t): x for t, v in enumerate(vectors)
                                           for p, x in v.items()})
@@ -161,10 +163,11 @@ class _StructureTable:
                         out[k] = out.get(k, 0) + coef * c
             products.append(out)
         entries = []
-        for (i, j), coords in zip(pairs, solve_many(span, products)):
+        solutions = _solve_rows(_augmented_rows(span, products), m, len(products))
+        for (i, j), coords in zip(pairs, solutions):
             if coords is None:
                 raise ValueError(self._leaves_span.format(i, j))
-            entries.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+            entries.extend((i, j, k, Fraction(num, lead)) for k, (num, lead) in coords.items())
         return entries
 
     def _mirror_defects(self) -> list:

@@ -20,9 +20,11 @@ sparse rational matrices, so this module fixes the conventions once:
   form stays canonical and subspace equality a syntactic check;
 * linear solves return the canonical solution with all free coordinates
   set to zero, so computed witnesses are reproducible;
-* one elimination serves every right-hand side of a matrix: solve_many
-  augments one column per right-hand side and eliminates once, and
-  solve_linear is its one-column case.
+* one elimination serves every right-hand side of a matrix: _solve_rows
+  takes augmented integer rows with one column per right-hand side,
+  eliminates once and returns sparse integer solutions; solve_many
+  builds those rows from a matrix and its right-hand sides and makes the
+  solutions dense Fractions, and solve_linear is its one-column case.
 
 Cost contract: the bookkeeping around the elimination is linear in the
 nonzeros it touches, and a Fraction is built only where a public
@@ -33,13 +35,16 @@ one denominator (int entries are taken as they are): the vectors given
 to Subspace.from_spanning, rref_with_transform and Subspace.reduce, the
 right-hand sides of solve_many (dense, or sparse {row: value} mappings)
 and the entries given to SparseMatrix.  Integer rows a caller builds
-itself go in through SparseMatrix._from_integer_rows or
-Subspace._from_integer_rows, with no conversion.  Empty rows never reach
-the eliminator; back substitution walks each row's own pivot columns
-through a column -> pivot map, one row step per pivot column the row
-holds, rather than O(rank^2) lookups; kernel generators are built as
-sparse integer rows, and reducing a sparse vector against a subspace
-takes one row step per pivot column present in the vector.
+itself go in through SparseMatrix._from_integer_rows,
+Subspace._from_integer_rows or, augmented with right-hand sides,
+_solve_rows, with no conversion; _solve_rows returns each solution as
+{pivot: (num, lead)}, so a caller that wants integers builds no
+Fraction.  Empty rows never reach the eliminator; back substitution
+walks each row's own pivot columns through a column -> pivot map, one
+row step per pivot column the row holds, rather than O(rank^2) lookups;
+kernel generators are built as sparse integer rows, and reducing a
+sparse vector against a subspace takes one row step per pivot column
+present in the vector.
 
 All functions are pure and deterministic: the same input yields the
 bit-identical output.
@@ -503,29 +508,11 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
     return Subspace(m.cols, *_back_substitute(pivots))
 
 
-def solve_many(m: SparseMatrix, bs: Sequence) -> list[Optional[Vec]]:
-    """Canonical solutions of m x = b for every b in bs, in order, with
-    None for each b that is not in the image.
-
-    Each b is a dense sequence of length m.rows or a sparse row -> value
-    mapping; int entries are taken as they are, so an integer right-hand
-    side costs no Fraction on the way in.
-
-    One elimination serves all of them: right-hand side t is augmented
-    column m.cols + t, and pivots are taken among the columns of m only.
-    The remainder rows then span exactly the combinations of the rows of
-    m that vanish, so b_t has no solution precisely when its column is
-    nonzero in some remainder row.  Otherwise the pivot rows, reduced,
-    give the solution with free coordinates zero; it is unique, so it is
-    the one a solve of b_t alone returns.  A dense b of the wrong length,
-    or a mapping with a row outside range(m.rows), raises
-    DimensionMismatchError.
-    """
-    for b in bs:
-        if not isinstance(b, Mapping) and len(b) != m.rows:
-            raise DimensionMismatchError(
-                f"solve: right-hand side length {len(b)} != {m.rows} rows"
-            )
+def _augmented_rows(m: SparseMatrix, bs: Sequence) -> list:
+    """The primitive integer rows of [m | bs], in row order: right-hand
+    side t is column m.cols + t.  Each b is a dense sequence of length
+    m.rows or a sparse row -> value mapping; int entries are taken as
+    they are."""
     aug = m.cols
     extra = {}
     for t, b in enumerate(bs):
@@ -540,18 +527,59 @@ def solve_many(m: SparseMatrix, bs: Sequence) -> list[Optional[Vec]]:
             q, scaled = _scaled_row({col: den * value for col, value in extra[i].items()})
             row = {j: value * q for j, value in row.items()} | scaled
         rows.append(_primitive(row))
-    pivots, remainder = _eliminate(rows, aug)
+    return rows
+
+
+def _solve_rows(rows, cols: int, k: int) -> list:
+    """Canonical solutions of augmented primitive integer rows: columns
+    below cols are the unknowns, column cols + t is right-hand side t.
+
+    One elimination serves all k right-hand sides, with pivots taken
+    among the unknowns only.  The remainder rows then span exactly the
+    combinations of the rows that vanish on the unknowns, so right-hand
+    side t has no solution precisely when its column is nonzero in some
+    remainder row.  Otherwise the pivot rows, reduced, give the solution
+    with free coordinates zero; it is unique, so it is the one a solve of
+    right-hand side t alone returns.  Returns, for each t, None or the
+    sparse solution {pivot: (num, lead)}, whose coordinate at pivot is
+    num / lead, in increasing pivot order.
+    """
+    pivots, remainder = _eliminate(rows, cols)
     inconsistent = {col for row in remainder for col in row}
-    pivot_cols, echelon = _back_substitute(pivots)
+    out = [None if cols + t in inconsistent else {} for t in range(k)]
+    for pivot, row in zip(*_back_substitute(pivots)):
+        lead = row[pivot]
+        for col, value in row.items():
+            if col >= cols and (solution := out[col - cols]) is not None:
+                solution[pivot] = (value, lead)
+    return out
+
+
+def solve_many(m: SparseMatrix, bs: Sequence) -> list[Optional[Vec]]:
+    """Canonical solutions of m x = b for every b in bs, in order, with
+    None for each b that is not in the image.
+
+    Each b is a dense sequence of length m.rows or a sparse row -> value
+    mapping; int entries are taken as they are, so an integer right-hand
+    side costs no Fraction on the way in.  One elimination of [m | bs]
+    serves all of them (_solve_rows), and each solution is returned dense
+    with its free coordinates zero.  A dense b of the wrong length, or a
+    mapping with a row outside range(m.rows), raises
+    DimensionMismatchError.
+    """
+    for b in bs:
+        if not isinstance(b, Mapping) and len(b) != m.rows:
+            raise DimensionMismatchError(
+                f"solve: right-hand side length {len(b)} != {m.rows} rows"
+            )
     out = []
-    for t in range(len(bs)):
-        if aug + t in inconsistent:
+    for solution in _solve_rows(_augmented_rows(m, bs), m.cols, len(bs)):
+        if solution is None:
             out.append(None)
             continue
         x = [_ZERO] * m.cols
-        for pivot, row in zip(pivot_cols, echelon):
-            if aug + t in row:
-                x[pivot] = Fraction(row[aug + t], row[pivot])
+        for pivot, (num, lead) in solution.items():
+            x[pivot] = Fraction(num, lead)
         out.append(tuple(x))
     return out
 

@@ -251,6 +251,45 @@ def test_witness_of_a_class_with_one_exact_slot_matches_per_slot_solves():
     assert witness.class_coordinates == (F(0), F(1), F(0), F(0))
 
 
+def _witness_algebra(gname, aname=None, corner=None):
+    if aname is None:
+        return lie_catalog(gname)
+    ca = current_algebra(lie_catalog(gname), comm_catalog(aname))
+    return ca.total if corner is None else SupportStructure(ca).corner(corner).current.total
+
+
+# centres make d^1 free columns (gl2, heis3, the current algebras), and
+# abelian:3 (x) sq2 brackets to zero on every pair, so psi has values on
+# pairs with no d^1 row
+@pytest.mark.parametrize("algebra", [
+    ("heis3",),
+    ("gl2",),
+    ("gl2", "fun:2*sq2"),
+    ("abelian:3", "sq2"),
+    ("sl2", "fun:6*sq2", ("1", "2")),
+    ("sl2", "fun:6*sq2", ("5", "6")),
+], ids=lambda algebra: " ".join(map(str, algebra)))
+def test_seeded_witnesses_match_per_slot_solves(algebra):
+    L = _witness_algebra(*algebra)
+    rng = random.Random(f"witness {algebra}")
+    for m in (1, 2, 3):
+        zero_slots = set(rng.sample(range(m), m // 2))
+        beta = OneCochain(L, m, [
+            tuple(F(0) if a in zero_slots else F(rng.randint(-3, 3), rng.randint(1, 3))
+                  for a in range(m))
+            for _ in range(L.dim)
+        ])
+        exact = beta.coboundary()
+        witness = _assert_witness_matches_reference(exact)
+        assert witness.is_exact and witness.beta.coboundary() == exact
+        # a representative on one slot makes the class of that slot nonzero
+        representatives = cohomology(L, 2, m).representative_cocycles()
+        if representatives:
+            psi = exact + rng.choice(representatives)
+            assert not _assert_witness_matches_reference(psi).is_exact
+    assert coboundary_witness(Cocycle2.zero(L, 0)).beta == OneCochain.zero(L, 0)
+
+
 def test_resource_ceiling():
     L = lie_catalog("sl3")
     with pytest.raises(ResourceCeilingError):

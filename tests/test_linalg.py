@@ -3,12 +3,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from currentext.errors import DimensionMismatchError
 from currentext.linalg import (
     SparseMatrix,
     Subspace,
+    _primitive,
+    _solve_rows,
     kernel_basis,
     quotient_space,
     rank,
@@ -155,6 +157,37 @@ def test_solve_many_matches_single_solves_and_the_dense_oracle(system):
         assert x == solve_linear(m, b)
         expected = dense_canonical_solve(dense, b)
         assert x == (None if expected is None else tuple(expected))
+
+
+_MIXED = ([[F(1), F(1)], [F(2), F(2)], [F(0), F(0)]],
+          [(F(1), F(2), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(0)), (F(0), F(0), F(1))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_systems())
+@example((_MIXED[0], SparseMatrix.from_dense(_MIXED[0]), _MIXED[1]))
+def test_solve_rows_matches_the_dense_oracle(system):
+    # [dense | bs] row by row, scaled to primitive integer rows
+    dense, _, bs = system
+    cols = len(dense[0])
+    rows = []
+    for i, row in enumerate(dense):
+        entries = list(row) + [b[i] for b in bs]
+        den = lcm(*[x.denominator for x in entries])
+        rows.append(_primitive({j: int(x * den) for j, x in enumerate(entries) if x}))
+    solutions = _solve_rows(rows, cols, len(bs))
+    assert len(solutions) == len(bs)
+    for b, solution in zip(bs, solutions):
+        expected = dense_canonical_solve(dense, b)
+        if expected is None:
+            assert solution is None
+            continue
+        assert list(solution) == sorted(solution)
+        assert all(num and lead > 0 for num, lead in solution.values())
+        x = [F(0)] * cols
+        for pivot, (num, lead) in solution.items():
+            x[pivot] = F(num, lead)
+        assert x == expected
 
 
 def test_quotient_by_coordinate_line():
