@@ -87,8 +87,6 @@ def _encode(value):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, frozenset):
-        return sorted(str(v) for v in value)
     return value
 
 
@@ -125,18 +123,15 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _text_lines(tree, prefix):
+def _text_lines(tree: dict, prefix):
     lines = []
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            label = f"{prefix}{key}"
-            if isinstance(value, dict):
-                lines.append(f"{label}:")
-                lines.extend(_text_lines(value, prefix + "  "))
-            else:
-                lines.append(f"{label}: {_flat_text(value)}")
-    else:
-        lines.append(f"{prefix}{_flat_text(tree)}")
+    for key, value in tree.items():
+        label = f"{prefix}{key}"
+        if isinstance(value, dict):
+            lines.append(f"{label}:")
+            lines.extend(_text_lines(value, prefix + "  "))
+        else:
+            lines.append(f"{label}: {_flat_text(value)}")
     return lines
 
 

@@ -34,9 +34,10 @@ the representatives are exactly those of the whole complex.  With an
 empty torus (heis3, abelian:n, so3) every tuple has weight zero and the
 block is the whole complex, on the same code path.
 
-The torus weights are kept as integers: each torus coordinate is scaled
-by the lcm of its eigenvalues' denominators, which changes no weight sum
-from zero to nonzero, so the weight-zero tuples are found by summing ints.
+The torus weights are kept as integers: they are read off the integer
+bracket table, so every eigenvalue is scaled by the one positive bracket
+denominator, which changes no weight sum from zero to nonzero, and the
+weight-zero tuples are found by summing ints.
 cohomology() reads the torus once and lists the weight-zero tuples of each
 degree once, and hands them to ce_differential as its sources.
 
@@ -160,16 +161,17 @@ def _torus_weights(L: LieAlgebra) -> list:
     ([x_t, x_j] in QQ x_j for all j) with a nonzero eigenvalue.  Two such
     elements commute, since [x_t, x_s] lies in QQ x_s and in QQ x_t.  The
     weight of x_j is the tuple of its eigenvalues under the torus elements
-    in index order, coordinate r scaled by the lcm of the denominators of
-    coordinate r over all j, so weights are integer tuples.  The scaling
-    is positive and the same for every basis element, so a tuple of basis
-    elements has weight zero exactly when its eigenvalues sum to zero.
-    With an empty torus every weight is ().
+    in index order, read off the integer bracket table: each eigenvalue
+    times the bracket denominator, so weights are integer tuples.  The
+    scale is positive and the same for every basis element, so a tuple of
+    basis elements has weight zero exactly when its eigenvalues sum to
+    zero.  With an empty torus every weight is ().
     """
     n = L.dim
+    brackets = L._integer_table[1]
     diagonal = [True] * n
     bracketed = [False] * n
-    for (i, j), row in L.nonzero_brackets():
+    for (i, j), row in brackets.items():
         bracketed[i] = bracketed[j] = True
         if row.keys() != {j}:
             diagonal[i] = False
@@ -177,16 +179,12 @@ def _torus_weights(L: LieAlgebra) -> list:
             diagonal[j] = False
     torus = {t: r for r, t in enumerate(t for t in range(n) if diagonal[t] and bracketed[t])}
     weights = [[0] * len(torus) for _ in range(n)]
-    for (i, j), row in L.nonzero_brackets():
+    for (i, j), row in brackets.items():
         if i in torus:
             weights[j][torus[i]] = row[j]
         if j in torus:
             weights[i][torus[j]] = -row[i]
-    scales = [lcm(*[w[r].denominator for w in weights]) for r in range(len(torus))]
-    return [
-        tuple(x.numerator * (s // x.denominator) for x, s in zip(w, scales))
-        for w in weights
-    ]
+    return [tuple(w) for w in weights]
 
 
 def _weight_zero_tuples(weights: list, k: int) -> list:
@@ -362,6 +360,8 @@ class Cocycle2:
         return {pair: _fractions(value, den) for pair, value in self._num.items()}
 
     def value(self, i: int, j: int) -> Vec:
+        if not (0 <= i < self.parent.dim and 0 <= j < self.parent.dim):
+            raise IndexError(f"basis pair ({i}, {j}) out of range({self.parent.dim})")
         if i == j:
             return zero_vector(self.coeff_dim)
         if i < j:

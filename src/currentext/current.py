@@ -13,9 +13,11 @@ phi -> [phi o omega] from functionals on that target to H^2(g (x) A)
 is a bijection; universality_map computes it as an explicit matrix.
 
 CommAlgebra keeps its product constants in the structure table it shares
-with LieAlgebra (lie._StructureTable): a sparse table for i <= j, mirrored
-with sign +1, and its integer form, which the Kaehler relations and the
-connection twist read instead of rescaling the products on each call.
+with LieAlgebra (lie._StructureTable): one sparse table for i <= j,
+mirrored with sign +1, of integers over one denominator.  The tensor
+products, current algebras, validation, Kaehler relations and the
+connection twist all multiply those integers, and divide by the
+denominators once.
 """
 
 from __future__ import annotations
@@ -131,13 +133,6 @@ class CommAlgebra(_StructureTable):
             return None
         return tuple(label for label, _ in self.idempotents)
 
-    def nonzero_products(self) -> list:
-        """The nonzero products b_p b_q in both orders, as ((p, q),
-        {r: coefficient}) items in lexicographic pair order.  The coordinate
-        maps are shared with the algebra and must not be mutated."""
-        mirrored = [((q, p), row) for (p, q), row in self._table.items() if p != q]
-        return sorted([*self._table.items(), *mirrored], key=lambda item: item[0])
-
     def basis_vector(self, i: int) -> Vec:
         out = [_ZERO] * self.dim
         out[i] = _ONE
@@ -148,10 +143,12 @@ class CommAlgebra(_StructureTable):
         # (b_p b_q) b_r - b_r (b_p b_q) from the nonzero products: each
         # b_p b_q with a b_t-coordinate x meets each nonzero b_t b_r = b_r b_t,
         # adding to triple (p, q, r) and subtracting from triple (r, p, q)
-        nonzero = [{} for _ in range(n)]  # nonzero[p][q] = b_p b_q
-        for (p, q), row in self._table.items():
-            nonzero[p][q] = nonzero[q][p] = row
-        totals = defaultdict(lambda: [_ZERO] * n)
+        # on the integer table, so the totals are over den^2
+        den = self._integer_table[0]
+        nonzero = [{} for _ in range(n)]  # nonzero[p][q] = den b_p b_q
+        for (p, q), row in _both_orders(self):
+            nonzero[p][q] = row
+        totals = defaultdict(lambda: [0] * n)
         for p in range(n):
             for q, pq in nonzero[p].items():
                 for t, x in pq.items():
@@ -160,7 +157,8 @@ class CommAlgebra(_StructureTable):
                         for s, y in tr.items():
                             left[s] += x * y
                             right[s] -= x * y
-        assoc = [(triple, tuple(total)) for triple, total in sorted(totals.items()) if any(total)]
+        assoc = [(triple, tuple(Fraction(x, den * den) for x in total))
+                 for triple, total in sorted(totals.items()) if any(total)]
         unit_viol = []
         if self.unit is not None:
             for i in range(n):
@@ -182,10 +180,19 @@ class CommAlgebra(_StructureTable):
                         total[i] += x
                 if tuple(total) != self.unit:
                     idem_viol.append(("sum", "unit", tuple(total)))
-        return CommValidationReport(self._mirror_defects(), assoc, unit_viol, idem_viol)
+        return CommValidationReport(self._mirror_defects, assoc, unit_viol, idem_viol)
 
     def __repr__(self):
         return f"CommAlgebra(dim={self.dim}, labels={list(self.labels)})"
+
+
+def _both_orders(A: CommAlgebra) -> list:
+    """The nonzero integer products den b_p b_q of A in both orders, as
+    ((p, q), {r: int}) items in lexicographic pair order.  The maps are
+    the table's own and must not be mutated."""
+    products = A._integer_table[1]
+    mirrored = [((q, p), row) for (p, q), row in products.items() if p != q]
+    return sorted([*products.items(), *mirrored], key=lambda item: item[0])
 
 
 def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
@@ -193,22 +200,20 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
     pair of labels a and b labelled a*b."""
     labels = [f"{a}*{b}" for a in A.labels for b in B.labels]
     db = B.dim
-
-    def flat(i, p):
-        return i * db + p
-
-    # the nonzero products of A (i <= j) against those of B in both orders;
-    # for i == j only p <= q, so each flat pair appears once with its
-    # lower index first
-    b_products = B.nonzero_products()
+    # the nonzero integer products of A (i <= j) against those of B in both
+    # orders; for i == j only p <= q, so each flat pair appears once with
+    # its lower index first
+    aden, a_products = A._integer_table
+    den = aden * B._integer_table[0]
+    b_products = _both_orders(B)
     entries = []
-    for (i, j), prod_a in A._table.items():
+    for (i, j), prod_a in a_products.items():
         for (p, q), prod_b in b_products:
             if i == j and p > q:
                 continue
             for r, ca in prod_a.items():
                 for s, cb in prod_b.items():
-                    entries.append((flat(i, p), flat(j, q), flat(r, s), ca * cb))
+                    entries.append((i * db + p, j * db + q, r * db + s, Fraction(ca * cb, den)))
     unit = None
     if A.is_unital and B.is_unital:
         unit = _outer(A.unit, B.unit)
@@ -300,6 +305,8 @@ class KaehlerModule:
         return self.one_form(self.parent.unit, a)
 
     def d_basis(self, j: int) -> Vec:
+        if not 0 <= j < self.parent.dim:
+            raise IndexError(f"basis index {j} out of range({self.parent.dim})")
         return self._d_table[j]
 
     def module_action(self, a: Sequence, w: Sequence) -> Vec:
@@ -315,6 +322,7 @@ class KaehlerModule:
                 f"Omega1 element has length {len(w)}, Omega1 has dimension {self.dim_omega1}"
             )
         d = self.parent.dim
+        den, products = self.parent._integer_table
         nz_a = [(k, _as_fraction(x)) for k, x in enumerate(a) if x]
         out = [_ZERO] * self.dim_omega1
         for col, coef in zip(self.omega1.rep_cols, w):
@@ -323,10 +331,10 @@ class KaehlerModule:
             i, j = divmod(col, d)
             coef = _as_fraction(coef)
             for k, x in nz_a:
-                for r, c in self.parent.product_basis(k, i).items():
+                for r, c in products.get((k, i) if k <= i else (i, k), {}).items():
                     for t, value in self._pairs.get((r, j), {}).items():
                         out[t] += x * c * coef * value
-        return tuple(out)
+        return tuple(x / den for x in out)
 
     def bar(self, w: Sequence) -> Vec:
         """Class of an Omega1 element in Omega1bar."""
@@ -359,7 +367,7 @@ def _product_classes(A: CommAlgebra) -> list:
             i = root[i]
         return i
 
-    for (i, j), row in A._table.items():
+    for (i, j), row in A._integer_table[1].items():
         for k in (j, *row):
             a, b = find(i), find(k)
             if a != b:
@@ -469,14 +477,17 @@ class CurrentAlgebra:
     def __init__(self, fibre: LieAlgebra, coeff: CommAlgebra):
         self.fibre = fibre
         self.coeff = coeff
-        # each nonzero bracket [x_i, x_j] (i < j) against each nonzero product
-        # b_p b_q in both orders: i < j gives flat i * da + p < j * da + q,
-        # and each (flat pair, k * da + r) arises once, so nothing is summed
+        # each nonzero integer bracket [x_i, x_j] (i < j) against each nonzero
+        # integer product b_p b_q in both orders: i < j gives flat
+        # i * da + p < j * da + q, and each (flat pair, k * da + r) arises
+        # once, so nothing is summed
         da = coeff.dim
-        products = coeff.nonzero_products()
+        gden, brackets = fibre._integer_table
+        den = gden * coeff._integer_table[0]
+        products = _both_orders(coeff)
         entries = sorted(
-            (i * da + p, j * da + q, k * da + r, c * m)
-            for (i, j), bracket in fibre.nonzero_brackets()
+            (i * da + p, j * da + q, k * da + r, Fraction(c * m, den))
+            for (i, j), bracket in brackets.items()
             for (p, q), product in products
             for k, c in bracket.items()
             for r, m in product.items()
@@ -579,17 +590,9 @@ def adjoin_unit_extend(
         raise ValueError("algebra is already unital")
     n = A.dim
     labels = ("1",) + A.labels
-    entries = []
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            if i == 0:
-                if j == 0:
-                    entries.append((0, 0, 0, _ONE))
-                else:
-                    entries.append((0, j, j, _ONE))
-            else:
-                for k, c in A.product_basis(i - 1, j - 1).items():
-                    entries.append((i, j, k + 1, c))
+    # the unit row, then A's products with each index shifted by one
+    entries = [(0, j, j, _ONE) for j in range(n + 1)]
+    entries += [(i + 1, j + 1, k + 1, c) for i, j, k, c in A.entries()]
     unit = (_ONE,) + zero_vector(n)
     # local units survive; they need not sum to the new unit, so the
     # extended algebra does not claim a full point decomposition
@@ -719,6 +722,16 @@ def universal_cocycle(g: LieAlgebra, A: CommAlgebra) -> UniversalCocycle:
     return UniversalCocycle(current, forms, kaehler, cocycle, note)
 
 
+def _universal_cocycle_on(g: LieAlgebra, A: CommAlgebra,
+                          uc: Optional[UniversalCocycle]) -> UniversalCocycle:
+    """uc, checked to be built on g and A, or universal_cocycle(g, A)."""
+    if uc is None:
+        return universal_cocycle(g, A)
+    if not (same_algebra(uc.current.fibre, g) and same_algebra(uc.current.coeff, A)):
+        raise DimensionMismatchError("the universal cocycle is built on other algebras")
+    return uc
+
+
 class GValuedOneForm:
     """Element of g (x) Omega1, the finite stand-in for a g-valued
     one-form; used to vary the connection."""
@@ -784,15 +797,15 @@ def twist_difference(
     Then beta(x_b (x) b_q) = sum_t B[b][t] (x) N[t][q] and
     tau(x_a (x) b_p, x_b (x) b_q) = sum_r (b_p b_q)_r sum_t K[a, b][t] (x) N[t][r].
 
-    All of it is integer arithmetic.  N keeps only its nonzero entries,
-    and N, kappa, the coefficients of xi and the products of A are each
-    scaled by the lcm of their denominators; the brackets of g are its
-    integer table.  tau and beta are built in the cochains' integer form
+    All of it is integer arithmetic.  The products of A and the brackets
+    of g are their integer tables, and N, summed from A's, carries A's
+    denominator too; N keeps only its nonzero entries, and N, kappa and
+    the coefficients of xi are each scaled by the lcm of their
+    denominators.  tau and beta are built in the cochains' integer form
     over the product of those denominators, and no Fraction is built
     after N and kappa are read.
     """
-    if uc is None:
-        uc = universal_cocycle(g, A)
+    uc = _universal_cocycle_on(g, A, uc)
     forms, kaehler, current = uc.forms, uc.kaehler, uc.current
     v, w = forms.dim, kaehler.dim_omega1bar
     m = v * w
@@ -800,13 +813,14 @@ def twist_difference(
         raise DimensionMismatchError("one-form shape does not match g (x) Omega1")
     n, da = g.dim, A.dim
 
+    aden, products = A._integer_table
     used = sorted({t for _, t in xi.entries})
-    bars = []
+    bars = []  # aden [b_r . w_t]
     for t in used:
         i, j = divmod(kaehler.omega1.rep_cols[t], da)
         for r in range(da):
             moved = {}
-            for s, c in A.product_basis(r, i).items():
+            for s, c in products.get((r, i) if r <= i else (i, r), {}).items():
                 for u, value in kaehler._pairs.get((s, j), {}).items():
                     moved[u] = moved.get(u, 0) + c * value
             bars.append(kaehler.omega1bar.project(moved))
@@ -820,7 +834,6 @@ def twist_difference(
     for (i, j), row in brackets.items():
         ad[i][j] = list(row.items())
         ad[j][i] = [(k, -c) for k, c in row.items()]
-    aden, products = A._integer_table
 
     def accumulate(table, key, t, kap, scale):
         if kap:
@@ -853,7 +866,7 @@ def twist_difference(
     beta = OneCochain._from_integers(
         current.total, m,
         [tuple(fold(B.get(b, {}), q)) for b in range(n) for q in range(da)],
-        xden * kden * nden,
+        xden * kden * nden * aden,
     )
     folded = {
         pair: [[(idx, x) for idx, x in enumerate(fold(parts, r)) if x] for r in range(da)]
@@ -877,7 +890,8 @@ def twist_difference(
                             total[idx] += c * x
                     if any(total):
                         table[(fi, fj)] = tuple(total)
-    tau = Cocycle2._from_integers(current.total, m, table, xden * gden * kden * nden * aden)
+    tau = Cocycle2._from_integers(current.total, m, table,
+                                  xden * gden * kden * nden * aden * aden)
     if tau != beta.coboundary():
         raise InternalConsistencyError("twist difference is not the coboundary of its primitive")
     return TwistResult(tau, beta)
@@ -922,8 +936,7 @@ def universality_map(
         raise FibreNotSemisimpleError()
     if not A.is_unital:
         raise NonUnitalError("universality_map requires a unital coefficient algebra")
-    if uc is None:
-        uc = universal_cocycle(g, A)
+    uc = _universal_cocycle_on(g, A, uc)
     target_dim = uc.coeff_dim  # dim V (x) Omega1bar
     dim_hom = target_dim * m
     h2 = cohomology(uc.current.total, 2, m, ceiling=ceiling)

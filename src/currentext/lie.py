@@ -2,13 +2,13 @@
 
 _StructureTable holds the structure constants of a bilinear product on a
 basis, for LieAlgebra here and for CommAlgebra in current.  It parses the
-entries and keeps them raw, so that the validators can report mirror
-mismatches in malformed tables instead of silently resolving them; next
-to them it keeps a canonical sparse table for i <= j and the same
-constants as integers over one denominator, built on first read, for
-the routines that sum ints.  Its _entries_on builds the constants on a
-computed basis, for lie_from_matrices inside gl(d) and for locality's
-corners.  A LieAlgebra stores the bracket
+entries, records the mirror mismatches of a malformed table for the
+validators to report instead of silently resolving them, and keeps one
+table: the constants for i <= j as integers over one denominator, which
+every routine in the package sums; the Fractions of the public accessors
+are built from it when they are read.  Its _entries_on builds the
+constants on a computed basis, for lie_from_matrices inside gl(d) and
+for locality's corners.  A LieAlgebra stores the bracket
 [b_i, b_j] = sum_k c[i][j][k] b_k for i < j; the i > j case is derived by
 antisymmetry.  The Jacobi identity is checked as the cocycle condition of
 the bracket read as a 2-cochain with values in L, in O(bracket nnz * n),
@@ -52,17 +52,18 @@ _ONE = Fraction(1)
 class _StructureTable:
     """Structure constants (b_i b_j)_k of a bilinear product on a basis.
 
-    The raw entries are kept as given, so that mirror mismatches can be
-    reported instead of silently resolved.  ``_table`` is the canonical
-    table for i <= j in pair order: the given orientation wins, and an
-    entry given only as (j, i) is mirrored with ``_sign``, -1 for a Lie
-    bracket (which rules out a diagonal) and +1 for a commutative
-    product.  ``_integer_table`` holds the same constants as integers
-    over one denominator, (den, {(i, j): {k: den * c}}), built on first
-    read.
+    The constructor parses and checks the entries and keeps one table,
+    ``_integer_table`` = (den, {(i, j): {k: den * c}}) for i <= j in pair
+    order, den the positive lcm of the constants' denominators: the given
+    orientation wins, and an entry given only as (j, i) is mirrored with
+    ``_sign``, -1 for a Lie bracket (which rules out a diagonal) and +1
+    for a commutative product.  ``_mirror_defects`` records, while the
+    entries are parsed, what the validators report about a malformed
+    table instead of silently resolving it.  Every Fraction a caller
+    reads is built from the integers when it is read.
     """
 
-    __slots__ = ("labels", "_raw", "_table", "_integers")
+    __slots__ = ("labels", "_mirror_defects", "_integer_table")
 
     # set by each subclass: the mirror sign and the error wording
     _sign: int
@@ -88,38 +89,48 @@ class _StructureTable:
             if k in row:
                 raise ValueError(self._duplicate.format(i, j, k))
             row[k] = value
-        self._raw = raw
+        # table[pair] = (sign, row); a mirror defect, (i, j, k, defect), is
+        # (b_i b_j)_k - sign (b_j b_i)_k != 0 for a pair i < j given in both
+        # orientations, or a diagonal bracket entry with its value
         sign = self._sign
-        table = {}
+        table, defects = {}, []
         for (i, j), row in raw.items():
-            if i < j or (i == j and sign > 0):
-                table[(i, j)] = row
-            elif i > j and (j, i) not in raw:
-                table[(j, i)] = row if sign > 0 else {k: -v for k, v in row.items()}
-        self._table = dict(sorted(table.items()))
-        self._integers = None
-
-    @property
-    def _integer_table(self):
-        if self._integers is None:
-            den = lcm(*{c.denominator for row in self._table.values() for c in row.values()})
-            self._integers = den, {
-                pair: {k: c.numerator * (den // c.denominator) for k, c in row.items()}
-                for pair, row in self._table.items()
-            }
-        return self._integers
+            mirror = raw.get((j, i))
+            if i > j:
+                if mirror is None:
+                    table[(j, i)] = sign, row
+            elif i < j or sign > 0:
+                table[(i, j)] = 1, row
+                if i < j and mirror is not None:
+                    defects.extend(
+                        (i, j, k, defect) for k in row.keys() | mirror.keys()
+                        if (defect := row.get(k, _ZERO) - sign * mirror.get(k, _ZERO))
+                    )
+            else:
+                defects.extend((i, j, k, c) for k, c in row.items())
+        self._mirror_defects = sorted(defects)
+        den = lcm(*{c.denominator for _, row in table.values() for c in row.values()})
+        self._integer_table = den, {
+            pair: {k: s * c.numerator * (den // c.denominator) for k, c in row.items()}
+            for pair, (s, row) in sorted(table.items())
+        }
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def _basis_product(self, i: int, j: int) -> dict:
-        """Coordinates of b_i b_j as a sparse index -> Fraction map, shared
-        with the algebra when i <= j or the product is symmetric."""
+    def _row(self, i: int, j: int) -> tuple:
+        """(s, row): b_i b_j is s * row / den for the stored integer row."""
+        rows = self._integer_table[1]
         if i <= j:
-            return self._table.get((i, j), {})
-        row = self._table.get((j, i), {})
-        return row if self._sign > 0 else {k: -v for k, v in row.items()}
+            return 1, rows.get((i, j), {})
+        return self._sign, rows.get((j, i), {})
+
+    def _basis_product(self, i: int, j: int) -> dict:
+        """Coordinates of b_i b_j as a sparse index -> Fraction map."""
+        s, row = self._row(i, j)
+        den = self._integer_table[0]
+        return {k: Fraction(s * c, den) for k, c in row.items()}
 
     def _product(self, u: Sequence, v: Sequence) -> Vec:
         if len(u) != self.dim or len(v) != self.dim:
@@ -129,24 +140,28 @@ class _StructureTable:
         nz_v = [(j, _as_fraction(x)) for j, x in enumerate(v) if x]
         for i, a in nz_u:
             for j, b in nz_v:
-                coef = a * b
-                for k, c in self._basis_product(i, j).items():
+                s, row = self._row(i, j)
+                coef = a * b if s > 0 else -a * b
+                for k, c in row.items():
                     out[k] += coef * c
-        return tuple(out)
+        den = self._integer_table[0]
+        return tuple(out) if den == 1 else tuple(x / den for x in out)
 
     def _entries(self) -> list:
         """Canonical sorted (i, j, k, coefficient) entries with i <= j."""
-        return [(i, j, k, row[k]) for (i, j), row in self._table.items() for k in sorted(row)]
+        den, rows = self._integer_table
+        return [(i, j, k, Fraction(row[k], den)) for (i, j), row in rows.items() for k in sorted(row)]
 
     def _entries_on(self, vectors: Sequence) -> list:
         """Canonical entries (i, j, k, c) of the product on the span of
         ``vectors``, sparse {coordinate: value} maps in this basis, in their
         coordinates: i < j for a bracket, i <= j for a product.  Dependent
         vectors raise ValueError ``_dependent``, and the first pair whose
-        product leaves the span ``_leaves_span``; one solve gives the
-        coordinates of every product, sparse, as linalg._solve_rows
-        returns them."""
-        m, table, sign = len(vectors), self._table, self._sign
+        product leaves the span ``_leaves_span``.  The products are summed
+        on the integer table, so each is den times the true product, and
+        one solve gives the coordinates of every product, sparse, as
+        linalg._solve_rows returns them, each read as num / (lead * den)."""
+        m, sign = len(vectors), self._sign
         span = SparseMatrix(self.dim, m, {(p, t): x for t, v in enumerate(vectors)
                                           for p, x in v.items()})
         if rank(span) != m:
@@ -157,36 +172,19 @@ class _StructureTable:
             out = {}
             for p, x in vectors[i].items():
                 for q, y in vectors[j].items():
-                    row = table.get((p, q) if p <= q else (q, p), {})
-                    coef = x * y if p <= q else sign * x * y
+                    s, row = self._row(p, q)
+                    coef = s * x * y
                     for k, c in row.items():
                         out[k] = out.get(k, 0) + coef * c
             products.append(out)
+        den = self._integer_table[0]
         entries = []
         solutions = _solve_rows(_augmented_rows(span, products), m, len(products))
         for (i, j), coords in zip(pairs, solutions):
             if coords is None:
                 raise ValueError(self._leaves_span.format(i, j))
-            entries.extend((i, j, k, Fraction(num, lead)) for k, (num, lead) in coords.items())
+            entries.extend((i, j, k, Fraction(num, lead * den)) for k, (num, lead) in coords.items())
         return entries
-
-    def _mirror_defects(self) -> list:
-        """(i, j, k, defect) in sorted order for each raw entry of a pair
-        i < j given in both orientations that its mirror does not match,
-        the defect being (b_i b_j)_k - sign (b_j b_i)_k; for a bracket
-        also each diagonal entry, with its value."""
-        raw, sign = self._raw, self._sign
-        out = []
-        for (i, j), row in sorted(raw.items()):
-            if i == j and sign < 0:
-                out.extend((i, j, k, row[k]) for k in sorted(row))
-            mirror = raw.get((j, i))
-            if i < j and mirror is not None:
-                for k in sorted(row.keys() | mirror.keys()):
-                    defect = row.get(k, _ZERO) - sign * mirror.get(k, _ZERO)
-                    if defect:
-                        out.append((i, j, k, defect))
-        return out
 
 
 class LieAlgebra(_StructureTable):
@@ -203,12 +201,6 @@ class LieAlgebra(_StructureTable):
     bracket_basis = _StructureTable._basis_product
     bracket = _StructureTable._product
     structure_entries = _StructureTable._entries
-
-    def nonzero_brackets(self):
-        """The nonzero brackets as ((i, j), {k: coefficient}) items with
-        i < j, in lexicographic pair order.  The coordinate maps are shared
-        with the algebra and must not be mutated."""
-        return self._table.items()
 
     def element(self, coords: Sequence) -> "Element":
         return Element(self, vector(coords))
@@ -229,7 +221,7 @@ def same_algebra(a: LieAlgebra, b: LieAlgebra) -> bool:
     corner current algebra built twice) must interoperate, so parent
     checks compare labels and bracket tables rather than object ids.
     """
-    return a is b or (a.labels == b.labels and a._table == b._table)
+    return a is b or (a.labels == b.labels and a._integer_table == b._integer_table)
 
 
 class Element:
@@ -348,7 +340,7 @@ def validate_lie(L: LieAlgebra) -> ValidationReport:
         (triple, tuple(Fraction(x, den * den) for x in totals[triple]))
         for triple in sorted(totals)
     ]
-    return ValidationReport(L._mirror_defects(), jacobi)
+    return ValidationReport(L._mirror_defects, jacobi)
 
 
 def killing_form(L: LieAlgebra):
@@ -498,11 +490,13 @@ def perfect_witness(L: LieAlgebra, x) -> list:
     coords = x.coords if isinstance(x, Element) else vector(x)
     if len(coords) != L.dim:
         raise DimensionMismatchError("element length must match the algebra dimension")
-    pairs = [pair for pair, _ in L.nonzero_brackets()]
-    matrix = SparseMatrix(L.dim, len(pairs), {
-        (k, t): c for t, (_, bracket) in enumerate(L.nonzero_brackets()) for k, c in bracket.items()
-    })
-    solution = solve_linear(matrix, coords)
+    den, brackets = L._integer_table
+    pairs = list(brackets)
+    rows = {}  # rows[k][t] = den [b_i, b_j]_k for pairs[t] = (i, j)
+    for t, bracket in enumerate(brackets.values()):
+        for k, c in bracket.items():
+            rows.setdefault(k, {})[t] = c
+    solution = solve_linear(SparseMatrix._from_integer_rows(L.dim, len(pairs), rows, den), coords)
     if solution is None:
         defect = quotient_space(L.dim, derived_subalgebra(L)).project(coords)
         raise NotInDerivedAlgebraError(defect)
@@ -517,9 +511,9 @@ def perfect_witness(L: LieAlgebra, x) -> list:
         nu = [_ZERO] * L.dim
         nu[j] = Fraction(1)
         witness.append((Element(L, mu), Element(L, nu)))
-        for k, c in L.bracket_basis(i, j).items():
+        for k, c in brackets[(i, j)].items():
             total[k] += coef * c
-    if tuple(total) != tuple(coords):
+    if tuple(total) != tuple(den * x for x in coords):
         raise InternalConsistencyError("witness recombination failed")
     return witness
 

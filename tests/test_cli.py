@@ -79,11 +79,58 @@ def test_parse_rejects_bad_schema():
         parse_algebra_document("not json at all")
 
 
+# each document, read from a file, against the exit code of the command
+# that loads it: the first is valid, the others break one schema rule
+DOCUMENT_CASES = [
+    ({"kind": "lie", "dim": 3, "brackets": [[0, 1, 2, 1], [1, 2, 0, 1], [2, 0, 1, 1]]}, EXIT_OK),
+    ({"kind": "lie", "dim": 2, "brackets": [[0, 1, 0, 1.5]]}, EXIT_INPUT),
+    ({"kind": "lie", "dim": 2, "brackets": {"0": [0, 1, 0, "1"]}}, EXIT_INPUT),
+    ({"kind": "lie", "dim": 2, "brackets": [[0, 1, 0]]}, EXIT_INPUT),
+    ({"kind": "lie", "dim": 2, "brackets": [[0, 1, 0, "1"], [0, 1, 0, "2"]]}, EXIT_INPUT),
+    ({"kind": "comm", "dim": 2, "products": [[0, 0, 0, "1"]], "unit": ["1"]}, EXIT_INPUT),
+    ({"kind": "comm", "dim": 1, "products": [[0, 0, 0, "1"]], "idempotents": {}}, EXIT_INPUT),
+    ({"kind": "comm", "dim": 1, "products": [[0, 0, 0, "1"]],
+      "idempotents": [{"point": "1"}]}, EXIT_INPUT),
+    ({"kind": "comm", "dim": 1, "products": [[0, 0, 0, "1"]],
+      "idempotents": [{"point": "1", "coords": ["1", "0"]}]}, EXIT_INPUT),
+    (["kind", "lie"], EXIT_INPUT),
+]
+
+
+@pytest.mark.parametrize("doc, code", DOCUMENT_CASES)
+def test_document_schema_refusals_are_input_errors(doc, code, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_command(["info", str(path)]).exit_code == code
+
+
+def test_documents_of_the_wrong_kind_or_unreadable_are_input_errors(tmp_path):
+    lie, comm = tmp_path / "sl2.json", tmp_path / "fun2.json"
+    lie.write_text(SL2_DOC, encoding="utf-8")
+    comm.write_text(FUN2_DOC, encoding="utf-8")
+    assert run_command(["killing", str(comm)]).exit_code == EXIT_INPUT
+    assert run_command(["kaehler", str(lie)]).exit_code == EXIT_INPUT
+    assert run_command(["info", str(tmp_path / "missing.json")]).exit_code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("[1, 0, 0]", EXIT_OK),
+    ("[1, 0", EXIT_INPUT),
+    ("[1, 0]", EXIT_INPUT),
+    ("3", EXIT_INPUT),
+    ("-1", EXIT_INPUT),
+    ("zz", EXIT_INPUT),
+])
+def test_witness_element_specs(spec, code):
+    assert run_command(["witness", "sl2", spec]).exit_code == code
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "lie", "dim": True},
     {"kind": "comm", "dim": False},
     {"kind": "lie", "dim": 2, "brackets": [[False, True, True, "1"]]},
     {"kind": "comm", "dim": 1, "products": [[0, 0, False, "1"]]},
+    {"kind": "lie", "dim": 2, "brackets": [[0, 1, 0, True]]},
 ])
 def test_booleans_are_not_integers(doc, tmp_path, capsys):
     # JSON true/false load as Python bools, which are ints: "dim": true
@@ -348,6 +395,14 @@ def test_catalog_name_is_not_shadowed_by_a_directory(tmp_path, monkeypatch):
 
 def test_unknown_catalog_name_is_input_error():
     assert run_command(["killing", "sl17"]).exit_code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["kaehler", "jets:0"], ["kaehler", "jets:x"], ["kaehler", "fun:0"], ["kaehler", "fun:x"],
+    ["kaehler", "sq2*"], ["killing", "abelian:x"],
+])
+def test_bad_catalog_names_are_input_errors(argv):
+    assert run_command(argv).exit_code == EXIT_INPUT
 
 
 def test_witness_not_in_derived_algebra_exit_2():

@@ -206,7 +206,7 @@ def test_tensor_comm_matches_the_pairwise_builder(A, B):
     T = tensor_comm(A, B)
     R = CommAlgebra(*tensor_comm_reference(A, B))
     assert T.labels == R.labels
-    assert list(T._raw.items()) == list(R._raw.items())
+    assert T._integer_table == R._integer_table
     assert T.entries() == R.entries()
     assert T.unit == R.unit and T.idempotents == R.idempotents
 
@@ -329,6 +329,17 @@ def test_kaehler_rejects_vectors_of_the_wrong_length():
             module.module_action(bad, w)
     with pytest.raises(IndexError):
         module.pair_class(0, 4)
+    # a negative index would wrap to the last basis element
+    for j in (-1, 4):
+        with pytest.raises(IndexError):
+            module.d_basis(j)
+
+
+@pytest.mark.parametrize("i, j", [(100, 200), (-1, 0), (0, 12), (3, -12)])
+def test_cocycle_value_refuses_an_out_of_range_pair(i, j):
+    psi = universal_cocycle(lie_catalog("sl2"), comm_catalog("sq2")).cocycle
+    with pytest.raises(IndexError):
+        psi.value(i, j)
 
 
 def test_idempotent_splitting_of_omega1bar():
@@ -706,6 +717,21 @@ def test_universality_h2_matches_target_dimension():
 def test_universality_rejects_non_semisimple_fibre():
     with pytest.raises(FibreNotSemisimpleError):
         universality_map(lie_catalog("heis3"), comm_catalog("sq2"), 1)
+
+
+def test_a_universal_cocycle_on_other_algebras_is_refused():
+    sl2, so3, sq2 = lie_catalog("sl2"), lie_catalog("so3"), comm_catalog("sq2")
+    # so3 (x) fun:2*sq2 would give a bijective 2 x 2 answer for sl2 (x) sq2
+    with pytest.raises(DimensionMismatchError):
+        universality_map(sl2, sq2, 1, uc=universal_cocycle(so3, comm_catalog("fun:2*sq2")))
+    with pytest.raises(DimensionMismatchError):
+        universality_map(sl2, sq2, 1, uc=universal_cocycle(sl2, comm_catalog("jets:3")))
+    uc = universal_cocycle(so3, sq2)
+    xi = GValuedOneForm.zero(3, uc.kaehler.dim_omega1)
+    with pytest.raises(DimensionMismatchError):
+        twist_difference(sl2, sq2, xi, uc=uc)
+    # copies built apart are the same algebras
+    assert twist_difference(lie_catalog("so3"), comm_catalog("sq2"), xi, uc=uc).tau.is_zero()
 
 
 def test_universality_higher_coefficient_dim():

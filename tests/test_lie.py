@@ -18,6 +18,7 @@ from currentext.invariants import BilinearForm, v_space_and_kappa
 from currentext.lie import (
     LieAlgebra,
     _gl,
+    _StructureTable,
     derivations,
     derived_subalgebra,
     direct_sum,
@@ -558,10 +559,10 @@ def test_structure_table_matches_the_former_constructor(kind, data):
     n, entries = data.draw(_entry_lists(cls._sign))
     alg = cls([f"b{i}" for i in range(n)], entries)
     ref = reference(entries)
-    assert alg._raw == ref.raw
-    assert alg._table == ref.table
-    assert list(alg._table) == sorted(alg._table)
+    # the one stored table, in pair order, and the defects parsed with it
     assert alg._integer_table == ref.integer_table
+    assert list(alg._integer_table[1]) == sorted(alg._integer_table[1])
+    assert alg._mirror_defects == violations_reference(ref.raw)
     basis, dense, listed, report = public(alg)
     assert listed == ref.entries
     assert report == violations_reference(ref.raw)
@@ -574,11 +575,13 @@ def test_structure_table_matches_the_former_constructor(kind, data):
 
 
 @pytest.mark.parametrize("cls", [LieAlgebra, CommAlgebra])
-def test_integer_table_is_built_on_first_read(cls):
+def test_integer_table_is_the_only_table(cls):
     A = cls(("a", "b", "c"), [(0, 1, 2, F(1, 2)), (2, 0, 1, F(-3, 4))])
-    assert A._integers is None
+    assert set(_StructureTable.__slots__) == {"labels", "_mirror_defects", "_integer_table"}
     assert A._integer_table == (4, {(0, 1): {2: 2}, (0, 2): {1: -3 * A._sign}})
-    assert A._integer_table is A._integer_table
+    # the Fractions a caller reads are built from it
+    assert A._basis_product(2, 0) == {1: F(-3, 4)}
+    assert A._basis_product(0, 2) == {1: F(-3, 4) * A._sign}
 
 
 @pytest.mark.parametrize("cls, entries, message", [
