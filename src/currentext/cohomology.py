@@ -699,15 +699,19 @@ def cohomology(
         image = Subspace.zero(size)  # trivial coefficients: d^0 = 0
     else:
         # d^{p-1} of a weight-zero cochain has weight zero: its rows, the
-        # ranks of p-tuples, are renumbered to the columns of d^p
+        # ranks of p-tuples, are renumbered to the columns of d^p.  Row r
+        # is ints / den_r with den_r dividing the bracket denominator, so
+        # each column times that denominator is an integer row.
         rank = _rank_of(L.dim, p)
         column = {rank(t): c for c, t in enumerate(cochains)}
         d_down = ce_differential(L, p - 1, ceiling=ceiling,
                                  sources=_weight_zero_tuples(weights, p - 1))
-        image = Subspace.from_spanning(size, [
-            {column[r]: value for r, value in span.items()}
-            for span in d_down.transpose().row_dicts()
-        ])
+        bden = L._integer_table[0]
+        spans = [{} for _ in range(d_down.cols)]
+        for r, (den, row) in d_down._rows.items():
+            for c, value in row.items():
+                spans[c][column[r]] = value * (bden // den)
+        image = Subspace.from_spanning(size, spans)
     quotient = quotient_space(size, image)
     z_rows = cocycles.basis_rows()
     projected = [quotient.project(row) for row in z_rows]

@@ -28,13 +28,18 @@ sparse rational matrices, so this module fixes the conventions once:
 
 Cost contract: the bookkeeping around the elimination is linear in the
 nonzeros it touches, and a Fraction is built only where a public
-accessor reads a value, one per output entry.  A matrix's integer rows
-go to the eliminator as they are, divided by their gcd when it is not 1.
-Values that cross the public boundary are scaled to integer rows over
-one denominator (int entries are taken as they are): the vectors given
-to Subspace.from_spanning, rref_with_transform and Subspace.reduce, the
-right-hand sides of solve_many (dense, or sparse {row: value} mappings)
-and the entries given to SparseMatrix.  Integer rows a caller builds
+accessor reads a value, one per output entry.  The accessors that build
+Fractions are SparseMatrix.triplets, Subspace.basis_rows (and
+basis_matrix, built from them), Subspace.reduce, the QuotientSpace
+coordinates (project, project_units, lift), the solutions of solve_many
+and solve_linear, and the rows of rref_with_transform.  A matrix's
+integer rows go to the eliminator as they are, divided by their gcd
+when it is not 1.  Values that cross the public boundary are scaled to
+integer rows over one denominator (int entries are taken as they are):
+the vectors given to Subspace.from_spanning, rref_with_transform and
+Subspace.reduce, the right-hand sides of solve_many (dense, or sparse
+{row: value} mappings) and the {(i, j): value} mapping that the
+SparseMatrix constructor takes.  Integer rows a caller builds
 itself go in through SparseMatrix._from_integer_rows,
 Subspace._from_integer_rows or, augmented with right-hand sides,
 _solve_rows, with no conversion; _solve_rows returns each solution as
@@ -90,20 +95,20 @@ class SparseMatrix:
     A nonzero row i is stored as (den, {col: int}): its entries are
     int / den, no stored int is zero, and den is positive and the lcm of
     the entries' denominators, so the form is canonical.  Zero rows are
-    not stored.  The eliminator reads these integer rows as they are;
-    every public accessor returns Fractions.
+    not stored.  The constructor takes a {(i, j): value} mapping, so no
+    position can be given twice.  The eliminator reads these integer
+    rows as they are; triplets() returns Fractions.
     """
 
     __slots__ = ("rows", "cols", "_rows")
 
-    def __init__(self, rows: int, cols: int, data: Mapping = ()):
+    def __init__(self, rows: int, cols: int, data: Mapping = {}):  # read, never mutated
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
         grouped = {}
-        items = data.items() if isinstance(data, Mapping) else data
-        for (i, j), value in items:
+        for (i, j), value in data.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry position ({i}, {j}) out of range")
             value = _as_fraction(value)
@@ -128,15 +133,6 @@ class SparseMatrix:
                 g = gcd(den, *row.values()) if den > 1 else 1
                 m._rows[i] = (den // g, {j: v // g for j, v in row.items()} if g > 1 else row)
         return m
-
-    @classmethod
-    def from_triplets(cls, rows: int, cols: int, triplets: Iterable) -> "SparseMatrix":
-        data = {}
-        for i, j, value in triplets:
-            if (i, j) in data:
-                raise ValueError(f"duplicate entry position ({i}, {j})")
-            data[(i, j)] = value
-        return cls(rows, cols, data)
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence]) -> "SparseMatrix":
@@ -177,11 +173,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(row) for _, row in self._rows.values())
 
-    def entry(self, i: int, j: int) -> Fraction:
-        den, row = self._rows.get(i, (1, {}))
-        value = row.get(j)
-        return _ZERO if value is None else Fraction(value, den)
-
     def triplets(self):
         """Sorted (row, col, value) triplets; the canonical serialisation."""
         out = []
@@ -189,46 +180,6 @@ class SparseMatrix:
             den, row = self._rows[i]
             out.extend((i, j, Fraction(row[j], den)) for j in sorted(row))
         return out
-
-    def row_dicts(self):
-        out = [dict() for _ in range(self.rows)]
-        for i, (den, row) in self._rows.items():
-            out[i] = {j: Fraction(value, den) for j, value in row.items()}
-        return out
-
-    def column(self, j: int) -> Vec:
-        col = [_ZERO] * self.rows
-        for i, (den, row) in self._rows.items():
-            value = row.get(j)
-            if value is not None:
-                col[i] = Fraction(value, den)
-        return tuple(col)
-
-    def matvec(self, v: Sequence) -> Vec:
-        if len(v) != self.cols:
-            raise DimensionMismatchError(
-                f"matvec: vector length {len(v)} != {self.cols} columns"
-            )
-        out = [_ZERO] * self.rows
-        for i, (den, row) in self._rows.items():
-            total = 0
-            for j, value in row.items():
-                vj = v[j]
-                if vj:
-                    total += value * vj
-            out[i] = Fraction(total, den)
-        return tuple(out)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): value for i, j, value in self.triplets()}
-        )
-
-    def to_dense(self):
-        out = [[_ZERO] * self.cols for _ in range(self.rows)]
-        for i, j, value in self.triplets():
-            out[i][j] = value
-        return tuple(tuple(row) for row in out)
 
     def __eq__(self, other):
         return (
@@ -419,15 +370,6 @@ class Subspace:
 
     def basis_matrix(self) -> SparseMatrix:
         return SparseMatrix.from_rows(self.basis_rows(), self.ambient_dim)
-
-    def basis_vectors(self):
-        out = []
-        for row in self.basis_rows():
-            v = [_ZERO] * self.ambient_dim
-            for col, value in row.items():
-                v[col] = value
-            out.append(tuple(v))
-        return out
 
     def basis_rows(self):
         """The reduced echelon basis as column -> Fraction dicts."""

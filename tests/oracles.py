@@ -2,7 +2,10 @@
 
 The elimination oracles deliberately share no code with the package:
 plain Gaussian elimination over Fraction on dense row lists.  The
-term-by-term references below them (matrix commutators, products on a
+matrix and subspace helpers (dense matrix, rows, columns, matvec, basis
+vectors) read a SparseMatrix only through triplets() and a Subspace
+only through basis_rows().  The term-by-term references below the
+elimination oracles (matrix commutators, products on a
 computed basis and on a corner's basis vectors, the Jacobi and
 associativity walks over every basis triple, the current-algebra and
 tensor-product builders over every basis pair, CE differential, cocycle
@@ -49,6 +52,58 @@ from math import comb, lcm
 from types import SimpleNamespace
 
 
+def dense_matrix(m):
+    """A SparseMatrix as a tuple of dense Fraction rows, from triplets()."""
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for i, j, value in m.triplets():
+        out[i][j] = value
+    return tuple(tuple(row) for row in out)
+
+
+def matrix_rows(m):
+    """Every row of a SparseMatrix as a {col: Fraction} dict, empty rows
+    included, from triplets()."""
+    out = [{} for _ in range(m.rows)]
+    for i, j, value in m.triplets():
+        out[i][j] = value
+    return out
+
+
+def matrix_columns(m):
+    """Every column of a SparseMatrix as a {row: Fraction} dict, from
+    triplets()."""
+    out = [{} for _ in range(m.cols)]
+    for i, j, value in m.triplets():
+        out[j][i] = value
+    return out
+
+
+def matrix_column(m, j):
+    """Column j of a SparseMatrix as a dense Fraction tuple."""
+    return tuple(row[j] for row in dense_matrix(m))
+
+
+def matvec(m, v):
+    """m v for a SparseMatrix m and a dense vector v, as Fractions."""
+    assert len(v) == m.cols
+    out = [Fraction(0)] * m.rows
+    for i, j, value in m.triplets():
+        out[i] += value * v[j]
+    return tuple(out)
+
+
+def basis_vectors(sub):
+    """The reduced echelon basis of a Subspace as dense Fraction tuples,
+    from basis_rows()."""
+    out = []
+    for row in sub.basis_rows():
+        v = [Fraction(0)] * sub.ambient_dim
+        for col, value in row.items():
+            v[col] = value
+        out.append(tuple(v))
+    return out
+
+
 def dense_rank(rows):
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
@@ -80,10 +135,17 @@ def dense_nullity(rows, cols):
 
 def dense_solve(rows, rhs):
     """Any solution of rows * x = rhs, or None."""
+    return dense_solve_many(rows, [rhs])[0]
+
+
+def dense_solve_many(rows, rhss):
+    """dense_solve(rows, rhs) for every rhs in rhss, from one elimination
+    of [rows | rhss]."""
     if not rows:
-        return None if any(rhs) else []
-    cols = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+        return [None if any(rhs) else [] for rhs in rhss]
+    cols, k = len(rows[0]), len(rhss)
+    m = [[Fraction(x) for x in row] + [Fraction(rhs[r]) for rhs in rhss]
+         for r, row in enumerate(rows)]
     pivots = []
     rank = 0
     for col in range(cols):
@@ -99,17 +161,20 @@ def dense_solve(rows, rhs):
         for r in range(len(m)):
             if r != rank and m[r][col]:
                 factor = m[r][col] / inv
-                for c in range(col, cols + 1):
+                for c in range(col, cols + k):
                     m[r][c] -= factor * m[rank][c]
         pivots.append(col)
         rank += 1
-    for r in range(rank, len(m)):
-        if m[r][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][cols] / m[r][col]
-    return x
+    out = []
+    for t in range(cols, cols + k):
+        if any(m[r][t] for r in range(rank, len(m))):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * cols
+        for r, col in enumerate(pivots):
+            x[col] = m[r][t] / m[r][col]
+        out.append(x)
+    return out
 
 
 def lie_from_matrices_reference(mats):
@@ -138,19 +203,19 @@ def lie_from_matrices_reference(mats):
 def entries_on_reference(A, vectors):
     """Structure entries (i, j, k, c) of A's product on the span of the
     sparse {coordinate: value} vectors, i < j for a bracket and i <= j
-    for a product: each product by A's dense _product, then its
-    coordinates in the vectors by dense elimination.  The vectors must be
-    independent and their span closed."""
+    for a product: each product by A's dense _product, then the
+    coordinates of all of them in the vectors by one dense elimination.
+    The vectors must be independent and their span closed."""
     n, m = A.dim, len(vectors)
     dense = [[Fraction(v.get(p, 0)) for p in range(n)] for v in vectors]
     span = [[dense[t][p] for t in range(m)] for p in range(n)]
     assert dense_rank(span) == m, "vectors are dependent"
+    pairs = [(i, j) for i in range(m) for j in range(i + (A._sign < 0), m)]
+    solutions = dense_solve_many(span, [A._product(dense[i], dense[j]) for i, j in pairs])
     out = []
-    for i in range(m):
-        for j in range(i + (A._sign < 0), m):
-            coords = dense_solve(span, A._product(dense[i], dense[j]))
-            assert coords is not None, f"product {i}, {j} leaves the span"
-            out.extend((i, j, k, x) for k, x in enumerate(coords) if x)
+    for (i, j), coords in zip(pairs, solutions):
+        assert coords is not None, f"product {i}, {j} leaves the span"
+        out.extend((i, j, k, x) for k, x in enumerate(coords) if x)
     return out
 
 
@@ -356,7 +421,7 @@ def derived_subalgebra_reference(L):
     from currentext.linalg import Subspace
 
     pairs, matrix = _bracket_pair_matrix(L)
-    return Subspace.from_spanning(L.dim, [matrix.column(t) for t in range(len(pairs))])
+    return Subspace.from_spanning(L.dim, [matrix_column(matrix, t) for t in range(len(pairs))])
 
 
 def perfect_witness_reference(L, coords):
@@ -501,10 +566,10 @@ def derivations_reference(L):
             rows.append(row)
     kernel = kernel_basis(SparseMatrix.from_dense(rows) if rows else SparseMatrix.zeros(0, n * n))
     basis = tuple(tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
-                  for flat in kernel.basis_vectors())
+                  for flat in basis_vectors(kernel))
     ad_span = Subspace.from_spanning(
         n * n, [[x for row in _ad_reference(L, i) for x in row] for i in range(n)])
-    contains_inner = all(kernel.contains(v) for v in ad_span.basis_vectors())
+    contains_inner = all(kernel.contains(v) for v in basis_vectors(ad_span))
     return SimpleNamespace(kernel=kernel, basis=basis, contains_inner=contains_inner,
                            all_inner=contains_inner and ad_span.dim == kernel.dim)
 
@@ -751,7 +816,7 @@ def cohomology_reference(L, p, m):
     if p == 1:
         image = Subspace.zero(size)
     else:
-        image = Subspace.from_spanning(size, ce_differential(L, p - 1).transpose().row_dicts())
+        image = Subspace.from_spanning(size, matrix_columns(ce_differential(L, p - 1)))
     quotient = quotient_space(size, image)
     z_rows = cocycles.basis_rows()
     reduced = rref_with_transform([quotient.project(row) for row in z_rows], quotient.dim)

@@ -19,7 +19,16 @@ from currentext.linalg import (
     solve_many,
 )
 
-from oracles import dense_canonical_solve, dense_kernel_rref, dense_rank, dense_rref
+from oracles import (
+    basis_vectors,
+    dense_canonical_solve,
+    dense_kernel_rref,
+    dense_matrix,
+    dense_rank,
+    dense_rref,
+    matrix_rows,
+    matvec,
+)
 
 F = Fraction
 
@@ -31,7 +40,7 @@ def test_kernel_of_identity_is_zero():
 def test_kernel_of_zero_matrix_is_full():
     k = kernel_basis(SparseMatrix.zeros(2, 3))
     assert k.dim == 3
-    assert k.basis_vectors() == [
+    assert basis_vectors(k) == [
         (F(1), F(0), F(0)),
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
@@ -43,7 +52,7 @@ def test_kernel_of_proportional_rows():
     k = kernel_basis(m)
     assert k.dim == 1
     # reduced echelon normalisation of span{(2, -1)}
-    assert k.basis_vectors() == [(F(1), F(-1, 2))]
+    assert basis_vectors(k) == [(F(1), F(-1, 2))]
     assert k.contains((2, -1))
 
 
@@ -59,11 +68,11 @@ def test_kernel_vectors_annihilate():
             )
         m = SparseMatrix(rows, cols, data)
         k = kernel_basis(m)
-        for v in k.basis_vectors():
-            assert not any(m.matvec(v))
+        for v in basis_vectors(k):
+            assert not any(matvec(m, v))
         # rank + nullity, against the dense oracle
         assert rank(m) + k.dim == cols
-        assert dense_rank(m.to_dense()) == rank(m)
+        assert dense_rank(dense_matrix(m)) == rank(m)
 
 
 def test_solve_identity():
@@ -96,10 +105,10 @@ def test_solve_random_consistency():
             },
         )
         x0 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-        b = m.matvec(x0)
+        b = matvec(m, x0)
         x = solve_linear(m, b)
         assert x is not None
-        assert m.matvec(x) == b
+        assert matvec(m, x) == b
 
 
 def test_solve_many_mixes_consistent_inconsistent_and_zero_right_hand_sides():
@@ -139,7 +148,7 @@ def _systems(draw):
     bs = []
     for kind in draw(st.lists(st.sampled_from(("image", "any", "zero")), max_size=6)):
         if kind == "image":
-            bs.append(m.matvec(draw(st.lists(_RATIONALS, min_size=cols, max_size=cols))))
+            bs.append(matvec(m, draw(st.lists(_RATIONALS, min_size=cols, max_size=cols))))
         elif kind == "any":
             bs.append(tuple(draw(st.lists(_RATIONALS, min_size=rows, max_size=rows))))
         else:
@@ -237,7 +246,7 @@ def test_determinism_bit_identical():
         (2, 0): F(4), (2, 2): F(1, 6), (3, 1): F(-1),
     }
     m = SparseMatrix(4, 3, data)
-    runs = [(kernel_basis(m).basis_vectors(), solve_linear(m, m.matvec((1, 2, 3))))
+    runs = [(basis_vectors(kernel_basis(m)), solve_linear(m, matvec(m, (1, 2, 3))))
             for _ in range(2)]
     assert runs[0] == runs[1]
 
@@ -253,11 +262,6 @@ def test_rref_with_transform_reconstructs():
                 recombined[col] += c * F(vectors[t][col])
         assert tuple(recombined) == vec_part
         assert vec_part[pivot] == 1
-
-
-def test_from_triplets_rejects_duplicates():
-    with pytest.raises(ValueError):
-        SparseMatrix.from_triplets(2, 2, [(0, 0, F(1)), (0, 0, F(2))])
 
 
 def test_no_stored_zeros():
@@ -314,21 +318,21 @@ def test_oracle_matrices_cover_full_and_zero_rank():
 
 def test_from_spanning_matches_dense_oracle():
     for m in _oracle_matrices():
-        sub = Subspace.from_spanning(m.cols, m.row_dicts())
-        want_pivots, want_rows = dense_rref(m.to_dense(), m.cols)
+        sub = Subspace.from_spanning(m.cols, matrix_rows(m))
+        want_pivots, want_rows = dense_rref(dense_matrix(m), m.cols)
         assert list(sub.pivots) == want_pivots
         assert [[row.get(c, 0) for c in range(m.cols)] for row in sub.basis_rows()] == want_rows
-        assert Subspace.from_spanning(m.cols, m.to_dense()) == sub
+        assert Subspace.from_spanning(m.cols, dense_matrix(m)) == sub
 
 
 def test_kernel_basis_matches_dense_oracle():
     for m in _oracle_matrices():
         k = kernel_basis(m)
-        want_pivots, want_rows = dense_kernel_rref(m.to_dense(), m.cols)
+        want_pivots, want_rows = dense_kernel_rref(dense_matrix(m), m.cols)
         assert list(k.pivots) == want_pivots
-        assert [list(v) for v in k.basis_vectors()] == want_rows
+        assert [list(v) for v in basis_vectors(k)] == want_rows
         assert k.basis_rows() == [
-            {c: x for c, x in enumerate(v) if x} for v in k.basis_vectors()
+            {c: x for c, x in enumerate(v) if x} for v in basis_vectors(k)
         ]
 
 
@@ -336,7 +340,7 @@ def test_sparse_and_dense_vectors_agree():
     rng = random.Random(11)
     for m in _oracle_matrices():
         n = m.cols
-        sub = Subspace.from_spanning(n, m.row_dicts())
+        sub = Subspace.from_spanning(n, matrix_rows(m))
         q = quotient_space(n, sub)
         dense_vectors = [
             [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else F(0)
@@ -399,7 +403,7 @@ def test_solve_many_on_mapping_right_hand_sides(to_int):
         return x if to_int else F(x, rng.choice((1, 2, 3, 5)))
 
     for m in _oracle_matrices():
-        image = m.matvec([F(rng.randint(-3, 3)) for _ in range(m.cols)])
+        image = matvec(m, [F(rng.randint(-3, 3)) for _ in range(m.cols)])
         scale = lcm(*[x.denominator for x in image])
         bs = [{i: value() for i in range(m.rows) if rng.random() < 0.5} for _ in range(4)]
         bs.append({i: int(x * scale) if to_int else x for i, x in enumerate(image) if x})
@@ -407,7 +411,7 @@ def test_solve_many_on_mapping_right_hand_sides(to_int):
         got = solve_many(m, bs)
         assert got == solve_many(m, dense_bs)
         for b, x in zip(dense_bs, got):
-            expected = dense_canonical_solve(m.to_dense(), b)
+            expected = dense_canonical_solve(dense_matrix(m), b)
             assert x == (None if expected is None else tuple(expected))
         assert got[-1] is not None
         assert all(type(v) is Fraction for x in got if x is not None for v in x)
