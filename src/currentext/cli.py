@@ -556,8 +556,10 @@ def _cmd_glue_demo(args):
     for subset in cover.subsets:
         local = restrict_class(psi, ss, subset)
         witness = coboundary_witness(local, ceiling=args.max_cochain)
-        if not witness.is_exact:
-            return {"local_restriction_exact": False, "subset": list(subset)}, EXIT_PROPERTY
+        if not witness.is_exact:  # psi = d beta0, so every restriction is exact
+            raise InternalConsistencyError(
+                f"the restriction of a coboundary to {list(subset)} is not exact"
+            )
         primitives.append(witness.beta)
     glued = glue_primitives(psi, cover, primitives)
     return {

@@ -17,6 +17,7 @@ from currentext.cli import (
     parse_algebra_document,
     run_command,
 )
+from currentext.cohomology import CoboundaryWitness
 from currentext.current import CommAlgebra
 from currentext.errors import (
     DocumentError,
@@ -494,6 +495,16 @@ def test_glue_demo_command():
     )
     assert report.exit_code == EXIT_OK
     assert report.results["glued_matches"] is True
+
+
+def test_glue_demo_reports_a_non_exact_restriction_as_internal(monkeypatch):
+    # the glued cocycle is d beta0, so a local restriction that is not
+    # exact is a bug (exit 70), not a property of the input (exit 2)
+    monkeypatch.setattr(cli, "coboundary_witness",
+                        lambda psi, ceiling=None: CoboundaryWitness(None, (1,), None))
+    report = run_command(["glue-demo", "sl2", "fun:2", "--cover", "1;2"])
+    assert report.exit_code == EXIT_INTERNAL
+    assert report.results == {"error": "the restriction of a coboundary to ['1'] is not exact"}
 
 
 def test_glue_demo_refuses_a_non_unital_algebra(tmp_path):
