@@ -690,10 +690,9 @@ def run_command(argv) -> Report:
         defect = getattr(exc, "defect_coordinates", None)
         if defect is not None:
             results["defect_class"] = list(defect)
-        report = Report(args.subcommand, {}, results, code)  # a failure echoes no inputs yet
     else:
         results, code = outcome if isinstance(outcome, tuple) else (outcome, EXIT_OK)
-        report = Report(args.subcommand, inputs, results, code)
+    report = Report(args.subcommand, inputs, results, code)
     report.format = args.format
     return report
 

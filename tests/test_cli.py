@@ -303,17 +303,20 @@ def test_run_command_builds_only_the_named_subcommand(monkeypatch):
     assert len(built) == 1 + len(SUBCOMMANDS)
 
 
-# one row per entry of the failure table: argv, exit code, status
-@pytest.mark.parametrize("argv, code, status", [
-    (["validate"], EXIT_USAGE, "usage-error"),
-    (["h2", "sl3", "--max-cochain", "5"], EXIT_RESOURCE, "resource-limit"),
-    (["witness", "heis3", "x"], EXIT_PROPERTY, "property-failed"),
-    (["killing", "sl17"], EXIT_INPUT, "invalid-input"),
+# one row per entry of the failure table: argv, exit code, status and the
+# inputs the failed run echoes (validate with no name expands to none)
+@pytest.mark.parametrize("argv, code, status, inputs", [
+    (["validate"], EXIT_USAGE, "usage-error", {"algebras": []}),
+    (["h2", "sl3", "--max-cochain", "5"], EXIT_RESOURCE, "resource-limit",
+     {"algebra": "sl3", "coeff_dim": 1}),
+    (["witness", "heis3", "x"], EXIT_PROPERTY, "property-failed",
+     {"algebra": "heis3", "element": "x"}),
+    (["killing", "sl17"], EXIT_INPUT, "invalid-input", {"algebra": "sl17"}),
 ])
-def test_each_failure_class_has_one_exit_code(argv, code, status):
+def test_each_failure_class_has_one_exit_code(argv, code, status, inputs):
     report = run_command(argv)
     assert (report.command, report.exit_code, report.status) == (argv[0], code, status)
-    assert report.inputs == {}
+    assert report.inputs == inputs
     assert set(report.results) == (
         {"error", "defect_class"} if argv[0] == "witness" else {"error"}
     )
@@ -336,7 +339,7 @@ def test_a_handler_exception_maps_through_the_failure_table(monkeypatch, exc, co
         return
     report = run_command(["killing", "sl2"])
     assert (report.exit_code, report.status) == (code, status)
-    assert report.results == {"error": str(exc)} and report.inputs == {}
+    assert report.results == {"error": str(exc)} and report.inputs == {"algebra": "sl2"}
 
 
 @pytest.mark.parametrize("name, lie_refusal", [
