@@ -2,8 +2,8 @@
 
 The elimination oracles deliberately share no code with the package:
 plain Gaussian elimination over Fraction on dense row lists.  The
-matrix and subspace helpers (dense matrix, rows, columns, matvec, basis
-vectors) read a SparseMatrix only through triplets() and a Subspace
+matrix and subspace helpers (dense matrix, rows, columns, matvec and
+basis vectors) read a SparseMatrix only through triplets() and a Subspace
 only through basis_rows().  The term-by-term references below the
 elimination oracles (matrix commutators, products on a
 computed basis and on a corner's basis vectors, the Jacobi and
@@ -76,11 +76,6 @@ def matrix_columns(m):
     for i, j, value in m.triplets():
         out[j][i] = value
     return out
-
-
-def matrix_column(m, j):
-    """Column j of a SparseMatrix as a dense Fraction tuple."""
-    return tuple(row[j] for row in dense_matrix(m))
 
 
 def matvec(m, v):
@@ -417,11 +412,11 @@ def _bracket_pair_matrix(L):
 
 
 def derived_subalgebra_reference(L):
-    """[L, L] spanned by the dense columns of every basis pair."""
+    """[L, L] spanned by the columns of every basis pair."""
     from currentext.linalg import Subspace
 
-    pairs, matrix = _bracket_pair_matrix(L)
-    return Subspace.from_spanning(L.dim, [matrix_column(matrix, t) for t in range(len(pairs))])
+    _, matrix = _bracket_pair_matrix(L)
+    return Subspace.from_spanning(L.dim, matrix_columns(matrix))
 
 
 def perfect_witness_reference(L, coords):
