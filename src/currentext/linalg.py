@@ -44,9 +44,14 @@ itself go in through SparseMatrix._from_integer_rows,
 Subspace._from_integer_rows or, augmented with right-hand sides,
 _solve_rows, with no conversion; _solve_rows returns each solution as
 {pivot: (num, lead)}, so a caller that wants integers builds no
-Fraction.  Empty rows never reach the eliminator; back substitution
-walks each row's own pivot columns through a column -> pivot map, one
-row step per pivot column the row holds, rather than O(rank^2) lookups;
+Fraction.  Empty rows never reach the eliminator, and single-entry
+input rows never reach a row step: the eliminator first peels them
+(_peel).  A row {c: v} with c below the stop column fixes c, with pivot
+row {c: 1}; c is struck from every other row, and a row left with one
+entry fixes its column in turn, found through a column -> rows index,
+so the peel is linear in the nonzeros.  Back substitution walks each
+row's own pivot columns through a column -> pivot map, one row step
+per pivot column the row holds, rather than O(rank^2) lookups;
 kernel generators are built as sparse integer rows, and reducing a
 sparse vector against a subspace takes one row step per pivot column
 present in the vector.
@@ -62,6 +67,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError
@@ -262,15 +268,71 @@ def _row_step(prow: dict, row: dict, col: int) -> dict:
     return new
 
 
+def _peel(int_rows, stop_col: int):
+    """The columns that single-entry rows fix, and the rows left to
+    eliminate once those columns are struck.
+
+    A row with one entry, at a column c < stop_col, puts e_c in the row
+    space; striking c from every other row subtracts a multiple of e_c,
+    so the row space stays the same.  A struck row is made primitive
+    again and dropped when it is empty; when one entry below stop_col is
+    left, it fixes that column in turn.  Such a cascade finds the rows
+    to strike next through a column -> rows index, built once at the
+    first cascade, so the peel stays linear in the nonzeros.  Returns
+    (fixed, rows): the fixed columns, sorted, and the other nonempty
+    rows, every fixed column struck, in input order.  A single-entry row
+    at stop_col or beyond stays in rows.  When no row fixes a column,
+    the input comes back as it is after one pass over the row lengths.
+    """
+    fixed = {c for row in int_rows if len(row) == 1 for c in row if c < stop_col}
+    if not fixed:
+        return (), int_rows
+    cascade = []
+
+    def strike(row):
+        row = _primitive({c: value for c, value in row.items() if c not in fixed})
+        if len(row) == 1 and (c := next(iter(row))) < stop_col:
+            fixed.add(c)
+            cascade.append(c)
+            return None
+        return row or None
+
+    live = []
+    for row in int_rows:
+        # a single-entry row that meets a fixed column is one that fixed it
+        if fixed.isdisjoint(row):
+            if row:
+                live.append(row)
+        elif len(row) > 1 and (row := strike(row)):
+            live.append(row)
+    if cascade:
+        index = {}
+        for idx, row in enumerate(live):
+            for c in row:
+                index.setdefault(c, []).append(idx)
+        while cascade:
+            c = cascade.pop()
+            for idx in index.get(c, ()):
+                if (row := live[idx]) is not None and c in row:
+                    live[idx] = strike(row)
+        live = [row for row in live if row is not None]
+    return sorted(fixed), live
+
+
 def _eliminate(int_rows, stop_col: int):
     """Forward fraction-free elimination on primitive integer rows.
 
     Returns (pivots, remainder): pivots is a list of (pivot column,
     integer row) in strictly increasing column order, remainder holds
-    rows whose leading column is >= stop_col.  Pivot selection (sparsest
-    candidate, ties by original order) is deterministic.  The input rows
-    are never mutated, so pivot and remainder rows may be input rows.
+    rows whose leading column is >= stop_col.  Pivot selection is
+    deterministic: first every column that a single-entry row fixes,
+    directly or once fixed columns are struck (_peel), with pivot row
+    {c: 1}; then, on the rows left, the sparsest candidate of the lowest
+    leading column, ties by original order.  The fixed pivots are merged
+    into the pivot list by column.  The input rows are never mutated, so
+    pivot and remainder rows may be input rows.
     """
+    fixed, int_rows = _peel(int_rows, stop_col)
     buckets = {}
     heap = []
 
@@ -305,6 +367,8 @@ def _eliminate(int_rows, stop_col: int):
             if idx != best and (new := _row_step(prow, row, lead)):
                 push(seq, _primitive(new))
         pivots.append((lead, prow))
+    if fixed:
+        pivots = list(heapq.merge([(c, {c: 1}) for c in fixed], pivots, key=itemgetter(0)))
     return pivots, remainder
 
 

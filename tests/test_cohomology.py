@@ -526,6 +526,31 @@ def _block(L, p, **kwargs):
     return ce_differential(L, p, sources=_weight_zero_tuples(_torus_weights(L), p), **kwargs)
 
 
+# the large end of the ROADMAP ladder, in catalog order: (fibre, coefficients)
+LADDER = (("sl2", "fun:8*sq2"), ("sl3", "fun:2*sq2"), ("sl2+so3", "sq2*jets:2"), ("sl2", "fun:4*sq2"))
+
+
+def test_kernel_of_the_ladder_blocks_stays_within_its_row_step_budget(monkeypatch):
+    # kernel_basis of the four weight-zero d^2 blocks took 7,635 row steps
+    # before single-entry rows were peeled (elimination, back substitution
+    # and the generators' elimination together) and 2,484 with the peel;
+    # the budget is half the former count
+    from currentext import linalg
+
+    steps = []
+    row_step = linalg._row_step
+
+    def counted(prow, row, col):
+        steps.append(col)
+        return row_step(prow, row, col)
+
+    blocks = [_block(current_algebra(lie_catalog(g), comm_catalog(a)).total, 2) for g, a in LADDER]
+    monkeypatch.setattr(linalg, "_row_step", counted)
+    kernels = [kernel_basis(d).dim for d in blocks]
+    assert kernels == [40, 18, 42, 20]
+    assert len(steps) <= 7635 // 2
+
+
 def _needed(call):
     """The cochain count a refused call reports."""
     with pytest.raises(ResourceCeilingError) as info:

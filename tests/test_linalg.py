@@ -9,6 +9,7 @@ from currentext.errors import DimensionMismatchError
 from currentext.linalg import (
     SparseMatrix,
     Subspace,
+    _peel,
     _primitive,
     _solve_rows,
     kernel_basis,
@@ -26,6 +27,7 @@ from oracles import (
     dense_matrix,
     dense_rank,
     dense_rref,
+    dense_solve_many,
     matrix_rows,
     matvec,
 )
@@ -420,3 +422,109 @@ def test_solve_many_on_mapping_right_hand_sides(to_int):
 def test_solve_many_rejects_a_mapping_row_out_of_range():
     with pytest.raises(DimensionMismatchError):
         solve_many(SparseMatrix.identity(2), [{2: 1}])
+
+
+def _matches_the_dense_oracles(dense, cols):
+    """from_spanning, kernel_basis and rank of a dense matrix, against
+    dense_rref and dense_kernel_rref."""
+    m = SparseMatrix.from_dense(dense)
+    want_pivots, want_rows = dense_rref(dense, cols)
+    sub = Subspace.from_spanning(cols, dense)
+    assert list(sub.pivots) == want_pivots
+    assert [[row.get(c, 0) for c in range(cols)] for row in sub.basis_rows()] == want_rows
+    assert rank(m) == len(want_pivots)
+    k = kernel_basis(m)
+    assert (list(k.pivots), [list(v) for v in basis_vectors(k)]) == dense_kernel_rref(dense, cols)
+
+
+def test_duplicate_and_negative_single_entry_rows_fix_one_pivot():
+    # {0: 1}, {0: -1} and {0: 1} again fix column 0 once: its pivot row is
+    # {0: 1}, and the row {0: 2, 1: 3} is struck to {1: 1}, which fixes 1
+    rows = [{0: 1}, {0: -1}, {0: 2, 1: 3}, {0: 1}, {1: -1, 2: 1}, {2: -1, 3: 4}]
+    assert _peel(rows, 4) == ([0, 1, 2, 3], [])
+    dense = [[F(0), F(0), F(0), F(0)], [F(-3), 0, 0, 0], [F(1, 2), 0, 0, 0],
+             [0, F(-1, 5), 0, 0], [0, F(2), F(4), 0], [0, 0, F(-7), F(1)], [F(5), 0, 0, 0]]
+    _matches_the_dense_oracles(dense, 4)
+    assert Subspace._from_integer_rows(4, rows) == Subspace.from_spanning(4, dense)
+
+
+def test_a_cascade_chain_fixes_every_column():
+    # each row is left with one entry once the column before it is fixed;
+    # the chain runs backwards in input order, so every link but the first
+    # is found through the column -> rows index
+    chain = [{0: 1}, {0: 1, 1: 2}, {1: 3, 2: 1}, {2: -2, 3: 5}, {3: 1, 4: 1, 5: 1}]
+    rows = chain[::-1]
+    assert _peel(rows, 6) == ([0, 1, 2, 3], [{4: 1, 5: 1}])
+    assert _peel(chain, 6) == _peel(rows, 6)
+    dense = [[row.get(c, 0) for c in range(6)] for row in rows]
+    _matches_the_dense_oracles(dense, 6)
+    # a chain that ends past stop_col leaves its last link in the remainder
+    assert _peel([{0: 1}, {0: 1, 1: 2}, {1: 3, 2: 1}], 2) == ([0, 1], [{2: 1}])
+
+
+def test_a_matrix_of_single_entry_rows_needs_no_row_step(monkeypatch):
+    from currentext import linalg
+
+    def no_step(*args):
+        raise AssertionError("a single-entry row reached a row step")
+
+    dense = [[0, F(3), 0, 0, 0], [F(-1, 2), 0, 0, 0, 0], [0, 0, 0, 0, F(7)],
+             [0, F(-2), 0, 0, 0], [0, 0, 0, 0, F(1, 3)], [0, 0, 0, 0, 0]]
+    monkeypatch.setattr(linalg, "_row_step", no_step)
+    sub = Subspace.from_spanning(5, dense)
+    assert sub.pivots == (0, 1, 4)
+    assert sub._rows == ({0: 1}, {1: 1}, {4: 1})
+    monkeypatch.undo()
+    _matches_the_dense_oracles(dense, 5)
+
+
+def test_single_entry_rows_at_the_right_hand_sides_through_solve_many():
+    # row 1 holds only x1 in every system, so x1 is fixed at zero; the zero
+    # row 3 holds only right-hand side 1, which has no solution
+    m = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 0, 0]])
+    bs = [(2, 0, 5, 0), (0, 0, 0, 3), (1, 0, F(4, 3), 0)]
+    want = [None if x is None else tuple(x) for x in dense_solve_many(dense_matrix(m), bs)]
+    assert want == [(F(2), F(0), F(3)), None, (F(1), F(0), F(1, 3))]
+    assert solve_many(m, bs) == want
+    # x0 = 0 fixed by row 0, so row 1 (x0 = 1) is struck to a lone
+    # right-hand-side entry: the system has no solution
+    m = SparseMatrix.from_dense([[1, 0], [1, 0]])
+    assert dense_solve_many(dense_matrix(m), [(0, 1)]) == [None]
+    assert solve_many(m, [(0, 1), (0, 0)]) == [None, (F(0), F(0))]
+    assert _solve_rows([{0: 1}, {0: 1, 2: 1}], 2, 1) == [None]
+
+
+@st.composite
+def _planted_singletons(draw):
+    """A sparse rational matrix, a drawn share of whose rows hold one
+    entry (duplicates and sign flips likely), in drawn order, with
+    right-hand sides in its image, arbitrary or zero."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    singles = draw(st.integers(0, rows))
+    dense = []
+    for i in range(rows):
+        row = [F(0)] * cols
+        if i < singles:
+            row[draw(st.integers(0, cols - 1))] = draw(_RATIONALS.filter(bool))
+        else:
+            for j in draw(st.sets(st.integers(0, cols - 1), max_size=3)):
+                row[j] = draw(_RATIONALS)
+        dense.append(row)
+    dense = draw(st.permutations(dense))
+    m = SparseMatrix.from_dense(dense)
+    bs = [matvec(m, draw(st.lists(_RATIONALS, min_size=cols, max_size=cols))),
+          tuple(draw(st.lists(_RATIONALS, min_size=rows, max_size=rows))),
+          (F(0),) * rows]
+    return dense, cols, m, bs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_singletons())
+def test_planted_single_entry_rows_match_the_dense_oracles(system):
+    dense, cols, m, bs = system
+    _matches_the_dense_oracles(dense, cols)
+    got = solve_many(m, bs)
+    assert got[0] is not None
+    for b, x in zip(bs, got):
+        expected = dense_canonical_solve(dense, b)
+        assert x == (None if expected is None else tuple(expected))
