@@ -175,21 +175,23 @@ def dense_solve_many(rows, rhss):
 def lie_from_matrices_reference(mats):
     """Structure entries (i, j, k, c), i < j, of the Lie algebra spanned by
     the d x d matrices mats: each commutator by the dense formula
-    [a, b][r][c] = sum_t a[r][t] b[t][c] - b[r][t] a[t][c], then its
-    coordinates in the basis mats by dense elimination.  The matrices must
-    be independent and closed under the commutator."""
+    [a, b][r][c] = sum_t a[r][t] b[t][c] - b[r][t] a[t][c], then the
+    coordinates of all of them in the basis mats by one dense elimination.
+    The matrices must be independent and closed under the commutator."""
     n, d = len(mats), len(mats[0])
     mats = [[[Fraction(x) for x in row] for row in m] for m in mats]
     span = [[mats[k][r][c] for k in range(n)] for r in range(d) for c in range(d)]
-    out = []
-    for i, j in combinations(range(n), 2):
-        a, b = mats[i], mats[j]
-        commutator = [
+    pairs = list(combinations(range(n), 2))
+    commutators = [
+        [
             sum((a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(d)), Fraction(0))
             for r in range(d)
             for c in range(d)
         ]
-        coords = dense_solve(span, commutator)
+        for a, b in ((mats[i], mats[j]) for i, j in pairs)
+    ]
+    out = []
+    for (i, j), coords in zip(pairs, dense_solve_many(span, commutators)):
         assert coords is not None, f"commutator {i}, {j} leaves the span"
         out.extend((i, j, k, x) for k, x in enumerate(coords) if x)
     return out
