@@ -66,6 +66,7 @@ import heapq
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import filterfalse
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -279,14 +280,16 @@ def _peel(int_rows, stop_col: int):
     left, it fixes that column in turn.  Such a cascade finds the rows
     to strike next through a column -> rows index, built once at the
     first cascade, so the peel stays linear in the nonzeros.  Returns
-    (fixed, rows): the fixed columns, sorted, and the other nonempty
-    rows, every fixed column struck, in input order.  A single-entry row
-    at stop_col or beyond stays in rows.  When no row fixes a column,
-    the input comes back as it is after one pass over the row lengths.
+    (fixed, rows): the fixed columns, sorted, and the other rows, every
+    fixed column struck: first the rows that met no fixed column, in
+    input order, then the struck ones.  A single-entry row at stop_col
+    or beyond stays in rows.  When no row fixes a column, the input
+    comes back as it is after one pass over the row lengths.
     """
-    fixed = {c for row in int_rows if len(row) == 1 for c in row if c < stop_col}
-    if not fixed:
+    singles = [c for row in int_rows if len(row) == 1 for c in row if c < stop_col]
+    if not singles:
         return (), int_rows
+    fixed = set(singles)
     cascade = []
 
     def strike(row):
@@ -297,14 +300,14 @@ def _peel(int_rows, stop_col: int):
             return None
         return row or None
 
-    live = []
-    for row in int_rows:
-        # a single-entry row that meets a fixed column is one that fixed it
-        if fixed.isdisjoint(row):
-            if row:
+    # filter tests every row in C; the rows it leaves out are the
+    # single-entry rows counted in singles and the rows to strike, which
+    # are listed before the first strike can add to fixed
+    live = list(filter(fixed.isdisjoint, int_rows))
+    if len(live) + len(singles) < len(int_rows):
+        for row in list(filterfalse(fixed.isdisjoint, int_rows)):
+            if len(row) > 1 and (row := strike(row)):
                 live.append(row)
-        elif len(row) > 1 and (row := strike(row)):
-            live.append(row)
     if cascade:
         index = {}
         for idx, row in enumerate(live):
@@ -315,7 +318,7 @@ def _peel(int_rows, stop_col: int):
             for idx in index.get(c, ()):
                 if (row := live[idx]) is not None and c in row:
                     live[idx] = strike(row)
-        live = [row for row in live if row is not None]
+        live = [row for row in live if row]
     return sorted(fixed), live
 
 
@@ -328,8 +331,9 @@ def _eliminate(int_rows, stop_col: int):
     deterministic: first every column that a single-entry row fixes,
     directly or once fixed columns are struck (_peel), with pivot row
     {c: 1}; then, on the rows left, the sparsest candidate of the lowest
-    leading column, ties by original order.  The fixed pivots are merged
-    into the pivot list by column.  The input rows are never mutated, so
+    leading column, ties by the order _peel returns.  The fixed pivots
+    are merged into the pivot list by column.  The input rows are never
+    mutated, so
     pivot and remainder rows may be input rows.
     """
     fixed, int_rows = _peel(int_rows, stop_col)
@@ -368,7 +372,9 @@ def _eliminate(int_rows, stop_col: int):
                 push(seq, _primitive(new))
         pivots.append((lead, prow))
     if fixed:
-        pivots = list(heapq.merge([(c, {c: 1}) for c in fixed], pivots, key=itemgetter(0)))
+        # two increasing runs: the sort merges them in one pass
+        pivots.extend((c, {c: 1}) for c in fixed)
+        pivots.sort(key=itemgetter(0))
     return pivots, remainder
 
 
