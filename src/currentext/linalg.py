@@ -333,8 +333,7 @@ def _eliminate(int_rows, stop_col: int):
     {c: 1}; then, on the rows left, the sparsest candidate of the lowest
     leading column, ties by the order _peel returns.  The fixed pivots
     are merged into the pivot list by column.  The input rows are never
-    mutated, so
-    pivot and remainder rows may be input rows.
+    mutated, so pivot and remainder rows may be input rows.
     """
     fixed, int_rows = _peel(int_rows, stop_col)
     buckets = {}
