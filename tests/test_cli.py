@@ -17,9 +17,11 @@ from currentext.cli import (
     parse_algebra_document,
     run_command,
 )
+from currentext.catalog import comm_catalog, lie_catalog
 from currentext.cohomology import CoboundaryWitness
 from currentext.current import CommAlgebra
 from currentext.errors import (
+    CatalogError,
     DocumentError,
     InternalConsistencyError,
     InvalidAlgebraError,
@@ -414,6 +416,21 @@ def test_unknown_catalog_name_is_input_error():
 ])
 def test_bad_catalog_names_are_input_errors(argv):
     assert run_command(argv).exit_code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("resolve, name, refusal", [
+    (comm_catalog, "jets:0", "bad jet order in 'jets:0'"),
+    (comm_catalog, "jets:x", "bad jet order in 'jets:x'"),
+    (comm_catalog, "fun:0", "bad point count in 'fun:0'"),
+    (comm_catalog, "fun:", "bad point count in 'fun:'"),
+    (lie_catalog, "abelian:x", "bad abelian dimension in 'abelian:x'"),
+    (lie_catalog, "abelian", "unknown Lie algebra 'abelian'"),
+    (comm_catalog, "sq2:3", "unknown commutative algebra 'sq2:3'"),
+])
+def test_catalog_refusal_messages(resolve, name, refusal):
+    with pytest.raises(CatalogError) as err:
+        resolve(name)
+    assert str(err.value) == refusal
 
 
 def test_witness_not_in_derived_algebra_exit_2():

@@ -39,6 +39,22 @@ def test_kernel_of_identity_is_zero():
     assert kernel_basis(SparseMatrix.identity(3)).dim == 0
 
 
+def test_mixed_denominators_are_held_over_their_lcm():
+    # 1/2, 1/3 and 2/3 are 3, 2 and 4 over their lcm 6; the integers over
+    # 12 share the factor 2, which is divided out, and an empty row drops
+    m = SparseMatrix(3, 3, {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 2): F(2, 3)})
+    assert m == SparseMatrix._from_integer_rows(3, 3, {0: {0: 3, 1: 2}, 1: {2: 4}}, 6)
+    assert m == SparseMatrix._from_integer_rows(3, 3, {0: {0: 6, 1: 4}, 1: {2: 8}, 2: {}}, 12)
+    assert m != SparseMatrix._from_integer_rows(3, 3, {0: {0: 3, 1: 2}, 1: {2: 4}}, 12)
+    assert m != SparseMatrix._from_integer_rows(3, 4, {0: {0: 3, 1: 2}, 1: {2: 4}}, 6)
+    expected = [(0, 0, F(1, 2)), (0, 1, F(1, 3)), (1, 2, F(2, 3))]
+    assert m.triplets() == expected
+    assert SparseMatrix._from_integer_rows(3, 3, {1: {2: 8}, 0: {1: 4, 0: 6}}, 12).triplets() == expected
+    assert all(type(value) is Fraction for _, _, value in m.triplets())
+    assert m.nnz == 3
+    assert SparseMatrix.from_rows([{0: F(1, 2), 1: F(1, 3)}, {2: F(2, 3)}, {}], 3) == m
+
+
 def test_kernel_of_zero_matrix_is_full():
     k = kernel_basis(SparseMatrix.zeros(2, 3))
     assert k.dim == 3
