@@ -100,28 +100,40 @@ def _fun(n: int) -> CommAlgebra:
     return CommAlgebra(labels, entries, unit, idempotents)
 
 
-def _lie_single(name: str) -> LieAlgebra:
-    if name == "sl2":
-        return _sl2()
-    if name == "sl3":
-        return _sl3()
-    if name == "so3":
-        return _so3()
-    if name == "heis3":
-        return _heis3()
-    if name == "sl2C":
-        return _sl2c()
-    if name == "gl2":
-        return _gl(2)
-    if name.startswith("abelian:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise CatalogError(f"bad abelian dimension in {name!r}") from None
-        if n < 0:
-            raise CatalogError(f"bad abelian dimension in {name!r}")
-        return _abelian(n)
-    raise CatalogError(f"unknown Lie algebra {name!r}")
+# name -> (builder, None, 0) for a fixed algebra, and kind ->
+# (builder, what n counts, least n) for a family named kind:n
+_LIE_TABLE = {
+    "sl2": (_sl2, None, 0),
+    "sl3": (_sl3, None, 0),
+    "so3": (_so3, None, 0),
+    "heis3": (_heis3, None, 0),
+    "sl2C": (_sl2c, None, 0),
+    "gl2": (lambda: _gl(2), None, 0),
+    "abelian": (_abelian, "abelian dimension", 0),
+}
+_COMM_TABLE = {
+    "sq2": (_sq2, None, 0),
+    "jets": (_jets, "jet order", 1),
+    "fun": (_fun, "point count", 1),
+}
+
+
+def _single(name: str, table: dict, kind: str):
+    """The algebra of one catalog name: a fixed name, or kind:n for a
+    family whose n is an integer of at least its least value."""
+    key, colon, arg = name.partition(":")
+    build, what, least = table.get(key, (None, None, 0))
+    if build is None or bool(colon) != bool(what):
+        raise CatalogError(f"unknown {kind} {name!r}")
+    if what is None:
+        return build()
+    try:
+        n = int(arg)
+    except ValueError:
+        n = least - 1
+    if n < least:
+        raise CatalogError(f"bad {what} in {name!r}")
+    return build(n)
 
 
 def lie_catalog(name: str) -> LieAlgebra:
@@ -129,30 +141,8 @@ def lie_catalog(name: str) -> LieAlgebra:
     parts = [p.strip() for p in name.split("+")]
     if not all(parts):
         raise CatalogError(f"malformed Lie algebra name {name!r}")
-    algebras = [_lie_single(p) for p in parts]
+    algebras = [_single(p, _LIE_TABLE, "Lie algebra") for p in parts]
     return algebras[0] if len(algebras) == 1 else direct_sum(*algebras)
-
-
-def _comm_single(name: str) -> CommAlgebra:
-    if name == "sq2":
-        return _sq2()
-    if name.startswith("jets:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise CatalogError(f"bad jet order in {name!r}") from None
-        if n < 1:
-            raise CatalogError(f"bad jet order in {name!r}")
-        return _jets(n)
-    if name.startswith("fun:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise CatalogError(f"bad point count in {name!r}") from None
-        if n < 1:
-            raise CatalogError(f"bad point count in {name!r}")
-        return _fun(n)
-    raise CatalogError(f"unknown commutative algebra {name!r}")
 
 
 def comm_catalog(name: str) -> CommAlgebra:
@@ -160,9 +150,9 @@ def comm_catalog(name: str) -> CommAlgebra:
     parts = [p.strip() for p in name.split("*")]
     if not all(parts):
         raise CatalogError(f"malformed commutative algebra name {name!r}")
-    out = _comm_single(parts[0])
+    out = _single(parts[0], _COMM_TABLE, "commutative algebra")
     for part in parts[1:]:
-        out = tensor_comm(out, _comm_single(part))
+        out = tensor_comm(out, _single(part, _COMM_TABLE, "commutative algebra"))
     return out
 
 

@@ -48,7 +48,7 @@ every target tuple; ce_differential runs it on every tuple or on the
 sources it is given, the weight-zero block that cohomology() solves.
 Assembly sums ints: it reads the algebra's integer bracket table, the
 structure constants scaled by the lcm of their denominators and built
-once with the algebra, and that lcm becomes the denominator of the
+once with the algebra, and that lcm becomes the one denominator of the
 matrix's integer rows, which the eliminator then reads as they are.
 Kernels, projections and representatives are then computed on sparse
 rows (see ``linalg`` for the elimination costs), and m costs only the
@@ -59,13 +59,15 @@ cochain given to Cohomology's class maps is split by weight: its
 weight-zero entries are read through the block, and d^p is applied to
 the others to check that they form a cocycle.
 
-Cochain form: Cocycle2 and OneCochain hold their values as integer
-m-tuples over one positive denominator, in lowest terms (the gcd of the
-denominator and every entry is 1), so the form is canonical and ==
-compares the stored integers.  The public constructors check and convert
-their input and scale it to that form; the package's own routines build
-cochains from integers directly, in O(nnz) with no Fraction, and divide
-by the gcd once.  Sums, negation, restriction, gluing and the twist work
+Cochain form: Cocycle2 and OneCochain share one integer form, held by
+their base _IntegerCochain: integer m-tuples over one positive
+denominator, in lowest terms (the gcd of the denominator and every entry
+is 1, linalg._content), as a SparseMatrix holds its rows.  The form is
+canonical, so == compares the coefficient dimension and the stored
+integers.  The public constructors check and convert their input and
+scale it to that form; the package's own routines build cochains from
+integers directly (_from_integers), in O(nnz) with no Fraction, and
+divide by the gcd once.  Sums, negation, restriction, gluing and the twist work
 on the integers; values, value, slot, entries and apply, and the error
 payloads, build Fractions only when they are read.
 Cocycle2.cocycle_defect evaluates d psi from the same nonzero brackets
@@ -88,7 +90,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -103,6 +105,7 @@ from .linalg import (
     Subspace,
     Vec,
     _as_fraction,
+    _content,
     _integer_rows,
     _primitive,
     _solve_rows,
@@ -277,16 +280,6 @@ def ce_differential(
     return SparseMatrix._from_integer_rows(comb(n, p + 1), len(sources), rows, den)
 
 
-def _content(den: int, values) -> int:
-    """The gcd of den and every entry of the integer tuples in values."""
-    g = den
-    for value in values:
-        if g == 1:
-            break
-        g = gcd(g, *value)
-    return g
-
-
 def _integer_tuples(values: list) -> tuple:
     """(den, ints): Fraction tuples as integer tuples over den, the lcm of
     their entries' denominators."""
@@ -298,19 +291,47 @@ def _fractions(value: tuple, den: int) -> Vec:
     return tuple(Fraction(x, den) for x in value)
 
 
-class Cocycle2:
+class _IntegerCochain:
+    """The integer form Cocycle2 and OneCochain share: integer m-tuples
+    over one positive denominator _den, in lowest terms (the gcd of _den
+    and every stored entry is 1).  The form is canonical, so == compares
+    the algebra, the coefficient dimension and the stored integers."""
+
+    __slots__ = ("parent", "coeff_dim", "_num", "_den")
+
+    @classmethod
+    def _from_integers(cls, parent: LieAlgebra, coeff_dim: int, num, den: int = 1):
+        """The cochain num / den, num keyed as the class keys its values.
+
+        The caller vouches for the input: keys in range, int m-tuples and
+        den positive.  Built in O(nnz) with no Fraction.
+        """
+        cochain = cls.__new__(cls)
+        cochain._set(parent, coeff_dim, num, den)
+        return cochain
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and same_algebra(other.parent, self.parent)
+            and other.coeff_dim == self.coeff_dim
+            and other._den == self._den
+            and other._num == self._num
+        )
+
+
+class Cocycle2(_IntegerCochain):
     """Alternating bilinear map on L with values in QQ^m.
 
     Values are stored for i < j only; i > j is derived by negation and
     the diagonal is zero, so the stored object is alternating by
     construction.  The value at (i, j) is _num[(i, j)] / _den: integer
-    m-tuples over one positive denominator, no stored tuple zero, and
-    the gcd of _den and every stored entry 1.  The form is canonical, so
-    == compares the stored integers.  values, value, slot, entries and
-    apply build Fractions when they are read.
+    m-tuples over one positive denominator in lowest terms
+    (_IntegerCochain), no stored tuple zero.  values, value, slot,
+    entries and apply build Fractions when they are read.
     """
 
-    __slots__ = ("parent", "coeff_dim", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, parent: LieAlgebra, coeff_dim: int, values=()):
         keys, checked = [], []
@@ -326,20 +347,9 @@ class Cocycle2:
         den, ints = _integer_tuples(checked)
         self._set(parent, coeff_dim, dict(zip(keys, ints)), den)
 
-    @classmethod
-    def _from_integers(cls, parent: LieAlgebra, coeff_dim: int, num: dict, den: int = 1):
-        """The cocycle with value num[(i, j)] / den at each pair.
-
-        The caller vouches for the input: increasing pairs in range, int
-        m-tuples and den positive.  Built in O(nnz) with no Fraction.
-        """
-        psi = cls.__new__(cls)
-        psi._set(parent, coeff_dim, num, den)
-        return psi
-
     def _set(self, parent, coeff_dim, num, den):
-        """Store num / den in canonical form: zero tuples dropped, num and
-        den divided by their gcd."""
+        """Store {(i, j): m-tuple} / den in canonical form: zero tuples
+        dropped, num and den divided by their gcd."""
         num = {pair: value for pair, value in num.items() if any(value)}
         g = _content(den, num.values())
         if g > 1:
@@ -416,15 +426,6 @@ class Cocycle2:
     def __sub__(self, other: "Cocycle2") -> "Cocycle2":
         return self + (-other)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cocycle2)
-            and same_algebra(other.parent, self.parent)
-            and other.coeff_dim == self.coeff_dim
-            and other._den == self._den
-            and other._num == self._num
-        )
-
     def entries(self):
         """Sorted (i, j, value tuple) triplets; canonical serialisation."""
         return [(i, j, _fractions(self._num[(i, j)], self._den)) for (i, j) in sorted(self._num)]
@@ -459,16 +460,15 @@ class Cocycle2:
         )
 
 
-class OneCochain:
+class OneCochain(_IntegerCochain):
     """Linear map L -> QQ^m given by its values on the basis.
 
-    Held as Cocycle2 holds its values: basis element i has value
-    _num[i] / _den, integer m-tuples over one positive denominator with
-    the gcd of _den and every entry 1, so == compares the integers.
-    values and apply build Fractions when they are read.
+    Held as Cocycle2 holds its values (_IntegerCochain): basis element i
+    has value _num[i] / _den.  values and apply build Fractions when they
+    are read.
     """
 
-    __slots__ = ("parent", "coeff_dim", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, parent: LieAlgebra, coeff_dim: int, values):
         values = [vector(v) for v in values]
@@ -480,19 +480,9 @@ class OneCochain:
         den, ints = _integer_tuples(values)
         self._set(parent, coeff_dim, ints, den)
 
-    @classmethod
-    def _from_integers(cls, parent: LieAlgebra, coeff_dim: int, num, den: int = 1):
-        """The 1-cochain with value num[i] / den at basis element i.
-
-        The caller vouches for the input: one int m-tuple per basis
-        element and den positive.  Built in O(dim L * m) with no Fraction.
-        """
-        beta = cls.__new__(cls)
-        beta._set(parent, coeff_dim, num, den)
-        return beta
-
     def _set(self, parent, coeff_dim, num, den):
-        """Store num / den with num and den divided by their gcd."""
+        """Store one m-tuple per basis element over den, num and den
+        divided by their gcd."""
         g = _content(den, num)
         self.parent = parent
         self.coeff_dim = coeff_dim
@@ -536,14 +526,6 @@ class OneCochain:
                     total[a] -= c * x
             table[pair] = tuple(total)
         return Cocycle2._from_integers(L, self.coeff_dim, table, bden * self._den)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneCochain)
-            and same_algebra(other.parent, self.parent)
-            and other._den == self._den
-            and other._num == self._num
-        )
 
     def __repr__(self):
         return f"OneCochain(dim L = {self.parent.dim}, coeff_dim = {self.coeff_dim})"
@@ -699,18 +681,17 @@ def cohomology(
         image = Subspace.zero(size)  # trivial coefficients: d^0 = 0
     else:
         # d^{p-1} of a weight-zero cochain has weight zero: its rows, the
-        # ranks of p-tuples, are renumbered to the columns of d^p.  Row r
-        # is ints / den_r with den_r dividing the bracket denominator, so
-        # each column times that denominator is an integer row.
+        # ranks of p-tuples, are renumbered to the columns of d^p.  The
+        # rows are integers over one denominator, so the integer columns
+        # span the image as they are.
         rank = _rank_of(L.dim, p)
         column = {rank(t): c for c, t in enumerate(cochains)}
         d_down = ce_differential(L, p - 1, ceiling=ceiling,
                                  sources=_weight_zero_tuples(weights, p - 1))
-        bden = L._integer_table[0]
         spans = [{} for _ in range(d_down.cols)]
-        for r, (den, row) in d_down._rows.items():
+        for r, row in d_down._rows.items():
             for c, value in row.items():
-                spans[c][column[r]] = value * (bden // den)
+                spans[c][column[r]] = value
         image = Subspace.from_spanning(size, spans)
     quotient = quotient_space(size, image)
     z_rows = cocycles.basis_rows()

@@ -144,10 +144,10 @@ class CommAlgebra(_StructureTable):
         # b_p b_q with a b_t-coordinate x meets each nonzero b_t b_r = b_r b_t,
         # adding to triple (p, q, r) and subtracting from triple (r, p, q)
         # on the integer table, so the totals are over den^2
-        den = self._integer_table[0]
+        den, products = self._integer_table
         nonzero = [{} for _ in range(n)]  # nonzero[p][q] = den b_p b_q
-        for (p, q), row in _both_orders(self):
-            nonzero[p][q] = row
+        for (p, q), row in products.items():
+            nonzero[p][q] = nonzero[q][p] = row
         totals = defaultdict(lambda: [0] * n)
         for p in range(n):
             for q, pq in nonzero[p].items():
@@ -186,34 +186,39 @@ class CommAlgebra(_StructureTable):
         return f"CommAlgebra(dim={self.dim}, labels={list(self.labels)})"
 
 
-def _both_orders(A: CommAlgebra) -> list:
-    """The nonzero integer products den b_p b_q of A in both orders, as
-    ((p, q), {r: int}) items in lexicographic pair order.  The maps are
-    the table's own and must not be mutated."""
-    products = A._integer_table[1]
-    mirrored = [((q, p), row) for (p, q), row in products.items() if p != q]
-    return sorted([*products.items(), *mirrored], key=lambda item: item[0])
+def _tensor_entries(left: _StructureTable, right: CommAlgebra) -> list:
+    """Entries (i * d + p, j * d + q, k * d + r, c) of the product on
+    left (x) right, d = right.dim: (b_i (x) b_p)(b_j (x) b_q) is
+    b_i b_j (x) b_p b_q.
+
+    Each stored integer product of left (i <= j) meets each nonzero
+    integer product of right in both orders, so the lower flat index
+    comes first; for i == j only p <= q.  Each flat pair and flat k * d + r
+    then arise once, so nothing is summed, and each value is the product
+    of two integers over the product of the two denominators.
+    """
+    d = right.dim
+    lden, left_products = left._integer_table
+    rden, right_products = right._integer_table
+    den = lden * rden
+    both = [*right_products.items(),
+            *(((q, p), row) for (p, q), row in right_products.items() if p != q)]
+    entries = []
+    for (i, j), left_row in left_products.items():
+        for (p, q), right_row in both:
+            if i == j and p > q:
+                continue
+            for k, a in left_row.items():
+                for r, b in right_row.items():
+                    entries.append((i * d + p, j * d + q, k * d + r, Fraction(a * b, den)))
+    return entries
 
 
 def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
     """Tensor product of commutative algebras on the product basis, the
     pair of labels a and b labelled a*b."""
     labels = [f"{a}*{b}" for a in A.labels for b in B.labels]
-    db = B.dim
-    # the nonzero integer products of A (i <= j) against those of B in both
-    # orders; for i == j only p <= q, so each flat pair appears once with
-    # its lower index first
-    aden, a_products = A._integer_table
-    den = aden * B._integer_table[0]
-    b_products = _both_orders(B)
-    entries = []
-    for (i, j), prod_a in a_products.items():
-        for (p, q), prod_b in b_products:
-            if i == j and p > q:
-                continue
-            for r, ca in prod_a.items():
-                for s, cb in prod_b.items():
-                    entries.append((i * db + p, j * db + q, r * db + s, Fraction(ca * cb, den)))
+    entries = _tensor_entries(A, B)
     unit = None
     if A.is_unital and B.is_unital:
         unit = _outer(A.unit, B.unit)
@@ -477,23 +482,8 @@ class CurrentAlgebra:
     def __init__(self, fibre: LieAlgebra, coeff: CommAlgebra):
         self.fibre = fibre
         self.coeff = coeff
-        # each nonzero integer bracket [x_i, x_j] (i < j) against each nonzero
-        # integer product b_p b_q in both orders: i < j gives flat
-        # i * da + p < j * da + q, and each (flat pair, k * da + r) arises
-        # once, so nothing is summed
-        da = coeff.dim
-        gden, brackets = fibre._integer_table
-        den = gden * coeff._integer_table[0]
-        products = _both_orders(coeff)
-        entries = sorted(
-            (i * da + p, j * da + q, k * da + r, Fraction(c * m, den))
-            for (i, j), bracket in brackets.items()
-            for (p, q), product in products
-            for k, c in bracket.items()
-            for r, m in product.items()
-        )
         labels = [f"{g}*{a}" for g in fibre.labels for a in coeff.labels]
-        self.total = LieAlgebra(labels, entries)
+        self.total = LieAlgebra(labels, _tensor_entries(fibre, coeff))
 
     @property
     def dim(self) -> int:

@@ -7,9 +7,10 @@ sparse rational matrices, so this module fixes the conventions once:
 * public values are ``fractions.Fraction`` (arbitrary precision,
   canonical reduced form with positive denominator);
 * one row form is held inside: an integer row {col: int}.  A
-  SparseMatrix holds each nonzero row in that form over one positive
-  denominator (row i is {col: int} / den), and a Subspace holds its
-  echelon rows in it;
+  SparseMatrix holds its nonzero rows in that form over one positive
+  denominator for the whole matrix (row i is {col: int} / den, in
+  lowest terms), as the structure tables and the cochains hold their
+  integers, and a Subspace holds its echelon rows in it;
 * rows are combined in one place, the row step _row_step
   (prow[col] * row - row[col] * prow), so forward elimination, back
   substitution and reduction against a subspace never leave ZZ; the
@@ -97,17 +98,19 @@ def zero_vector(n: int) -> Vec:
 
 
 class SparseMatrix:
-    """Immutable sparse rational matrix held as integer rows.
+    """Immutable sparse rational matrix held as integer rows over one
+    denominator.
 
-    A nonzero row i is stored as (den, {col: int}): its entries are
-    int / den, no stored int is zero, and den is positive and the lcm of
-    the entries' denominators, so the form is canonical.  Zero rows are
-    not stored.  The constructor takes a {(i, j): value} mapping, so no
+    Nonzero row i is stored as {col: int} in _rows[i], and its entries
+    are those ints over _den: no stored int is zero, _den is positive,
+    and the gcd of _den and every stored int is 1, so the form is
+    canonical and == compares the stored integers.  Zero rows are not
+    stored.  The constructor takes a {(i, j): value} mapping, so no
     position can be given twice.  The eliminator reads these integer
     rows as they are; triplets() returns Fractions.
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "_den")
 
     def __init__(self, rows: int, cols: int, data: Mapping = {}):  # read, never mutated
         if rows < 0 or cols < 0:
@@ -121,24 +124,33 @@ class SparseMatrix:
             value = _as_fraction(value)
             if value:
                 grouped.setdefault(i, {})[j] = value
-        self._rows = {i: _scaled_row(row) for i, row in grouped.items()}
+        # over the lcm of the reduced denominators the form is in lowest
+        # terms already: an entry with the highest power of a prime p in
+        # its denominator keeps a numerator prime to p
+        den = lcm(*[value.denominator for row in grouped.values() for value in row.values()])
+        self._den = den
+        self._rows = {
+            i: {j: value.numerator * (den // value.denominator) for j, value in row.items()}
+            for i, row in grouped.items()
+        }
 
     @classmethod
     def _from_integer_rows(cls, rows: int, cols: int, int_rows: Mapping, den: int = 1):
         """The rows x cols matrix whose row i is int_rows[i] / den.
 
         The caller vouches for the input: integer values, positions in
-        range, den positive.  Empty rows are dropped and each row is
-        brought to its canonical denominator.
+        range, den positive.  Empty rows are dropped, and the rows and
+        den are divided by their gcd.
         """
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m._rows = {}
-        for i, row in int_rows.items():
-            if row:
-                g = gcd(den, *row.values()) if den > 1 else 1
-                m._rows[i] = (den // g, {j: v // g for j, v in row.items()} if g > 1 else row)
+        int_rows = {i: row for i, row in int_rows.items() if row}
+        g = _content(den, (row.values() for row in int_rows.values()))
+        m._den = den // g
+        m._rows = int_rows if g == 1 else {
+            i: {j: v // g for j, v in row.items()} for i, row in int_rows.items()
+        }
         return m
 
     @classmethod
@@ -178,13 +190,14 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(len(row) for _, row in self._rows.values())
+        return sum(map(len, self._rows.values()))
 
     def triplets(self):
         """Sorted (row, col, value) triplets; the canonical serialisation."""
+        den = self._den
         out = []
         for i in sorted(self._rows):
-            den, row = self._rows[i]
+            row = self._rows[i]
             out.extend((i, j, Fraction(row[j], den)) for j in sorted(row))
         return out
 
@@ -192,11 +205,23 @@ class SparseMatrix:
         return (
             isinstance(other, SparseMatrix)
             and self.shape == other.shape
+            and self._den == other._den
             and self._rows == other._rows
         )
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _content(den: int, rows) -> int:
+    """The gcd of den and every int of the integer rows in rows (each an
+    iterable of ints): the factor that brings rows / den to lowest terms."""
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    return g
 
 
 def _scaled_row(row: Mapping) -> tuple:
@@ -252,7 +277,7 @@ def _integer_rows(rows: Iterable, cols: int):
 def _matrix_rows(m: SparseMatrix):
     """The nonzero rows of m as primitive integer rows, in row order."""
     rows = m._rows
-    return [_primitive(rows[i][1]) for i in sorted(rows)]
+    return [_primitive(rows[i]) for i in sorted(rows)]
 
 
 def _row_step(prow: dict, row: dict, col: int) -> dict:
@@ -531,9 +556,10 @@ def _augmented_rows(m: SparseMatrix, bs: Sequence) -> list:
             extra.setdefault(i, {})[aug + t] = value
     # row i of [m | bs] is (ints | b_i) / den: scale it by den and by the
     # lcm q of the denominators of den * b_i, then make it primitive
+    den = m._den
     rows = []
     for i in sorted(m._rows.keys() | extra.keys()):
-        den, row = m._rows.get(i, (1, {}))
+        row = m._rows.get(i, {})
         if i in extra:
             q, scaled = _scaled_row({col: den * value for col, value in extra[i].items()})
             row = {j: value * q for j, value in row.items()} | scaled

@@ -1049,6 +1049,18 @@ def test_witness_off_the_integer_lattice(name, scales):
             assert not _assert_witness_matches_reference(psi + rep).is_exact
 
 
+def test_cochains_of_other_coefficient_dimensions_differ():
+    # on abelian:0 both zero cochains store no integers at all, so only
+    # the coefficient dimension tells them apart
+    L = lie_catalog("abelian:0")
+    assert OneCochain.zero(L, 1) != OneCochain.zero(L, 2)
+    assert Cocycle2.zero(L, 1) != Cocycle2.zero(L, 2)
+    assert OneCochain.zero(L, 2) == OneCochain(L, 2, [])
+    assert Cocycle2.zero(L, 2) == Cocycle2(L, 2, {})
+    # a 1-cochain and a 2-cochain are never equal
+    assert OneCochain.zero(L, 1) != Cocycle2.zero(L, 1)
+
+
 def test_two_routes_to_one_cochain_store_the_same_integers():
     L = _off_lattice(*OFF_LATTICE[1])
     half = Cocycle2(L, 1, {(0, 1): (F(1, 2),)})
