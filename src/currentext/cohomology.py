@@ -382,6 +382,8 @@ class Cocycle2(_IntegerCochain):
 
     def slot(self, a: int) -> dict:
         """Coefficient slot a as a scalar 2-cochain {(i, j): value}."""
+        if not 0 <= a < self.coeff_dim:
+            raise IndexError(f"coefficient slot {a} out of range({self.coeff_dim})")
         den = self._den
         return {pair: Fraction(value[a], den) for pair, value in self._num.items() if value[a]}
 

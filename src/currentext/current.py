@@ -499,6 +499,8 @@ class CurrentAlgebra:
         """x (x) 1 for unital A."""
         if not self.coeff.is_unital:
             raise NonUnitalError("embedding constants requires a unital algebra")
+        if len(x) != self.fibre.dim:
+            raise DimensionMismatchError("fibre element length must match the fibre dimension")
         out = [_ZERO] * self.dim
         for i, c in enumerate(x):
             if c:
@@ -508,6 +510,10 @@ class CurrentAlgebra:
         return tuple(out)
 
     def tensor(self, x: Sequence, a: Sequence) -> Vec:
+        if len(x) != self.fibre.dim or len(a) != self.coeff.dim:
+            raise DimensionMismatchError(
+                "tensor operands must match the fibre and coefficient dimensions"
+            )
         out = [_ZERO] * self.dim
         for i, c in enumerate(x):
             if c:

@@ -102,6 +102,8 @@ class BilinearForm:
         return cls(n, 1, [[(entry,) for entry in row] for row in matrix])
 
     def value(self, i: int, j: int) -> Vec:
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"basis pair ({i}, {j}) out of range({self.dim})")
         return self.values[i][j]
 
     def symmetry_defect(self) -> Optional[tuple]:
@@ -158,6 +160,9 @@ class UniversalFormSpace:
 
     def kappa_basis(self, i: int, j: int) -> Vec:
         """kappa(b_i, b_j) in the canonical V(L) coordinates."""
+        n = self.parent.dim
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"basis pair ({i}, {j}) out of range({n})")
         return self.kappa_table[self.sym.flat(i, j)]
 
     def kappa(self, x: Sequence, y: Sequence) -> Vec:

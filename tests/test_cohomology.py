@@ -1049,6 +1049,16 @@ def test_witness_off_the_integer_lattice(name, scales):
             assert not _assert_witness_matches_reference(psi + rep).is_exact
 
 
+@pytest.mark.parametrize("a", [-1, 2, 5])
+def test_cocycle_slot_refuses_an_out_of_range_slot(a):
+    # slot(-1) used to return the last slot
+    L = lie_catalog("sl2")
+    psi = OneCochain(L, 2, [(F(1), F(0)), (F(0), F(2)), (F(3), F(-1))]).coboundary()
+    assert psi.slot(1) == {pair: value[1] for pair, value in psi.values.items() if value[1]}
+    with pytest.raises(IndexError):
+        psi.slot(a)
+
+
 def test_cochains_of_other_coefficient_dimensions_differ():
     # on abelian:0 both zero cochains store no integers at all, so only
     # the coefficient dimension tells them apart

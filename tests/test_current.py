@@ -342,6 +342,20 @@ def test_cocycle_value_refuses_an_out_of_range_pair(i, j):
         psi.value(i, j)
 
 
+def test_current_algebra_refuses_operands_of_the_wrong_length():
+    # on sl2 (x) sq2 the length-5 coefficient used to set coordinate 4,
+    # which is h*1, and a short fibre element was embedded as it was
+    ca = current_algebra(lie_catalog("sl2"), comm_catalog("sq2"))
+    assert ca.tensor([1, 0, 0], [1, 0, 0, 0]) == ca.embed_fibre([1, 0, 0])
+    for x, a in (([1, 0, 0], [1, 0, 0, 0, 1]), ([1, 0, 0], [1, 0, 0]),
+                 ([1, 0], [1, 0, 0, 0]), ([1, 0, 0, 0], [1, 0, 0, 0])):
+        with pytest.raises(DimensionMismatchError):
+            ca.tensor(x, a)
+    for x in ([1], [1, 0, 0, 0]):
+        with pytest.raises(DimensionMismatchError):
+            ca.embed_fibre(x)
+
+
 def test_idempotent_splitting_of_omega1bar():
     # fun:n tensor B splits: dim Omega1bar(fun:n * B) = n * dim Omega1bar(B)
     base = kaehler_module(comm_catalog("sq2")).dim_omega1bar

@@ -174,6 +174,19 @@ def test_kappa_rejects_an_operand_of_the_wrong_length(x):
         forms.sym.product_coords((0, 1, 0), x)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (5, 0), (0, 3)])
+def test_basis_values_refuse_an_out_of_range_pair(i, j):
+    # a negative index used to wrap to the last basis element, and
+    # kappa_basis(5, 0) raised a bare KeyError
+    forms = v_space_and_kappa(lie_catalog("sl2"))
+    form = forms.kappa_form()
+    assert form.value(2, 0) == forms.kappa_basis(2, 0)
+    with pytest.raises(IndexError):
+        form.value(i, j)
+    with pytest.raises(IndexError):
+        forms.kappa_basis(i, j)
+
+
 def test_invariance_defect_rejects_derivations_of_another_dimension():
     form = BilinearForm.from_matrix([[F(int(i == j)) for j in range(3)] for i in range(3)])
     with pytest.raises(DimensionMismatchError, match="another dimension"):
