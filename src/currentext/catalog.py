@@ -100,33 +100,25 @@ def _fun(n: int) -> CommAlgebra:
     return CommAlgebra(labels, entries, unit, idempotents)
 
 
-# name -> (builder, None, 0) for a fixed algebra, and kind ->
-# (builder, what n counts, least n) for a family named kind:n
+# one name table per kind: a fixed name maps to its builder, and a
+# family kind:n, keyed "kind:", to (builder, what n counts, least n)
 _LIE_TABLE = {
-    "sl2": (_sl2, None, 0),
-    "sl3": (_sl3, None, 0),
-    "so3": (_so3, None, 0),
-    "heis3": (_heis3, None, 0),
-    "sl2C": (_sl2c, None, 0),
-    "gl2": (lambda: _gl(2), None, 0),
-    "abelian": (_abelian, "abelian dimension", 0),
+    "sl2": _sl2, "sl3": _sl3, "so3": _so3, "heis3": _heis3, "sl2C": _sl2c,
+    "gl2": lambda: _gl(2), "abelian:": (_abelian, "abelian dimension", 0),
 }
-_COMM_TABLE = {
-    "sq2": (_sq2, None, 0),
-    "jets": (_jets, "jet order", 1),
-    "fun": (_fun, "point count", 1),
-}
+_COMM_TABLE = {"sq2": _sq2, "jets:": (_jets, "jet order", 1), "fun:": (_fun, "point count", 1)}
 
 
 def _single(name: str, table: dict, kind: str):
-    """The algebra of one catalog name: a fixed name, or kind:n for a
-    family whose n is an integer of at least its least value."""
+    """The algebra of one catalog name: a fixed name, or kind:n with n
+    an integer of at least the family's least value."""
     key, colon, arg = name.partition(":")
-    build, what, least = table.get(key, (None, None, 0))
-    if build is None or bool(colon) != bool(what):
+    entry = table.get(key + colon)
+    if entry is None:
         raise CatalogError(f"unknown {kind} {name!r}")
-    if what is None:
-        return build()
+    if not colon:
+        return entry()
+    build, what, least = entry
     try:
         n = int(arg)
     except ValueError:

@@ -145,12 +145,10 @@ class SparseMatrix:
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        int_rows = {i: row for i, row in int_rows.items() if row}
         g = _content(den, (row.values() for row in int_rows.values()))
         m._den = den // g
-        m._rows = int_rows if g == 1 else {
-            i: {j: v // g for j, v in row.items()} for i, row in int_rows.items()
-        }
+        m._rows = {i: row if g == 1 else {j: v // g for j, v in row.items()}
+                   for i, row in int_rows.items() if row}
         return m
 
     @classmethod
