@@ -67,9 +67,9 @@ canonical, so == compares the coefficient dimension and the stored
 integers.  The public constructors check and convert their input and
 scale it to that form; the package's own routines build cochains from
 integers directly (_from_integers), in O(nnz) with no Fraction, and
-divide by the gcd once.  Sums, negation, restriction, gluing and the twist work
-on the integers; values, value, slot, entries and apply, and the error
-payloads, build Fractions only when they are read.
+divide by the gcd once.  Sums, negation, restriction, gluing and the
+twist work on the integers; values, value, slot, entries and apply, and
+the error payloads, build Fractions only when they are read.
 Cocycle2.cocycle_defect evaluates d psi from the same nonzero brackets
 against the nonzero values of psi, in O(bracket nnz * n * m), without
 visiting the comb(n, 3) triples, and OneCochain.coboundary costs

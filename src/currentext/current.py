@@ -218,7 +218,6 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
     """Tensor product of commutative algebras on the product basis, the
     pair of labels a and b labelled a*b."""
     labels = [f"{a}*{b}" for a in A.labels for b in B.labels]
-    entries = _tensor_entries(A, B)
     unit = None
     if A.is_unital and B.is_unital:
         unit = _outer(A.unit, B.unit)
@@ -227,7 +226,7 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
         idempotents = [(label, _outer(e, B.unit)) for label, e in A.idempotents]
     elif A.is_unital and A.idempotents is None and B.idempotents is not None:
         idempotents = [(label, _outer(A.unit, e)) for label, e in B.idempotents]
-    return CommAlgebra(labels, entries, unit, idempotents)
+    return CommAlgebra(labels, _tensor_entries(A, B), unit, idempotents)
 
 
 def _outer(u: Vec, v: Vec) -> Vec:
