@@ -36,7 +36,11 @@ invariance_defect_reference are the former dense derivation layer: the
 n^2-unknown system, the S2 action span and the kappa projections of unit
 vectors as dense Fraction rows through the package's Subspace and
 quotient, the Killing traces of dense ad matrices, and the invariance
-sums over every r.  lie_table_reference and comm_table_reference
+sums over every r.  hochschild_one_reference and cyclic_one_reference
+compute HH_1 and HC_1 from the Hochschild and Connes complexes in
+degree one, with their own sparse elimination and no Kaehler module, as
+the references for the dimensions of Omega1 and Omega1bar that read
+no representatives.  lie_table_reference and comm_table_reference
 are the former constructor loops of the two kinds of algebra, and the
 two violations references their former mirror checks.
 
@@ -891,6 +895,93 @@ def kaehler_reference(A):
         d_basis=lambda j: d_rows[j],
         pair_class=lambda i, j: pairs[i * d + j],
     )
+
+
+def _sparse_rank(rows):
+    """Rank of {col: value} rows by incremental elimination over Fraction:
+    each row is reduced by the kept row of its lowest column until that
+    column is new, and is then kept."""
+    kept = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = kept.get(col)
+            if pivot is None:
+                kept[col] = row
+                break
+            factor = row[col] / pivot[col]
+            for c, v in pivot.items():
+                x = row.get(c, 0) - factor * v
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(kept)
+
+
+def _hochschild_degree_one(A):
+    """(cycles, boundaries) of the Hochschild complex of A in degree one.
+
+    C_1 = A (x) A on the flat pairs i * dim + j, and b: C_1 -> C_0 = A is
+    b(a (x) b) = ab - ba, so cycles is the dimension of its kernel.
+    boundaries lists b(a (x) b (x) c) = ab (x) c - a (x) bc + ca (x) b
+    for every basis triple, as {flat pair: Fraction} rows.
+    """
+    d = A.dim
+    images = []
+    for i in range(d):
+        for j in range(d):
+            row = dict(A.product_basis(i, j))
+            for k, coef in A.product_basis(j, i).items():
+                row[k] = row.get(k, 0) - coef
+            images.append(row)
+    boundaries = []
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                row = {}
+                for k, coef in A.product_basis(a, b).items():
+                    row[k * d + c] = row.get(k * d + c, 0) + coef
+                for k, coef in A.product_basis(b, c).items():
+                    row[a * d + k] = row.get(a * d + k, 0) - coef
+                for k, coef in A.product_basis(c, a).items():
+                    row[k * d + b] = row.get(k * d + b, 0) + coef
+                boundaries.append(row)
+    return d * d - _sparse_rank(images), boundaries
+
+
+def hochschild_one_reference(A):
+    """HH_1(A) from the Hochschild complex, with no Kaehler module.
+
+    HH_1 = ker(b: A (x) A -> A) / b(A (x) A (x) A), and for commutative A
+    it is Omega1 by a (x) b -> [a d(b)] (Loday, Cyclic Homology, 1992, §1.1).
+    Returns a namespace with dimension and relations, the b-boundaries
+    as {i * dim + j: Fraction} rows.  The ranks are this module's own
+    elimination.
+    """
+    cycles, boundaries = _hochschild_degree_one(A)
+    return SimpleNamespace(dimension=cycles - _sparse_rank(boundaries), relations=boundaries)
+
+
+def cyclic_one_reference(A):
+    """HC_1(A) from Connes' complex, with no Kaehler module.
+
+    Over QQ, HC_1 is the degree-one homology of C^lambda_n = A^(x)(n+1) /
+    (1 - t), t the signed cyclic shift; C^lambda_1 = A (x) A / span{a (x) b
+    + b (x) a} and C^lambda_0 = A.  b maps the cyclic relations to zero,
+    so HC_1 = ker(b) / (b-boundaries + cyclic relations), which for
+    commutative A is Omega1 / d(A) (Loday, Cyclic Homology,
+    1992, §2.1).
+    Returns a namespace with dimension and relations, the b-boundaries
+    followed by the cyclic relations a (x) b + b (x) a.
+    """
+    d = A.dim
+    cycles, boundaries = _hochschild_degree_one(A)
+    symmetric = [{i * d + j: 1} | {j * d + i: 1} if i != j else {i * d + i: 2}
+                 for i in range(d) for j in range(i, d)]
+    relations = boundaries + symmetric
+    return SimpleNamespace(dimension=cycles - _sparse_rank(relations), relations=relations)
 
 
 def module_action_reference(kaehler, a, w):

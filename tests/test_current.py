@@ -31,7 +31,9 @@ from oracles import (
     adjoin_unit_extend_reference,
     associativity_violations_reference,
     current_algebra_reference,
+    cyclic_one_reference,
     dense_rank,
+    hochschild_one_reference,
     jacobi_violations_reference,
     kaehler_reference,
     module_action_reference,
@@ -467,6 +469,38 @@ def test_module_action_matches_the_dense_reference(name, basis):
         assert module.module_action(a, w) == module_action_reference(module, a, w)
     with pytest.raises(DimensionMismatchError):
         module.module_action(A.unit, (0,) * (module.dim_omega1 + 1))
+
+
+HOCHSCHILD_CASES = ["jets:3", "sq2", "fun:2", "fun:3", "fun:2*sq2", "fun:2*jets:2",
+                    "sq2*sq2", "sq2*jets:2", "jets:2*jets:3"]
+
+
+@pytest.mark.parametrize("name", HOCHSCHILD_CASES)
+def test_degree_one_hochschild_and_cyclic_homology_are_the_kaehler_spaces(name):
+    # HH_1 = Omega1 and HC_1 = Omega1bar, read from the complexes alone
+    A = comm_catalog(name)
+    module = kaehler_module(A)
+    hh, hc = hochschild_one_reference(A), cyclic_one_reference(A)
+    assert hh.dimension == module.dim_omega1
+    assert hc.dimension == module.dim_omega1bar
+    # a (x) b -> [a d(b)], read through one_form and bar, kills every
+    # b-boundary (in Omega1) and every cyclic relation (in Omega1bar), and
+    # is onto both spaces, so it induces the isomorphisms
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    forms = [module.one_form(a, b) for a in basis for b in basis]
+    bars = [module.bar(w) for w in forms]
+
+    def image(row, vectors, size):
+        out = [F(0)] * size
+        for flat, coef in row.items():
+            for t, x in enumerate(vectors[flat]):
+                out[t] += coef * x
+        return out
+
+    assert not any(any(image(row, forms, module.dim_omega1)) for row in hh.relations)
+    assert not any(any(image(row, bars, module.dim_omega1bar)) for row in hc.relations)
+    assert dense_rank(forms) == module.dim_omega1
+    assert dense_rank(bars) == module.dim_omega1bar
 
 
 def test_current_algebra_dims_and_validity():

@@ -374,6 +374,25 @@ def test_sparse_and_dense_vectors_agree():
         assert rref_with_transform(sparse_vectors, n) == rref_with_transform(dense_vectors, n)
 
 
+def test_project_reads_an_integer_mapping_its_fractions_and_its_dense_form_alike():
+    rng = random.Random(25)
+    for m in _oracle_matrices():
+        n = m.cols
+        q = quotient_space(n, Subspace.from_spanning(n, matrix_rows(m)))
+        vectors = [{t: 1} for t in range(n)] + [
+            {j: rng.choice([-4, -1, 2, 3, 7]) for j in rng.sample(range(n), rng.randint(0, n))}
+            for _ in range(4)
+        ]
+        for ints in vectors:
+            fractions = {j: F(x) for j, x in ints.items()}
+            dense = q.project([F(ints.get(j, 0)) for j in range(n)])
+            assert len(dense) == q.dim
+            projected = q.project(ints)
+            assert projected == q.project(fractions) == {t: x for t, x in enumerate(dense) if x}
+            assert list(projected) == sorted(projected)
+            assert all(type(x) is F for x in (*projected.values(), *dense))
+
+
 def test_contains_reads_the_reduced_values():
     # a reduced mapping is keyed by columns, and column 0 is falsy
     zero = Subspace.zero(2)
