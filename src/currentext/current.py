@@ -17,7 +17,12 @@ with LieAlgebra (lie._StructureTable): one sparse table for i <= j,
 mirrored with sign +1, of integers over one denominator.  The tensor
 products, current algebras, validation, Kaehler relations and the
 connection twist all multiply those integers, and divide by the
-denominators once.
+denominators once.  The Kaehler classes [b_i d(b_j)] and d(b_j), and
+kappa (invariants.UniversalFormSpace), are held in the same form,
+integer rows over one denominator read off the echelon rows
+(linalg.QuotientSpace._coordinates), so omega, the twist and the
+module action sum integers end to end and build Fractions only where a
+public accessor reads a value.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ from .linalg import (
     Subspace,
     Vec,
     _as_fraction,
+    _dense,
+    _entries,
+    _over_lcm,
+    _scaled_row,
     quotient_space,
     rank,
     vector,
@@ -245,21 +254,24 @@ class KaehlerModule:
 
     Tensor coordinates index pairs (i, j) = b_i (x) d(b_j) flattened as
     i * dim + j; the first slot is the module coefficient.  ``classes``
-    are the product classes of the basis (see kaehler_module); the class
-    [b_i d(b_j)] is stored sparsely, and only when it is nonzero, which
-    needs b_i and b_j in one product class.
+    are the product classes of the basis (see kaehler_module).  The
+    classes [b_i d(b_j)] are held as integer rows over one denominator,
+    _pairs = (den, {(i, j): {t: int}}), stored only when nonzero, which
+    needs b_i and b_j in one product class; _d_table = (den, rows) holds
+    d(b_j) the same way.  pair_class, one_form, d, d_basis and
+    module_action sum integers and build Fractions when they are read.
     """
 
     __slots__ = ("parent", "classes", "omega1", "omega1bar", "_pairs", "_d_table")
 
     def __init__(self, parent: CommAlgebra, classes, omega1: QuotientSpace,
-                 omega1bar: QuotientSpace, pairs: dict, d_table):
+                 omega1bar: QuotientSpace, pairs: tuple, d_table: tuple):
         self.parent = parent
         self.classes = tuple(tuple(members) for members in classes)
         self.omega1 = omega1
         self.omega1bar = omega1bar
         self._pairs = pairs
-        self._d_table = tuple(d_table)
+        self._d_table = d_table
 
     @property
     def dim_omega1(self) -> int:
@@ -280,28 +292,23 @@ class KaehlerModule:
         d = self.parent.dim
         if not (0 <= i < d and 0 <= j < d):
             raise IndexError(f"basis pair ({i}, {j}) out of range({d})")
-        out = [_ZERO] * self.dim_omega1
-        for t, value in self._pairs.get((i, j), {}).items():
-            out[t] = value
-        return tuple(out)
+        den, pairs = self._pairs
+        return _dense(pairs.get((i, j), {}), den, self.dim_omega1)
 
     def one_form(self, a: Sequence, b: Sequence) -> Vec:
         """[a d(b)] in Omega1 coordinates."""
         self._check_length(a, "one-form coefficient")
         self._check_length(b, "one-form argument")
-        out = [_ZERO] * self.dim_omega1
-        nz_b = [(j, _as_fraction(y)) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            x = _as_fraction(x)
-            for j, y in nz_b:
-                pair = self._pairs.get((i, j))
-                if pair:
-                    coef = x * y
-                    for t, v in pair.items():
-                        out[t] += coef * v
-        return tuple(out)
+        d = self.parent.dim
+        aden, a = _scaled_row(_entries(a, d))
+        bden, b = _scaled_row(_entries(b, d))
+        den, pairs = self._pairs
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                for t, value in pairs.get((i, j), {}).items():
+                    out[t] = out.get(t, 0) + x * y * value
+        return _dense(out, den * aden * bden, self.dim_omega1)
 
     def d(self, a: Sequence) -> Vec:
         if not self.parent.is_unital:
@@ -311,34 +318,45 @@ class KaehlerModule:
     def d_basis(self, j: int) -> Vec:
         if not 0 <= j < self.parent.dim:
             raise IndexError(f"basis index {j} out of range({self.parent.dim})")
-        return self._d_table[j]
+        den, rows = self._d_table
+        return _dense(rows[j], den, self.dim_omega1)
+
+    def _act(self, r: int, col: int) -> dict:
+        """b_r . [b_i d(b_j)] for representative column col = i * dim + j,
+        as an integer row over the pairs' denominator times A's:
+        b_r [b_i d(b_j)] = sum_s (b_r b_i)_s [b_s d(b_j)], summed from the
+        integer product table and the sparse pair table."""
+        i, j = divmod(col, self.parent.dim)
+        _, products = self.parent._integer_table
+        pairs = self._pairs[1]
+        out = {}
+        for s, c in products.get((r, i) if r <= i else (i, r), {}).items():
+            for t, value in pairs.get((s, j), {}).items():
+                out[t] = out.get(t, 0) + c * value
+        return {t: x for t, x in out.items() if x}
 
     def module_action(self, a: Sequence, w: Sequence) -> Vec:
         """First-slot action of a on an Omega1 element.
 
         Coordinate t of w is the class [b_i d(b_j)] of representative
-        column i * dim + j, and a . [b_i d(b_j)] = sum_r (a b_i)_r
-        [b_r d(b_j)] is read from the sparse pair table.
+        column i * dim + j, and a . [b_i d(b_j)] = sum_r a_r (b_r . [b_i d(b_j)])
+        is summed from _act.
         """
         self._check_length(a, "acting element")
         if len(w) != self.dim_omega1:
             raise DimensionMismatchError(
                 f"Omega1 element has length {len(w)}, Omega1 has dimension {self.dim_omega1}"
             )
-        d = self.parent.dim
-        den, products = self.parent._integer_table
-        nz_a = [(k, _as_fraction(x)) for k, x in enumerate(a) if x]
-        out = [_ZERO] * self.dim_omega1
-        for col, coef in zip(self.omega1.rep_cols, w):
-            if not coef:
-                continue
-            i, j = divmod(col, d)
-            coef = _as_fraction(coef)
-            for k, x in nz_a:
-                for r, c in products.get((k, i) if k <= i else (i, k), {}).items():
-                    for t, value in self._pairs.get((r, j), {}).items():
-                        out[t] += x * c * coef * value
-        return tuple(x / den for x in out)
+        aden, a = _scaled_row(_entries(a, self.parent.dim))
+        wden, w = _scaled_row(_entries(w, self.dim_omega1))
+        out = {}
+        for q, coef in w.items():
+            col = self.omega1.rep_cols[q]
+            for r, x in a.items():
+                for t, value in self._act(r, col).items():
+                    out[t] = out.get(t, 0) + x * coef * value
+        den = self.parent._integer_table[0] * self._pairs[0] * aden * wden
+        return _dense(out, den, self.dim_omega1)
 
     def bar(self, w: Sequence) -> Vec:
         """Class of an Omega1 element in Omega1bar."""
@@ -450,27 +468,27 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
                         add(row, k * d + a, -coef)
                     relations.append(row)
     omega1 = quotient_space(ambient, Subspace._from_integer_rows(ambient, relations))
-    # [b_i d(b_j)] for the pairs inside one class, in lexicographic order
-    pairs = {}
+    # [b_i d(b_j)] for the pairs inside one class, in lexicographic order,
+    # each read off the echelon rows, then brought over one denominator
+    units = {}
     for i in range(d):
         for j in classes[class_of[i]]:
-            pair = omega1.project({i * d + j: _ONE})
+            lead, pair = omega1._coordinates({i * d + j: 1})
             if pair:
-                pairs[(i, j)] = pair
-    # d(b_j) = sum_i u_i [b_i d(b_j)] in omega1 coordinates
+                units[(i, j)] = (lead, pair)
+    den, pairs = _over_lcm(units)
+    # d(b_j) = sum_i u_i [b_i d(b_j)], the unit scaled to integers over uden
+    uden, unit = _scaled_row({i: u for i, u in enumerate(A.unit) if u})
     d_rows = []
     for j in range(d):
-        row = [_ZERO] * omega1.dim
+        row = {}
         for i in classes[class_of[j]]:
-            u = A.unit[i]
-            if u:
+            if i in unit:
                 for t, value in pairs.get((i, j), {}).items():
-                    row[t] += u * value
-        d_rows.append(tuple(row))
-    omega1bar = quotient_space(
-        omega1.dim, Subspace.from_spanning(omega1.dim, d_rows)
-    )
-    return KaehlerModule(A, classes, omega1, omega1bar, pairs, d_rows)
+                    row[t] = row.get(t, 0) + unit[i] * value
+        d_rows.append({t: x for t, x in row.items() if x})
+    omega1bar = quotient_space(omega1.dim, Subspace._from_integer_rows(omega1.dim, d_rows))
+    return KaehlerModule(A, classes, omega1, omega1bar, (den, pairs), (den * uden, d_rows))
 
 
 class CurrentAlgebra:
@@ -613,8 +631,9 @@ def adjoin_unit_extend(
                     raise NotDiagonalError((fi, fj))
         lambdas = [_local_unit(A, A.basis_vector(p)) for p in range(n)]
     # the local units as integer rows over one denominator
-    lden, rows = _sparse_integers(lambdas)
-    lam_rows = [dict(row) for row in rows]
+    lden, lam_rows = _over_lcm({
+        p: _scaled_row({q: x for q, x in enumerate(lam) if x}) for p, lam in enumerate(lambdas)
+    })
     m = psi.coeff_dim
     zero = (0,) * m
     table = {}
@@ -640,18 +659,6 @@ def adjoin_unit_extend(
             add(b, current_plus.flat(i, 0), -lam_rows[q][p], value)
     psi_plus = Cocycle2._from_integers(current_plus.total, m, table, lden * psi._den)
     return UnitExtension(A_plus, embed, psi_plus, current_plus)
-
-
-def _sparse_integers(vectors) -> tuple:
-    """(den, rows): the nonzero entries of each Fraction vector, dense or
-    an index -> value dict in index order, as (index, den * value) pairs,
-    den the lcm of all their denominators."""
-    rows = [
-        [(u, x) for u, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x]
-        for vec in vectors
-    ]
-    den = lcm(*{x.denominator for row in rows for _, x in row})
-    return den, [[(u, x.numerator * (den // x.denominator)) for u, x in row] for row in rows]
 
 
 class UniversalCocycle:
@@ -692,16 +699,18 @@ def universal_cocycle(g: LieAlgebra, A: CommAlgebra) -> UniversalCocycle:
         note = "Omega1bar = 0: the universal cocycle is the zero cocycle"
     # pairs in different product classes have [b_p d(b_q)] = 0; the
     # stored pairs keep the lexicographic order of the loop they replace.
-    # kappa and the bar classes are kept as their nonzero entries, scaled
-    # to integers, and omega is built in the cochains' integer form
-    bden, rows = _sparse_integers([kaehler.bar_pair(p, q) for p, q in kaehler._pairs])
-    bar_table = {pair: row for pair, row in zip(kaehler._pairs, rows) if row}
-    fibre_pairs = [(i, j) for i in range(g.dim) for j in range(i, g.dim)]
-    kden, rows = _sparse_integers([forms.kappa_basis(i, j) for i, j in fibre_pairs])
-    # a flat pair fi < fj always has fibre indices i <= j, so each stored
-    # value is read off the formula directly
+    # The integer pair rows are projected to Omega1bar as they are, and
+    # omega sums the integer bar classes and kappa rows in the cochains'
+    # integer form
+    pden, pairs = kaehler._pairs
+    bden, bars = _over_lcm({pair: kaehler.omega1bar._coordinates(row)
+                            for pair, row in pairs.items()})
+    bar_table = {pair: row for pair, row in bars.items() if row}
+    kden, kappa = forms._kappa
+    # a flat pair fi < fj always has fibre indices i <= j, the order of
+    # forms.sym.pairs, so each stored value is read off the formula directly
     table = {}
-    for (i, j), kap in zip(fibre_pairs, rows):
+    for (i, j), kap in zip(forms.sym.pairs, kappa):
         if not kap:
             continue
         for (p, q), bar in bar_table.items():
@@ -709,11 +718,11 @@ def universal_cocycle(g: LieAlgebra, A: CommAlgebra) -> UniversalCocycle:
             if fi >= fj:
                 continue
             value = [0] * m
-            for t, kv in kap:
-                for u, bv in bar:
+            for t, kv in kap.items():
+                for u, bv in bar.items():
                     value[t * w + u] = kv * bv
             table[(fi, fj)] = tuple(value)
-    cocycle = Cocycle2._from_integers(current.total, m, table, kden * bden)
+    cocycle = Cocycle2._from_integers(current.total, m, table, kden * bden * pden)
     return UniversalCocycle(current, forms, kaehler, cocycle, note)
 
 
@@ -782,8 +791,8 @@ def twist_difference(
     - N[t][r] = [b_r . w_t] in Omega1bar, for each Omega1 coordinate t
       that xi uses and each basis element b_r of A.  w_t is [b_i d(b_j)]
       for its representative column i * dim A + j, and
-      b_r [b_i d(b_j)] = sum_s (b_r b_i)_s [b_s d(b_j)] is summed from the
-      sparse pair table and projected as a sparse mapping;
+      b_r [b_i d(b_j)] is the integer row KaehlerModule._act returns,
+      projected to Omega1bar as it is (QuotientSpace._coordinates);
     - B[b][t] = sum_c coef kappa(z_c, x_b), for each fibre index b;
     - K[a, b][t] = sum_c coef sum_k [z_c, x_b]_k kappa(x_a, x_k), for each
       fibre pair (a, b) that some bracket reaches; B and K hold vectors of
@@ -793,12 +802,13 @@ def twist_difference(
     tau(x_a (x) b_p, x_b (x) b_q) = sum_r (b_p b_q)_r sum_t K[a, b][t] (x) N[t][r].
 
     All of it is integer arithmetic.  The products of A and the brackets
-    of g are their integer tables, and N, summed from A's, carries A's
-    denominator too; N keeps only its nonzero entries, and N, kappa and
-    the coefficients of xi are each scaled by the lcm of their
-    denominators.  tau and beta are built in the cochains' integer form
-    over the product of those denominators, and no Fraction is built
-    after N and kappa are read.
+    of g are their integer tables, kappa is UniversalFormSpace._kappa,
+    and N, summed from A's products and the integer pair classes,
+    carries both their denominators and the lcm of its projections' own;
+    N keeps only its nonzero entries, and the coefficients of xi are
+    scaled by the lcm of their denominators.  tau and beta are built in
+    the cochains' integer form over the product of those denominators,
+    and no Fraction is built but the coefficients of xi.
     """
     uc = _universal_cocycle_on(g, A, uc)
     forms, kaehler, current = uc.forms, uc.kaehler, uc.current
@@ -809,20 +819,16 @@ def twist_difference(
     n, da = g.dim, A.dim
 
     aden, products = A._integer_table
+    pden = kaehler._pairs[0]
     used = sorted({t for _, t in xi.entries})
-    bars = []  # aden [b_r . w_t]
-    for t in used:
-        i, j = divmod(kaehler.omega1.rep_cols[t], da)
-        for r in range(da):
-            moved = {}
-            for s, c in products.get((r, i) if r <= i else (i, r), {}).items():
-                for u, value in kaehler._pairs.get((s, j), {}).items():
-                    moved[u] = moved.get(u, 0) + c * value
-            bars.append(kaehler.omega1bar.project(moved))
-    nden, rows = _sparse_integers(bars)
-    N = {t: rows[x * da:(x + 1) * da] for x, t in enumerate(used)}
-    kden, rows = _sparse_integers([forms.kappa_basis(i, j) for i in range(n) for j in range(n)])
-    kappa = [rows[i * n:(i + 1) * n] for i in range(n)]
+    # N over nden aden pden: each b_r . w_t is projected to Omega1bar as
+    # the integer row _act returns
+    rep_cols = kaehler.omega1.rep_cols
+    nden, bars = _over_lcm({(t, r): kaehler.omega1bar._coordinates(kaehler._act(r, rep_cols[t]))
+                            for t in used for r in range(da)})
+    N = {t: [bars[(t, r)] for r in range(da)] for t in used}
+    kden, krows = forms._kappa
+    kappa = [[krows[forms.sym.flat(i, j)] for j in range(n)] for i in range(n)]
     xden = lcm(*{coef.denominator for coef in xi.entries.values()})
     gden, brackets = g._integer_table
     ad = [{} for _ in range(n)]  # ad[c][b] = gden [z_c, x_b] as (k, int) pairs
@@ -833,7 +839,7 @@ def twist_difference(
     def accumulate(table, key, t, kap, scale):
         if kap:
             total = table.setdefault(key, {}).setdefault(t, [0] * v)
-            for s, x in kap:
+            for s, x in kap.items():
                 total[s] += scale * x
 
     # B is scaled by xden kden, K by xden gden kden
@@ -854,14 +860,14 @@ def twist_difference(
             if bar:
                 for s, kv in enumerate(kap):
                     if kv:
-                        for u, bv in bar:
+                        for u, bv in bar.items():
                             out[s * w + u] += kv * bv
         return out
 
     beta = OneCochain._from_integers(
         current.total, m,
         [tuple(fold(B.get(b, {}), q)) for b in range(n) for q in range(da)],
-        xden * kden * nden * aden,
+        xden * kden * nden * pden * aden,
     )
     folded = {
         pair: [[(idx, x) for idx, x in enumerate(fold(parts, r)) if x] for r in range(da)]
@@ -886,7 +892,7 @@ def twist_difference(
                     if any(total):
                         table[(fi, fj)] = tuple(total)
     tau = Cocycle2._from_integers(current.total, m, table,
-                                  xden * gden * kden * nden * aden * aden)
+                                  xden * gden * kden * nden * pden * aden * aden)
     if tau != beta.coboundary():
         raise InternalConsistencyError("twist difference is not the coboundary of its primitive")
     return TwistResult(tau, beta)

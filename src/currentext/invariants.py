@@ -10,12 +10,15 @@ through kappa, and factor_through computes that factorisation.
 Everything up to the quotient is integer.  Each generator D.(b_i . b_j)
 of the action span is a sparse integer row formed from the nonzero
 entries of the integer derivation columns (DerivationSpace._columns),
-and the rows reach the eliminator as they are.  kappa_table is read off
-the echelon rows of that span (QuotientSpace.project_units), with no
-reduction per basis pair.  BilinearForm.invariance_defect sums integers
-over the nonzero entries of each derivation.  The public values (kappa,
-kappa_table, the dense derivation basis, FactorMap) stay Fractions, and
-every operand length is checked (DimensionMismatchError).
+and the rows reach the eliminator as they are.  kappa on the symmetric
+basis is read off the echelon rows of that span, one unit vector at a
+time (QuotientSpace._coordinates), and kept as integer rows over one
+denominator; factor_through solves against those rows as they are.
+BilinearForm.invariance_defect sums integers over the nonzero entries
+of each derivation.  The public values (kappa, kappa_table,
+kappa_basis, the dense derivation basis, FactorMap) stay Fractions,
+built when they are read, and every operand length is checked
+(DimensionMismatchError).
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .linalg import (
     Subspace,
     Vec,
     _as_fraction,
+    _dense,
+    _over_lcm,
     quotient_space,
     rank,
     solve_many,
@@ -143,27 +148,43 @@ class BilinearForm:
 
 
 class UniversalFormSpace:
-    """V(L) together with the universal form kappa."""
+    """V(L) together with the universal form kappa.
 
-    __slots__ = ("parent", "sym", "ders", "v_space", "kappa_table")
+    _kappa holds kappa on the symmetric basis as integer rows over one
+    denominator, (den, rows): rows[t] / den is kappa of symmetric pair t,
+    read off the echelon rows of the action span (QuotientSpace.
+    _coordinates).  kappa_table and kappa_basis build Fractions when
+    they are read.
+    """
+
+    __slots__ = ("parent", "sym", "ders", "v_space", "_kappa")
 
     def __init__(self, parent, sym, ders, v_space):
         self.parent = parent
         self.sym = sym
         self.ders = ders
         self.v_space = v_space
-        self.kappa_table = v_space.project_units()
+        den, rows = _over_lcm({t: v_space._coordinates({t: 1}) for t in range(sym.dim)})
+        self._kappa = (den, list(rows.values()))
 
     @property
     def dim(self) -> int:
         return self.v_space.dim
+
+    @property
+    def kappa_table(self) -> tuple:
+        """kappa of every symmetric basis pair, in SymSquare order, as
+        Fraction tuples in the canonical V(L) coordinates."""
+        den, rows = self._kappa
+        return tuple(_dense(row, den, self.dim) for row in rows)
 
     def kappa_basis(self, i: int, j: int) -> Vec:
         """kappa(b_i, b_j) in the canonical V(L) coordinates."""
         n = self.parent.dim
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"basis pair ({i}, {j}) out of range({n})")
-        return self.kappa_table[self.sym.flat(i, j)]
+        den, rows = self._kappa
+        return _dense(rows[self.sym.flat(i, j)], den, self.dim)
 
     def kappa(self, x: Sequence, y: Sequence) -> Vec:
         return self.v_space.project(self.sym.product_coords(x, y))
@@ -272,7 +293,8 @@ def factor_through(F: UniversalFormSpace, beta: BilinearForm) -> FactorMap:
     w = beta.target_dim
     # kappa values on the symmetric basis span V, so K has full column rank
     # and the canonical solve is the unique solution.
-    kappa_rows = SparseMatrix.from_dense(F.kappa_table) if F.sym.dim else SparseMatrix.zeros(0, v)
+    den, rows = F._kappa
+    kappa_rows = SparseMatrix._from_integer_rows(F.sym.dim, v, dict(enumerate(rows)), den)
     values = [beta.value(*pair) for pair in F.sym.pairs]
     matrix = solve_many(kappa_rows, [tuple(value[a] for value in values) for a in range(w)])
     if None in matrix:

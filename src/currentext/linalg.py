@@ -32,8 +32,13 @@ nonzeros it touches, and a Fraction is built only where a public
 accessor reads a value, one per output entry.  The accessors that build
 Fractions are SparseMatrix.triplets, Subspace.basis_rows (and
 basis_matrix, built from them), Subspace.reduce, the QuotientSpace
-coordinates (project, project_units, lift), the solutions of solve_many
-and solve_linear, and the rows of rref_with_transform.  A matrix's
+coordinates (project, lift), the solutions of solve_many and
+solve_linear, and the rows of rref_with_transform.  Quotient
+coordinates are read off the echelon rows once, by
+QuotientSpace._coordinates: an integer row over one denominator, from
+Subspace._residue, which project turns into Fractions and which a
+caller that wants integers (the Kaehler classes, kappa) reads as it
+is; _over_lcm brings such rows over one denominator.  A matrix's
 integer rows go to the eliminator as they are, divided by their gcd
 when it is not 1.  Values that cross the public boundary are scaled to
 integer rows over one denominator (int entries are taken as they are):
@@ -229,6 +234,22 @@ def _scaled_row(row: Mapping) -> tuple:
     if den == 1:
         return 1, {j: value.numerator for j, value in row.items()}
     return den, {j: value.numerator * (den // value.denominator) for j, value in row.items()}
+
+
+def _over_lcm(rows: Mapping) -> tuple:
+    """(den, {key: row}) for a key -> (lead, integer row) mapping: every
+    row / lead brought over den, the lcm of the leads."""
+    den = lcm(*[lead for lead, _ in rows.values()])
+    return den, {key: row if lead == den else {c: value * (den // lead) for c, value in row.items()}
+                 for key, (lead, row) in rows.items()}
+
+
+def _dense(row: Mapping, den: int, n: int) -> Vec:
+    """The length-n Fraction tuple of an integer row {col: int} over den."""
+    out = [_ZERO] * n
+    for col, value in row.items():
+        out[col] = Fraction(value, den)
+    return tuple(out)
 
 
 def _primitive(row: dict) -> dict:
@@ -494,10 +515,7 @@ class Subspace:
         den, out = self._residue(v)
         if isinstance(v, Mapping):
             return {col: Fraction(value, den) for col, value in out.items()}
-        dense = [_ZERO] * self.ambient_dim
-        for col, value in out.items():
-            dense[col] = Fraction(value, den)
-        return dense
+        return list(_dense(out, den, self.ambient_dim))
 
     def contains(self, v) -> bool:
         return not self._residue(v)[1]
@@ -653,40 +671,23 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.rep_cols)
 
+    def _coordinates(self, v) -> tuple:
+        """(den, {coordinate: int}): the quotient coordinates of v as an
+        integer row over den, in coordinate order, read off
+        Subspace._residue.  Representative column c is coordinate
+        c - #{pivots < c}; a unit vector {t: 1} takes at most one row
+        step, with the echelon row of pivot t."""
+        den, out = self.subspace._residue(v)
+        pivots = self.subspace.pivots
+        return den, {c - bisect_left(pivots, c): value for c, value in sorted(out.items())}
+
     def project(self, v):
         """Quotient coordinates of v: a tuple for a dense vector, a
         coordinate -> value dict for a column -> value mapping."""
-        reduced = self.subspace.reduce(v)
-        if isinstance(reduced, dict):
-            # representative column c is quotient coordinate c - #{pivots < c}
-            pivots = self.subspace.pivots
-            return {
-                c - bisect_left(pivots, c): value
-                for c, value in sorted(reduced.items())
-            }
-        return tuple(reduced[c] for c in self.rep_cols)
-
-    def project_units(self) -> tuple:
-        """project(e_t) for every unit vector e_t of the ambient space, in
-        order, read off the echelon rows: a representative column is a
-        unit coordinate, and pivot column t of echelon row R maps to
-        -R[c] / R[t] on each representative column c of R, since R is
-        zero on the other pivot columns."""
-        position = {c: q for q, c in enumerate(self.rep_cols)}
-        rows = dict(zip(self.subspace.pivots, self.subspace._rows))
-        out = []
-        for t in range(self.ambient_dim):
-            coords = [_ZERO] * len(position)
-            row = rows.get(t)
-            if row is None:
-                coords[position[t]] = Fraction(1)
-            else:
-                lead = row[t]
-                for c, value in row.items():
-                    if c != t:
-                        coords[position[c]] = Fraction(-value, lead)
-            out.append(tuple(coords))
-        return tuple(out)
+        den, coords = self._coordinates(v)
+        if isinstance(v, Mapping):
+            return {q: Fraction(value, den) for q, value in coords.items()}
+        return _dense(coords, den, self.dim)
 
     def lift(self, q: Sequence) -> Vec:
         if len(q) != self.dim:
