@@ -280,7 +280,7 @@ def ce_differential(
     return SparseMatrix._from_integer_rows(comb(n, p + 1), len(sources), rows, den)
 
 
-def _integer_tuples(values: list) -> tuple:
+def _integer_tuples(values) -> tuple:
     """(den, ints): Fraction tuples as integer tuples over den, the lcm of
     their entries' denominators."""
     den = lcm(*{x.denominator for value in values for x in value})
@@ -334,18 +334,19 @@ class Cocycle2(_IntegerCochain):
     __slots__ = ()
 
     def __init__(self, parent: LieAlgebra, coeff_dim: int, values=()):
-        keys, checked = [], []
+        checked = {}
         items = values.items() if hasattr(values, "items") else values
         for (i, j), value in items:
             if not (0 <= i < j < parent.dim):
                 raise ValueError(f"cocycle table key ({i}, {j}) must satisfy i < j")
+            if (i, j) in checked:
+                raise ValueError(f"duplicate cocycle table key ({i}, {j})")
             value = vector(value)
             if len(value) != coeff_dim:
                 raise DimensionMismatchError("cocycle value has wrong coefficient length")
-            keys.append((i, j))
-            checked.append(value)
-        den, ints = _integer_tuples(checked)
-        self._set(parent, coeff_dim, dict(zip(keys, ints)), den)
+            checked[(i, j)] = value
+        den, ints = _integer_tuples(checked.values())
+        self._set(parent, coeff_dim, dict(zip(checked, ints)), den)
 
     def _set(self, parent, coeff_dim, num, den):
         """Store {(i, j): m-tuple} / den in canonical form: zero tuples

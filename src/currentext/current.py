@@ -750,10 +750,10 @@ class GValuedOneForm:
         for (i, t), value in items:
             if not (0 <= i < fibre_dim and 0 <= t < omega1_dim):
                 raise ValueError(f"one-form entry ({i}, {t}) out of range")
-            value = _as_fraction(value)
-            if value:
-                table[(i, t)] = value
-        self.entries = table
+            if (i, t) in table:
+                raise ValueError(f"duplicate one-form entry ({i}, {t})")
+            table[(i, t)] = _as_fraction(value)
+        self.entries = {key: value for key, value in table.items() if value}
 
     @classmethod
     def zero(cls, fibre_dim: int, omega1_dim: int) -> "GValuedOneForm":

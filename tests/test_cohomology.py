@@ -1071,6 +1071,15 @@ def test_cochains_of_other_coefficient_dimensions_differ():
     assert OneCochain.zero(L, 1) != Cocycle2.zero(L, 1)
 
 
+def test_a_repeated_cocycle_key_is_refused():
+    # the later value used to win silently
+    L = lie_catalog("heis3")
+    with pytest.raises(ValueError, match=r"duplicate cocycle table key \(0, 1\)"):
+        Cocycle2(L, 1, [((0, 1), (1,)), ((0, 1), (2,))])
+    with pytest.raises(ValueError, match=r"duplicate cocycle table key \(0, 2\)"):
+        Cocycle2(L, 1, [((0, 2), (0,)), ((1, 2), (1,)), ((0, 2), (0,))])
+
+
 def test_two_routes_to_one_cochain_store_the_same_integers():
     L = _off_lattice(*OFF_LATTICE[1])
     half = Cocycle2(L, 1, {(0, 1): (F(1, 2),)})

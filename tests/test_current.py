@@ -471,6 +471,15 @@ def test_module_action_matches_the_dense_reference(name, basis):
         module.module_action(A.unit, (0,) * (module.dim_omega1 + 1))
 
 
+def test_a_repeated_one_form_entry_is_refused():
+    # a later zero used to be dropped while a later nonzero value won
+    for entries in ([((0, 0), 1), ((0, 0), 0)], [((0, 0), 0), ((0, 0), 1)],
+                    [((0, 0), 1), ((1, 0), 2), ((0, 0), 3)]):
+        with pytest.raises(ValueError, match=r"duplicate one-form entry \(0, 0\)"):
+            GValuedOneForm(3, 1, entries)
+    assert GValuedOneForm(3, 1, [((0, 0), 0), ((1, 0), 2)]).entries == {(1, 0): 2}
+
+
 HOCHSCHILD_CASES = ["jets:3", "sq2", "fun:2", "fun:3", "fun:2*sq2", "fun:2*jets:2",
                     "sq2*sq2", "sq2*jets:2", "jets:2*jets:3"]
 
