@@ -111,7 +111,8 @@ _COMM_TABLE = {"sq2": _sq2, "jets:": (_jets, "jet order", 1), "fun:": (_fun, "po
 
 def _single(name: str, table: dict, kind: str):
     """The algebra of one catalog name: a fixed name, or kind:n with n
-    an integer of at least the family's least value."""
+    ASCII digits of at least the family's least value, so that each
+    algebra has one spelling."""
     key, colon, arg = name.partition(":")
     entry = table.get(key + colon)
     if entry is None:
@@ -119,10 +120,7 @@ def _single(name: str, table: dict, kind: str):
     if not colon:
         return entry()
     build, what, least = entry
-    try:
-        n = int(arg)
-    except ValueError:
-        n = least - 1
+    n = int(arg) if arg.isascii() and arg.isdigit() else least - 1
     if n < least:
         raise CatalogError(f"bad {what} in {name!r}")
     return build(n)

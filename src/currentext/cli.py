@@ -297,13 +297,12 @@ def _element_coords(L: LieAlgebra, spec: str):
         if not (isinstance(coords, list) and len(coords) == L.dim):
             raise DocumentError(f"element coordinates must list {L.dim} entries")
         return vector([_parse_rational(x, "element") for x in coords])
-    try:
-        index = int(spec)
-    except ValueError:
+    if not (spec.isascii() and spec.isdigit()):
         raise DocumentError(
             f"element {spec!r} is neither a basis label, an index, nor a coordinate list"
-        ) from None
-    if not 0 <= index < L.dim:
+        )
+    index = int(spec)
+    if index >= L.dim:
         raise DocumentError(f"basis index {index} out of range")
     return L.basis_element(index).coords
 

@@ -123,6 +123,12 @@ def test_documents_of_the_wrong_kind_or_unreadable_are_input_errors(tmp_path):
     ("3", EXIT_INPUT),
     ("-1", EXIT_INPUT),
     ("zz", EXIT_INPUT),
+    ("1", EXIT_OK),
+    # a basis index is ASCII digits only: int() read these as index 1
+    ("0_1", EXIT_INPUT),
+    (" 1", EXIT_INPUT),
+    ("+1", EXIT_INPUT),
+    ("\u0661", EXIT_INPUT),
 ])
 def test_witness_element_specs(spec, code):
     assert run_command(["witness", "sl2", spec]).exit_code == code
@@ -412,7 +418,7 @@ def test_unknown_catalog_name_is_input_error():
 
 @pytest.mark.parametrize("argv", [
     ["kaehler", "jets:0"], ["kaehler", "jets:x"], ["kaehler", "fun:0"], ["kaehler", "fun:x"],
-    ["kaehler", "sq2*"], ["killing", "abelian:x"],
+    ["kaehler", "sq2*"], ["killing", "abelian:x"], ["info", "jets:1_0"],
 ])
 def test_bad_catalog_names_are_input_errors(argv):
     assert run_command(argv).exit_code == EXIT_INPUT
@@ -426,6 +432,13 @@ def test_bad_catalog_names_are_input_errors(argv):
     (lie_catalog, "abelian:x", "bad abelian dimension in 'abelian:x'"),
     (lie_catalog, "abelian", "unknown Lie algebra 'abelian'"),
     (comm_catalog, "sq2:3", "unknown commutative algebra 'sq2:3'"),
+    # a family number is ASCII digits only: int() read these as numbers
+    (comm_catalog, "jets:1_0", "bad jet order in 'jets:1_0'"),
+    (comm_catalog, "fun:\u0663", "bad point count in 'fun:\u0663'"),
+    (comm_catalog, "fun:\uff13", "bad point count in 'fun:\uff13'"),
+    (comm_catalog, "fun:2*jets:+2", "bad jet order in 'jets:+2'"),
+    (lie_catalog, "abelian: 2", "bad abelian dimension in 'abelian: 2'"),
+    (lie_catalog, "sl2+abelian:0_2", "bad abelian dimension in 'abelian:0_2'"),
 ])
 def test_catalog_refusal_messages(resolve, name, refusal):
     with pytest.raises(CatalogError) as err:
