@@ -2,6 +2,7 @@ import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from currentext.cli import run_command
 from currentext.cohomology import (
     Cocycle2,
     OneCochain,
+    _rank_of,
     _torus_weights,
     _weight_zero_tuples,
     ce_differential,
@@ -361,12 +363,25 @@ ORACLE_ALGEBRAS = (
 )
 
 
+# every degree up to the top tuple on these, p < 4 on the others
+EVERY_DEGREE = ("heis3", "gl2", "sl2+so3")
+
+
+def test_rank_numbers_every_tuple_lexicographically():
+    # an increasing k-tuple's rank is its position in
+    # combinations(range(n), k), checked for every tuple with n <= 9
+    for n in range(10):
+        for k in range(n + 1):
+            rank = _rank_of(n, k)
+            assert [rank(t) for t in combinations(range(n), k)] == list(range(comb(n, k)))
+
+
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_ce_differential_matches_triple_walk(name):
     from oracles import ce_differential_reference
 
     L = _oracle_algebra(name)
-    for p in range(4):
+    for p in range(L.dim + 1 if name in EVERY_DEGREE else 4):
         d = ce_differential(L, p)
         rows, cols, triplets = ce_differential_reference(L, p, 1)
         assert d.shape == (rows, cols)
@@ -731,6 +746,68 @@ def test_differential_on_given_sources():
     for bad in ([(2, 1)], [(0,)], [(0, L.dim)], [[0, 1]]):
         with pytest.raises(DimensionMismatchError, match="is not an increasing 2-tuple"):
             ce_differential(L, 2, sources=bad)
+
+
+@pytest.mark.parametrize("name", ("sl2+so3", "sl2 (x) fun:2*sq2"))
+def test_differential_on_sources_out_of_lexicographic_order(name):
+    # shuffled p-tuples are the columns in the order given, for rests
+    # (a source less one index) of every length up to 3
+    L = _oracle_algebra(name)
+    rng = random.Random(26)
+    for p in range(1, 5):
+        tuples = list(combinations(range(L.dim), p))
+        picked = rng.sample(tuples, min(len(tuples), 12))
+        full = {}
+        for i, j, value in ce_differential(L, p).triplets():
+            full.setdefault(tuples[j], []).append((i, value))
+        got = ce_differential(L, p, sources=picked)
+        assert got.shape == (comb(L.dim, p + 1), len(picked))
+        assert got.triplets() == sorted(
+            (i, c, value) for c, t in enumerate(picked) for i, value in full.get(t, ()))
+
+
+def _reference_coboundary(L, p, cochain):
+    """d^p of the scalar cochain {p-tuple: value} by the triple walk,
+    keyed by (p+1)-tuples."""
+    from oracles import ce_differential_reference
+
+    sources = list(combinations(range(L.dim), p))
+    targets = list(combinations(range(L.dim), p + 1))
+    out = {}
+    for i, j, value in ce_differential_reference(L, p, 1)[2]:
+        out[targets[i]] = out.get(targets[i], F(0)) + value * cochain.get(sources[j], F(0))
+    return {t: value for t, value in out.items() if value}
+
+
+@pytest.mark.parametrize("name, p, gamma, bump", [
+    # sl3: (h1, e1) and (h1, h2, e1) have weight (2, -1)
+    ("sl3", 2, {(2,): F(1)}, {(0, 2): F(1)}),
+    ("sl3", 3, {(0, 2): F(1), (1, 5): F(-3)}, {(0, 1, 2): F(1)}),
+    # sl2+so3: (h, e, e1) has the weight 2 of e
+    ("sl2+so3", 3, {(0, 3): F(2)}, {(0, 1, 3): F(1)}),
+])
+def test_class_coordinates_with_a_part_of_nonzero_weight(name, p, gamma, bump):
+    # rep + d(gamma) has entries off the weight-zero block, read by d^p to
+    # check that they form a cocycle: they do, and the class is rep's;
+    # with a non-cocycle of nonzero weight added the cochain is refused
+    L = lie_catalog(name)
+    h = cohomology(L, p, 1)
+    exact = _reference_coboundary(L, p - 1, gamma)
+    assert exact and not exact.keys() & set(h.cochains)
+    assert _reference_coboundary(L, p, bump) and not bump.keys() & set(h.cochains)
+    reps = h.scalar_representatives or [{}]
+    for k, rep in enumerate(reps):
+        cochain = dict(rep)
+        for t, value in exact.items():
+            cochain[t] = cochain.get(t, F(0)) + value
+        coords = tuple(F(int(i == k)) for i in range(h.dimension))
+        assert h.scalar_class_coordinates(cochain) == {i: c for i, c in enumerate(coords) if c}
+        assert h.class_coordinates({t: (value,) for t, value in cochain.items()}) == coords
+        cochain.update(bump)
+        with pytest.raises(InternalConsistencyError):
+            h.scalar_class_coordinates(cochain)
+        with pytest.raises(InternalConsistencyError):
+            h.class_coordinates({t: (value,) for t, value in cochain.items()})
 
 
 def test_cohomology_reads_the_torus_once(monkeypatch):
