@@ -5,7 +5,11 @@ strictly increasing p-tuples of basis indices, and outside a matrix a
 cochain is keyed by them: a scalar cochain is {p-tuple: value}, and one
 with values in QQ^m is {p-tuple: m-tuple}, as in Cocycle2.values.  Only
 matrix rows and columns number the tuples, by lexicographic rank in
-combinations(range(dim L), p).  Trivial coefficients QQ^m are a tensor
+combinations(range(dim L), p), read off one table of binomials per
+degree (_rank_table): the rank of t is comb(n, p) - 1 minus a sum of one
+table entry per position.  Assembly never builds a target tuple; it
+adds the entries of the two inserted indices to prefix sums cached per
+source less one index (_assemble).  Trivial coefficients QQ^m are a tensor
 factor: C^p(L, QQ^m) = C^p(L, QQ) (x) QQ^m, the differential is d (x) id,
 and H^p(L, QQ^m) = H^p(L, QQ) (x) QQ^m.  So the scalar complex is solved
 once and each coefficient slot a of a cochain, {t: value[a]}, is handled
@@ -91,6 +95,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import lt
 from typing import Optional, Sequence
 
 from .errors import (
@@ -128,21 +133,14 @@ def _guard(n: int, degree: int, coeff_dim: int, ceiling: Optional[int]):
         raise ResourceCeilingError(needed, limit)
 
 
-def _rank_of(n: int, k: int):
-    """Position of an increasing k-tuple in combinations(range(n), k).
+def _rank_table(n: int, k: int) -> tuple:
+    """(top, T) with T[u][c] = comb(n - 1 - c, k - u): an increasing k-tuple
+    t has position top - sum_u T[u][t_u] in combinations(range(n), k).
 
-    Lexicographic rank: comb(n, k) - 1 - sum_i comb(n - 1 - c_i, k - i).
+    sum_u T[u][t_u] counts the k-tuples after t (the combinatorial number
+    system; Knuth, TAOCP 4A, 7.2.1.3), and top = comb(n, k) - 1.
     """
-    binom = [[comb(a, b) for b in range(k + 1)] for a in range(n + 1)]
-    top = binom[n][k] - 1
-
-    def rank(tup) -> int:
-        r = top
-        for i, c in enumerate(tup):
-            r -= binom[n - 1 - c][k - i]
-        return r
-
-    return rank
+    return comb(n, k) - 1, [[comb(n - 1 - c, k - u) for c in range(n)] for u in range(k)]
 
 
 def _check_element(L: LieAlgebra, coords: Sequence) -> None:
@@ -152,8 +150,7 @@ def _check_element(L: LieAlgebra, coords: Sequence) -> None:
 
 def _check_tuple(t, n: int, p: int) -> None:
     """Raise unless t is an increasing p-tuple in range(n)."""
-    if not (isinstance(t, tuple) and len(t) == p
-            and all(a < b for a, b in zip((-1,) + t, t + (n,)))):
+    if not (isinstance(t, tuple) and len(t) == p and all(map(lt, (-1,) + t, t + (n,)))):
         raise DimensionMismatchError(f"cochain key {t!r} is not an increasing {p}-tuple")
 
 
@@ -210,8 +207,9 @@ def _weight_zero_tuples(weights: list, k: int) -> list:
     return out
 
 
-def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> tuple:
-    """(den, rows): d^p on the p-tuples sources[c] is rows[row_of(target)][c] / den.
+def _assemble(L: LieAlgebra, p: int, sources: Sequence) -> tuple:
+    """(den, rows): d^p on the p-tuples sources[c] is rows[r][c] / den, r
+    the lexicographic rank of the target (p+1)-tuple.
 
     The rows are integer: they are read from the algebra's integer
     brackets, and den is their denominator.
@@ -221,24 +219,41 @@ def _assemble(L: LieAlgebra, p: int, sources: Sequence, row_of) -> tuple:
     gains (-1)^(i+j+pos) den [x_a, x_b]_k.  Entries that cancel are
     removed, and a row may be left empty.  d preserves torus weights, so
     a weight-zero source only reaches weight-zero targets.
+    The target is never built.  Its rank is top - sum_u T[u][t_u]
+    (_rank_table), and in it the entries of rest before position i keep
+    their place, those between i and j move up one and those after j move
+    up two.  With S_s[q] = sum_{u<q} T[u+s][rest[u]], the rank is
+    high[j-1] - low[i] - T[i][a] - T[j][b], where low[q] = S_0[q] - S_1[q]
+    and high[q] = top - S_1[q] - S_2[len(rest)] + S_2[q].  low and high
+    are built once per distinct rest, so an entry costs two bisections
+    and four lookups.
     """
     den, brackets = L._integer_table
     into = {}
     for (a, b), bracket in brackets.items():
         for k, c in bracket.items():
             into.setdefault(k, []).append((a, b, (c, -c)))
+    top, table = _rank_table(L.dim, p + 1)
+    prefix = {}
     rows = {}
     for col, source in enumerate(sources):
         for pos, k in enumerate(source):
             rest = source[:pos] + source[pos + 1:]
+            sums = prefix.get(rest)
+            if sums is None:
+                low, high = [0], [top - sum(map(list.__getitem__, table[2:], rest))]
+                for u, c in enumerate(rest):
+                    low.append(low[-1] + table[u][c] - table[u + 1][c])
+                    high.append(high[-1] - table[u + 1][c] + table[u + 2][c])
+                sums = prefix[rest] = low, high
+            low, high = sums
             for a, b, signed in into.get(k, ()):
                 if a in rest or b in rest:
                     continue
                 i = bisect_left(rest, a)
                 j = bisect_left(rest, b) + 1
-                target = rest[:i] + (a,) + rest[i:j - 1] + (b,) + rest[j - 1:]
                 term = signed[(i + j + pos) % 2]
-                r = row_of(target)
+                r = high[j - 1] - low[i] - table[i][a] - table[j][b]
                 row = rows.get(r)
                 if row is None:
                     rows[r] = {col: term}
@@ -276,7 +291,7 @@ def ce_differential(
     else:
         for t in sources:
             _check_tuple(t, n, p)
-    den, rows = _assemble(L, p, sources, _rank_of(n, p + 1))
+    den, rows = _assemble(L, p, sources)
     return SparseMatrix._from_integer_rows(comb(n, p + 1), len(sources), rows, den)
 
 
@@ -628,7 +643,7 @@ class Cohomology:
         sources = [t for t, value in cochain.items() if value]
         values = [_as_fraction(cochain[t]) for t in sources]
         # the positive denominator of d^p does not change which totals vanish
-        _, rows = _assemble(self.parent, p, sources, tuple)
+        _, rows = _assemble(self.parent, p, sources)
         return not any(
             sum(entry * values[c] for c, entry in row.items()) for row in rows.values()
         )
@@ -687,8 +702,8 @@ def cohomology(
         # ranks of p-tuples, are renumbered to the columns of d^p.  The
         # rows are integers over one denominator, so the integer columns
         # span the image as they are.
-        rank = _rank_of(L.dim, p)
-        column = {rank(t): c for c, t in enumerate(cochains)}
+        top, table = _rank_table(L.dim, p)
+        column = {top - sum(map(list.__getitem__, table, t)): c for c, t in enumerate(cochains)}
         d_down = ce_differential(L, p - 1, ceiling=ceiling,
                                  sources=_weight_zero_tuples(weights, p - 1))
         spans = [{} for _ in range(d_down.cols)]

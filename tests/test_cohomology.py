@@ -12,7 +12,7 @@ from currentext.cli import run_command
 from currentext.cohomology import (
     Cocycle2,
     OneCochain,
-    _rank_of,
+    _rank_table,
     _torus_weights,
     _weight_zero_tuples,
     ce_differential,
@@ -368,12 +368,14 @@ EVERY_DEGREE = ("heis3", "gl2", "sl2+so3")
 
 
 def test_rank_numbers_every_tuple_lexicographically():
-    # an increasing k-tuple's rank is its position in
-    # combinations(range(n), k), checked for every tuple with n <= 9
+    # an increasing k-tuple's rank, top - sum_u T[u][t_u], is its position
+    # in combinations(range(n), k), checked for every tuple with n <= 9
     for n in range(10):
         for k in range(n + 1):
-            rank = _rank_of(n, k)
-            assert [rank(t) for t in combinations(range(n), k)] == list(range(comb(n, k)))
+            top, table = _rank_table(n, k)
+            ranks = [top - sum(table[u][c] for u, c in enumerate(t))
+                     for t in combinations(range(n), k)]
+            assert ranks == list(range(comb(n, k)))
 
 
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
