@@ -111,8 +111,8 @@ _COMM_TABLE = {"sq2": _sq2, "jets:": (_jets, "jet order", 1), "fun:": (_fun, "po
 
 def _single(name: str, table: dict, kind: str):
     """The algebra of one catalog name: a fixed name, or kind:n with n
-    ASCII digits of at least the family's least value, so that each
-    algebra has one spelling."""
+    ASCII digits, no leading zero, of at least the family's least value,
+    so that each algebra has one spelling."""
     key, colon, arg = name.partition(":")
     entry = table.get(key + colon)
     if entry is None:
@@ -120,7 +120,8 @@ def _single(name: str, table: dict, kind: str):
     if not colon:
         return entry()
     build, what, least = entry
-    n = int(arg) if arg.isascii() and arg.isdigit() else least - 1
+    canonical = arg.isascii() and arg.isdigit() and (arg == "0" or arg[0] != "0")
+    n = int(arg) if canonical else least - 1
     if n < least:
         raise CatalogError(f"bad {what} in {name!r}")
     return build(n)

@@ -577,10 +577,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+    """A count read from ASCII digits only, as a catalog number is: int()
+    would also read '-1', '0_1', ' 1', '+1' and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be ASCII digits, got {text!r}")
+    return int(text)
 
 
 _FORMAT = (("--format",), {"choices": ("text", "json"), "default": "text"})

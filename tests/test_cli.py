@@ -397,6 +397,22 @@ def test_negative_max_cochain_is_usage_error(argv, at_zero, capsys):
     assert run_command(argv + ["--max-cochain", "100"]).exit_code == EXIT_OK
 
 
+@pytest.mark.parametrize("option", ["--coeff-dim", "--max-cochain"])
+@pytest.mark.parametrize("text", ["0_1", " 1", "1 ", "+1", "+5", "\u0661", "\uff11"])
+def test_a_count_is_read_from_ascii_digits_only(option, text, capsys):
+    # int() reads each of these as a number; like a catalog number, a
+    # count is ASCII digits only
+    report = run_command(["h2", "heis3", option, text])
+    assert report.exit_code == EXIT_USAGE
+    assert option in report.results["error"]
+    assert main(["h2", "heis3", option, text]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_abelian_zero_keeps_its_one_spelling():
+    assert run_command(["info", "abelian:0"]).results["dim"] == 0
+
+
 def test_catalog_name_is_not_shadowed_by_a_directory(tmp_path, monkeypatch):
     # only an existing file is read as a document; a directory named
     # like a catalog entry leaves the catalog name alone
@@ -419,6 +435,7 @@ def test_unknown_catalog_name_is_input_error():
 @pytest.mark.parametrize("argv", [
     ["kaehler", "jets:0"], ["kaehler", "jets:x"], ["kaehler", "fun:0"], ["kaehler", "fun:x"],
     ["kaehler", "sq2*"], ["killing", "abelian:x"], ["info", "jets:1_0"],
+    ["info", "jets:03"], ["info", "fun:007"], ["info", "abelian:00"],
 ])
 def test_bad_catalog_names_are_input_errors(argv):
     assert run_command(argv).exit_code == EXIT_INPUT
@@ -439,6 +456,10 @@ def test_bad_catalog_names_are_input_errors(argv):
     (comm_catalog, "fun:2*jets:+2", "bad jet order in 'jets:+2'"),
     (lie_catalog, "abelian: 2", "bad abelian dimension in 'abelian: 2'"),
     (lie_catalog, "sl2+abelian:0_2", "bad abelian dimension in 'abelian:0_2'"),
+    # one spelling per algebra: no leading zero, but 0 itself stays
+    (comm_catalog, "jets:03", "bad jet order in 'jets:03'"),
+    (comm_catalog, "fun:007", "bad point count in 'fun:007'"),
+    (lie_catalog, "abelian:00", "bad abelian dimension in 'abelian:00'"),
 ])
 def test_catalog_refusal_messages(resolve, name, refusal):
     with pytest.raises(CatalogError) as err:
