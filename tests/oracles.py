@@ -18,7 +18,9 @@ cohomology_reference and kaehler_reference are the exceptions: they
 solve the whole scalar complex and the whole all-triples Leibniz span
 with the package's own linear algebra, as references for the
 weight-zero block and the product-class split, not for the
-elimination.  coboundary_witness_reference likewise solves each
+elimination; kaehler_cross_units_reference likewise eliminates the
+in-class relations with every cross-class unit tensor, as the
+reference for placing those units' echelon rows.  coboundary_witness_reference likewise solves each
 coefficient slot with the package's solve_linear, as the reference for
 solving all slots in one elimination, inject_form_reference projects
 a dense tensor with the package's Omega1 quotient, as the reference for
@@ -851,6 +853,20 @@ def cohomology_reference(L, p, m):
                            class_coordinates=class_coordinates)
 
 
+def _leibniz_row(A, a, b, c):
+    """The Leibniz relation c (x) ab - ca (x) b - cb (x) a on the flat
+    pairs i * dim + j, as a {pair: Fraction} dict."""
+    d = A.dim
+    row = {}
+    for k, coef in A.product_basis(a, b).items():
+        row[c * d + k] = row.get(c * d + k, 0) + coef
+    for k, coef in A.product_basis(c, a).items():
+        row[k * d + b] = row.get(k * d + b, 0) - coef
+    for k, coef in A.product_basis(c, b).items():
+        row[k * d + a] = row.get(k * d + a, 0) - coef
+    return row
+
+
 def kaehler_reference(A):
     """Omega1 and Omega1bar of a unital algebra from every Leibniz relation.
 
@@ -864,18 +880,7 @@ def kaehler_reference(A):
 
     d = A.dim
     ambient = d * d
-    relations = []
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(d):
-                row = {}
-                for k, coef in A.product_basis(a, b).items():
-                    row[c * d + k] = row.get(c * d + k, 0) + coef
-                for k, coef in A.product_basis(c, a).items():
-                    row[k * d + b] = row.get(k * d + b, 0) - coef
-                for k, coef in A.product_basis(c, b).items():
-                    row[k * d + a] = row.get(k * d + a, 0) - coef
-                relations.append(row)
+    relations = [_leibniz_row(A, a, b, c) for a in range(d) for b in range(a, d) for c in range(d)]
     omega1 = quotient_space(ambient, Subspace.from_spanning(ambient, relations))
 
     def unit_tensor(entries):
@@ -895,6 +900,32 @@ def kaehler_reference(A):
         d_basis=lambda j: d_rows[j],
         pair_class=lambda i, j: pairs[i * d + j],
     )
+
+
+def kaehler_cross_units_reference(A):
+    """The Leibniz span of a unital algebra as one elimination of the
+    relations on triples (a <= b, c) inside one product class together
+    with every cross-class unit tensor b_i (x) b_j: the rows that
+    kaehler_module eliminated before it placed the cross units.  The
+    product classes are found here by merging i, j and k for every
+    nonzero (b_i b_j)_k; the elimination is the package's.  Returns the
+    Subspace."""
+    from currentext.linalg import Subspace
+
+    d = A.dim
+    group = [{i} for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in A.product_basis(i, j):
+                for m in (j, k):
+                    if group[m] is not group[i]:
+                        merged = group[i] | group[m]
+                        for member in merged:
+                            group[member] = merged
+    relations = [{i * d + j: 1} for i in range(d) for j in range(d) if group[i] is not group[j]]
+    relations += [_leibniz_row(A, a, b, c) for a in range(d) for b in range(a, d) for c in range(d)
+                  if group[a] is group[b] is group[c]]
+    return Subspace.from_spanning(d * d, relations)
 
 
 def _sparse_rank(rows):

@@ -35,6 +35,7 @@ from oracles import (
     dense_rank,
     hochschild_one_reference,
     jacobi_violations_reference,
+    kaehler_cross_units_reference,
     kaehler_reference,
     module_action_reference,
     tensor_comm_reference,
@@ -211,6 +212,44 @@ def test_tensor_comm_matches_the_pairwise_builder(A, B):
     assert T._integer_table == R._integer_table
     assert T.entries() == R.entries()
     assert T.unit == R.unit and T.idempotents == R.idempotents
+
+
+# the catalog tensor names and the current algebras that the benchmark's
+# three workloads build
+WORKLOAD_TENSORS = ["fun:8*sq2", "fun:2*sq2", "sq2*jets:2", "fun:4*sq2", "sq2*jets:3",
+                    "sq2*sq2", "fun:6*sq2", "fun:2*jets:2"]
+WORKLOAD_CURRENTS = [
+    ("sl2", "fun:8*sq2"), ("sl3", "fun:2*sq2"), ("sl2+so3", "sq2*jets:2"), ("sl2", "fun:4*sq2"),
+    ("sl2", "sq2*jets:3"), ("so3", "sq2*sq2"), ("sl2", "fun:6*sq2"), ("sl2", "sq2"),
+    ("sl2", "jets:3"), ("sl2", "fun:2"), ("sl2+so3", "sq2"),
+]
+
+
+def _assert_same_table(built, reference):
+    """The same labels, integer table, key order, row key order and
+    mirror defects as the public constructor's."""
+    assert built.labels == reference.labels
+    assert built._integer_table == reference._integer_table
+    rows, expected = built._integer_table[1], reference._integer_table[1]
+    assert list(rows) == list(expected)
+    assert [list(row) for row in rows.values()] == [list(row) for row in expected.values()]
+    assert built._mirror_defects == reference._mirror_defects == []
+
+
+@pytest.mark.parametrize("name", WORKLOAD_TENSORS)
+def test_catalog_tensor_table_is_the_public_constructors(name):
+    left, _, right = name.rpartition("*")
+    T = comm_catalog(name)
+    R = CommAlgebra(*tensor_comm_reference(comm_catalog(left), comm_catalog(right)))
+    _assert_same_table(T, R)
+    assert T.unit == R.unit and T.idempotents == R.idempotents
+
+
+@pytest.mark.parametrize("gname,aname", WORKLOAD_CURRENTS)
+def test_current_algebra_table_is_the_public_constructors(gname, aname):
+    g, A = lie_catalog(gname), comm_catalog(aname)
+    _assert_same_table(current_algebra(g, A).total,
+                       LieAlgebra(*current_algebra_reference(g, A)))
 
 
 def _kaehler_dims_oracle(A):
@@ -447,6 +486,13 @@ def test_kaehler_matches_the_all_triples_span(name, basis):
     for i in range(A.dim):
         for j in range(A.dim):
             assert module.pair_class(i, j) == reference.pair_class(i, j)
+
+
+@pytest.mark.parametrize("name", ["fun:3", "fun:2*sq2", "fun:8*sq2", "fun:2*jets:2", "sq2*sq2",
+                                  "jets:3"])
+def test_kaehler_span_is_the_span_with_cross_units_eliminated(name):
+    A = comm_catalog(name)
+    assert kaehler_module(A).omega1.subspace == kaehler_cross_units_reference(A)
 
 
 @pytest.mark.parametrize("basis", ["catalog", "permuted"])
