@@ -195,32 +195,29 @@ class CommAlgebra(_StructureTable):
         return f"CommAlgebra(dim={self.dim}, labels={list(self.labels)})"
 
 
-def _tensor_entries(left: _StructureTable, right: CommAlgebra) -> list:
-    """Entries (i * d + p, j * d + q, k * d + r, c) of the product on
-    left (x) right, d = right.dim: (b_i (x) b_p)(b_j (x) b_q) is
-    b_i b_j (x) b_p b_q.
+def _tensor_table(left: _StructureTable, right: CommAlgebra) -> tuple:
+    """(den, {(i * d + p, j * d + q): {k * d + r: int}}), the integer
+    table of the product on left (x) right, d = right.dim:
+    (b_i (x) b_p)(b_j (x) b_q) is b_i b_j (x) b_p b_q.
 
     Each stored integer product of left (i <= j) meets each nonzero
     integer product of right in both orders, so the lower flat index
     comes first; for i == j only p <= q.  Each flat pair and flat k * d + r
     then arise once, so nothing is summed, and each value is the product
-    of two integers over the product of the two denominators.
+    of two integers over den, the product of the two denominators.
     """
     d = right.dim
     lden, left_products = left._integer_table
     rden, right_products = right._integer_table
-    den = lden * rden
     both = [*right_products.items(),
             *(((q, p), row) for (p, q), row in right_products.items() if p != q)]
-    entries = []
+    rows = {}
     for (i, j), left_row in left_products.items():
         for (p, q), right_row in both:
-            if i == j and p > q:
-                continue
-            for k, a in left_row.items():
-                for r, b in right_row.items():
-                    entries.append((i * d + p, j * d + q, k * d + r, Fraction(a * b, den)))
-    return entries
+            if i < j or p <= q:
+                rows[(i * d + p, j * d + q)] = {k * d + r: a * b for k, a in left_row.items()
+                                                for r, b in right_row.items()}
+    return lden * rden, rows
 
 
 def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
@@ -232,10 +229,12 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
         unit = _outer(A.unit, B.unit)
     idempotents = None
     if A.idempotents is not None and B.is_unital:
-        idempotents = [(label, _outer(e, B.unit)) for label, e in A.idempotents]
+        idempotents = tuple((label, _outer(e, B.unit)) for label, e in A.idempotents)
     elif A.is_unital and A.idempotents is None and B.idempotents is not None:
-        idempotents = [(label, _outer(A.unit, e)) for label, e in B.idempotents]
-    return CommAlgebra(labels, _tensor_entries(A, B), unit, idempotents)
+        idempotents = tuple((label, _outer(A.unit, e)) for label, e in B.idempotents)
+    out = CommAlgebra._from_integer_table(labels, *_tensor_table(A, B))
+    out.unit, out.idempotents = unit, idempotents
+    return out
 
 
 def _outer(u: Vec, v: Vec) -> Vec:
@@ -430,10 +429,7 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     d = A.dim
     ambient = d * d
     classes = _product_classes(A)
-    class_of = [0] * d
-    for s, members in enumerate(classes):
-        for i in members:
-            class_of[i] = s
+    class_of = {i: members for members in classes for i in members}
     # the relations as integer rows: every product constant is scaled by
     # the lcm of their denominators, which rescales each Leibniz row and
     # leaves the span alone; they reach the eliminator as they are
@@ -442,37 +438,33 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     def product(i, j):
         return products.get((i, j) if i <= j else (j, i), {})
 
-    relations = [
-        {i * d + j: 1}
-        for i in range(d) for j in range(d) if class_of[i] != class_of[j]
-    ]
-
-    def add(row, idx, value):
-        updated = row.get(idx, 0) + value
-        if updated:
-            row[idx] = updated
-        elif idx in row:
-            del row[idx]
-
+    relations = []
     for members in classes:
         for x, a in enumerate(members):
             for b in members[x:]:
                 ab = product(a, b)
                 for c in members:
-                    row = {}
+                    row = defaultdict(int)
                     for k, coef in ab.items():
-                        add(row, c * d + k, coef)
+                        row[c * d + k] += coef
                     for k, coef in product(c, a).items():
-                        add(row, k * d + b, -coef)
+                        row[k * d + b] -= coef
                     for k, coef in product(c, b).items():
-                        add(row, k * d + a, -coef)
-                    relations.append(row)
-    omega1 = quotient_space(ambient, Subspace._from_integer_rows(ambient, relations))
+                        row[k * d + a] -= coef
+                    relations.append({idx: v for idx, v in row.items() if v})
+    # each cross-class unit tensor is its own echelon row {c: 1}, and no
+    # in-class relation has a cross-class column, so the in-class echelon
+    # rows with those rows placed by column are in reduced echelon form
+    inner = Subspace._from_integer_rows(ambient, relations)
+    echelon = dict(zip(inner.pivots, inner._rows))
+    echelon.update((c, {c: 1}) for c in range(ambient) if class_of[c // d] is not class_of[c % d])
+    pivots = sorted(echelon)
+    omega1 = quotient_space(ambient, Subspace(ambient, pivots, map(echelon.get, pivots)))
     # [b_i d(b_j)] for the pairs inside one class, in lexicographic order,
     # each read off the echelon rows, then brought over one denominator
     units = {}
     for i in range(d):
-        for j in classes[class_of[i]]:
+        for j in class_of[i]:
             lead, pair = omega1._coordinates({i * d + j: 1})
             if pair:
                 units[(i, j)] = (lead, pair)
@@ -482,7 +474,7 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     d_rows = []
     for j in range(d):
         row = {}
-        for i in classes[class_of[j]]:
+        for i in class_of[j]:
             if i in unit:
                 for t, value in pairs.get((i, j), {}).items():
                     row[t] = row.get(t, 0) + unit[i] * value
@@ -500,7 +492,7 @@ class CurrentAlgebra:
         self.fibre = fibre
         self.coeff = coeff
         labels = [f"{g}*{a}" for g in fibre.labels for a in coeff.labels]
-        self.total = LieAlgebra(labels, _tensor_entries(fibre, coeff))
+        self.total = LieAlgebra._from_integer_table(labels, *_tensor_table(fibre, coeff))
 
     @property
     def dim(self) -> int:

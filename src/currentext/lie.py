@@ -37,6 +37,7 @@ from .linalg import (
     Vec,
     _as_fraction,
     _augmented_rows,
+    _content,
     _solve_rows,
     kernel_basis,
     quotient_space,
@@ -52,15 +53,18 @@ _ONE = Fraction(1)
 class _StructureTable:
     """Structure constants (b_i b_j)_k of a bilinear product on a basis.
 
-    The constructor parses and checks the entries and keeps one table,
-    ``_integer_table`` = (den, {(i, j): {k: den * c}}) for i <= j in pair
-    order, den the positive lcm of the constants' denominators: the given
-    orientation wins, and an entry given only as (j, i) is mirrored with
-    ``_sign``, -1 for a Lie bracket (which rules out a diagonal) and +1
-    for a commutative product.  ``_mirror_defects`` records, while the
-    entries are parsed, what the validators report about a malformed
-    table instead of silently resolving it.  Every Fraction a caller
-    reads is built from the integers when it is read.
+    The table is ``_integer_table`` = (den, {(i, j): {k: den * c}}) for
+    i <= j in pair order, den the positive lcm of the constants'
+    denominators.  The constructor parses and checks outside entries:
+    the given orientation wins, and an entry given only as (j, i) is
+    mirrored with ``_sign``, -1 for a Lie bracket (which rules out a
+    diagonal) and +1 for a commutative product.  ``_mirror_defects``
+    records, while the entries are parsed, what the validators report
+    about a malformed table instead of silently resolving it.  A table
+    the package derives from integer tables (a tensor product, a
+    current algebra) goes through _from_integer_table instead, which
+    builds no Fraction.  Every Fraction a caller reads is built from the
+    integers when it is read.
     """
 
     __slots__ = ("labels", "_mirror_defects", "_integer_table")
@@ -114,6 +118,24 @@ class _StructureTable:
             pair: {k: s * c.numerator * (den // c.denominator) for k, c in row.items()}
             for pair, (s, row) in sorted(table.items())
         }
+
+    @classmethod
+    def _from_integer_table(cls, labels: Sequence[str], den: int, rows: dict):
+        """The table whose constants are rows[(i, j)][k] / den, with no
+        parsing.  The caller vouches for its input, as for
+        SparseMatrix._from_integer_rows: string labels, one orientation
+        per pair (i <= j, and i < j for a bracket), no zero int, indices
+        in range, den positive.  den and the ints are divided by their
+        gcd and the pairs sorted, so the table, its dict orders included,
+        is the one the constructor builds from the same constants, and
+        there are no mirror defects."""
+        table = cls.__new__(cls)
+        table.labels, table._mirror_defects = tuple(labels), []
+        g = _content(den, (row.values() for row in rows.values()))
+        table._integer_table = den // g, {pair: rows[pair] if g == 1 else
+                                          {k: c // g for k, c in rows[pair].items()}
+                                          for pair in sorted(rows)}
+        return table
 
     @property
     def dim(self) -> int:
