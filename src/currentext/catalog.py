@@ -112,7 +112,8 @@ _COMM_TABLE = {"sq2": _sq2, "jets:": (_jets, "jet order", 1), "fun:": (_fun, "po
 def _single(name: str, table: dict, kind: str):
     """The algebra of one catalog name: a fixed name, or kind:n with n
     ASCII digits, no leading zero, of at least the family's least value,
-    so that each algebra has one spelling."""
+    so that each algebra has one spelling.  n has at most 4,300 digits,
+    the most that int() reads by default; no family gets near that."""
     key, colon, arg = name.partition(":")
     entry = table.get(key + colon)
     if entry is None:
@@ -121,7 +122,7 @@ def _single(name: str, table: dict, kind: str):
         return entry()
     build, what, least = entry
     canonical = arg.isascii() and arg.isdigit() and (arg == "0" or arg[0] != "0")
-    n = int(arg) if canonical else least - 1
+    n = int(arg) if canonical and len(arg) <= 4300 else least - 1
     if n < least:
         raise CatalogError(f"bad {what} in {name!r}")
     return build(n)

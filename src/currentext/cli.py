@@ -142,6 +142,16 @@ def _flat_text(value):
     return str(encoded)
 
 
+def _read_json(text: str, what: str):
+    """json.loads, refusing what it cannot read as a DocumentError that
+    starts with what: a JSONDecodeError, or the ValueError of an integer
+    literal with more digits than int() reads."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise DocumentError(f"{what}: {exc}") from None
+
+
 def _parse_rational(value, where):
     if isinstance(value, bool):
         raise DocumentError(f"{where}: boolean is not a rational")
@@ -177,10 +187,7 @@ def parse_algebra_document(text: str):
     schema violations raise DocumentError, axiom failures raise
     InvalidAlgebraError with the violating triples.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from None
+    doc = _read_json(text, "not valid JSON")
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
@@ -290,10 +297,7 @@ def _element_coords(L: LieAlgebra, spec: str):
     if spec in L.labels:
         return L.basis_element(L.labels.index(spec)).coords
     if spec.startswith("["):
-        try:
-            coords = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"bad element coordinates: {exc}") from None
+        coords = _read_json(spec, "bad element coordinates")
         if not (isinstance(coords, list) and len(coords) == L.dim):
             raise DocumentError(f"element coordinates must list {L.dim} entries")
         return vector([_parse_rational(x, "element") for x in coords])
@@ -301,10 +305,12 @@ def _element_coords(L: LieAlgebra, spec: str):
         raise DocumentError(
             f"element {spec!r} is neither a basis label, an index, nor a coordinate list"
         )
-    index = int(spec)
-    if index >= L.dim:
-        raise DocumentError(f"basis index {index} out of range")
-    return L.basis_element(index).coords
+    # an index with more digits than dim is out of range, and int() is
+    # never handed more digits than it reads
+    digits = spec.lstrip("0") or "0"
+    if len(digits) > len(str(L.dim)) or int(digits) >= L.dim:
+        raise DocumentError(f"basis index {digits} out of range")
+    return L.basis_element(int(digits)).coords
 
 
 def _random_one_form(fibre_dim, omega1_dim, seed):

@@ -134,6 +134,35 @@ def test_witness_element_specs(spec, code):
     assert run_command(["witness", "sl2", spec]).exit_code == code
 
 
+# more digits than int() reads by default (4,300): int() raised a
+# ValueError on these, which escaped as a traceback
+LONG_NUMBER = "1" * 5000
+
+
+def test_a_catalog_number_longer_than_int_reads_is_refused():
+    report = run_command(["killing", "abelian:" + LONG_NUMBER])
+    assert report.exit_code == EXIT_INPUT
+    assert report.results["error"] == f"bad abelian dimension in 'abelian:{LONG_NUMBER}'"
+
+
+def test_a_witness_index_longer_than_int_reads_is_refused():
+    report = run_command(["witness", "heis3", LONG_NUMBER])
+    assert report.exit_code == EXIT_INPUT
+    assert report.results["error"] == f"basis index {LONG_NUMBER} out of range"
+    # leading zeros do not count: this is index 1
+    assert run_command(["witness", "sl2", "0" * 5000 + "1"]).exit_code == EXIT_OK
+    assert run_command(["witness", "heis3", f"[{LONG_NUMBER}, 0, 0]"]).exit_code == EXIT_INPUT
+
+
+def test_a_document_integer_longer_than_int_reads_is_a_document_error(tmp_path):
+    text = '{"kind": "lie", "dim": 2, "brackets": [[0, 1, 0, ' + LONG_NUMBER + ']]}'
+    with pytest.raises(DocumentError):
+        parse_algebra_document(text)
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_command(["info", str(path)]).exit_code == EXIT_INPUT
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "lie", "dim": True},
     {"kind": "comm", "dim": False},
