@@ -423,6 +423,12 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     The second step uses that the unit acts as the identity, so the
     split assumes a valid unital algebra, as the command line checks for
     JSON input.  With a single class this is the all-triples span.
+
+    Only the relations inside each class are eliminated.  The cross unit
+    tensors are placed, not eliminated: each is its own echelon row
+    {c: 1}, and no in-class relation has a cross column, so the in-class
+    echelon rows with those rows merged in by column are already the
+    reduced echelon basis of the whole span.
     """
     if not A.is_unital:
         raise NonUnitalError("Kaehler module requires a unital algebra (adjoin_unit_extend first)")
@@ -452,9 +458,7 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
                     for k, coef in product(c, b).items():
                         row[k * d + a] -= coef
                     relations.append({idx: v for idx, v in row.items() if v})
-    # each cross-class unit tensor is its own echelon row {c: 1}, and no
-    # in-class relation has a cross-class column, so the in-class echelon
-    # rows with those rows placed by column are in reduced echelon form
+    # the cross unit tensors placed by column (see above)
     inner = Subspace._from_integer_rows(ambient, relations)
     echelon = dict(zip(inner.pivots, inner._rows))
     echelon.update((c, {c: 1}) for c in range(ambient) if class_of[c // d] is not class_of[c % d])

@@ -127,8 +127,9 @@ class _StructureTable:
         per pair (i <= j, and i < j for a bracket), no zero int, indices
         in range, den positive.  den and the ints are divided by their
         gcd and the pairs sorted, so the table, its dict orders included,
-        is the one the constructor builds from the same constants, and
-        there are no mirror defects."""
+        is the one the constructor builds from the same constants in the
+        same order, and there are no mirror defects.  A CommAlgebra's
+        unit and idempotents are the caller's to set."""
         table = cls.__new__(cls)
         table.labels, table._mirror_defects = tuple(labels), []
         g = _content(den, (row.values() for row in rows.values()))
