@@ -18,11 +18,12 @@ cohomology_reference and kaehler_reference are the exceptions: they
 solve the whole scalar complex and the whole all-triples Leibniz span
 with the package's own linear algebra, as references for the
 weight-zero block and the product-class split, not for the
-elimination; kaehler_cross_units_reference likewise eliminates the
-in-class relations with every cross-class unit tensor, as the
-reference for placing those units' echelon rows.  coboundary_witness_reference likewise solves each
-coefficient slot with the package's solve_linear, as the reference for
-solving all slots in one elimination, inject_form_reference projects
+elimination; kaehler_cross_units_reference eliminates the in-class
+relations together with every cross-class unit tensor, as the
+reference for placing those units' echelon rows.
+coboundary_witness_reference likewise solves each coefficient slot
+with the package's solve_linear, as the reference for solving all
+slots in one elimination, inject_form_reference projects
 a dense tensor with the package's Omega1 quotient, as the reference for
 extension by zero as a coordinate map, and decompose_class_reference
 solves the stacked extension matrices with solve_linear, as the
