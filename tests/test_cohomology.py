@@ -34,7 +34,7 @@ from currentext.errors import (
     ResourceCeilingError,
 )
 from currentext.lie import LieAlgebra
-from currentext.linalg import SparseMatrix, kernel_basis, solve_many
+from currentext.linalg import SparseMatrix, Subspace, kernel_basis, solve_many
 from currentext.locality import (
     Cover,
     SupportStructure,
@@ -692,6 +692,48 @@ def test_cohomology_matches_full_complex_on_permuted_bases(data):
     p = data.draw(st.sampled_from((1, 2)), label="p")
     m = data.draw(st.sampled_from((1, 2)), label="m")
     _assert_matches_full_complex(L, p, m, random.Random(name))
+
+
+# direct sums of ideals, perfect and not
+IDEAL_SUMS = ("sl2+abelian:2", "gl2+sl2", "heis3+gl2", "gl2+gl2", "so3+heis3+abelian:1",
+              "sl2+so3", "sl2 (x) fun:3")
+
+
+def _shuffled(name, shuffle):
+    """The algebra of name on its catalog basis (shuffle 0) or on a seeded
+    shuffle of it."""
+    L = _oracle_algebra(name)
+    if shuffle:
+        order = list(range(L.dim))
+        random.Random(f"{name} shuffle {shuffle}").shuffle(order)
+        L = _permuted(L, order)
+    return L
+
+
+@pytest.mark.parametrize("name", IDEAL_SUMS)
+@pytest.mark.parametrize("shuffle", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_h2_of_a_sum_of_ideals_matches_full_complex(name, shuffle, m):
+    _assert_matches_full_complex(_shuffled(name, shuffle), 2, m,
+                                 random.Random(f"{name} {shuffle} {m}"))
+
+
+@pytest.mark.parametrize("name", ["heis3", "sl2+abelian:2", "so3+heis3+abelian:1"])
+def test_h2_makes_no_extra_linalg_call(monkeypatch, name):
+    # h2 makes one kernel_basis, one from_spanning (the image of d^1) and
+    # one rref_with_transform call, with one ideal class or more
+    module = importlib.import_module("currentext.cohomology")
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(f.__name__) or f(*args)
+
+    for attr in ("kernel_basis", "rref_with_transform"):
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+    spanning = Subspace.from_spanning.__func__
+    monkeypatch.setattr(Subspace, "from_spanning", classmethod(counted(spanning)))
+    assert cohomology(lie_catalog(name), 2, 1).dimension > 0
+    assert calls == ["kernel_basis", "from_spanning", "rref_with_transform"]
 
 
 def test_torus_of_the_basis():
