@@ -42,7 +42,7 @@ from .errors import (
     NotDiagonalError,
 )
 from .invariants import v_space_and_kappa
-from .lie import LieAlgebra, _StructureTable, killing_form, same_algebra
+from .lie import LieAlgebra, _product_classes, _StructureTable, killing_form, same_algebra
 from .linalg import (
     QuotientSpace,
     SparseMatrix,
@@ -369,34 +369,6 @@ class KaehlerModule:
             f"KaehlerModule(dim A = {self.parent.dim}, "
             f"dim Omega1 = {self.dim_omega1}, dim Omega1bar = {self.dim_omega1bar})"
         )
-
-
-def _product_classes(A: CommAlgebra) -> list:
-    """The product classes of A's basis, each a sorted list of indices,
-    ordered by their smallest index: the connected components of the
-    graph that joins i, j and k for every nonzero (b_i b_j)_k.
-
-    Basis elements of different classes multiply to 0, and products
-    within a class stay in its span, so the classes span ideals whose
-    product is A.
-    """
-    root = list(range(A.dim))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for (i, j), row in A._integer_table[1].items():
-        for k in (j, *row):
-            a, b = find(i), find(k)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    classes = {}
-    for i in range(A.dim):
-        classes.setdefault(find(i), []).append(i)
-    return list(classes.values())
 
 
 def kaehler_module(A: CommAlgebra) -> KaehlerModule:

@@ -210,6 +210,35 @@ class _StructureTable:
         return entries
 
 
+def _product_classes(table: _StructureTable) -> list:
+    """The product classes of a structure table's basis, each a sorted
+    list of indices, ordered by their smallest index: the connected
+    components of the graph that joins i, j and k for every nonzero
+    (b_i b_j)_k, a product of a CommAlgebra or a bracket of a LieAlgebra.
+
+    Basis elements of different classes multiply (or bracket) to 0, and
+    products within a class stay in its span, so the classes span ideals
+    whose direct sum is the algebra, and they commute in a Lie algebra.
+    """
+    root = list(range(table.dim))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for (i, j), row in table._integer_table[1].items():
+        for k in (j, *row):
+            a, b = find(i), find(k)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    classes = {}
+    for i in range(table.dim):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
 class LieAlgebra(_StructureTable):
     """Lie algebra over QQ given by sparse structure constants."""
 
