@@ -27,6 +27,7 @@ public accessor reads a value.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
@@ -437,13 +438,21 @@ def kaehler_module(A: CommAlgebra) -> KaehlerModule:
     pivots = sorted(echelon)
     omega1 = quotient_space(ambient, Subspace(ambient, pivots, map(echelon.get, pivots)))
     # [b_i d(b_j)] for the pairs inside one class, in lexicographic order,
-    # each read off the echelon rows, then brought over one denominator
+    # then brought over one denominator.  Each is the quotient coordinates
+    # of a unit vector, read off the echelon rows as _coordinates would:
+    # representative column c is coordinate c - #{pivots < c}, and a pivot
+    # column's unit vector is minus its reduced row's other entries, in
+    # column order, over the row's lead
     units = {}
     for i in range(d):
         for j in class_of[i]:
-            lead, pair = omega1._coordinates({i * d + j: 1})
-            if pair:
-                units[(i, j)] = (lead, pair)
+            c = i * d + j
+            row = echelon.get(c)
+            if row is None:
+                units[(i, j)] = (1, {c - bisect_left(pivots, c): 1})
+            elif len(row) > 1:
+                units[(i, j)] = (row[c], {x - bisect_left(pivots, x): -value
+                                          for x, value in sorted(row.items()) if x != c})
     den, pairs = _over_lcm(units)
     # d(b_j) = sum_i u_i [b_i d(b_j)], the unit scaled to integers over uden
     uden, unit = _scaled_row({i: u for i, u in enumerate(A.unit) if u})
