@@ -45,6 +45,25 @@ weight-zero tuples are found by summing ints.
 cohomology() reads the torus once and lists the weight-zero tuples of each
 degree once, and hands them to ce_differential as its sources.
 
+Ideal classes: the product classes of the basis (lie._product_classes)
+span commuting ideals L_s, and L is their direct sum.  In degree 2 the
+block leaves out every pair (x, y) with x in L_s, y in L_t, s != t and
+L_s or L_t perfect, for any Lie algebra.  For a, b in L_s and y in L_t,
+[a, y] = [b, y] = 0, so (d omega)(a, b, y) = -omega([a, b], y), and a
+cocycle vanishes on [L_s, L_s] x L_t; on a perfect L_s that is all of
+L_s x L_t, and the same holds with s and t swapped.  A coboundary
+(d beta)(x, y) = -beta([x, y]) vanishes there too.  So those columns are
+zero coordinates of both Z^2 and B^2: the kernel, image, quotient and
+class rows are those of the whole block, renumbered monotonically, and
+the representatives are the same.  A column left out reaches only the
+triples of classes (s, s, t) and (s, t, t), which no kept column
+reaches, so the class maps check a cochain's entries on those pairs with
+its entries of nonzero weight.  Pairs across two classes that are not
+perfect stay in the block: they carry the H^1 (x) H^1 part of H^2 (as
+in gl2 + gl2).  This is the Kuenneth split of a direct sum
+(Kassel-Loday 1982) read in degree 2: H^2 of the sum is the sum of the
+H^2(L_s) and of the H^1(L_s) (x) H^1(L_t) for s < t.
+
 Cost contract: the differential is assembled by one routine from the
 nonzero brackets only (for each source tuple, the pairs a < b bracketing
 into one of its indices), so assembly costs O(nnz) rather than a visit to
@@ -104,7 +123,7 @@ from .errors import (
     NotACocycleError,
     ResourceCeilingError,
 )
-from .lie import LieAlgebra, _coboundary_totals, same_algebra
+from .lie import LieAlgebra, _coboundary_totals, _product_classes, same_algebra
 from .linalg import (
     SparseMatrix,
     Subspace,
@@ -557,9 +576,11 @@ class Cohomology:
     in the canonical quotient coordinates, so the output is deterministic.
     Representative k * m + a is rep_k (x) e_a, and class coordinate
     k * m + a belongs to it.  The quotient lives on the weight-zero
-    block: block column c is the p-tuple cochains[c].  classes is the
-    subspace of quotient coordinates spanned by the classes of the
-    representatives; its echelon row k is the class of rep_k.
+    block: block column c is the p-tuple cochains[c].  In degree 2 the
+    block leaves out the pairs across two ideal classes with a perfect
+    side, on which every cocycle vanishes (module docstring).  classes
+    is the subspace of quotient coordinates spanned by the classes of
+    the representatives; its echelon row k is the class of rep_k.
     """
 
     __slots__ = (
@@ -614,9 +635,12 @@ class Cohomology:
         """Class coordinates {k: c} of a scalar cocycle {p-tuple: value} in
         H^p(L, QQ).
 
-        The class is read from the weight-zero entries through the block.
-        The other entries form a nonzero-weight cochain, which has class 0
-        when it is a cocycle; d^p is applied to it to check that.
+        The class is read from the entries on the block's tuples.  The
+        other entries, of nonzero weight or (in degree 2) on a pair the
+        block leaves out, reach triples that no block column reaches, so
+        the cochain is a cocycle exactly when both parts are; d^p is
+        applied to the other part to check that.  As a cocycle it is zero
+        on the pairs left out and of nonzero weight, so its class is 0.
         """
         block, rest = {}, {}
         for t, value in slot.items():
@@ -676,10 +700,12 @@ def cohomology(
 
     Only the weight-zero block of the scalar complex is assembled, by
     ce_differential on the weight-zero tuples, and solved (see the module
-    docstring); with an empty torus that block is the whole complex.  The
-    torus and the weight-zero tuples of each degree are computed once.
-    The ceiling counts the full C^{p+1} and, for p >= 2, C^p with their
-    factor m, before anything is assembled.
+    docstring); with an empty torus that block is the whole complex.  In
+    degree 2, with more than one ideal class, the block leaves out the
+    pairs across two classes with a perfect side.  The torus and the
+    weight-zero tuples of each degree are computed once.  The ceiling
+    counts the full C^{p+1} and, for p >= 2, C^p with their factor m,
+    before anything is assembled.
     """
     if p < 1:
         raise ValueError("cohomology degree must be at least 1")
@@ -692,6 +718,16 @@ def cohomology(
         return Cohomology(L, p, m, (), (), None, None)
     weights = _torus_weights(L)
     cochains = _weight_zero_tuples(weights, p)
+    classes = _product_classes(L) if p == 2 else ()
+    if len(classes) > 1:
+        # every 2-cocycle vanishes on a pair across two ideal classes with a
+        # perfect side (module docstring): those columns are left out.  A
+        # class is perfect when [L, L] has a pivot at each of its indices.
+        derived = set(Subspace._from_integer_rows(L.dim, L._integer_table[1].values()).pivots)
+        class_of = {i: members[0] for members in classes for i in members}
+        perfect = {members[0] for members in classes if derived.issuperset(members)}
+        cochains = [(x, y) for x, y in cochains if class_of[x] == class_of[y]
+                    or not {class_of[x], class_of[y]} & perfect]
     d_up = ce_differential(L, p, ceiling=ceiling, sources=cochains)
     size = d_up.cols
     cocycles = kernel_basis(d_up)
@@ -699,7 +735,8 @@ def cohomology(
         image = Subspace.zero(size)  # trivial coefficients: d^0 = 0
     else:
         # d^{p-1} of a weight-zero cochain has weight zero: its rows, the
-        # ranks of p-tuples, are renumbered to the columns of d^p.  The
+        # ranks of p-tuples, are renumbered to the columns of d^p (a pair
+        # left out above brackets to 0, so it is no row of d^1).  The
         # rows are integers over one denominator, so the integer columns
         # span the image as they are.
         top, table = _rank_table(L.dim, p)

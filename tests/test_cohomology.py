@@ -33,7 +33,7 @@ from currentext.errors import (
     NotACocycleError,
     ResourceCeilingError,
 )
-from currentext.lie import LieAlgebra
+from currentext.lie import LieAlgebra, _product_classes, derived_subalgebra
 from currentext.linalg import SparseMatrix, Subspace, kernel_basis, solve_many
 from currentext.locality import (
     Cover,
@@ -694,7 +694,8 @@ def test_cohomology_matches_full_complex_on_permuted_bases(data):
     _assert_matches_full_complex(L, p, m, random.Random(name))
 
 
-# direct sums of ideals, perfect and not
+# direct sums of ideals, perfect and not: in degree 2 the block leaves out
+# the pairs across two ideal classes with a perfect side
 IDEAL_SUMS = ("sl2+abelian:2", "gl2+sl2", "heis3+gl2", "gl2+gl2", "so3+heis3+abelian:1",
               "sl2+so3", "sl2 (x) fun:3")
 
@@ -718,10 +719,65 @@ def test_h2_of_a_sum_of_ideals_matches_full_complex(name, shuffle, m):
                                  random.Random(f"{name} {shuffle} {m}"))
 
 
+@pytest.mark.parametrize("name, count, left_out", [
+    ("sl2+abelian:2", 3, 2),  # (h, a1), (h, a2)
+    ("gl2+sl2", 2, 2),  # (E11, h), (E22, h)
+    ("heis3+gl2", 2, 0),  # neither side is perfect
+    ("gl2+gl2", 2, 0),
+    ("so3+heis3+abelian:1", 3, 12),  # so3 x (heis3 + abelian:1): no torus
+    ("sl2+so3", 2, 3),  # h x so3
+    ("sl2 (x) fun:3", 3, 3),  # the h (x) e_s pairs across points
+])
+@pytest.mark.parametrize("shuffle", [0, 1])
+def test_h2_block_leaves_out_the_cross_pairs_with_a_perfect_side(name, count, left_out,
+                                                                  shuffle):
+    # a class is perfect when [L, L] holds all of it; the block keeps every
+    # weight-zero pair inside a class or across two classes not perfect
+    L = _shuffled(name, shuffle)
+    classes = _product_classes(L)
+    assert len(classes) == count
+    owner = {i: s for s, members in enumerate(classes) for i in members}
+    derived = set(derived_subalgebra(L).pivots)
+    perfect = {s for s, members in enumerate(classes) if derived.issuperset(members)}
+    block = _weight_zero_tuples(_torus_weights(L), 2)
+    kept = [(x, y) for x, y in block
+            if owner[x] == owner[y] or not {owner[x], owner[y]} & perfect]
+    assert len(block) - len(kept) == left_out
+    assert cohomology(L, 2, 1).cochains == tuple(kept)
+
+
+def test_gl2_plus_gl2_keeps_its_cross_pairs():
+    # H^2(gl2 + gl2) is H^1(gl2) (x) H^1(gl2): the class of trace (x) trace,
+    # which lives on the cross pairs; E11 (x) E11' is one of them
+    h = cohomology(lie_catalog("gl2+gl2"), 2, 1)
+    assert (0, 4) in h.cochains and h.dimension == 1
+    assert all(x < 4 <= y for x, y in h.scalar_representatives[0])
+
+
+@pytest.mark.parametrize("name, pair", [
+    ("sl2+abelian:2", (1, 3)),  # (h, a1)
+    ("gl2+sl2", (0, 5)),  # (E11, h)
+    ("sl2 (x) fun:3", (3, 4)),  # (h (x) e1, h (x) e2)
+])
+def test_class_coordinates_reject_a_value_on_a_pair_left_out(name, pair):
+    # the pair has weight zero but is no block column: the class maps check
+    # it with the entries of nonzero weight, and no cocycle is nonzero there
+    L = _oracle_algebra(name)
+    h = cohomology(L, 2, 2)
+    assert pair in _weight_zero_tuples(_torus_weights(L), 2) and pair not in h.cochains
+    for rep in h.scalar_representatives or [{}]:
+        cochain = {**rep, pair: F(1)}
+        with pytest.raises(InternalConsistencyError):
+            h.scalar_class_coordinates(cochain)
+        with pytest.raises(InternalConsistencyError):
+            h.class_coordinates({t: (F(0), value) for t, value in cochain.items()})
+
+
 @pytest.mark.parametrize("name", ["heis3", "sl2+abelian:2", "so3+heis3+abelian:1"])
 def test_h2_makes_no_extra_linalg_call(monkeypatch, name):
-    # h2 makes one kernel_basis, one from_spanning (the image of d^1) and
-    # one rref_with_transform call, with one ideal class or more
+    # the perfect classes are read without derived_subalgebra (a
+    # from_spanning): h2 makes one kernel_basis, one from_spanning (the
+    # image of d^1) and one rref_with_transform call, with one class or more
     module = importlib.import_module("currentext.cohomology")
     calls = []
 
