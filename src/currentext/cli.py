@@ -144,12 +144,19 @@ def _flat_text(value):
 
 def _read_json(text: str, what: str):
     """json.loads, refusing what it cannot read as a DocumentError that
-    starts with what: a JSONDecodeError, or the ValueError of an integer
-    literal with more digits than int() reads."""
+    starts with what: a JSONDecodeError, or an integer literal with more
+    digits than int() reads, whose ValueError names a remedy (a call to
+    sys.set_int_max_str_digits) that only a Python caller can apply, so
+    the limit is named instead."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         raise DocumentError(f"{what}: {exc}") from None
+    except ValueError:
+        raise DocumentError(
+            f"{what}: an integer has more than {sys.get_int_max_str_digits()} digits, "
+            "the most this program reads"
+        ) from None
 
 
 def _parse_rational(value, where):

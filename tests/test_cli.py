@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -161,6 +162,21 @@ def test_a_document_integer_longer_than_int_reads_is_a_document_error(tmp_path):
     path = tmp_path / "long.json"
     path.write_text(text, encoding="utf-8")
     assert run_command(["info", str(path)]).exit_code == EXIT_INPUT
+
+
+def test_a_json_integer_longer_than_int_reads_names_the_limit(tmp_path):
+    # int()'s own message tells the user to call sys.set_int_max_str_digits(),
+    # which no command-line user can do; the refusal names the limit
+    limit = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "comm", "dim": 1, "products": [[0, 0, 0, -' + LONG_NUMBER + ']]}',
+                    encoding="utf-8")
+    for argv, what in ((["witness", "heis3", f"[{LONG_NUMBER}, 0, 0]"], "bad element coordinates"),
+                       (["info", str(path)], "not valid JSON")):
+        report = run_command(argv)
+        assert report.exit_code == EXIT_INPUT
+        assert report.results["error"] == f"{what}: {limit}, the most this program reads"
+        assert "set_int_max_str_digits" not in report.results["error"]
 
 
 @pytest.mark.parametrize("doc", [
