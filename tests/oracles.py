@@ -45,7 +45,10 @@ degree one, with their own sparse elimination and no Kaehler module, as
 the references for the dimensions of Omega1 and Omega1bar that read
 no representatives.  lie_table_reference and comm_table_reference
 are the former constructor loops of the two kinds of algebra, and the
-two violations references their former mirror checks.
+two violations references their former mirror checks.  reparsed feeds
+a table's own public entries (and a CommAlgebra's unit and idempotents)
+back to the parsing constructor, as the reference for the tables the
+package derives.
 
 The package keys cochains by increasing index tuples, {p-tuple: m-tuple}.
 The dense references use flat vectors of C^p(L, Q^m) instead, entry
@@ -221,6 +224,15 @@ def entries_on_reference(A, vectors):
         assert coords is not None, f"product {i}, {j} leaves the span"
         out.extend((i, j, k, x) for k, x in enumerate(coords) if x)
     return out
+
+
+def reparsed(A):
+    """The algebra the parsing constructor builds from A's public
+    accessors: its labels and entries, and for a CommAlgebra its unit and
+    idempotents."""
+    if hasattr(A, "structure_entries"):
+        return type(A)(A.labels, A.structure_entries())
+    return type(A)(A.labels, A.entries(), A.unit, A.idempotents)
 
 
 def corner_entries_reference(A, indices):

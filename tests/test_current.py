@@ -38,6 +38,7 @@ from oracles import (
     kaehler_cross_units_reference,
     kaehler_reference,
     module_action_reference,
+    reparsed,
     tensor_comm_reference,
 )
 
@@ -651,6 +652,25 @@ def test_adjoin_unit_of_augmentation_ideal():
     assert ext.algebra.dim == 3
     assert ext.algebra.validate().ok
     assert ext.algebra.entries() == comm_catalog("jets:3").entries()
+
+
+@pytest.mark.parametrize("labels, entries, idempotents", [
+    (("t", "t^2"), [(0, 0, 1, 1)], None),
+    # halves and thirds in the table: the unit row is brought over its den
+    (("x", "y", "z"), [(0, 0, 1, F(1, 2)), (0, 1, 2, F(-2, 3))], None),
+    # two points with no unit: e1 and e2 are local units only
+    (("e1", "e2"), [(0, 0, 0, 1), (1, 1, 1, 1)], [("1", (1, 0)), ("2", (0, 1))]),
+])
+def test_unit_extension_table_is_the_parsed_one(labels, entries, idempotents):
+    A = CommAlgebra(labels, entries, None, idempotents)
+    plus = adjoin_unit_extend(A).algebra
+    parsed = reparsed(plus)
+    assert plus.labels == parsed.labels == ("1",) + A.labels
+    assert plus._integer_table == parsed._integer_table
+    assert list(plus._integer_table[1]) == list(parsed._integer_table[1])
+    assert plus._mirror_defects == parsed._mirror_defects == []
+    assert (plus.unit, plus.idempotents) == (parsed.unit, parsed.idempotents)
+    assert plus.validate().ok
 
 
 def test_adjoin_unit_extends_zero_cocycle():

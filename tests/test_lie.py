@@ -46,6 +46,7 @@ from oracles import (
     lie_from_matrices_reference,
     lie_table_reference,
     perfect_witness_reference,
+    reparsed,
     v_space_and_kappa_reference,
 )
 
@@ -393,6 +394,60 @@ def test_gl_matches_the_dense_commutators_of_unit_matrices(d):
     mats = [_unit_matrix(d, a, b) for a in range(d) for b in range(d)]
     assert L.structure_entries() == lie_from_matrices_reference(mats)
     assert validate_lie(L).ok
+
+
+def _assert_reparsed_alike(built):
+    """built has the labels and integer table, pairs in order, that the
+    parsing constructor builds from built's own public entries, and
+    neither has a mirror defect."""
+    parsed = reparsed(built)
+    assert built.labels == parsed.labels
+    assert built._integer_table == parsed._integer_table
+    assert list(built._integer_table[1]) == list(parsed._integer_table[1])
+    assert built._mirror_defects == parsed._mirror_defects == []
+    if isinstance(built, CommAlgebra):
+        assert (built.unit, built.idempotents) == (parsed.unit, parsed.idempotents)
+
+
+@pytest.mark.parametrize("name", [
+    "sl2", "sl3", "so3", "heis3", "sl2C", "gl2", "abelian:0", "abelian:1", "abelian:4",
+    "sq2", "jets:1", "jets:2", "jets:5", "fun:1", "fun:2", "fun:5",
+])
+def test_catalog_tables_are_the_parsed_ones(name):
+    _assert_reparsed_alike(_catalog_algebra(name))
+
+
+@pytest.mark.parametrize("names", [
+    ("sl2", "so3"), ("gl2", "heis3"), ("sl2", "sl2"),
+    ("sl2", "heis3", "gl2"), ("so3", "abelian:2", "so3"), ("sl3", "sl2C", "abelian:0"),
+])
+def test_direct_sum_table_is_the_parsed_one(names):
+    _assert_reparsed_alike(direct_sum(*[lie_catalog(name) for name in names]))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "so3", "heis3", "sl2C", "gl2", "abelian:2"])
+def test_realify_table_is_the_parsed_one(name):
+    _assert_reparsed_alike(realify(lie_catalog(name)))
+
+
+@pytest.mark.parametrize("name", ["gl2", "sl3"])
+def test_lie_from_matrices_table_is_the_parsed_one(name):
+    labels, mats = MATRIX_BASES[name]
+    _assert_reparsed_alike(lie_from_matrices(labels, mats))
+    # labels that are not strings are read as their str()
+    L = lie_from_matrices(range(len(mats)), mats)
+    assert L.labels == tuple(str(t) for t in range(len(mats)))
+    _assert_reparsed_alike(L)
+    # scaled matrices give constants with denominators
+    _assert_reparsed_alike(lie_from_matrices(labels, [
+        [[F(t + 1, 3) * x for x in row] for row in m] for t, m in enumerate(mats)
+    ]))
+
+
+def test_lie_from_matrices_of_no_matrices_is_the_parsed_zero_algebra():
+    L = lie_from_matrices((), [])
+    assert L.dim == 0
+    _assert_reparsed_alike(L)
 
 
 _BASIS_CHANGE_NAMES = ("sl2", "so3", "heis3", "gl2", "sl2+so3", "fun:2*sq2", "sq2*jets:2")

@@ -35,6 +35,7 @@ from oracles import (
     glue_primitives_reference,
     injection_matrix_reference,
     restrict_class_reference,
+    reparsed,
     restrict_cochain_reference,
     tuple_cochain,
 )
@@ -435,6 +436,19 @@ def test_corner_table_matches_the_former_loop(aname):
             assert corner.algebra.labels == tuple(A.labels[p] for p in corner.indices)
             assert corner.algebra.unit == tuple(ss.indicator(names)[p] for p in corner.indices)
             assert corner.algebra.points == names
+
+
+def test_corner_tables_are_the_parsed_ones():
+    g, A, ca, ss = _setup("sl2", "fun:3*sq2")
+    for size in range(1, len(ss.points) + 1):
+        for names in combinations(ss.points, size):
+            corner = Corner(ss, names).algebra
+            parsed = reparsed(corner)
+            assert corner.labels == parsed.labels
+            assert corner._integer_table == parsed._integer_table
+            assert list(corner._integer_table[1]) == list(parsed._integer_table[1])
+            assert corner._mirror_defects == parsed._mirror_defects == []
+            assert (corner.unit, corner.idempotents) == (parsed.unit, parsed.idempotents)
 
 
 def test_corner_product_leaving_the_corner_is_an_internal_error():
