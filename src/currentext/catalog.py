@@ -16,37 +16,26 @@ from .errors import CatalogError
 from .lie import LieAlgebra, _gl, direct_sum, realify
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _sl2() -> LieAlgebra:
     # [h,e] = 2e, [h,f] = -2f, [e,f] = h on the basis (e, h, f)
-    return LieAlgebra(
-        ("e", "h", "f"),
-        [
-            (0, 1, 0, Fraction(-2)),
-            (1, 2, 2, Fraction(-2)),
-            (0, 2, 1, _ONE),
-        ],
-    )
+    return LieAlgebra._from_integer_table(
+        ("e", "h", "f"), 1, {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}})
 
 
 def _so3() -> LieAlgebra:
-    return LieAlgebra(
-        ("e1", "e2", "e3"),
-        [
-            (0, 1, 2, _ONE),
-            (1, 2, 0, _ONE),
-            (0, 2, 1, Fraction(-1)),
-        ],
-    )
+    return LieAlgebra._from_integer_table(
+        ("e1", "e2", "e3"), 1, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
 
 
 def _heis3() -> LieAlgebra:
-    return LieAlgebra(("x", "y", "z"), [(0, 1, 2, _ONE)])
+    return LieAlgebra._from_integer_table(("x", "y", "z"), 1, {(0, 1): {2: 1}})
 
 
 def _abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(tuple(f"a{i + 1}" for i in range(n)), [])
+    return LieAlgebra._from_integer_table(tuple(f"a{i + 1}" for i in range(n)), 1, {})
 
 
 def _sl3() -> LieAlgebra:
@@ -54,7 +43,7 @@ def _sl3() -> LieAlgebra:
     # whose coordinate a * 3 + b is the matrix entry (a, b)
     labels = ("h1", "h2", "e1", "e2", "e3", "f1", "f2", "f3")
     vectors = [{0: 1, 4: -1}, {4: 1, 8: -1}, {1: 1}, {5: 1}, {2: 1}, {3: 1}, {7: 1}, {6: 1}]
-    return LieAlgebra(labels, _gl(3)._entries_on(vectors))
+    return LieAlgebra._from_integer_table(labels, *_gl(3)._entries_on(vectors))
 
 
 def _sl2c() -> LieAlgebra:
@@ -62,42 +51,27 @@ def _sl2c() -> LieAlgebra:
 
 
 def _jets(n: int) -> CommAlgebra:
+    # t^i t^j = t^(i + j) while i + j < n
     labels = tuple("1" if i == 0 else ("t" if i == 1 else f"t^{i}") for i in range(n))
-    entries = []
-    for i in range(n):
-        for j in range(i, n):
-            if i + j < n:
-                entries.append((i, j, i + j, _ONE))
-    unit = tuple(_ONE if i == 0 else Fraction(0) for i in range(n))
-    return CommAlgebra(labels, entries, unit)
+    rows = {(i, j): {i + j: 1} for i in range(n) for j in range(i, n - i)}
+    return CommAlgebra._from_integer_table(labels, 1, rows, (_ONE,) + (_ZERO,) * (n - 1))
 
 
 def _sq2() -> CommAlgebra:
-    # exponent pairs: 1, x, y, xy
-    powers = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    index = {p: i for i, p in enumerate(powers)}
-    labels = ("1", "x", "y", "xy")
-    entries = []
-    for i, (a1, b1) in enumerate(powers):
-        for j, (a2, b2) in enumerate(powers):
-            if j < i:
-                continue
-            a, b = a1 + a2, b1 + b2
-            if a < 2 and b < 2:
-                entries.append((i, j, index[(a, b)], _ONE))
-    unit = (_ONE, Fraction(0), Fraction(0), Fraction(0))
-    return CommAlgebra(labels, entries, unit)
+    # 1, x, y, xy: 1 is the unit, xy = x y and every other product is 0
+    rows = {(0, j): {j: 1} for j in range(4)}
+    rows[(1, 2)] = {3: 1}
+    return CommAlgebra._from_integer_table(
+        ("1", "x", "y", "xy"), 1, rows, (_ONE, _ZERO, _ZERO, _ZERO))
 
 
 def _fun(n: int) -> CommAlgebra:
     labels = tuple(f"e{s + 1}" for s in range(n))
-    entries = [(s, s, s, _ONE) for s in range(n)]
-    unit = (_ONE,) * n
-    idempotents = [
-        (str(s + 1), tuple(_ONE if t == s else Fraction(0) for t in range(n)))
-        for s in range(n)
-    ]
-    return CommAlgebra(labels, entries, unit, idempotents)
+    idempotents = tuple(
+        (str(s + 1), tuple(_ONE if t == s else _ZERO for t in range(n))) for s in range(n)
+    )
+    return CommAlgebra._from_integer_table(
+        labels, 1, {(s, s): {s: 1} for s in range(n)}, (_ONE,) * n, idempotents)
 
 
 # one name table per kind: a fixed name maps to its builder, and a

@@ -208,6 +208,11 @@ def parse_algebra_document(text: str):
         if not (isinstance(labels, list) and len(labels) == dim
                 and all(isinstance(s, str) for s in labels)):
             raise DocumentError('document "labels" must list dim strings')
+        seen = set()
+        for s in labels:  # a repeated label would name two basis elements
+            if s in seen:
+                raise DocumentError(f'document "labels" repeats the label {s!r}')
+            seen.add(s)
     else:
         labels = [f"b{i}" for i in range(dim)]
     if kind == "lie":

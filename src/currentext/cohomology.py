@@ -123,7 +123,7 @@ from .errors import (
     NotACocycleError,
     ResourceCeilingError,
 )
-from .lie import LieAlgebra, _coboundary_totals, _product_classes, same_algebra
+from .lie import LieAlgebra, _coboundary_totals, _product_classes, derived_subalgebra, same_algebra
 from .linalg import (
     SparseMatrix,
     Subspace,
@@ -723,7 +723,7 @@ def cohomology(
         # every 2-cocycle vanishes on a pair across two ideal classes with a
         # perfect side (module docstring): those columns are left out.  A
         # class is perfect when [L, L] has a pivot at each of its indices.
-        derived = set(Subspace._from_integer_rows(L.dim, L._integer_table[1].values()).pivots)
+        derived = set(derived_subalgebra(L).pivots)
         class_of = {i: members[0] for members in classes for i in members}
         perfect = {members[0] for members in classes if derived.issuperset(members)}
         cochains = [(x, y) for x, y in cochains if class_of[x] == class_of[y]

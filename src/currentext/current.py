@@ -133,6 +133,16 @@ class CommAlgebra(_StructureTable):
         else:
             self.idempotents = None
 
+    @classmethod
+    def _from_integer_table(cls, labels: Sequence[str], den: int, rows: dict,
+                            unit: Optional[Vec] = None, idempotents=None):
+        """The table rows / den as _StructureTable._from_integer_table
+        builds it, with the unit and idempotents, Fraction tuples as the
+        constructor stores them, which the caller vouches for."""
+        out = super()._from_integer_table(labels, den, rows)
+        out.unit, out.idempotents = unit, idempotents
+        return out
+
     @property
     def is_unital(self) -> bool:
         return self.unit is not None
@@ -233,9 +243,7 @@ def tensor_comm(A: CommAlgebra, B: CommAlgebra) -> CommAlgebra:
         idempotents = tuple((label, _outer(e, B.unit)) for label, e in A.idempotents)
     elif A.is_unital and A.idempotents is None and B.idempotents is not None:
         idempotents = tuple((label, _outer(A.unit, e)) for label, e in B.idempotents)
-    out = CommAlgebra._from_integer_table(labels, *_tensor_table(A, B))
-    out.unit, out.idempotents = unit, idempotents
-    return out
+    return CommAlgebra._from_integer_table(labels, *_tensor_table(A, B), unit, idempotents)
 
 
 def _outer(u: Vec, v: Vec) -> Vec:
@@ -579,14 +587,15 @@ def adjoin_unit_extend(
     if A.is_unital:
         raise ValueError("algebra is already unital")
     n = A.dim
-    labels = ("1",) + A.labels
+    den, products = A._integer_table
     # the unit row, then A's products with each index shifted by one
-    entries = [(0, j, j, _ONE) for j in range(n + 1)]
-    entries += [(i + 1, j + 1, k + 1, c) for i, j, k, c in A.entries()]
+    rows = {(0, j): {j: den} for j in range(n + 1)}
+    for (i, j), row in products.items():
+        rows[(i + 1, j + 1)] = {k + 1: c for k, c in row.items()}
+    # A's local units need not sum to the new unit, so the extended
+    # algebra takes no idempotents: it claims no full point decomposition
     unit = (_ONE,) + zero_vector(n)
-    # local units survive; they need not sum to the new unit, so the
-    # extended algebra does not claim a full point decomposition
-    A_plus = CommAlgebra(labels, entries, unit, None)
+    A_plus = CommAlgebra._from_integer_table(("1",) + A.labels, den, rows, unit)
 
     def embed(a):
         return (_ZERO,) + tuple(_as_fraction(x) for x in a)

@@ -1,14 +1,19 @@
 """Finite-dimensional Lie algebras given by rational structure constants.
 
 _StructureTable holds the structure constants of a bilinear product on a
-basis, for LieAlgebra here and for CommAlgebra in current.  It parses the
-entries, records the mirror mismatches of a malformed table for the
-validators to report instead of silently resolving them, and keeps one
-table: the constants for i <= j as integers over one denominator, which
-every routine in the package sums; the Fractions of the public accessors
-are built from it when they are read.  Its _entries_on builds the
-constants on a computed basis, for lie_from_matrices inside gl(d) and
-for locality's corners.  A LieAlgebra stores the bracket
+basis, for LieAlgebra here and for CommAlgebra in current, as one table:
+the constants for i <= j as integers over one denominator, which every
+routine in the package sums; the Fractions of the public accessors are
+built from it when they are read.  The tables have two ways in, one per
+job.  Every table the package derives (the catalog, direct sums,
+realified and matrix algebras, tensor products, current algebras,
+corners and unit extensions) is built from integers by
+_from_integer_table.  The parsing constructor checks input from outside,
+the JSON documents of the command line: it parses the entries and
+records the mirror mismatches of a malformed table for the validators to
+report instead of silently resolving them.  _entries_on builds the
+integer table on a computed basis, for lie_from_matrices inside gl(d)
+and for locality's corners.  A LieAlgebra stores the bracket
 [b_i, b_j] = sum_k c[i][j][k] b_k for i < j; the i > j case is derived by
 antisymmetry.  The Jacobi identity is checked as the cocycle condition of
 the bracket read as a 2-cochain with values in L, in O(bracket nnz * n),
@@ -47,7 +52,6 @@ from .linalg import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class _StructureTable:
@@ -55,16 +59,15 @@ class _StructureTable:
 
     The table is ``_integer_table`` = (den, {(i, j): {k: den * c}}) for
     i <= j in pair order, den the positive lcm of the constants'
-    denominators.  The constructor parses and checks outside entries:
-    the given orientation wins, and an entry given only as (j, i) is
-    mirrored with ``_sign``, -1 for a Lie bracket (which rules out a
-    diagonal) and +1 for a commutative product.  ``_mirror_defects``
-    records, while the entries are parsed, what the validators report
-    about a malformed table instead of silently resolving it.  A table
-    the package derives from integer tables (a tensor product, a
-    current algebra) goes through _from_integer_table instead, which
-    builds no Fraction.  Every Fraction a caller reads is built from the
-    integers when it is read.
+    denominators.  The constructor parses and checks input from outside
+    the package: the given orientation wins, and an entry given only as
+    (j, i) is mirrored with ``_sign``, -1 for a Lie bracket (which rules
+    out a diagonal) and +1 for a commutative product.
+    ``_mirror_defects`` records, while the entries are parsed, what the
+    validators report about a malformed table instead of silently
+    resolving it.  Every table the package derives goes through
+    _from_integer_table instead, which builds no Fraction.  Every
+    Fraction a caller reads is built from the integers when it is read.
     """
 
     __slots__ = ("labels", "_mirror_defects", "_integer_table")
@@ -128,8 +131,7 @@ class _StructureTable:
         in range, den positive.  den and the ints are divided by their
         gcd and the pairs sorted, so the table, its dict orders included,
         is the one the constructor builds from the same constants in the
-        same order, and there are no mirror defects.  A CommAlgebra's
-        unit and idempotents are the caller's to set."""
+        same order, and there are no mirror defects."""
         table = cls.__new__(cls)
         table.labels, table._mirror_defects = tuple(labels), []
         g = _content(den, (row.values() for row in rows.values()))
@@ -175,15 +177,18 @@ class _StructureTable:
         den, rows = self._integer_table
         return [(i, j, k, Fraction(row[k], den)) for (i, j), row in rows.items() for k in sorted(row)]
 
-    def _entries_on(self, vectors: Sequence) -> list:
-        """Canonical entries (i, j, k, c) of the product on the span of
-        ``vectors``, sparse {coordinate: value} maps in this basis, in their
-        coordinates: i < j for a bracket, i <= j for a product.  Dependent
-        vectors raise ValueError ``_dependent``, and the first pair whose
-        product leaves the span ``_leaves_span``.  The products are summed
-        on the integer table, so each is den times the true product, and
-        one solve gives the coordinates of every product, sparse, as
-        linalg._solve_rows returns them, each read as num / (lead * den)."""
+    def _entries_on(self, vectors: Sequence) -> tuple:
+        """The integer table (den, {(i, j): {k: int}}) of the product on
+        the span of ``vectors``, sparse {coordinate: value} maps in this
+        basis, in their coordinates, for _from_integer_table: i < j for a
+        bracket, i <= j for a product.  Dependent vectors raise ValueError
+        ``_dependent``, and the first pair whose product leaves the span
+        ``_leaves_span``.  The products are summed on the integer table,
+        so each is den times the true product, and one solve gives the
+        coordinates of every product, sparse, as linalg._solve_rows
+        returns them: num / lead, with one lead per pivot k.  So each
+        constant is num * (q // lead) over den * q, q the lcm of the
+        leads."""
         m, sign = len(vectors), self._sign
         span = SparseMatrix(self.dim, m, {(p, t): x for t, v in enumerate(vectors)
                                           for p, x in v.items()})
@@ -200,14 +205,18 @@ class _StructureTable:
                     for k, c in row.items():
                         out[k] = out.get(k, 0) + coef * c
             products.append(out)
-        den = self._integer_table[0]
-        entries = []
+        rows = {}
         solutions = _solve_rows(_augmented_rows(span, products), m, len(products))
-        for (i, j), coords in zip(pairs, solutions):
+        for pair, coords in zip(pairs, solutions):
             if coords is None:
-                raise ValueError(self._leaves_span.format(i, j))
-            entries.extend((i, j, k, Fraction(num, lead * den)) for k, (num, lead) in coords.items())
-        return entries
+                raise ValueError(self._leaves_span.format(*pair))
+            if coords:
+                rows[pair] = coords
+        q = lcm(*(lead for coords in rows.values() for _, lead in coords.values()))
+        return self._integer_table[0] * q, {
+            pair: {k: num * (q // lead) for k, (num, lead) in coords.items()}
+            for pair, coords in rows.items()
+        }
 
 
 def _product_classes(table: _StructureTable) -> list:
@@ -571,8 +580,9 @@ def perfect_witness(L: LieAlgebra, x) -> list:
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    """[L, L], spanned by the nonzero brackets of basis elements."""
-    return Subspace.from_spanning(L.dim, L._integer_table[1].values())
+    """[L, L], spanned by the nonzero brackets of basis elements, which
+    are the integer rows of the bracket table."""
+    return Subspace._from_integer_rows(L.dim, L._integer_table[1].values())
 
 
 def is_perfect(L: LieAlgebra) -> bool:
@@ -583,35 +593,38 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
     """Direct sum with componentwise brackets; duplicate labels get a
     positional suffix so the result stays readable."""
     labels = []
-    seen = {}
+    seen = set()
     for idx, alg in enumerate(algebras):
         for s in alg.labels:
-            if s in seen or any(s == t for other in algebras[idx + 1:] for t in other.labels):
-                labels.append(f"{s}.{idx + 1}")
-                seen[s] = True
-            else:
-                labels.append(s)
-                seen[s] = True
-    entries = []
+            clash = s in seen or any(s in other.labels for other in algebras[idx + 1:])
+            labels.append(f"{s}.{idx + 1}" if clash else s)
+            seen.add(s)
+    # every summand's integer rows, shifted and brought over the lcm
+    den = lcm(*(alg._integer_table[0] for alg in algebras))
+    rows = {}
     offset = 0
     for alg in algebras:
-        for i, j, k, c in alg.structure_entries():
-            entries.append((i + offset, j + offset, k + offset, c))
+        scale = den // alg._integer_table[0]
+        for (i, j), row in alg._integer_table[1].items():
+            rows[(i + offset, j + offset)] = {k + offset: scale * c for k, c in row.items()}
         offset += alg.dim
-    return LieAlgebra(labels, entries)
+    return LieAlgebra._from_integer_table(labels, den, rows)
 
 
 def _gl(d: int) -> LieAlgebra:
     """gl(d) on the unit matrices E_ab, flattened row-major as a * d + b,
     from [E_ab, E_ce] = delta_bc E_ae - delta_ea E_cb."""
-    entries = []
+    rows = {}
     for a, b, c, e in product(range(d), repeat=4):
-        if a * d + b < c * d + e:
+        if a * d + b < c * d + e and (b == c or e == a):
+            # E_ae and E_cb differ here: both equal would need a = b = c = e
+            row = rows[(a * d + b, c * d + e)] = {}
             if b == c:
-                entries.append((a * d + b, c * d + e, a * d + e, _ONE))
+                row[a * d + e] = 1
             if e == a:
-                entries.append((a * d + b, c * d + e, c * d + b, -_ONE))
-    return LieAlgebra([f"E{a + 1}{b + 1}" for a in range(d) for b in range(d)], entries)
+                row[c * d + b] = -1
+    return LieAlgebra._from_integer_table(
+        [f"E{a + 1}{b + 1}" for a in range(d) for b in range(d)], 1, rows)
 
 
 def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]]) -> LieAlgebra:
@@ -620,20 +633,22 @@ def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]])
     Every matrix must be d x d for one d, with one label per matrix.  The
     constants are gl(d)'s on the span of the matrices flattened row-major
     (_entries_on), which checks exactly that they are linearly
-    independent and closed under the commutator.
+    independent and closed under the commutator.  Labels are read as
+    their str().
     """
     n = len(mats)
     if len(labels) != n:
         raise ValueError(f"label count {len(labels)} != matrix count {n}")
+    labels = [str(s) for s in labels]
     if n == 0:
-        return LieAlgebra(labels, ())
+        return LieAlgebra._from_integer_table(labels, 1, {})
     d = len(mats[0])
     for t, m in enumerate(mats):
         if len(m) != d or any(len(row) != d for row in m):
             raise ValueError(
                 f"matrices must be square and of one size: matrix {t} is not {d} x {d}"
             )
-    return LieAlgebra(labels, _gl(d)._entries_on([
+    return LieAlgebra._from_integer_table(labels, *_gl(d)._entries_on([
         {r * d + c: y for r, row in enumerate(m) for c, x in enumerate(row)
          if (y := _as_fraction(x))}
         for m in mats
@@ -646,10 +661,13 @@ def realify(L: LieAlgebra) -> LieAlgebra:
     the label of i b_k being "i" before b_k's."""
     n = L.dim
     labels = list(L.labels) + ["i" + s for s in L.labels]
-    entries = []
-    for i, j, k, c in L.structure_entries():
-        entries.append((i, j, k, c))
-        entries.append((i, n + j, n + k, c))
-        entries.append((j, n + i, n + k, -c))
-        entries.append((n + i, n + j, k, -c))
-    return LieAlgebra(labels, entries)
+    den, brackets = L._integer_table
+    rows = {}
+    for (i, j), row in brackets.items():
+        # [b_i, b_j], [b_i, i b_j] = i [b_i, b_j], [b_j, i b_i] = -i [b_i, b_j]
+        # and [i b_i, i b_j] = -[b_i, b_j]: four pairs, none met twice
+        rows[(i, j)] = row
+        rows[(i, n + j)] = {n + k: c for k, c in row.items()}
+        rows[(j, n + i)] = {n + k: -c for k, c in row.items()}
+        rows[(n + i, n + j)] = {k: -c for k, c in row.items()}
+    return LieAlgebra._from_integer_table(labels, den, rows)

@@ -11,8 +11,9 @@ The basis is point-aligned: SupportStructure accepts A only when every
 basis vector b_p sits over a single point s(p) and e_s(p) b_p = b_p.
 Then e_s b_p is b_p or 0 according to s(p), multiplying x (x) b_p by a
 partition function lambda_k is a coordinate mask, and a corner e_U A is
-the sub-basis over U, its table read off A by the one builder of
-structure constants on a computed basis, _StructureTable._entries_on.
+the sub-basis over U, its integer table read off A by the one builder
+of structure tables on a computed basis, _StructureTable._entries_on,
+and handed to CommAlgebra._from_integer_table.
 Restriction, extension by zero and gluing are therefore re-indexings of
 the sparse tables: restrict_class costs O(nnz psi), restrict_cochain and
 glue_primitives O(dim * m), and no idempotent is ever multiplied out.
@@ -208,17 +209,17 @@ class Corner:
             for i in range(ss.current.fibre.dim) for t in slots
         )
         try:
-            entries = A._entries_on([{p: 1} for p in self.indices])
+            table = A._entries_on([{p: 1} for p in self.indices])
         except ValueError:
             raise InternalConsistencyError("corner product left the corner span") from None
         unit = ss.indicator(self.subset)
-        idempotents = [
+        idempotents = tuple(
             (label, tuple(ss.idempotent(label)[p] for p in self.indices))
             for label in self.subset
-        ]
-        self.algebra = CommAlgebra(
+        )
+        self.algebra = CommAlgebra._from_integer_table(
             [A.labels[p] for p in self.indices],
-            entries,
+            *table,
             tuple(unit[p] for p in self.indices),
             idempotents,
         )

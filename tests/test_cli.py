@@ -237,6 +237,29 @@ def test_duplicate_idempotent_labels_are_refused(tmp_path):
         assert "duplicate idempotent point label 'p'" in json.dumps(report.results)
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "lie", "dim": 3, "labels": ["x", "x", "z"], "brackets": [[0, 1, 2, 1]]},
+    {"kind": "comm", "dim": 2, "labels": ["e", "e"],
+     "products": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1]},
+])
+def test_repeated_basis_labels_are_refused(doc, tmp_path):
+    # the heis3 table with two basis elements labelled "x": witness DOC x
+    # read the first of them, and current DOC fun:2 printed x*e1 twice
+    message = f'document "labels" repeats the label {doc["labels"][1]!r}'
+    with pytest.raises(DocumentError) as caught:
+        parse_algebra_document(json.dumps(doc))
+    assert str(caught.value) == message
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argvs = [["info", str(path)]]
+    if doc["kind"] == "lie":
+        argvs += [["witness", str(path), "x"], ["current", str(path), "fun:2"]]
+    for argv in argvs:
+        report = run_command(argv)
+        assert report.exit_code == EXIT_INPUT == 1
+        assert report.results == {"error": message}
+
+
 def test_catalog_resolution_without_files():
     report = run_command(["info", "sl2"])
     assert report.exit_code == EXIT_OK

@@ -495,12 +495,14 @@ def _computed_bases(draw):
 @given(_computed_bases())
 def test_entries_on_matches_the_dense_products(case):
     A, vectors, corner = case
-    entries = A._entries_on(vectors)
+    table = type(A)._from_integer_table([f"v{t}" for t in range(len(vectors))],
+                                        *A._entries_on(vectors))
+    entries = table._entries()
     assert entries == entries_on_reference(A, vectors)
     if corner is not None:
         assert entries == corner_entries_reference(A, corner)
     if isinstance(A, LieAlgebra):
-        assert validate_lie(LieAlgebra([f"v{t}" for t in range(len(vectors))], entries)).ok
+        assert validate_lie(table).ok
 
 
 _DERIVATION_NAMES = ("sl2", "sl3", "gl2", "heis3", "sl2+so3", "sl2 (x) jets:2")
@@ -520,8 +522,9 @@ def _derivation_cases(draw):
     form there."""
     base = _derivation_fibre(draw(st.sampled_from(_DERIVATION_NAMES)))
     columns = _unimodular_columns(draw, base.dim)
-    L = LieAlgebra([f"v{t}" for t in range(base.dim)],
-                   base._entries_on([{p: x for p, x in enumerate(col) if x} for col in columns]))
+    L = LieAlgebra._from_integer_table(
+        [f"v{t}" for t in range(base.dim)],
+        *base._entries_on([{p: x for p, x in enumerate(col) if x} for col in columns]))
     if draw(st.booleans()):
         return L, None
     i = draw(st.integers(0, L.dim - 1))
