@@ -64,6 +64,16 @@ in gl2 + gl2).  This is the Kuenneth split of a direct sum
 (Kassel-Loday 1982) read in degree 2: H^2 of the sum is the sum of the
 H^2(L_s) and of the H^1(L_s) (x) H^1(L_t) for s < t.
 
+Representatives: the class space is the reduced echelon form, in the
+quotient coordinates of ker d^p / im d^{p-1} (linalg.QuotientSpace),
+spanned by the classes of the integer kernel rows, and rep_k is the lift
+of class row k: the row's entries at the image's representative
+columns, zero on every pivot column of the image.  The residue of a
+cocycle z modulo the image is z - b with b a coboundary, so the lift is
+a cocycle; it is the one cocycle of class k that vanishes on the
+image's pivot columns, so it does not depend on the order in which the
+eliminator picks its pivots, and no row operation is tracked.
+
 Cost contract: the differential is assembled by one routine from the
 nonzero brackets only (for each source tuple, the pairs a < b bracketing
 into one of its indices), so assembly costs O(nnz) rather than a visit to
@@ -130,12 +140,10 @@ from .linalg import (
     Vec,
     _as_fraction,
     _content,
-    _integer_rows,
     _primitive,
     _solve_rows,
     kernel_basis,
     quotient_space,
-    rref_with_transform,
     vector,
     zero_vector,
 )
@@ -573,7 +581,9 @@ class Cohomology:
 
     The scalar representatives rep_k are sparse cocycles {p-tuple: value}
     whose classes form the reduced echelon basis of ker d^p / im d^{p-1}
-    in the canonical quotient coordinates, so the output is deterministic.
+    in the canonical quotient coordinates: rep_k is the lift of class
+    row k, zero on every pivot column of the image, so it is independent
+    of the pivot order and the output is deterministic.
     Representative k * m + a is rep_k (x) e_a, and class coordinate
     k * m + a belongs to it.  The quotient lives on the weight-zero
     block: block column c is the p-tuple cochains[c].  In degree 2 the
@@ -650,10 +660,10 @@ class Cohomology:
             else:
                 block[col] = value
         defect = bool(rest) and not self._is_cocycle(rest)
-        # the class rows are reduced: coordinate k is q at pivot k
-        q = self.quotient.project(block)
-        coords = {k: q[c] for k, c in enumerate(self.classes.pivots) if c in q}
-        if defect or not self.classes.contains(q):
+        # the class rows are reduced: coordinate k is q / den at pivot k
+        den, q = self.quotient._coordinates(block)
+        coords = {k: Fraction(q[c], den) for k, c in enumerate(self.classes.pivots) if c in q}
+        if defect or self.classes._residue(q)[1]:
             raise InternalConsistencyError(
                 "vector class lies outside the cocycle span; input is not a cocycle"
             )
@@ -703,7 +713,10 @@ def cohomology(
     docstring); with an empty torus that block is the whole complex.  In
     degree 2, with more than one ideal class, the block leaves out the
     pairs across two classes with a perfect side.  The torus and the
-    weight-zero tuples of each degree are computed once.  The ceiling
+    weight-zero tuples of each degree are computed once.  The classes are
+    spanned by the quotient coordinates of the kernel rows, and rep_k is
+    the lift of class row k, zero on the image's pivot columns and
+    independent of the pivot order.  The ceiling
     counts the full C^{p+1} and, for p >= 2, C^p with their factor m,
     before anything is assembled.
     """
@@ -749,26 +762,18 @@ def cohomology(
                 spans[c][column[r]] = value
         image = Subspace.from_spanning(size, spans)
     quotient = quotient_space(size, image)
-    z_rows = cocycles.basis_rows()
-    projected = [quotient.project(row) for row in z_rows]
-    reduced = rref_with_transform(projected, quotient.dim)
-    representatives = []
-    for _, combo, _ in reduced:
-        rep = {}
-        for t, coef in enumerate(combo):
-            if coef:
-                for col, value in z_rows[t].items():
-                    rep[col] = rep.get(col, _ZERO) + coef * value
-        representatives.append({col: value for col, value in rep.items() if value})
-    if len(representatives) != cocycles.dim - image.dim:
+    # the integer kernel rows span the same lines as basis_rows()
+    classes = Subspace.from_spanning(
+        quotient.dim, [quotient.project(row) for row in cocycles._rows])
+    if classes.dim != cocycles.dim - image.dim:
         raise InternalConsistencyError(
             "cohomology dimension bookkeeping failed (is d o d = 0 violated?)"
         )
-    classes = Subspace(
-        quotient.dim,
-        [pivot for _, _, pivot in reduced],
-        _integer_rows([vec_part for vec_part, _, _ in reduced], quotient.dim),
-    )
+    # rep_k is the lift of class row k, a cocycle (module docstring)
+    representatives = [
+        {quotient.rep_cols[q]: Fraction(value, row[pivot]) for q, value in row.items()}
+        for pivot, row in zip(classes.pivots, classes._rows)
+    ]
     return Cohomology(L, p, m, cochains, representatives, quotient, classes)
 
 

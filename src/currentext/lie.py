@@ -35,7 +35,12 @@ from itertools import combinations, product
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, InternalConsistencyError, NotInDerivedAlgebraError
+from .errors import (
+    DimensionMismatchError,
+    InputError,
+    InternalConsistencyError,
+    NotInDerivedAlgebraError,
+)
 from .linalg import (
     SparseMatrix,
     Subspace,
@@ -131,9 +136,15 @@ class _StructureTable:
         in range, den positive.  den and the ints are divided by their
         gcd and the pairs sorted, so the table, its dict orders included,
         is the one the constructor builds from the same constants in the
-        same order, and there are no mirror defects."""
+        same order, and there are no mirror defects.  A label built from
+        others (x*a, the unit "1", a suffixed label) can repeat one: that
+        raises InputError, since it would name two basis elements."""
+        labels = tuple(labels)
+        if len(set(labels)) < len(labels):
+            repeated = next(s for i, s in enumerate(labels) if s in labels[:i])
+            raise InputError(f"the basis repeats the label {repeated!r}")
         table = cls.__new__(cls)
-        table.labels, table._mirror_defects = tuple(labels), []
+        table.labels, table._mirror_defects = labels, []
         g = _content(den, (row.values() for row in rows.values()))
         table._integer_table = den // g, {pair: rows[pair] if g == 1 else
                                           {k: c // g for k, c in rows[pair].items()}
@@ -589,16 +600,23 @@ def is_perfect(L: LieAlgebra) -> bool:
     return derived_subalgebra(L).dim == L.dim
 
 
+def _suffixed_labels(groups: Sequence[Sequence[str]]) -> list:
+    """The labels of the groups in order, a label that occurs in two
+    groups suffixed with its group's position, .1 for the first."""
+    labels = []
+    seen = set()
+    for idx, group in enumerate(groups):
+        for s in group:
+            clash = s in seen or any(s in other for other in groups[idx + 1:])
+            labels.append(f"{s}.{idx + 1}" if clash else s)
+            seen.add(s)
+    return labels
+
+
 def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
     """Direct sum with componentwise brackets; duplicate labels get a
     positional suffix so the result stays readable."""
-    labels = []
-    seen = set()
-    for idx, alg in enumerate(algebras):
-        for s in alg.labels:
-            clash = s in seen or any(s in other.labels for other in algebras[idx + 1:])
-            labels.append(f"{s}.{idx + 1}" if clash else s)
-            seen.add(s)
+    labels = _suffixed_labels([alg.labels for alg in algebras])
     # every summand's integer rows, shifted and brought over the lcm
     den = lcm(*(alg._integer_table[0] for alg in algebras))
     rows = {}
@@ -658,9 +676,11 @@ def lie_from_matrices(labels: Sequence[str], mats: Sequence[Sequence[Sequence]])
 def realify(L: LieAlgebra) -> LieAlgebra:
     """View L with complexified scalars as a rational algebra of twice
     the dimension, on the basis (b_0, ..., b_{n-1}, i b_0, ..., i b_{n-1}),
-    the label of i b_k being "i" before b_k's."""
+    the label of i b_k being "i" before b_k's.  A label in both halves,
+    as "ie" is when L is sl2C, gets direct_sum's positional suffix: .1
+    in L and .2 in i L."""
     n = L.dim
-    labels = list(L.labels) + ["i" + s for s in L.labels]
+    labels = _suffixed_labels([L.labels, ["i" + s for s in L.labels]])
     den, brackets = L._integer_table
     rows = {}
     for (i, j), row in brackets.items():

@@ -33,7 +33,10 @@ accessor reads a value, one per output entry.  The accessors that build
 Fractions are SparseMatrix.triplets, Subspace.basis_rows (and
 basis_matrix, built from them), Subspace.reduce, the QuotientSpace
 coordinates (project, lift), the solutions of solve_many and
-solve_linear, and the rows of rref_with_transform.  Quotient
+solve_linear, and the rows of rref_with_transform, which has no reader
+in the package: it is kept for the benchmark tracer, which looks it up
+by name, and for the test oracle of the cohomology representatives,
+which tracks row operations with it.  Quotient
 coordinates are read off the echelon rows once, by
 QuotientSpace._coordinates: an integer row over one denominator, from
 Subspace._residue, which project turns into Fractions and which a

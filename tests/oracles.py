@@ -18,7 +18,10 @@ cohomology_reference and kaehler_reference are the exceptions: they
 solve the whole scalar complex and the whole all-triples Leibniz span
 with the package's own linear algebra, as references for the
 weight-zero block and the product-class split, not for the
-elimination; kaehler_cross_units_reference eliminates the in-class
+elimination; cohomology_reference also keeps the representatives that
+rref_with_transform's row-operation tracking gives, as the reference for
+reading each representative as the lift of a class row;
+kaehler_cross_units_reference eliminates the in-class
 relations together with every cross-class unit tensor, as the
 reference for placing those units' echelon rows.
 coboundary_witness_reference likewise solves each coefficient slot
@@ -820,8 +823,13 @@ def cohomology_reference(L, p, m):
 
     d^p and d^{p-1} are ce_differential on every tuple; the kernel,
     quotient and echelon steps are the package's.  Returns a namespace
-    with dimension, representatives (dense flat vectors rep_k (x) e_a,
-    k-major) and class_coordinates(flat vector).
+    with dimension; representatives, dense flat vectors rep_k (x) e_a,
+    k-major, where rep_k is the lift of class echelon row k (the class
+    rows spanned by the projected cocycle basis rows); image_pivots, the
+    pivot columns of im d^{p-1}, on which every rep_k is zero;
+    transform_representatives in the same form, the sums of the cocycle
+    basis rows by the combinations rref_with_transform tracks; and
+    class_coordinates(flat vector).
     """
     from currentext.cohomology import ce_differential
     from currentext.linalg import Subspace, kernel_basis, quotient_space, rref_with_transform
@@ -835,17 +843,28 @@ def cohomology_reference(L, p, m):
         image = Subspace.from_spanning(size, matrix_columns(ce_differential(L, p - 1)))
     quotient = quotient_space(size, image)
     z_rows = cocycles.basis_rows()
-    reduced = rref_with_transform([quotient.project(row) for row in z_rows], quotient.dim)
-    representatives = []
+    projected = [quotient.project(row) for row in z_rows]
+    reduced = rref_with_transform(projected, quotient.dim)
+
+    def flat(scalar_reps):
+        out = []
+        for rep in scalar_reps:
+            for a in range(m):
+                vec = [Fraction(0)] * (size * m)
+                vec[a::m] = rep
+                out.append(tuple(vec))
+        return tuple(out)
+
+    classes = Subspace.from_spanning(quotient.dim, projected)
+    representatives = flat(quotient.lift([row.get(q, 0) for q in range(quotient.dim)])
+                           for row in classes.basis_rows())
+    transformed = []
     for _, combo, _ in reduced:
         rep = [Fraction(0)] * size
         for t, coef in enumerate(combo):
             for col, value in z_rows[t].items():
                 rep[col] += coef * value
-        for a in range(m):
-            flat = [Fraction(0)] * (size * m)
-            flat[a::m] = rep
-            representatives.append(tuple(flat))
+        transformed.append(rep)
 
     def class_coordinates(flat_vec):
         assert len(flat_vec) == comb(L.dim, p) * m
@@ -862,7 +881,9 @@ def cohomology_reference(L, p, m):
                 raise ValueError("not a cocycle")
         return tuple(coords)
 
-    return SimpleNamespace(dimension=len(representatives), representatives=tuple(representatives),
+    return SimpleNamespace(dimension=len(representatives), representatives=representatives,
+                           image_pivots=image.pivots,
+                           transform_representatives=flat(transformed),
                            class_coordinates=class_coordinates)
 
 

@@ -260,6 +260,23 @@ def test_repeated_basis_labels_are_refused(doc, tmp_path):
         assert report.results == {"error": message}
 
 
+def test_a_current_algebra_label_built_twice_is_refused(tmp_path):
+    # x (x) a is labelled x*a: "p*q" (x) "r" and "p" (x) "q*r" are both
+    # p*q*r, which current printed at indices 0 and 3 with exit 0
+    docs = {
+        "fibre": {"kind": "lie", "dim": 2, "labels": ["p*q", "p"], "brackets": []},
+        "coefficients": {"kind": "comm", "dim": 2, "labels": ["r", "q*r"],
+                         "products": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1]},
+    }
+    paths = []
+    for name, doc in docs.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    report = run_command(["current", *map(str, paths)])
+    assert report.exit_code == EXIT_INPUT == 1
+    assert report.results == {"error": "the basis repeats the label 'p*q*r'"}
+
+
 def test_catalog_resolution_without_files():
     report = run_command(["info", "sl2"])
     assert report.exit_code == EXIT_OK

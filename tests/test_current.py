@@ -19,6 +19,7 @@ from currentext.current import (
 from currentext.errors import (
     DimensionMismatchError,
     FibreNotSemisimpleError,
+    InputError,
     NoLocalUnitError,
     NonUnitalError,
     NotDiagonalError,
@@ -671,6 +672,21 @@ def test_unit_extension_table_is_the_parsed_one(labels, entries, idempotents):
     assert plus._mirror_defects == parsed._mirror_defects == []
     assert (plus.unit, plus.idempotents) == (parsed.unit, parsed.idempotents)
     assert plus.validate().ok
+
+
+def test_tensor_comm_refuses_a_label_built_twice():
+    # a (x) b is labelled a*b: "p*q" (x) "r" and "p" (x) "q*r" are both p*q*r
+    A = CommAlgebra(("p*q", "p"), [(0, 0, 0, 1), (1, 1, 1, 1)], (1, 1))
+    B = CommAlgebra(("r", "q*r"), [(0, 0, 0, 1), (1, 1, 1, 1)], (1, 1))
+    with pytest.raises(InputError, match=r"^the basis repeats the label 'p\*q\*r'$"):
+        tensor_comm(A, B)
+
+
+def test_adjoin_unit_refuses_a_label_one():
+    # the adjoined unit is labelled "1", which A's own basis may use
+    A = CommAlgebra(("1", "t"), [(1, 1, 0, 1)])
+    with pytest.raises(InputError, match=r"^the basis repeats the label '1'$"):
+        adjoin_unit_extend(A)
 
 
 def test_adjoin_unit_extends_zero_cocycle():

@@ -11,6 +11,7 @@ from currentext.current import CommAlgebra, current_algebra
 from currentext.errors import (
     CatalogError,
     DimensionMismatchError,
+    InputError,
     InternalConsistencyError,
     NotInDerivedAlgebraError,
 )
@@ -265,6 +266,22 @@ def test_realified_sl2_constants():
     assert L.bracket_basis(3, 5) == {1: F(-1)}
     # [e, if] = i h
     assert L.bracket_basis(0, 5) == {4: F(1)}
+
+
+@pytest.mark.parametrize("labels, want", [
+    # i b_k is labelled "i" before b_k's label, so "i" + "x" is the label "ix"
+    (("x", "ix"), ("x", "ix.1", "ix.2", "iix")),
+    (("e", "h", "f", "ie", "ih", "if"),
+     ("e", "h", "f", "ie.1", "ih.1", "if.1", "ie.2", "ih.2", "if.2", "iie", "iih", "iif")),
+])
+def test_realify_suffixes_a_label_built_twice(labels, want):
+    assert realify(LieAlgebra(labels, [])).labels == want
+
+
+def test_realify_refuses_a_label_its_suffix_repeats():
+    # "ix" is in both halves and becomes "ix.1", which L has already
+    with pytest.raises(InputError, match=r"^the basis repeats the label 'ix\.1'$"):
+        realify(LieAlgebra(("x", "ix", "ix.1"), []))
 
 
 def _unit_matrix(d, i, j):
