@@ -140,7 +140,6 @@ from .linalg import (
     Vec,
     _as_fraction,
     _content,
-    _primitive,
     _solve_rows,
     kernel_basis,
     quotient_space,
@@ -833,7 +832,7 @@ def coboundary_witness(
             for t, x in enumerate(psi._num.get(pair, ())):
                 if x:
                     row[n + t] = bden * x
-            rows.append(_primitive(row))
+            rows.append(row)
         solutions = _solve_rows(rows, n, m)
         if None in solutions:
             h2 = cohomology(L, 2, m, ceiling=ceiling)

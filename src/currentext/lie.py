@@ -602,14 +602,22 @@ def is_perfect(L: LieAlgebra) -> bool:
 
 def _suffixed_labels(groups: Sequence[Sequence[str]]) -> list:
     """The labels of the groups in order, a label that occurs in two
-    groups suffixed with its group's position, .1 for the first."""
+    groups suffixed with its group's position, .1 for the first.  While
+    the suffixed label is in use, as a label of a group or an earlier
+    suffixed one, the suffix is appended again: a.2, then a.2.2."""
+    taken = {s for group in groups for s in group}
     labels = []
     seen = set()
     for idx, group in enumerate(groups):
         for s in group:
             clash = s in seen or any(s in other for other in groups[idx + 1:])
-            labels.append(f"{s}.{idx + 1}" if clash else s)
             seen.add(s)
+            if clash:
+                s = f"{s}.{idx + 1}"
+                while s in taken:
+                    s = f"{s}.{idx + 1}"
+                taken.add(s)
+            labels.append(s)
     return labels
 
 

@@ -41,24 +41,27 @@ coordinates are read off the echelon rows once, by
 QuotientSpace._coordinates: an integer row over one denominator, from
 Subspace._residue, which project turns into Fractions and which a
 caller that wants integers (the Kaehler classes, kappa) reads as it
-is; _over_lcm brings such rows over one denominator.  A matrix's
-integer rows go to the eliminator as they are, divided by their gcd
-when it is not 1.  Values that cross the public boundary are scaled to
-integer rows over one denominator (int entries are taken as they are):
-the vectors given to Subspace.from_spanning, rref_with_transform and
-Subspace.reduce, the right-hand sides of solve_many (dense, or sparse
-{row: value} mappings) and the {(i, j): value} mapping that the
-SparseMatrix constructor takes.  Integer rows a caller builds
-itself go in through SparseMatrix._from_integer_rows,
-Subspace._from_integer_rows or, augmented with right-hand sides,
-_solve_rows, with no conversion; _solve_rows returns each solution as
-{pivot: (num, lead)}, so a caller that wants integers builds no
-Fraction.  Empty rows never reach the eliminator, and single-entry
-input rows never reach a row step: the eliminator first peels them
-(_peel).  A row {c: v} with c below the stop column fixes c, with pivot
-row {c: 1}; c is struck from every other row, and a row left with one
-entry fixes its column in turn, found through a column -> rows index,
-so the peel is linear in the nonzeros.  Back substitution walks each
+is; _over_lcm brings such rows over one denominator.  Rows go to the
+eliminator as their callers hold them, a matrix's integer rows as they
+are stored: _eliminate divides each row by its gcd as the row enters
+its heap, the one place where input rows are made primitive.  Values
+that cross the public boundary are scaled to integer rows over one
+denominator (int entries are taken as they are): the vectors given to
+Subspace.from_spanning, rref_with_transform and Subspace.reduce, the
+right-hand sides of solve_many (dense, or sparse {row: value}
+mappings) and the {(i, j): value} mapping that the SparseMatrix
+constructor takes.  Integer rows a caller builds itself go in through
+SparseMatrix._from_integer_rows, Subspace._from_integer_rows or,
+augmented with right-hand sides, _solve_rows, with no conversion;
+_solve_rows returns each solution as {pivot: (num, lead)}, so a caller
+that wants integers builds no Fraction.  Empty rows never reach the
+heap, and single-entry input rows never reach a row step: the
+eliminator first peels them (_peel).  A row {c: v} with c below the
+stop column fixes c, with pivot row {c: 1}; c is struck from every
+other row, and a row left with one entry fixes its column in turn.
+The peel runs in rounds, each one pass of set.isdisjoint filters over
+the rows in C, and a round looks for new single-entry rows among the
+rows it has just struck only.  Back substitution walks each
 row's own pivot columns through a column -> pivot map, one row step
 per pivot column the row holds, rather than O(rank^2) lookups;
 kernel generators are built as sparse integer rows, and reducing a
@@ -73,11 +76,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from fractions import Fraction
-from itertools import filterfalse
+from itertools import compress, count, filterfalse
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError
@@ -288,18 +291,20 @@ def _entries(v, n: int) -> dict:
 
 
 def _integer_rows(rows: Iterable, cols: int):
-    """Primitive integer rows of rational rows (dicts or dense sequences).
+    """Integer rows of rational rows (dicts or dense sequences), each
+    scaled by the lcm of its denominators; _eliminate makes them
+    primitive.
 
     int entries are read as they are, so rows that are integer already
     (the Kaehler relations) cost no Fraction per entry.
     """
-    return [_primitive(_scaled_row(_entries(row, cols))[1]) for row in rows]
+    return [_scaled_row(_entries(row, cols))[1] for row in rows]
 
 
 def _matrix_rows(m: SparseMatrix):
-    """The nonzero rows of m as primitive integer rows, in row order."""
-    rows = m._rows
-    return [_primitive(rows[i]) for i in sorted(rows)]
+    """The nonzero integer rows of m as they are stored, in row order;
+    _eliminate makes them primitive."""
+    return [m._rows[i] for i in sorted(m._rows)]
 
 
 def _row_step(prow: dict, row: dict, col: int) -> dict:
@@ -322,65 +327,57 @@ def _peel(int_rows, stop_col: int):
 
     A row with one entry, at a column c < stop_col, puts e_c in the row
     space; striking c from every other row subtracts a multiple of e_c,
-    so the row space stays the same.  A struck row is made primitive
-    again and dropped when it is empty; when one entry below stop_col is
-    left, it fixes that column in turn.  Such a cascade finds the rows
-    to strike next through a column -> rows index, built once at the
-    first cascade, so the peel stays linear in the nonzeros.  Returns
-    (fixed, rows): the fixed columns, sorted, and the other rows, every
-    fixed column struck: first the rows that met no fixed column, in
-    input order, then the struck ones.  A single-entry row at stop_col
-    or beyond stays in rows.  When no row fixes a column, the input
-    comes back as it is after one pass over the row lengths.
+    so the row space stays the same.  The peel runs in rounds: a round
+    fixes the columns of the single-entry rows below stop_col, then
+    strikes them from every row that holds one, found by set.isdisjoint
+    filters in C; the single-entry rows themselves go.  Only a struck
+    row can be left with one entry, so the next round reads its columns
+    off the rows this one struck.  Returns (fixed, rows): the fixed
+    columns, sorted, and the other nonempty rows, every fixed column
+    struck and no row made primitive (_eliminate does that).  The rows
+    that meet no column of the first round come first, in input order,
+    then the others, in input order; a later round strikes a row in its
+    place.  A single-entry row at stop_col or beyond stays in rows.
+    When no row fixes a column, the input comes back as it is after one
+    pass over the row lengths.
     """
     singles = [c for row in int_rows if len(row) == 1 for c in row if c < stop_col]
     if not singles:
         return (), int_rows
-    fixed = set(singles)
-    cascade = []
-
-    def strike(row):
-        row = _primitive({c: value for c, value in row.items() if c not in fixed})
-        if len(row) == 1 and (c := next(iter(row))) < stop_col:
-            fixed.add(c)
-            cascade.append(c)
-            return None
-        return row or None
-
-    # filter tests every row in C; the rows it leaves out are the
-    # single-entry rows counted in singles and the rows to strike, which
-    # are listed before the first strike can add to fixed
-    live = list(filter(fixed.isdisjoint, int_rows))
-    if len(live) + len(singles) < len(int_rows):
-        for row in list(filterfalse(fixed.isdisjoint, int_rows)):
-            if len(row) > 1 and (row := strike(row)):
-                live.append(row)
-    if cascade:
-        index = {}
-        for idx, row in enumerate(live):
-            for c in row:
-                index.setdefault(c, []).append(idx)
-        while cascade:
-            c = cascade.pop()
-            for idx in index.get(c, ()):
-                if (row := live[idx]) is not None and c in row:
-                    live[idx] = strike(row)
-        live = [row for row in live if row]
-    return sorted(fixed), live
+    fixed = new = set(singles)
+    # singles holds one column per single-entry row, so the rows the
+    # first round strikes, those that meet a fixed column and hold more
+    # than one entry, are the rest of the rows that meet one; when there
+    # are none, the second filter pass is skipped
+    rows = list(filter(new.isdisjoint, int_rows))
+    hit = range(len(rows), len(int_rows) - len(singles))
+    if hit:
+        rows += [row for row in filterfalse(new.isdisjoint, int_rows) if len(row) > 1]
+    while hit:
+        for i in hit:
+            rows[i] = {c: value for c, value in rows[i].items() if c not in new}
+        new = {c for i in hit if len(row := rows[i]) == 1 for c in row if c < stop_col}
+        fixed |= new
+        hit = list(compress(count(), map(not_, map(new.isdisjoint, rows)))) if new else ()
+    return sorted(fixed), list(filter(None, rows))
 
 
 def _eliminate(int_rows, stop_col: int):
-    """Forward fraction-free elimination on primitive integer rows.
+    """Forward fraction-free elimination on integer rows.
 
-    Returns (pivots, remainder): pivots is a list of (pivot column,
-    integer row) in strictly increasing column order, remainder holds
-    rows whose leading column is >= stop_col.  Pivot selection is
-    deterministic: first every column that a single-entry row fixes,
-    directly or once fixed columns are struck (_peel), with pivot row
-    {c: 1}; then, on the rows left, the sparsest candidate of the lowest
-    leading column, ties by the order _peel returns.  The fixed pivots
-    are merged into the pivot list by column.  The input rows are never
-    mutated, so pivot and remainder rows may be input rows.
+    Each row is divided by the gcd of its entries as it enters the heap,
+    whether _peel left it or a row step made it, so scaling an input row
+    by a nonzero integer changes nothing.  Returns (pivots,
+    remainder): pivots is a list of (pivot column, primitive integer
+    row) in strictly increasing column order, remainder holds the
+    primitive rows whose leading column is >= stop_col.  Pivot
+    selection is deterministic: first every column that a single-entry
+    row fixes, directly or once fixed columns are struck (_peel), with
+    pivot row {c: 1}; then, on the rows left, the sparsest candidate of
+    the lowest leading column, ties by the order _peel returns.  The
+    fixed pivots are merged into the pivot list by column.  The input
+    rows are never mutated, so pivot and remainder rows may be input
+    rows.
     """
     fixed, int_rows = _peel(int_rows, stop_col)
     buckets = {}
@@ -388,11 +385,10 @@ def _eliminate(int_rows, stop_col: int):
 
     def push(seq, row):
         lead = min(row)
-        if lead in buckets:
-            buckets[lead].append((seq, row))
-        else:
-            buckets[lead] = [(seq, row)]
+        if lead not in buckets:
+            buckets[lead] = []
             heapq.heappush(heap, lead)
+        buckets[lead].append((seq, _primitive(row)))
 
     for seq, row in enumerate(int_rows):
         if row:
@@ -402,9 +398,7 @@ def _eliminate(int_rows, stop_col: int):
     remainder = []
     while heap:
         lead = heapq.heappop(heap)
-        candidates = buckets.pop(lead, None)
-        if candidates is None:
-            continue
+        candidates = buckets.pop(lead)
         if lead >= stop_col:
             remainder.extend(row for _, row in candidates)
             for other in sorted(buckets):
@@ -415,7 +409,7 @@ def _eliminate(int_rows, stop_col: int):
         prow = candidates[best][1]
         for idx, (seq, row) in enumerate(candidates):
             if idx != best and (new := _row_step(prow, row, lead)):
-                push(seq, _primitive(new))
+                push(seq, new)
         pivots.append((lead, prow))
     if fixed:
         # two increasing runs: the sort merges them in one pass
@@ -468,12 +462,11 @@ class Subspace:
         return cls(ambient_dim, *_back_substitute(pivots))
 
     @classmethod
-    def _from_integer_rows(cls, ambient_dim: int, rows: Iterable) -> "Subspace":
-        """The span of integer rows {col: int}, which the caller vouches
-        for: int values, none zero, columns in range(ambient_dim).  They
-        go to the eliminator as they are, divided by their gcd when it is
-        not 1."""
-        pivots, _ = _eliminate([_primitive(row) for row in rows], ambient_dim)
+    def _from_integer_rows(cls, ambient_dim: int, rows: Collection) -> "Subspace":
+        """The span of integer rows {col: int}, a collection the caller
+        vouches for: int values, none zero, columns in range(ambient_dim).
+        They go to the eliminator as they are."""
+        pivots, _ = _eliminate(rows, ambient_dim)
         return cls(ambient_dim, *_back_substitute(pivots))
 
     @classmethod
@@ -556,25 +549,23 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
     generators = []
     for free, column in terms.items():
         den = lcm(*[lead for _, _, lead in column])
-        generators.append(_primitive(
-            {free: -den} | {pivot: value * (den // lead) for pivot, value, lead in column}
-        ))
+        generators.append({free: -den} | {p: value * (den // lead) for p, value, lead in column})
     pivots, _ = _eliminate(generators, m.cols)
     return Subspace(m.cols, *_back_substitute(pivots))
 
 
 def _augmented_rows(m: SparseMatrix, bs: Sequence) -> list:
-    """The primitive integer rows of [m | bs], in row order: right-hand
-    side t is column m.cols + t.  Each b is a dense sequence of length
-    m.rows or a sparse row -> value mapping; int entries are taken as
-    they are."""
+    """The integer rows of [m | bs], in row order, which _eliminate makes
+    primitive: right-hand side t is column m.cols + t.  Each b is a dense
+    sequence of length m.rows or a sparse row -> value mapping; int
+    entries are taken as they are."""
     aug = m.cols
     extra = {}
     for t, b in enumerate(bs):
         for i, value in _entries(b, m.rows).items():
             extra.setdefault(i, {})[aug + t] = value
     # row i of [m | bs] is (ints | b_i) / den: scale it by den and by the
-    # lcm q of the denominators of den * b_i, then make it primitive
+    # lcm q of the denominators of den * b_i
     den = m._den
     rows = []
     for i in sorted(m._rows.keys() | extra.keys()):
@@ -582,13 +573,14 @@ def _augmented_rows(m: SparseMatrix, bs: Sequence) -> list:
         if i in extra:
             q, scaled = _scaled_row({col: den * value for col, value in extra[i].items()})
             row = {j: value * q for j, value in row.items()} | scaled
-        rows.append(_primitive(row))
+        rows.append(row)
     return rows
 
 
 def _solve_rows(rows, cols: int, k: int) -> list:
-    """Canonical solutions of augmented primitive integer rows: columns
-    below cols are the unknowns, column cols + t is right-hand side t.
+    """Canonical solutions of augmented integer rows, given as the caller
+    holds them: columns below cols are the unknowns, column cols + t is
+    right-hand side t.
 
     One elimination serves all k right-hand sides, with pivots taken
     among the unknowns only.  The remainder rows then span exactly the
@@ -723,8 +715,7 @@ def rref_with_transform(vectors: Sequence[Sequence], cols: int):
     rows = []
     for i, v in enumerate(vectors):
         den, row = _scaled_row(_entries(v, cols))
-        row[cols + i] = den
-        rows.append(_primitive(row))
+        rows.append(row | {cols + i: den})
     pivots, _ = _eliminate(rows, cols)
     pivot_cols, echelon = _back_substitute(pivots)
     out = []

@@ -35,6 +35,7 @@ finding a common class read or scatter coordinates with no solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence, Tuple
 
@@ -105,13 +106,15 @@ class SupportStructure:
         return self._idempotents[label]
 
     def indicator(self, labels: Iterable[str]) -> Vec:
-        """Sum of the idempotents over a set of points."""
+        """Sum of the idempotents over a set of points, over their
+        nonzero coordinates only: a coordinate that no earlier idempotent
+        holds is taken as it is."""
         out = [_ZERO] * self.algebra.dim
         wanted = set(labels)
         for label, e in self.algebra.idempotents:
             if label in wanted:
-                for i, x in enumerate(e):
-                    out[i] += x
+                for i in compress(range(len(e)), e):
+                    out[i] = out[i] + e[i] if out[i] else e[i]
         return tuple(out)
 
     def normalize_subset(self, labels: Iterable[str]) -> Tuple[str, ...]:

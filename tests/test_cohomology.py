@@ -1,8 +1,9 @@
 import importlib
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1131,29 +1132,50 @@ def test_solve_many_on_d1_off_the_integer_lattice(name, scales):
     assert all(type(v) is Fraction for x in got if x is not None for v in x)
 
 
-def test_rows_reaching_the_eliminator_are_the_integer_fraction_rows(monkeypatch):
-    # kernel_basis, rank and solve_many hand the matrix's integer rows to
-    # the eliminator: exactly the primitive rows _integer_rows makes of
-    # the Fraction rows (with the right-hand sides appended for solve_many)
+def test_rows_reaching_the_eliminator_are_the_stored_integer_rows(monkeypatch):
+    # kernel_basis, rank and solve_many hand the eliminator the matrix's
+    # integer rows as they are stored (for solve_many, each with its
+    # right-hand sides appended, over the least common scale), and the
+    # eliminator makes every row primitive as it enters its heap: each
+    # row a row step reads is primitive, and so is each row it returns
     from currentext import linalg
 
+    def primitive(row):
+        return gcd(*row.values()) == 1
+
     seen = []
-    eliminate = linalg._eliminate
+    eliminate, row_step = linalg._eliminate, linalg._row_step
 
     def record(rows, stop_col):
         seen.append(list(rows))
-        return eliminate(seen[-1], stop_col)
+        pivots, remainder = eliminate(seen[-1], stop_col)
+        assert all(map(primitive, [row for _, row in pivots] + remainder))
+        return pivots, remainder
+
+    def step(prow, row, col):
+        assert primitive(prow) and primitive(row)
+        return row_step(prow, row, col)
+
+    def integer_row(row, den):
+        # the least positive integer multiple of den * row
+        q = lcm(*[(den * x).denominator for x in row.values()])
+        return {j: int(den * q * x) for j, x in row.items()}
 
     monkeypatch.setattr(linalg, "_eliminate", record)
+    monkeypatch.setattr(linalg, "_row_step", step)
+    stored_not_primitive = 0
     for name, scales in OFF_LATTICE:
         L = _off_lattice(name, scales)
         for p in (1, 2):
             for d in (ce_differential(L, p), _block(L, p)):
-                want = linalg._integer_rows([row for row in matrix_rows(d) if row], d.cols)
+                stored = [d._rows[i] for i in sorted(d._rows)]
+                assert stored == [integer_row(row, d._den) for row in matrix_rows(d) if row]
+                stored_not_primitive += sum(not primitive(row) for row in stored)
                 for solve in (linalg.kernel_basis, linalg.rank):
                     seen.clear()
                     solve(d)
-                    assert seen[0] == want
+                    assert len(seen[0]) == len(stored)
+                    assert all(map(operator.is_, seen[0], stored))
         d1 = ce_differential(L, 1)
         bs = _rhs_off_lattice(L, d1, random.Random(f"rows {name}"))
         augmented = matrix_rows(d1)
@@ -1163,8 +1185,9 @@ def test_rows_reaching_the_eliminator_are_the_integer_fraction_rows(monkeypatch)
                     augmented[i][d1.cols + t] = x
         seen.clear()
         solve_many(d1, bs)
-        assert seen[0] == linalg._integer_rows(
-            [row for row in augmented if row], d1.cols + len(bs))
+        assert seen[0] == [integer_row(row, d1._den) for row in augmented if row]
+    # the contract is tested on rows that are not primitive as stored
+    assert stored_not_primitive
 
 
 @settings(max_examples=60, deadline=None)

@@ -278,10 +278,24 @@ def test_realify_suffixes_a_label_built_twice(labels, want):
     assert realify(LieAlgebra(labels, [])).labels == want
 
 
-def test_realify_refuses_a_label_its_suffix_repeats():
-    # "ix" is in both halves and becomes "ix.1", which L has already
-    with pytest.raises(InputError, match=r"^the basis repeats the label 'ix\.1'$"):
-        realify(LieAlgebra(("x", "ix", "ix.1"), []))
+def test_realify_suffixes_again_past_a_label_in_use():
+    # "ix" is in both halves; its suffix .1 gives "ix.1", which L has
+    # already, so the suffix is appended again
+    assert realify(LieAlgebra(("x", "ix", "ix.1"), [])).labels == (
+        "x", "ix.1.1", "ix.1", "ix.2", "iix", "iix.1")
+
+
+@pytest.mark.parametrize("groups, want", [
+    # "a" in the second summand would be "a.2", the first summand's label
+    ((("a", "a.2"), ("a",)), ("a.1", "a.2", "a.2.2")),
+    # "a" in the first summand would be "a.1", the second summand's label
+    ((("a",), ("a", "a.1")), ("a.1.1", "a.2", "a.1")),
+    # the second "a.2" would be "a.2.2", the label the second "a" took
+    ((("a", "a.2"), ("a", "a.2")), ("a.1", "a.2.1", "a.2.2", "a.2.2.2")),
+])
+def test_direct_sum_suffixes_again_past_a_label_in_use(groups, want):
+    L = direct_sum(*(LieAlgebra(labels, []) for labels in groups))
+    assert L.labels == want
 
 
 def _unit_matrix(d, i, j):

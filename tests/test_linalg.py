@@ -9,6 +9,9 @@ from currentext.errors import DimensionMismatchError
 from currentext.linalg import (
     SparseMatrix,
     Subspace,
+    _augmented_rows,
+    _back_substitute,
+    _eliminate,
     _peel,
     _primitive,
     _solve_rows,
@@ -474,7 +477,7 @@ def _matches_the_dense_oracles(dense, cols):
 
 def test_duplicate_and_negative_single_entry_rows_fix_one_pivot():
     # {0: 1}, {0: -1} and {0: 1} again fix column 0 once: its pivot row is
-    # {0: 1}, and the row {0: 2, 1: 3} is struck to {1: 1}, which fixes 1
+    # {0: 1}, and the row {0: 2, 1: 3} is struck to {1: 3}, which fixes 1
     rows = [{0: 1}, {0: -1}, {0: 2, 1: 3}, {0: 1}, {1: -1, 2: 1}, {2: -1, 3: 4}]
     assert _peel(rows, 4) == ([0, 1, 2, 3], [])
     dense = [[F(0), F(0), F(0), F(0)], [F(-3), 0, 0, 0], [F(1, 2), 0, 0, 0],
@@ -485,8 +488,8 @@ def test_duplicate_and_negative_single_entry_rows_fix_one_pivot():
 
 def test_a_cascade_chain_fixes_every_column():
     # each row is left with one entry once the column before it is fixed;
-    # the chain runs backwards in input order, so every link but the first
-    # is found through the column -> rows index
+    # the chain runs backwards in input order, so each link takes a round
+    # of its own, found among the rows the round before struck
     chain = [{0: 1}, {0: 1, 1: 2}, {1: 3, 2: 1}, {2: -2, 3: 5}, {3: 1, 4: 1, 5: 1}]
     rows = chain[::-1]
     assert _peel(rows, 6) == ([0, 1, 2, 3], [{4: 1, 5: 1}])
@@ -563,3 +566,26 @@ def test_planted_single_entry_rows_match_the_dense_oracles(system):
     for b, x in zip(bs, got):
         expected = dense_canonical_solve(dense, b)
         assert x == (None if expected is None else tuple(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_singletons(), st.lists(st.integers(-6, 6).filter(bool), min_size=8, max_size=8))
+@example(([[F(1), F(1)]], 2, SparseMatrix.from_dense([[1, 1]]), [(F(0),)] * 3), [2] * 8)
+def test_scaling_the_input_rows_changes_nothing(system, factors):
+    # the eliminator divides each row by its gcd as the row enters its
+    # heap, so multiplying an input row by a nonzero integer is invisible
+    # in every result read off its echelon rows; a system has at most 8
+    # rows, one factor each
+    _, cols, m, bs = system
+    rows = [m._rows[i] for i in sorted(m._rows)]
+    scaled = [{j: f * v for j, v in row.items()} for f, row in zip(factors, rows)]
+    assert _back_substitute(_eliminate(scaled, cols)[0]) == (
+        _back_substitute(_eliminate(rows, cols)[0]))
+    assert Subspace._from_integer_rows(cols, scaled) == Subspace._from_integer_rows(cols, rows)
+    assert Subspace.from_spanning(cols, scaled) == Subspace.from_spanning(cols, rows)
+    m_scaled = SparseMatrix._from_integer_rows(m.rows, cols, dict(zip(sorted(m._rows), scaled)))
+    assert kernel_basis(m_scaled) == kernel_basis(m)
+    assert rank(m_scaled) == rank(m)
+    aug = _augmented_rows(m, bs)
+    aug_scaled = [{j: f * v for j, v in row.items()} for f, row in zip(factors, aug)]
+    assert _solve_rows(aug_scaled, cols, len(bs)) == _solve_rows(aug, cols, len(bs))
