@@ -108,14 +108,17 @@ against the nonzero values of psi, in O(bracket nnz * n * m), without
 visiting the comb(n, 3) triples, and OneCochain.coboundary costs
 O(bracket nnz * m).  Both sum the stored integers against the integer
 brackets, and only the results carry the two denominators' product.
-coboundary_witness solves all m slots of its cocycle with one
-elimination of [d^1 | psi] (linalg._solve_rows).  It builds the integer
-rows itself, one per pair in brackets or psi in sorted (lexicographic
-rank) order: row (a, b) of d^1 is the negated integer bracket
-{k: -c_ab^k} over the bracket denominator, so slot t of psi's integers,
-scaled by that denominator, sits in column dim L + t.  The sparse
-solutions are read as integers over the lcm of their pivot entries, and
-divided by the cocycle's denominator once; no Fraction is built.
+coboundary_witness solves all m slots of psi with one elimination of
+[d^1 | psi] (linalg._solve_rows) before anything else reads psi.  It
+builds the integer rows itself, one per pair in brackets or psi in
+sorted (lexicographic rank) order: row (a, b) of d^1 is the negated
+integer bracket {k: -c_ab^k} over the bracket denominator, so slot t of
+psi's integers, scaled by that denominator, sits in column dim L + t.
+The sparse solutions are read as integers over the lcm of their pivot
+entries, and divided by the cocycle's denominator once; no Fraction is
+built.  A solved psi is d beta, a cocycle since d o d = 0, so the
+defect pass runs only when a slot fails to solve: it either names the
+violating triple or clears psi for its class coordinates.
 """
 
 from __future__ import annotations
@@ -172,6 +175,12 @@ def _rank_table(n: int, k: int) -> tuple:
 def _check_element(L: LieAlgebra, coords: Sequence) -> None:
     if len(coords) != L.dim:
         raise DimensionMismatchError("element length must match the algebra dimension")
+
+
+def _int_key(key, length: int) -> bool:
+    """Whether key is a tuple of length ints; a bool is an int too, and
+    is refused."""
+    return type(key) is tuple and len(key) == length and all(type(x) is int for x in key)
 
 
 def _check_tuple(t, n: int, p: int) -> None:
@@ -377,7 +386,10 @@ class Cocycle2(_IntegerCochain):
     def __init__(self, parent: LieAlgebra, coeff_dim: int, values=()):
         checked = {}
         items = values.items() if hasattr(values, "items") else values
-        for (i, j), value in items:
+        for key, value in items:
+            if not _int_key(key, 2):
+                raise ValueError(f"cocycle table key {key!r} is not a pair of ints")
+            i, j = key
             if not (0 <= i < j < parent.dim):
                 raise ValueError(f"cocycle table key ({i}, {j}) must satisfy i < j")
             if (i, j) in checked:
@@ -653,6 +665,9 @@ class Cohomology:
         """
         block, rest = {}, {}
         for t, value in slot.items():
+            if not _int_key(t, self.degree):
+                raise DimensionMismatchError(
+                    f"cochain key {t!r} is not a {self.degree}-tuple of ints")
             col = self._column.get(t)
             if col is None:
                 rest[t] = value
@@ -804,18 +819,22 @@ def coboundary_witness(
     """Find beta with (d beta) = psi, or the class of psi in H^2.
 
     The resource ceiling is checked before psi's values are read: C^2 with
-    its factor m must fit.  psi must be a cocycle; otherwise
-    NotACocycleError carries the first violating basis triple.  The
+    its factor m must fit.  Then all m slots are solved by one elimination
+    of d^1.  When every slot solves, psi = d beta, and beta is returned
+    without checking that psi is a cocycle: d o d = 0 on a Lie algebra,
+    so a coboundary is one.  Only when a slot has no solution is psi's
+    cocycle defect evaluated: NotACocycleError carries the first
+    violating basis triple, and a cocycle gets its class coordinates.
+    On a table that satisfies Jacobi a non-cocycle never solves, so every
+    non-cocycle is refused.  On a bracket table that fails Jacobi, d o d
+    need not vanish, and a psi that is d beta but no cocycle gets that
+    beta, a true witness.  The
     returned primitive is the canonical solution of the linear system,
-    so repeated runs agree bit for bit; all m slots are solved by one
-    elimination of d^1.
+    so repeated runs agree bit for bit.
     """
     L = psi.parent
     m = psi.coeff_dim
     _guard(L.dim, 2, m, ceiling)
-    defect = psi.cocycle_defect()
-    if defect is not None:
-        raise NotACocycleError(*defect)
     num = [[0] * m for _ in range(L.dim)]
     den = 1
     # psi = 0 has the zero primitive and needs no d^1; so does any zero
@@ -835,6 +854,9 @@ def coboundary_witness(
             rows.append(row)
         solutions = _solve_rows(rows, n, m)
         if None in solutions:
+            defect = psi.cocycle_defect()
+            if defect is not None:
+                raise NotACocycleError(*defect)
             h2 = cohomology(L, 2, m, ceiling=ceiling)
             return CoboundaryWitness(None, h2.class_coordinates(psi.values), h2)
         # the solutions solve for psi's integers: divide by its denominator once

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .cohomology import Cocycle2, OneCochain, cohomology
+from .cohomology import Cocycle2, OneCochain, _int_key, cohomology
 from .errors import (
     DimensionMismatchError,
     FibreNotSemisimpleError,
@@ -733,7 +733,10 @@ class GValuedOneForm:
         self.omega1_dim = omega1_dim
         table = {}
         items = entries.items() if hasattr(entries, "items") else entries
-        for (i, t), value in items:
+        for key, value in items:
+            if not _int_key(key, 2):
+                raise ValueError(f"one-form entry key {key!r} is not a pair of ints")
+            i, t = key
             if not (0 <= i < fibre_dim and 0 <= t < omega1_dim):
                 raise ValueError(f"one-form entry ({i}, {t}) out of range")
             if (i, t) in table:

@@ -209,6 +209,21 @@ def test_parse_rejects_jacobi_violation():
         parse_algebra_document(doc)
 
 
+def test_commands_refuse_a_table_that_fails_jacobi(tmp_path):
+    # [a, b] = b, [a, c] = b, [b, c] = a: on this table d(e_a*) is no
+    # cocycle yet has the primitive e_a*, so a command that reached the
+    # witness could answer; every command refuses the document first
+    doc = {"kind": "lie", "dim": 3, "labels": ["a", "b", "c"],
+           "brackets": [[0, 1, 1, "1"], [0, 2, 1, "1"], [1, 2, 0, "1"]]}
+    path = tmp_path / "not_jacobi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["info", str(path)], ["h2", str(path)], ["twist", str(path), "fun:2"],
+                 ["glue-demo", str(path), "fun:2", "--cover", "1;2"]):
+        report = run_command(argv)
+        assert report.exit_code == EXIT_INPUT, argv
+        assert report.results["error"].startswith("Lie axioms fail: antisymmetry [], jacobi ")
+
+
 def test_parse_names_the_first_three_associativity_triples():
     # b0 b0 = b1 and b1 b1 = b0 fail associativity on four triples
     doc = json.dumps({"kind": "comm", "dim": 2, "products": [[0, 0, 1, "1"], [1, 1, 0, "1"]]})

@@ -1,6 +1,7 @@
 import importlib
 import operator
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -293,6 +294,107 @@ def test_seeded_witnesses_match_per_slot_solves(algebra):
             psi = exact + rng.choice(representatives)
             assert not _assert_witness_matches_reference(psi).is_exact
     assert coboundary_witness(Cocycle2.zero(L, 0)).beta == OneCochain.zero(L, 0)
+
+
+WITNESS_ORDER_ALGEBRAS = ("sl3", "heis3", "gl2", "so3", "sl2+so3", "sl2 (x) sq2", "heis3 (x) fun:2")
+
+
+def _random_cochain(L, m, rng):
+    pairs = list(combinations(range(L.dim), 2))
+    pairs = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+    return Cocycle2(L, m, {pair: tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m))
+                           for pair in pairs})
+
+
+@pytest.mark.parametrize("name", WITNESS_ORDER_ALGEBRAS)
+def test_witness_solves_first_with_the_same_answers(name):
+    # the solve comes before the defect pass: a non-cocycle is refused with
+    # its first violating triple and total, and any other cochain gets the
+    # primitive or the class that one solve per slot finds
+    L = _oracle_algebra(name)
+    rng = random.Random(f"witness order {name}")
+    for m in (1, 2, 3):
+        exact = _random_one_cochain(L, m, rng).coboundary()
+        cases = [_random_cochain(L, m, rng) for _ in range(4)] + [exact]
+        cases += [exact + rep for rep in cohomology(L, 2, m).representative_cocycles()[:2]]
+        for psi in cases:
+            defect = psi.cocycle_defect()
+            if defect is not None:
+                with pytest.raises(NotACocycleError) as err:
+                    coboundary_witness(psi)
+                assert (err.value.triple, err.value.defect) == defect
+            else:
+                _assert_witness_matches_reference(psi)
+
+
+def test_exact_witnesses_skip_the_defect_pass(monkeypatch):
+    defect = Cocycle2.cocycle_defect
+    g, A = lie_catalog("sl2"), comm_catalog("sq2*jets:3")
+    uc = universal_cocycle(g, A)
+    rng = random.Random("exact skips the defect pass")
+    xi = GValuedOneForm(g.dim, uc.kaehler.dim_omega1, {
+        (i, t): rng.randint(-3, 3) for i in range(g.dim) for t in range(uc.kaehler.dim_omega1)})
+    tau = twist_difference(g, A, xi, uc=uc).tau
+    ca = current_algebra(g, comm_catalog("fun:6*sq2"))
+    ss = SupportStructure(ca)
+    cover = Cover(ss, [(str(k), str(k + 1)) for k in range(1, 6)])
+    psi = _random_one_cochain(ca.total, 2, rng).coboundary()
+
+    def refuse(psi):
+        raise AssertionError("the defect pass ran on an exact cochain")
+
+    monkeypatch.setattr(Cocycle2, "cocycle_defect", refuse)
+    assert coboundary_witness(tau).is_exact
+    primitives = [coboundary_witness(restrict_class(psi, ss, subset)).beta
+                  for subset in cover.subsets]
+    assert glue_primitives(psi, cover, primitives).coboundary() == psi
+    # a cocycle with a class, and a non-cocycle, each take exactly one pass
+    calls = []
+
+    def counted(psi):
+        calls.append(psi)
+        return defect(psi)
+
+    monkeypatch.setattr(Cocycle2, "cocycle_defect", counted)
+    assert not coboundary_witness(uc.cocycle).is_exact
+    assert calls == [uc.cocycle]
+    bad = Cocycle2(lie_catalog("sl3"), 1, {(0, 2): (F(1),)})
+    with pytest.raises(NotACocycleError):
+        coboundary_witness(bad)
+    assert calls == [uc.cocycle, bad]
+
+
+def test_witness_of_a_coboundary_on_a_table_that_fails_jacobi():
+    # [a, b] = b, [a, c] = b, [b, c] = a fails Jacobi, so d o d need not
+    # vanish: psi = d(e_a*) is no cocycle, yet beta = e_a* is a primitive,
+    # and the solve, which comes first, returns it
+    L = LieAlgebra(["a", "b", "c"], [(0, 1, 1, 1), (0, 2, 1, 1), (1, 2, 0, 1)])
+    beta = OneCochain(L, 1, [(F(1),), (F(0),), (F(0),)])
+    psi = beta.coboundary()
+    assert psi.values == {(1, 2): (F(-1),)}
+    assert psi.cocycle_defect() == ((0, 1, 2), (F(-1),))
+    witness = coboundary_witness(psi)
+    assert witness.beta == beta and witness.beta.coboundary() == psi
+    # a cochain off the image still names its triple
+    with pytest.raises(NotACocycleError) as err:
+        coboundary_witness(Cocycle2(L, 1, {(0, 1): (F(1),), (1, 2): (F(1),)}))
+    assert (err.value.triple, err.value.defect) == ((0, 1, 2), (F(1),))
+
+
+@pytest.mark.parametrize("key", [(0.5, 1.5), (0, 1.0), ("a", "b"), (False, True)], ids=repr)
+def test_cochain_keys_that_are_not_ints_are_refused(key):
+    # refused where the key enters, by name, not later by a raw TypeError
+    # from an index or a comparison; a bool is an int too, and is refused
+    named = re.escape(repr(key))
+    with pytest.raises(ValueError, match=f"cocycle table key {named} is not a pair of ints"):
+        Cocycle2(lie_catalog("sl2"), 1, {key: (1,)})
+    with pytest.raises(ValueError, match=f"one-form entry key {named} is not a pair of ints"):
+        GValuedOneForm(3, 2, {key: 1})
+    h2 = cohomology(lie_catalog("heis3"), 2, 1)
+    with pytest.raises(DimensionMismatchError, match=f"cochain key {named} is not a 2-tuple"):
+        h2.scalar_class_coordinates({key: F(1)})
+    with pytest.raises(DimensionMismatchError, match=f"cochain key {named} is not a 2-tuple"):
+        h2.class_coordinates({key: (F(1),)})
 
 
 def test_resource_ceiling():
