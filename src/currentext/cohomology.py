@@ -133,10 +133,18 @@ from typing import Optional, Sequence
 from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
+    InvalidAlgebraError,
     NotACocycleError,
     ResourceCeilingError,
 )
-from .lie import LieAlgebra, _coboundary_totals, _product_classes, derived_subalgebra, same_algebra
+from .lie import (
+    LieAlgebra,
+    _coboundary_totals,
+    _product_classes,
+    derived_subalgebra,
+    same_algebra,
+    validate_lie,
+)
 from .linalg import (
     SparseMatrix,
     Subspace,
@@ -733,6 +741,13 @@ def cohomology(
     independent of the pivot order.  The ceiling
     counts the full C^{p+1} and, for p >= 2, C^p with their factor m,
     before anything is assembled.
+
+    The class count dim ker d^p - dim im d^{p-1} rests on d o d = 0,
+    which holds on every Lie algebra.  When it fails, validate_lie is
+    run: a table that fails Jacobi raises InvalidAlgebraError naming its
+    first Jacobi defect, and any other table InternalConsistencyError.
+    (A mirror defect leaves the stored table antisymmetric, so it cannot
+    break d o d = 0.)
     """
     if p < 1:
         raise ValueError("cohomology degree must be at least 1")
@@ -780,6 +795,12 @@ def cohomology(
     classes = Subspace.from_spanning(
         quotient.dim, [quotient.project(row) for row in cocycles._rows])
     if classes.dim != cocycles.dim - image.dim:
+        # d o d = 0 needs Jacobi: a table that fails it is invalid input
+        violations = validate_lie(L).jacobi_violations
+        if violations:
+            triple, defect = violations[0]
+            raise InvalidAlgebraError(f"Jacobi identity fails on triple {triple}: "
+                                      f"defect {[str(x) for x in defect]}")
         raise InternalConsistencyError(
             "cohomology dimension bookkeeping failed (is d o d = 0 violated?)"
         )
@@ -828,8 +849,9 @@ def coboundary_witness(
     On a table that satisfies Jacobi a non-cocycle never solves, so every
     non-cocycle is refused.  On a bracket table that fails Jacobi, d o d
     need not vanish, and a psi that is d beta but no cocycle gets that
-    beta, a true witness.  The
-    returned primitive is the canonical solution of the linear system,
+    beta, a true witness; a cocycle that does not solve there goes to
+    cohomology, which raises InvalidAlgebraError when its class count
+    fails.  The returned primitive is the canonical solution of the linear system,
     so repeated runs agree bit for bit.
     """
     L = psi.parent

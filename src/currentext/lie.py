@@ -19,13 +19,18 @@ antisymmetry.  The Jacobi identity is checked as the cocycle condition of
 the bracket read as a 2-cochain with values in L, in O(bracket nnz * n),
 and [L, L] is spanned by the nonzero brackets.
 
-The derivation layer reads the integer table too.  derivations assembles
-its n * C(n, 2) x n^2 system as integer rows from the nonzero brackets,
-tests each ad(b_i) against the kernel as a sparse integer row, and keeps
-the kernel's integer echelon rows; DerivationSpace hands them to V(L) and
-to the invariance check as integer columns, and builds the dense basis
-only when it is read.  killing_form sums c_il^k c_jk^l over pairs of
-nonzero integer brackets and divides by the squared denominator once.
+The derivation layer reads the integer table too.  On a Lie algebra
+with a nondegenerate Killing form every derivation is inner, so
+derivations returns the span of the ad(b_i), read off the brackets as
+sparse integer rows, once validate_lie finds no defect and the integer
+Killing rows have full rank.  Every other table gets the n * C(n, 2) x
+n^2 system, assembled as integer rows from the nonzero brackets, each
+ad(b_i) tested against its kernel as a sparse integer row.  Either way
+der(L) is kept as integer echelon rows; DerivationSpace hands them to
+V(L) and to the invariance check as integer columns, and builds the
+dense basis only when it is read.  killing_form sums c_il^k c_jk^l over
+pairs of nonzero integer brackets and divides by the squared
+denominator once.
 """
 
 from __future__ import annotations
@@ -415,30 +420,37 @@ def validate_lie(L: LieAlgebra) -> ValidationReport:
     return ValidationReport(L._mirror_defects, jacobi)
 
 
-def killing_form(L: LieAlgebra):
-    """Killing form matrix B(x, y) = trace(ad x . ad y) and the
-    semisimplicity flag det B != 0 (Cartan's criterion over QQ).
-
-    B(b_i, b_j) = sum_{k,l} c_il^k c_jk^l with [b_i, b_l] = sum_k c_il^k b_k.
-    The sum runs over pairs of nonzero integer brackets, and each entry is
-    divided by the square of the bracket denominator once.
-    """
-    n = L.dim
+def _killing_rows(L: LieAlgebra) -> list:
+    """The Killing form B(b_i, b_j) = sum_{k,l} c_il^k c_jk^l, with
+    [b_i, b_l] = sum_k c_il^k b_k, as sparse integer rows over the square
+    of the bracket denominator, summed over pairs of nonzero integer
+    brackets."""
     den, brackets = L._integer_table
     into = {}  # into[l, k] = [(i, c), ...] for [b_i, b_l]_k = c / den
     for (a, b), coords in brackets.items():
         for k, c in coords.items():
             into.setdefault((b, k), []).append((a, c))
             into.setdefault((a, k), []).append((b, -c))
-    rows = [{} for _ in range(n)]
+    rows = [{} for _ in range(L.dim)]
     for (l, k), terms in into.items():
         partners = into.get((k, l), ())
         for i, c in terms:
             row = rows[i]
             for j, d in partners:
                 row[j] = row.get(j, 0) + c * d
-    rows = [{j: x for j, x in row.items() if x} for row in rows]
-    square = den * den
+    return [{j: x for j, x in row.items() if x} for row in rows]
+
+
+def killing_form(L: LieAlgebra):
+    """Killing form matrix B(x, y) = trace(ad x . ad y) and the
+    semisimplicity flag det B != 0 (Cartan's criterion over QQ).
+
+    The integer rows of _killing_rows are divided by the square of the
+    bracket denominator once.
+    """
+    n = L.dim
+    rows = _killing_rows(L)
+    square = L._integer_table[0] ** 2
     dense = tuple(
         tuple(Fraction(row[j], square) if j in row else _ZERO for j in range(n)) for row in rows
     )
@@ -449,13 +461,20 @@ def killing_form(L: LieAlgebra):
 class DerivationSpace:
     """der(L) inside all dim x dim matrices, D[r][c] at flat index r * dim + c.
 
-    ``kernel`` is der(L) as a Subspace of the flat matrices, the kernel of
-    the derivation equations; the package reads its integer echelon rows,
-    each a basis derivation times its positive pivot entry.  ``basis`` is
-    the same reduced echelon basis as dense matrices of Fractions, built
-    when it is first read.  ``contains_inner`` records whether every ad(x)
-    solves the equations and ``all_inner`` whether ad(L) is all of der(L),
-    which is the case exactly when L is semisimple in the catalog.
+    ``kernel`` is der(L) as a Subspace of the flat matrices: the kernel of
+    the derivation equations, or the span of the ad(b_a), which is the
+    same subspace where derivations takes it (see there).  The package
+    reads its integer echelon rows, each a basis derivation times its
+    positive pivot entry.  ``basis`` is the same reduced echelon basis as
+    dense matrices of Fractions, built when it is first read.
+    ``contains_inner`` records whether every ad(x) is a derivation, which
+    fails exactly on a table that fails Jacobi, and ``all_inner`` whether
+    ad(L) is all of der(L).  By Humphreys' theorem (Introduction to Lie
+    Algebras and Representation Theory, 5.3) both hold on every Lie
+    algebra whose Killing form is nondegenerate, that is, every
+    semisimple one; all_inner holds on some others too, such as the
+    two-dimensional nonabelian algebra, and fails on gl2, heis3 and
+    abelian:n.
     """
 
     __slots__ = ("parent", "kernel", "all_inner", "contains_inner", "_basis")
@@ -501,19 +520,36 @@ class DerivationSpace:
 
 
 def derivations(L: LieAlgebra) -> DerivationSpace:
-    """Solve D[b_i,b_j] = [D b_i, b_j] + [b_i, D b_j] for matrices D.
+    """der(L), the matrices D with D[b_i,b_j] = [D b_i, b_j] + [b_i, D b_j].
 
-    Unknowns are the n^2 matrix entries D[r][c] in row-major order.  The
-    n * C(n, 2) equations are integer rows over the bracket denominator,
-    read off the nonzero integer brackets, and ad(b_a) is tested against
-    the kernel as the sparse integer row of those brackets too.
+    When L is a Lie algebra (validate_lie finds no antisymmetry or Jacobi
+    defect) with a nondegenerate Killing form, every derivation is inner
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    5.3: the proof uses only the nondegenerate form), and ad is injective,
+    so der(L) is the span of the flattened ad(b_a), read off the nonzero
+    integer brackets with no system solved.  A subspace has one reduced
+    echelon form, so the result is the one the solve gives.
+
+    Every other table, including one that fails Jacobi, gets the solve.
+    Its unknowns are the n^2 matrix entries D[r][c] in row-major order.
+    The n * C(n, 2) equations are integer rows over the bracket
+    denominator, read off the nonzero integer brackets, and ad(b_a) is
+    tested against the kernel as the sparse integer row of those brackets
+    too.
     """
     n = L.dim
     den, brackets = L._integer_table
-    # into[k, c] = {r: [b_r, b_c]_k} and outof[k, c] = {r: [b_c, b_r]_k},
-    # and ads[a] = ad(b_a) flattened: [b_a, b_b]_k sits at D[k][b]
-    into, outof = {}, {}
+    # ads[a] = ad(b_a) flattened: [b_a, b_b]_k sits at D[k][b]
     ads = [{} for _ in range(n)]
+    for (a, b), coords in brackets.items():
+        for k, v in coords.items():
+            ads[a][k * n + b] = v
+            ads[b][k * n + a] = -v
+    killing = SparseMatrix._from_integer_rows(n, n, dict(enumerate(_killing_rows(L))))
+    if rank(killing) == n and validate_lie(L).ok:
+        return DerivationSpace(L, Subspace._from_integer_rows(n * n, ads), True, True)
+    # into[k, c] = {r: [b_r, b_c]_k} and outof[k, c] = {r: [b_c, b_r]_k}
+    into, outof = {}, {}
     for (a, b), coords in brackets.items():
         for k, v in coords.items():
             neg = -v
@@ -521,8 +557,6 @@ def derivations(L: LieAlgebra) -> DerivationSpace:
             into.setdefault((k, a), {})[b] = neg
             outof.setdefault((k, a), {})[b] = v
             outof.setdefault((k, b), {})[a] = neg
-            ads[a][k * n + b] = v
-            ads[b][k * n + a] = neg
     rows = {}
     for pair, (i, j) in enumerate(combinations(range(n), 2)):
         bracket = brackets.get((i, j), {})

@@ -32,6 +32,7 @@ from currentext.errors import (
     BadPrimitiveError,
     DimensionMismatchError,
     InternalConsistencyError,
+    InvalidAlgebraError,
     NotACocycleError,
     ResourceCeilingError,
 )
@@ -379,6 +380,20 @@ def test_witness_of_a_coboundary_on_a_table_that_fails_jacobi():
     with pytest.raises(NotACocycleError) as err:
         coboundary_witness(Cocycle2(L, 1, {(0, 1): (F(1),), (1, 2): (F(1),)}))
     assert (err.value.triple, err.value.defect) == ((0, 1, 2), (F(1),))
+
+
+def test_a_class_count_that_fails_jacobi_is_refused_as_an_invalid_algebra():
+    # on the same table psi = e_a* ^ e_b* has no defect and no primitive, so
+    # the witness asks cohomology for its class, and there d o d != 0 breaks
+    # the class count: the first Jacobi defect is named, as invalid input
+    L = LieAlgebra(["a", "b", "c"], [(0, 1, 1, 1), (0, 2, 1, 1), (1, 2, 0, 1)])
+    psi = Cocycle2(L, 1, {(0, 1): (1,)})
+    assert psi.cocycle_defect() is None
+    message = re.escape("Jacobi identity fails on triple (0, 1, 2): defect ['1', '0', '0']")
+    with pytest.raises(InvalidAlgebraError, match=message):
+        coboundary_witness(psi)
+    with pytest.raises(InvalidAlgebraError, match=message):
+        cohomology(L, 2, 1)
 
 
 @pytest.mark.parametrize("key", [(0.5, 1.5), (0, 1.0), ("a", "b"), (False, True)], ids=repr)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from currentext import lie as lie_module
 from currentext.catalog import comm_catalog, lie_catalog
 from currentext.cli import EXIT_INTERNAL, run_command
 from currentext.current import CommAlgebra, current_algebra
@@ -139,7 +140,8 @@ def test_derivation_dimensions(name, expected):
 
 
 def test_derivation_law_holds_exactly():
-    for name in ("sl2", "heis3", "gl2"):
+    # sl3, so3 and sl2+so3 check the Leibniz law on the basis read off ad
+    for name in ("sl2", "heis3", "gl2", "sl3", "so3", "sl2+so3"):
         L = lie_catalog(name)
         for D in derivations(L).basis:
             for i, j in combinations(range(L.dim), 2):
@@ -164,12 +166,79 @@ def test_sl2_derivations_are_inner():
     assert ders.contains_inner and ders.all_inner
 
 
-@pytest.mark.parametrize("name", ["sl2", "so3", "sl3", "sl2C", "sl2+so3"])
-def test_semisimple_derivations_all_inner(name):
-    L = lie_catalog(name)
+def _matches_derivations_reference(L):
     ders = derivations(L)
+    ref = derivations_reference(L)
+    assert ders.kernel == ref.kernel
+    assert ders.basis == ref.basis
+    assert (ders.contains_inner, ders.all_inner) == (ref.contains_inner, ref.all_inner)
+    return ders
+
+
+def _sl_matrices(d):
+    """sl(d) by lie_from_matrices, on E_ab for a != b and E_aa - E_(a+1)(a+1)."""
+    labels = [f"E{a + 1}{b + 1}" for a in range(d) for b in range(d) if a != b]
+    mats = [_unit_matrix(d, a, b) for a in range(d) for b in range(d) if a != b]
+    for a in range(d - 1):
+        labels.append(f"H{a + 1}")
+        mats.append(tuple(tuple(int(r == c == a) - int(r == c == a + 1) for c in range(d))
+                          for r in range(d)))
+    return lie_from_matrices(labels, mats)
+
+
+def _dense_sl3():
+    """sl3 on the columns of (unit lower ones) (unit upper ones), whose
+    entry (r, c) is min(r, c) + 1: a unimodular basis change after which
+    almost every structure constant is nonzero."""
+    base = lie_catalog("sl3")
+    columns = [{r: min(r, c) + 1 for r in range(base.dim)} for c in range(base.dim)]
+    return LieAlgebra._from_integer_table([f"v{t}" for t in range(base.dim)],
+                                          *base._entries_on(columns))
+
+
+_SEMISIMPLE_BUILDERS = {
+    **{name: lambda name=name: lie_catalog(name) for name in ("sl2", "so3", "sl3", "sl2C", "sl2+so3")},
+    "sl(4)": lambda: _sl_matrices(4),
+    "sl(5)": lambda: _sl_matrices(5),
+    "sl3 on a dense basis": _dense_sl3,
+}
+
+
+@pytest.mark.parametrize("name", list(_SEMISIMPLE_BUILDERS))
+def test_semisimple_derivations_all_inner(monkeypatch, name):
+    # a nondegenerate Killing form on a valid table gives der = ad with no
+    # solve: kernel_basis is never reached, and the span of ad is the
+    # reference's kernel
+    L = _SEMISIMPLE_BUILDERS[name]()
+
+    def refuse(system):
+        raise AssertionError("derivations solved its system")
+
+    monkeypatch.setattr(lie_module, "kernel_basis", refuse)
+    ders = _matches_derivations_reference(L)
     assert ders.dim == L.dim
     assert ders.all_inner
+
+
+@pytest.mark.parametrize("entries, dim, contains_inner", [
+    # [h, e] = 3e: Jacobi fails on (e, h, f), yet the Killing rows have
+    # full rank; the solve gives one derivation, where span(ad) has three
+    pytest.param([(1, 0, 0, 3), (1, 2, 2, -2), (0, 2, 1, 1)], 1, False, id="jacobi"),
+    # sl2, with a mirror [h, e] = 5e that disagrees with [e, h] = -2e:
+    # the stored table is sl2's, but the validator reports the mirror
+    pytest.param([(0, 1, 0, -2), (1, 0, 0, 5), (1, 2, 2, -2), (0, 2, 1, 1)], 3, True,
+                 id="mirror"),
+])
+def test_a_table_that_fails_validation_gets_the_solve(monkeypatch, entries, dim, contains_inner):
+    L = LieAlgebra(["e", "h", "f"], entries)
+    assert not validate_lie(L).ok and killing_form(L)[1]
+    solves = []
+    kernel_basis = lie_module.kernel_basis
+    monkeypatch.setattr(lie_module, "kernel_basis",
+                        lambda system: solves.append(system) or kernel_basis(system))
+    ders = _matches_derivations_reference(L)
+    assert solves
+    assert (ders.dim, ders.contains_inner) == (dim, contains_inner)
 
 
 def test_perfect_witness_sl2_h():
@@ -536,7 +605,7 @@ def test_entries_on_matches_the_dense_products(case):
         assert validate_lie(table).ok
 
 
-_DERIVATION_NAMES = ("sl2", "sl3", "gl2", "heis3", "sl2+so3", "sl2 (x) jets:2")
+_DERIVATION_NAMES = ("sl2", "sl3", "so3", "sl2C", "gl2", "heis3", "sl2+so3", "sl2 (x) jets:2")
 
 
 def _derivation_fibre(name):
