@@ -770,9 +770,10 @@ def cohomology(
         perfect = {members[0] for members in classes if derived.issuperset(members)}
         cochains = [(x, y) for x, y in cochains if class_of[x] == class_of[y]
                     or not {class_of[x], class_of[y]} & perfect]
-    d_up = ce_differential(L, p, ceiling=ceiling, sources=cochains)
-    size = d_up.cols
-    cocycles = kernel_basis(d_up)
+    # d^p is held by kernel_basis alone, which frees its rows once it has
+    # built the columns it eliminates
+    size = len(cochains)
+    cocycles = kernel_basis(ce_differential(L, p, ceiling=ceiling, sources=cochains))
     if p == 1:
         image = Subspace.zero(size)  # trivial coefficients: d^0 = 0
     else:

@@ -42,9 +42,12 @@ QuotientSpace._coordinates: an integer row over one denominator, from
 Subspace._residue, which project turns into Fractions and which a
 caller that wants integers (the Kaehler classes, kappa) reads as it
 is; _over_lcm brings such rows over one denominator.  Rows go to the
-eliminator as their callers hold them, a matrix's integer rows as they
-are stored: _eliminate divides each row by its gcd as the row enters
-its heap, the one place where input rows are made primitive.  Values
+eliminator as their callers hold them: rank and solve_many hand it a
+matrix's integer rows as they are stored, and kernel_basis hands it the
+matrix's columns, each its stored integers tagged with its index, so a
+tall matrix's redundant rows are never eliminated.  _eliminate divides
+each row by its gcd as the row enters its heap, the one place where
+input rows are made primitive.  Values
 that cross the public boundary are scaled to integer rows over one
 denominator (int entries are taken as they are): the vectors given to
 Subspace.from_spanning, rref_with_transform and Subspace.reduce, the
@@ -63,10 +66,9 @@ The peel runs in rounds, each one pass of set.isdisjoint filters over
 the rows in C, and a round looks for new single-entry rows among the
 rows it has just struck only.  Back substitution walks each
 row's own pivot columns through a column -> pivot map, one row step
-per pivot column the row holds, rather than O(rank^2) lookups;
-kernel generators are built as sparse integer rows, and reducing a
-sparse vector against a subspace takes one row step per pivot column
-present in the vector.
+per pivot column the row holds, rather than O(rank^2) lookups, and
+reducing a sparse vector against a subspace takes one row step per
+pivot column present in the vector.
 
 All functions are pure and deterministic: the same input yields the
 bit-identical output.
@@ -531,27 +533,27 @@ class Subspace:
 def kernel_basis(m: SparseMatrix) -> Subspace:
     """Solution space of m v = 0, canonicalised to reduced echelon form.
 
-    m's integer rows go to the eliminator as they are.  The generator of
-    free column f is e_f minus (row[f] / row[pivot]) e_pivot summed over
-    the echelon rows.  The terms of every generator are collected in one
-    pass over the echelon rows' nonzeros; each generator is negated (it
-    spans the same line), scaled by the lcm of its pivot entries to an
-    integer row, and the generators are eliminated once more.
+    The kernel is read off the dependencies among m's columns (Cohen,
+    GTM 138, 2.3.1): column c goes to the eliminator as one row, its
+    stored integers {row: int} tagged with {m.rows + c: 1}, and pivots
+    are taken below m.rows only.  A remainder row vanishes on every row
+    of m, so its tag part v has m v = 0, and the tags keep the rows
+    independent, so the cols - rank remainder rows span the kernel.  The
+    redundant rows of a tall matrix never reach the eliminator.  m is
+    dropped once its columns are built: when the caller holds no other
+    reference, its row form is freed before the elimination.
     """
-    pivots, _ = _eliminate(_matrix_rows(m), m.cols)
-    pivot_cols, rows = _back_substitute(pivots)
-    pivot_set = set(pivot_cols)
-    terms = {free: [] for free in range(m.cols) if free not in pivot_set}
-    for pivot, row in zip(pivot_cols, rows):
-        for col, value in row.items():
-            if col != pivot:
-                terms[col].append((pivot, value, row[pivot]))
-    generators = []
-    for free, column in terms.items():
-        den = lcm(*[lead for _, _, lead in column])
-        generators.append({free: -den} | {p: value * (den // lead) for p, value, lead in column})
-    pivots, _ = _eliminate(generators, m.cols)
-    return Subspace(m.cols, *_back_substitute(pivots))
+    tag = m.rows
+    columns = [{} for _ in range(m.cols)]
+    for i, row in m._rows.items():
+        for c, value in row.items():
+            columns[c][i] = value
+    for c, column in enumerate(columns):
+        column[tag + c] = 1
+    del m
+    _, remainder = _eliminate(columns, tag)
+    return Subspace._from_integer_rows(
+        len(columns), [{c - tag: value for c, value in row.items()} for row in remainder])
 
 
 def _augmented_rows(m: SparseMatrix, bs: Sequence) -> list:

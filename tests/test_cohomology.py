@@ -668,8 +668,9 @@ LADDER = (("sl2", "fun:8*sq2"), ("sl3", "fun:2*sq2"), ("sl2+so3", "sq2*jets:2"),
 def test_kernel_of_the_ladder_blocks_stays_within_its_row_step_budget(monkeypatch):
     # kernel_basis of the four weight-zero d^2 blocks took 7,635 row steps
     # before single-entry rows were peeled (elimination, back substitution
-    # and the generators' elimination together) and 2,484 with the peel;
-    # the budget is half the former count
+    # and the generators' elimination together), 2,484 with the peel, and
+    # 507 once the kernel is read off an elimination of the columns; the
+    # budget is half the middle count
     from currentext import linalg
 
     steps = []
@@ -683,7 +684,7 @@ def test_kernel_of_the_ladder_blocks_stays_within_its_row_step_budget(monkeypatc
     monkeypatch.setattr(linalg, "_row_step", counted)
     kernels = [kernel_basis(d).dim for d in blocks]
     assert kernels == [40, 18, 42, 20]
-    assert len(steps) <= 7635 // 2
+    assert len(steps) <= 2484 // 2
 
 
 def _needed(call):
@@ -1250,11 +1251,13 @@ def test_solve_many_on_d1_off_the_integer_lattice(name, scales):
 
 
 def test_rows_reaching_the_eliminator_are_the_stored_integer_rows(monkeypatch):
-    # kernel_basis, rank and solve_many hand the eliminator the matrix's
-    # integer rows as they are stored (for solve_many, each with its
-    # right-hand sides appended, over the least common scale), and the
-    # eliminator makes every row primitive as it enters its heap: each
-    # row a row step reads is primitive, and so is each row it returns
+    # rank and solve_many hand the eliminator the matrix's integer rows as
+    # they are stored (for solve_many, each with its right-hand sides
+    # appended, over the least common scale), kernel_basis hands it one
+    # row per column, the column's stored integers tagged with
+    # {rows + c: 1}, and the eliminator makes every row primitive as it
+    # enters its heap: each row a row step reads is primitive, and so is
+    # each row it returns
     from currentext import linalg
 
     def primitive(row):
@@ -1288,11 +1291,15 @@ def test_rows_reaching_the_eliminator_are_the_stored_integer_rows(monkeypatch):
                 stored = [d._rows[i] for i in sorted(d._rows)]
                 assert stored == [integer_row(row, d._den) for row in matrix_rows(d) if row]
                 stored_not_primitive += sum(not primitive(row) for row in stored)
-                for solve in (linalg.kernel_basis, linalg.rank):
-                    seen.clear()
-                    solve(d)
-                    assert len(seen[0]) == len(stored)
-                    assert all(map(operator.is_, seen[0], stored))
+                seen.clear()
+                linalg.kernel_basis(d)
+                assert seen[0] == [
+                    {r: d._rows[r][c] for r in d._rows if c in d._rows[r]} | {d.rows + c: 1}
+                    for c in range(d.cols)]
+                seen.clear()
+                linalg.rank(d)
+                assert len(seen[0]) == len(stored)
+                assert all(map(operator.is_, seen[0], stored))
         d1 = ce_differential(L, 1)
         bs = _rhs_off_lattice(L, d1, random.Random(f"rows {name}"))
         augmented = matrix_rows(d1)

@@ -357,6 +357,70 @@ def test_kernel_basis_matches_dense_oracle():
         ]
 
 
+def test_kernel_of_a_wide_matrix_with_zero_repeated_and_proportional_columns():
+    # columns 1 and 4 are zero, 2 repeats 0, 5 is -3/2 times 3 and 6 is
+    # 1/2 times 0: more columns than rows, each dependency a kernel vector
+    dense = [[1, 0, 1, 2, 0, -3, F(1, 2)],
+             [3, 0, 3, -4, 0, 6, F(3, 2)]]
+    _matches_the_dense_oracles(dense, 7)
+    k = kernel_basis(SparseMatrix.from_dense(dense))
+    assert k.dim == 5
+    for v in ([0, 1, 0, 0, 0, 0, 0], [1, 0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0],
+              [0, 0, 0, 3, 0, 2, 0], [1, 0, 0, 0, 0, 0, -2]):
+        assert k.contains(v)
+
+
+def test_kernel_of_fraction_entries_over_a_common_denominator():
+    # entries in sixths, fourths, thirds and twelfths, stored as integers
+    # over 12: the kernel is the one of 12 times the matrix
+    dense = [[F(1, 6), F(1, 4), F(-1, 3), F(5, 12)],
+             [F(1, 3), F(1, 2), F(-2, 3), F(5, 6)],
+             [F(-1, 4), F(1, 6), 0, F(1, 12)]]
+    m = SparseMatrix.from_dense(dense)
+    assert m._den == 12
+    _matches_the_dense_oracles(dense, 4)
+    k = kernel_basis(m)
+    assert k == kernel_basis(SparseMatrix.from_dense([[12 * x for x in row] for row in dense]))
+    assert k.dim == 2
+
+
+def test_kernel_tags_start_past_every_row_not_past_the_stored_rows():
+    # the only nonzero row is the last: one row is stored, but the tag of
+    # column c sits at rows + c = 3 + c, clear of row index 3
+    dense = [[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 2, 3]]
+    m = SparseMatrix.from_dense(dense)
+    assert list(m._rows) == [3]
+    _matches_the_dense_oracles(dense, 3)
+    assert basis_vectors(kernel_basis(m)) == [(F(1), F(0), F(-1, 3)), (F(0), F(1), F(-2, 3))]
+
+
+def test_kernel_of_a_matrix_with_no_rows_or_no_columns():
+    full = kernel_basis(SparseMatrix.zeros(0, 4))
+    assert full.ambient_dim == 4
+    assert basis_vectors(full) == [tuple(F(int(i == j)) for j in range(4)) for i in range(4)]
+    for rows in (3, 0):
+        assert kernel_basis(SparseMatrix.zeros(rows, 0)) == Subspace.zero(0)
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """A sparse rational matrix of any shape up to 6 x 8, tall or wide,
+    zero rows and columns included."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    if not (rows and cols):
+        return SparseMatrix.zeros(rows, cols)
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return SparseMatrix(rows, cols, draw(st.dictionaries(cells, _RATIONALS, max_size=rows * cols)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shaped_matrices())
+def test_kernel_basis_annihilates_and_has_the_nullity(m):
+    k = kernel_basis(m)
+    assert all(not any(matvec(m, v)) for v in basis_vectors(k))
+    assert k.dim == m.cols - dense_rank(dense_matrix(m))
+
+
 def test_sparse_and_dense_vectors_agree():
     rng = random.Random(11)
     for m in _oracle_matrices():
