@@ -20,9 +20,11 @@ connection twist all multiply those integers, and divide by the
 denominators once.  The Kaehler classes [b_i d(b_j)] and d(b_j), and
 kappa (invariants.UniversalFormSpace), are held in the same form,
 integer rows over one denominator read off the echelon rows
-(linalg.QuotientSpace._coordinates), so omega, the twist and the
-module action sum integers end to end and build Fractions only where a
-public accessor reads a value.
+(linalg.QuotientSpace._coordinates).  universal_cocycle projects the
+in-class pairs to Omega1bar once and keeps those classes on its result
+(UniversalCocycle._bar_pairs); omega and the connection twist read them
+there.  So omega, the twist and the module action sum integers end to
+end and build Fractions only where a public accessor reads a value.
 """
 
 from __future__ import annotations
@@ -648,16 +650,24 @@ def adjoin_unit_extend(
 
 
 class UniversalCocycle:
-    """The canonical cocycle with the spaces it is built from."""
+    """The canonical cocycle with the spaces it is built from.
 
-    __slots__ = ("current", "forms", "kaehler", "cocycle", "note")
+    _bar_pairs = (den, {(i, j): {u: int}}) holds the Omega1bar classes
+    [b_i d(b_j)] that omega is summed from, as integer rows over one
+    denominator, stored only when nonzero (so only for b_i and b_j in one
+    product class).  universal_cocycle projects them once, and
+    twist_difference reads them to move one-forms by A.
+    """
 
-    def __init__(self, current, forms, kaehler, cocycle, note):
+    __slots__ = ("current", "forms", "kaehler", "cocycle", "note", "_bar_pairs")
+
+    def __init__(self, current, forms, kaehler, cocycle, note, bar_pairs):
         self.current = current
         self.forms = forms
         self.kaehler = kaehler
         self.cocycle = cocycle
         self.note = note
+        self._bar_pairs = bar_pairs
 
     @property
     def coeff_dim(self) -> int:
@@ -687,10 +697,11 @@ def universal_cocycle(g: LieAlgebra, A: CommAlgebra) -> UniversalCocycle:
     # stored pairs keep the lexicographic order of the loop they replace.
     # The integer pair rows are projected to Omega1bar as they are, and
     # omega sums the integer bar classes and kappa rows in the cochains'
-    # integer form
+    # integer form; the bar classes are kept on the result for the twist
     pden, pairs = kaehler._pairs
     bden, bars = _over_lcm({pair: kaehler.omega1bar._coordinates(row)
                             for pair, row in pairs.items()})
+    bden *= pden
     bar_table = {pair: row for pair, row in bars.items() if row}
     kden, kappa = forms._kappa
     # a flat pair fi < fj always has fibre indices i <= j, the order of
@@ -708,8 +719,8 @@ def universal_cocycle(g: LieAlgebra, A: CommAlgebra) -> UniversalCocycle:
                 for u, bv in bar.items():
                     value[t * w + u] = kv * bv
             table[(fi, fj)] = tuple(value)
-    cocycle = Cocycle2._from_integers(current.total, m, table, kden * bden * pden)
-    return UniversalCocycle(current, forms, kaehler, cocycle, note)
+    cocycle = Cocycle2._from_integers(current.total, m, table, kden * bden)
+    return UniversalCocycle(current, forms, kaehler, cocycle, note, (bden, bar_table))
 
 
 def _universal_cocycle_on(g: LieAlgebra, A: CommAlgebra,
@@ -779,25 +790,28 @@ def twist_difference(
 
     - N[t][r] = [b_r . w_t] in Omega1bar, for each Omega1 coordinate t
       that xi uses and each basis element b_r of A.  w_t is [b_i d(b_j)]
-      for its representative column i * dim A + j, and
-      b_r [b_i d(b_j)] is the integer row KaehlerModule._act returns,
-      projected to Omega1bar as it is (QuotientSpace._coordinates);
+      for its representative column i * dim A + j, and projection is
+      linear, so N[t][r] = sum_s (b_r b_i)_s bar(s, j), summed from A's
+      integer products and the Omega1bar pair classes bar(s, j) that
+      universal_cocycle keeps (UniversalCocycle._bar_pairs); nothing is
+      projected here;
     - B[b][t] = sum_c coef kappa(z_c, x_b), for each fibre index b;
     - K[a, b][t] = sum_c coef sum_k [z_c, x_b]_k kappa(x_a, x_k), for each
-      fibre pair (a, b) that some bracket reaches; B and K hold vectors of
-      length dim V.
+      fibre pair a <= b that some bracket reaches (a flat pair i < j has
+      fibre indices a <= b); B and K hold vectors of length dim V.
 
     Then beta(x_b (x) b_q) = sum_t B[b][t] (x) N[t][q] and
     tau(x_a (x) b_p, x_b (x) b_q) = sum_r (b_p b_q)_r sum_t K[a, b][t] (x) N[t][r].
 
     All of it is integer arithmetic.  The products of A and the brackets
     of g are their integer tables, kappa is UniversalFormSpace._kappa,
-    and N, summed from A's products and the integer pair classes,
-    carries both their denominators and the lcm of its projections' own;
-    N keeps only its nonzero entries, and the coefficients of xi are
-    scaled by the lcm of their denominators.  tau and beta are built in
-    the cochains' integer form over the product of those denominators,
-    and no Fraction is built but the coefficients of xi.
+    and N, summed from A's products and the integer bar pair classes,
+    carries both their denominators; N[t][r] is empty when b_r b_i = 0,
+    and the coefficients of xi are scaled by the lcm of their
+    denominators.  tau(x_a (x) b_p, -) is summed over the b_q with
+    b_p b_q != 0 only.  tau and beta are built in the cochains' integer
+    form over the product of those denominators, and no Fraction is
+    built but the coefficients of xi.
     """
     uc = _universal_cocycle_on(g, A, uc)
     forms, kaehler, current = uc.forms, uc.kaehler, uc.current
@@ -808,14 +822,25 @@ def twist_difference(
     n, da = g.dim, A.dim
 
     aden, products = A._integer_table
-    pden = kaehler._pairs[0]
-    used = sorted({t for _, t in xi.entries})
-    # N over nden aden pden: each b_r . w_t is projected to Omega1bar as
-    # the integer row _act returns
-    rep_cols = kaehler.omega1.rep_cols
-    nden, bars = _over_lcm({(t, r): kaehler.omega1bar._coordinates(kaehler._act(r, rep_cols[t]))
-                            for t in used for r in range(da)})
-    N = {t: [bars[(t, r)] for r in range(da)] for t in used}
+    bden, bar_pairs = uc._bar_pairs
+    # partners[p] = [(q, aden b_p b_q)] over the q with b_p b_q != 0; the
+    # table's pairs are sorted, so each list comes out in increasing q
+    partners = [[] for _ in range(da)]
+    for (p, q), row in products.items():
+        partners[p].append((q, row))
+        if p != q:
+            partners[q].append((p, row))
+    # N over aden bden: w_t = [b_i d(b_j)] for rep column i * da + j, and
+    # b_r w_t = sum_s (b_r b_i)_s [b_s d(b_j)] is summed from the bar pairs
+    N = {}
+    for t in sorted({t for _, t in xi.entries}):
+        i, j = divmod(kaehler.omega1.rep_cols[t], da)
+        N[t] = by_r = [{} for _ in range(da)]
+        for r, ri in partners[i]:
+            out = by_r[r]
+            for s, c in ri.items():
+                for u, value in bar_pairs.get((s, j), {}).items():
+                    out[u] = out.get(u, 0) + c * value
     kden, krows = forms._kappa
     kappa = [[krows[forms.sym.flat(i, j)] for j in range(n)] for i in range(n)]
     xden = lcm(*{coef.denominator for coef in xi.entries.values()})
@@ -838,7 +863,7 @@ def twist_difference(
         for b in range(n):
             accumulate(B, b, t, kappa[c][b], coef)
             for k, cc in ad[c].get(b, ()):
-                for a in range(n):
+                for a in range(b + 1):
                     accumulate(K, (a, b), t, kappa[a][k], coef * cc)
 
     def fold(parts, r):
@@ -856,32 +881,29 @@ def twist_difference(
     beta = OneCochain._from_integers(
         current.total, m,
         [tuple(fold(B.get(b, {}), q)) for b in range(n) for q in range(da)],
-        xden * kden * nden * pden * aden,
+        xden * kden * aden * bden,
     )
-    folded = {
-        pair: [[(idx, x) for idx, x in enumerate(fold(parts, r)) if x] for r in range(da)]
-        for pair, parts in K.items()
-    }
+    # folded[a] = [(b, by_r)] over the pairs (a, b) of K, b in increasing
+    # order; _from_integers drops the zero totals
+    folded = [[] for _ in range(n)]
+    for (a, b), parts in sorted(K.items()):
+        folded[a].append(
+            (b, [[(idx, x) for idx, x in enumerate(fold(parts, r)) if x] for r in range(da)]))
     table = {}
     for a in range(n):
         for p in range(da):
-            fi = current.flat(a, p)
-            for b in range(n):
-                by_r = folded.get((a, b))
-                if by_r is None:
-                    continue
-                for q in range(da):
-                    fj = current.flat(b, q)
-                    if fi >= fj:
+            fi = a * da + p
+            for b, by_r in folded[a]:
+                for q, pq in partners[p]:
+                    if b == a and q <= p:
                         continue
                     total = [0] * m
-                    for r, c in products.get((p, q) if p <= q else (q, p), {}).items():
+                    for r, c in pq.items():
                         for idx, x in by_r[r]:
                             total[idx] += c * x
-                    if any(total):
-                        table[(fi, fj)] = tuple(total)
+                    table[(fi, b * da + q)] = tuple(total)
     tau = Cocycle2._from_integers(current.total, m, table,
-                                  xden * gden * kden * nden * pden * aden * aden)
+                                  xden * gden * kden * aden * aden * bden)
     if tau != beta.coboundary():
         raise InternalConsistencyError("twist difference is not the coboundary of its primitive")
     return TwistResult(tau, beta)

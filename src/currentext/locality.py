@@ -177,12 +177,11 @@ def is_diagonal(psi: Cocycle2, ss: SupportStructure) -> DiagonalReport:
     """
     if not same_algebra(psi.parent, ss.current.total):
         raise InputError("cocycle is not defined on the support structure's algebra")
-    for (i, j) in sorted(psi._num):
-        _, p = ss.current.unflat(i)
-        _, q = ss.current.unflat(j)
-        if ss.point_of_basis[p] != ss.point_of_basis[q]:
-            return DiagonalReport(False, (i, j))
-    return DiagonalReport(True)
+    # the counterexample is the least failing pair in flat order, so the
+    # pairs are scanned unsorted and only the failing ones ordered
+    da, point = ss.current.coeff.dim, ss.point_of_basis
+    failing = [(i, j) for i, j in psi._num if point[i % da] != point[j % da]]
+    return DiagonalReport(False, min(failing)) if failing else DiagonalReport(True)
 
 
 class Corner:

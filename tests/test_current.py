@@ -800,6 +800,11 @@ def test_twist_class_equality_randomized():
 
 
 # the five acceptance pairs and one with a five-dimensional Omega1bar
+# "shuffled:" names the catalog algebra on a seeded shuffle of its basis,
+# since the twist walks product partners and representative columns in
+# basis order; "sheared:" replaces b_0 by b_0 + 3/2 b_1, which brings
+# product constants other than 1 and pair classes over a denominator.
+# Both are rebuilt through CommAlgebra
 TWIST_CASES = [
     ("sl2", "sq2"),
     ("sl2", "fun:2*sq2"),
@@ -807,14 +812,28 @@ TWIST_CASES = [
     ("sl2", "fun:2"),
     ("sl2+so3", "sq2"),
     ("sl2", "sq2*jets:2"),
+    ("sl2", "sq2*jets:3"),
+    ("sl2", "shuffled:sq2*jets:2"),
+    ("sl2", "sheared:sq2*jets:2"),
 ]
+
+
+def _twist_coefficient(aname):
+    if aname.startswith("shuffled:"):
+        A = comm_catalog(aname.removeprefix("shuffled:"))
+        order = list(range(A.dim))
+        random.Random(aname).shuffle(order)
+        return _permuted_comm(A, order)
+    if aname.startswith("sheared:"):
+        return _sheared_comm(comm_catalog(aname.removeprefix("sheared:")), 0, 1, F(3, 2))
+    return comm_catalog(aname)
 
 
 @pytest.mark.parametrize("gname,aname", TWIST_CASES)
 def test_twist_difference_matches_term_by_term_reference(gname, aname):
     from oracles import twist_difference_reference
 
-    g, A = lie_catalog(gname), comm_catalog(aname)
+    g, A = lie_catalog(gname), _twist_coefficient(aname)
     uc = universal_cocycle(g, A)
     rng = random.Random(f"twist {gname} {aname}")
     for _ in range(3):
@@ -825,6 +844,24 @@ def test_twist_difference_matches_term_by_term_reference(gname, aname):
         tau, beta = twist_difference_reference(g, A, xi, uc)
         assert result.tau.values == tau
         assert result.beta.values == beta
+
+
+@pytest.mark.parametrize("aname", sorted({aname for _, aname in TWIST_CASES}))
+def test_stored_bar_pairs_are_the_bar_classes_of_the_basis_pairs(aname):
+    A = _twist_coefficient(aname)
+    uc = universal_cocycle(lie_catalog("sl2"), A)
+    kaehler = uc.kaehler
+    den, bar_pairs = uc._bar_pairs
+    class_of = {i: members for members in kaehler.classes for i in members}
+    assert all(bar_pairs.values())
+    for i in range(A.dim):
+        for j in range(A.dim):
+            row = bar_pairs.get((i, j), {})
+            stored = tuple(F(row.get(u, 0), den) for u in range(kaehler.dim_omega1bar))
+            assert stored == kaehler.bar_pair(i, j)
+            if class_of[i] is not class_of[j]:
+                assert (i, j) not in bar_pairs
+                assert not any(kaehler.bar_pair(i, j))
 
 
 UNIVERSALITY_CASES = [

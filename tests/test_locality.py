@@ -155,6 +155,23 @@ def test_ad_hoc_bilinear_map_is_not_diagonal():
     assert report.counterexample == (ca.flat(0, 0), ca.flat(2, 1))
 
 
+def test_counterexample_is_the_first_failing_pair_in_flat_order():
+    # the pairs are stored in a shuffled order, so the report must pick
+    # the least failing pair, not the first one it meets
+    g, A, ca, ss = _setup("sl2", "fun:2*sq2")
+    rng = random.Random(11)
+    point = [ss.point_of_basis[ca.unflat(i)[1]] for i in range(ca.dim)]
+    pairs = list(combinations(range(ca.dim), 2))
+    cross = [pair for pair in pairs if point[pair[0]] != point[pair[1]]]
+    chosen = rng.sample(cross, 6) + rng.sample([p for p in pairs if p not in cross], 6)
+    rng.shuffle(chosen)
+    bad = Cocycle2(ca.total, 1, {pair: (F(rng.randint(1, 3)),) for pair in chosen})
+    report = is_diagonal(bad, ss)
+    assert not report.ok
+    assert report.counterexample == min(pair for pair in chosen if pair in cross)
+    assert is_diagonal(Cocycle2(ca.total, 1, {p: (F(1),) for p in chosen if p not in cross}), ss).ok
+
+
 def test_restrict_full_set_is_identity():
     g, A, ca, ss = _setup()
     rng = random.Random(8)
