@@ -108,17 +108,25 @@ against the nonzero values of psi, in O(bracket nnz * n * m), without
 visiting the comb(n, 3) triples, and OneCochain.coboundary costs
 O(bracket nnz * m).  Both sum the stored integers against the integer
 brackets, and only the results carry the two denominators' product.
-coboundary_witness solves all m slots of psi with one elimination of
-[d^1 | psi] (linalg._solve_rows) before anything else reads psi.  It
-builds the integer rows itself, one per pair in brackets or psi in
-sorted (lexicographic rank) order: row (a, b) of d^1 is the negated
-integer bracket {k: -c_ab^k} over the bracket denominator, so slot t of
-psi's integers, scaled by that denominator, sits in column dim L + t.
-The sparse solutions are read as integers over the lcm of their pivot
+coboundary_witness solves all m slots of psi at once, before anything
+else reads psi, on the integer rows of d^1: row (a, b) is the negated
+integer bracket {k: -c_ab^k} over the bracket denominator.  First those
+rows alone, without psi, are peeled into a triangular order
+(linalg._peel_order), in O(bracket nnz).  When the order fixes every
+column, d^1 has rank dim L, so a primitive is unique; it is found by
+forward substitution of psi's integers along the order, as integer
+m-tuples over one running denominator, and returned when its coboundary
+is psi exactly.  The peel fixes every column on the perfect catalog
+algebras and their current algebras, in catalog or permuted basis
+order.  Otherwise (a dense basis, a centre, or a psi that is no
+coboundary) [d^1 | psi] is eliminated once (linalg._solve_rows), one
+row per pair in brackets or psi in sorted order, slot t of psi's
+integers, scaled by the bracket denominator, in column dim L + t.
+Those solutions are read as integers over the lcm of their pivot
 entries, and divided by the cocycle's denominator once; no Fraction is
-built.  A solved psi is d beta, a cocycle since d o d = 0, so the
-defect pass runs only when a slot fails to solve: it either names the
-violating triple or clears psi for its class coordinates.
+built either way.  A solved psi is d beta, a cocycle since d o d = 0,
+so the defect pass runs only when a slot fails to solve: it either
+names the violating triple or clears psi for its class coordinates.
 """
 
 from __future__ import annotations
@@ -126,7 +134,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import lt
 from typing import Optional, Sequence
 
@@ -151,6 +159,7 @@ from .linalg import (
     Vec,
     _as_fraction,
     _content,
+    _peel_order,
     _solve_rows,
     kernel_basis,
     quotient_space,
@@ -833,6 +842,45 @@ class CoboundaryWitness:
         return f"CoboundaryWitness(class = {[str(c) for c in self.class_coordinates]})"
 
 
+def _peeled_primitive(psi: Cocycle2) -> Optional[OneCochain]:
+    """The primitive of psi read off the peel order of d^1 alone, or None.
+
+    The bracket rows of d^1, without psi, go to linalg._peel_order.  When
+    the peel fixes all n columns, rank d^1 = n, so d beta = psi has at most
+    one solution: x = psi._den * beta solves sum_k c_k x_k = -bden psi(a, b)
+    on each row (a, b), whose integer bracket is {k: c_k}, and it is found
+    by forward substitution along the order, as integer m-tuples over one
+    running denominator, scaled by |lead| / gcd only where a lead does not
+    divide.  It is returned only if its coboundary is psi exactly.
+    """
+    L, m = psi.parent, psi.coeff_dim
+    bden, brackets = L._integer_table
+    pairs, rows = list(brackets), list(brackets.values())
+    order = _peel_order(rows, L.dim)
+    if order is None:
+        return None
+    zero = (0,) * m
+    num = [zero] * L.dim
+    den = 1
+    for r, col in order:
+        row = rows[r]
+        total = [-den * bden * y for y in psi._num.get(pairs[r], zero)]
+        for k, c in row.items():
+            if k != col:
+                for a, x in enumerate(num[k]):
+                    total[a] -= c * x
+        lead = row[col]
+        g = gcd(lead, *total)
+        if g != abs(lead):
+            scale = abs(lead) // g
+            den *= scale
+            num = [tuple(scale * x for x in v) for v in num]
+            total = [scale * x for x in total]
+        num[col] = tuple(x // lead for x in total)
+    beta = OneCochain._from_integers(L, m, num, den * psi._den)
+    return beta if beta.coboundary() == psi else None
+
+
 def coboundary_witness(
     psi: Cocycle2,
     *,
@@ -841,19 +889,24 @@ def coboundary_witness(
     """Find beta with (d beta) = psi, or the class of psi in H^2.
 
     The resource ceiling is checked before psi's values are read: C^2 with
-    its factor m must fit.  Then all m slots are solved by one elimination
-    of d^1.  When every slot solves, psi = d beta, and beta is returned
-    without checking that psi is a cocycle: d o d = 0 on a Lie algebra,
-    so a coboundary is one.  Only when a slot has no solution is psi's
-    cocycle defect evaluated: NotACocycleError carries the first
-    violating basis triple, and a cocycle gets its class coordinates.
-    On a table that satisfies Jacobi a non-cocycle never solves, so every
-    non-cocycle is refused.  On a bracket table that fails Jacobi, d o d
-    need not vanish, and a psi that is d beta but no cocycle gets that
-    beta, a true witness; a cocycle that does not solve there goes to
-    cohomology, which raises InvalidAlgebraError when its class count
-    fails.  The returned primitive is the canonical solution of the linear system,
-    so repeated runs agree bit for bit.
+    its factor m must fit.  Then all m slots are solved at once.  When the
+    bracket rows of d^1 peel whole, rank d^1 = dim L and the solution, if
+    any, is unique, so the beta that substitution along the peel order
+    finds, checked by d beta = psi exactly, is the canonical solution
+    (_peeled_primitive).  Otherwise, or when that check fails, d^1 is
+    eliminated with psi as its right-hand sides.  When every slot solves,
+    psi = d beta, and beta is returned without checking that psi is a
+    cocycle: d o d = 0 on a Lie algebra, so a coboundary is one.  Only
+    when a slot has no solution is psi's cocycle defect evaluated:
+    NotACocycleError carries the first violating basis triple, and a
+    cocycle gets its class coordinates.  On a table that satisfies Jacobi
+    a non-cocycle never solves, so every non-cocycle is refused.  On a
+    bracket table that fails Jacobi, d o d need not vanish, and a psi
+    that is d beta but no cocycle gets that beta, a true witness; a
+    cocycle that does not solve there goes to cohomology, which raises
+    InvalidAlgebraError when its class count fails.  The returned
+    primitive is the canonical solution of the linear system, so
+    repeated runs agree bit for bit.
     """
     L = psi.parent
     m = psi.coeff_dim
@@ -863,6 +916,9 @@ def coboundary_witness(
     # psi = 0 has the zero primitive and needs no d^1; so does any zero
     # slot, whose right-hand-side column below is empty
     if psi._num:
+        beta = _peeled_primitive(psi)
+        if beta is not None:
+            return CoboundaryWitness(beta, None, None)
         # row (a, b) of d^1 is -[x_a, x_b] / bden, so the integer row of
         # pair (a, b) in [d^1 | psi._num] is {k: -c} and slot t of
         # psi._num[(a, b)], times bden, in column n + t

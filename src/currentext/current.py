@@ -40,6 +40,7 @@ from .errors import (
     DimensionMismatchError,
     FibreNotSemisimpleError,
     InternalConsistencyError,
+    InvalidAlgebraError,
     NoLocalUnitError,
     NonUnitalError,
     NotDiagonalError,
@@ -941,7 +942,10 @@ def universality_map(
 
     Requires a semisimple fibre; the map sends the elementary functional
     picking coordinate t into target slot a to the class of the
-    corresponding scalar multiple of the canonical cocycle.
+    corresponding scalar multiple of the canonical cocycle.  omega is a
+    cocycle when A's declared unit is one; when a component is read
+    outside the cocycle span, A is validated, and a unit defect is
+    refused as invalid input naming its first basis element.
     """
     _, semisimple = killing_form(g)
     if not semisimple:
@@ -956,10 +960,18 @@ def universality_map(
     # component omega_t sits at rows k * m + a of columns t * m + a, so the
     # matrix is S (x) I_m with S computed once per t
     matrix = [[_ZERO] * dim_hom for _ in range(h2.dimension)]
-    for t in range(target_dim if m else 0):  # QQ^0 has no classes to read
-        for k, c in h2.scalar_class_coordinates(uc.cocycle.slot(t)).items():
-            for a in range(m):
-                matrix[k * m + a][t * m + a] = c
+    try:
+        for t in range(target_dim if m else 0):  # QQ^0 has no classes to read
+            for k, c in h2.scalar_class_coordinates(uc.cocycle.slot(t)).items():
+                for a in range(m):
+                    matrix[k * m + a][t * m + a] = c
+    except InternalConsistencyError:
+        unit = A.validate().unit
+        if not unit:
+            raise
+        i, image = unit[0]
+        raise InvalidAlgebraError(f"declared unit is not a unit: unit * {A.labels[i]} = "
+                                  f"{[str(x) for x in image]}") from None
     square = dim_hom == h2.dimension
     if square and dim_hom:
         bijective = rank(SparseMatrix.from_dense(matrix)) == dim_hom

@@ -25,7 +25,10 @@ sparse rational matrices, so this module fixes the conventions once:
   takes augmented integer rows with one column per right-hand side,
   eliminates once and returns sparse integer solutions; solve_many
   builds those rows from a matrix and its right-hand sides and makes the
-  solutions dense Fractions, and solve_linear is its one-column case.
+  solutions dense Fractions, and solve_linear is its one-column case;
+* a square-or-taller system that peels whole, a single-entry row fixing
+  one column at a time, is triangular: _peel_order finds that order, or
+  reports that the peel stalls, and its caller substitutes along it.
 
 Cost contract: the bookkeeping around the elimination is linear in the
 nonzeros it touches, and a Fraction is built only where a public
@@ -362,6 +365,38 @@ def _peel(int_rows, stop_col: int):
         fixed |= new
         hit = list(compress(count(), map(not_, map(new.isdisjoint, rows)))) if new else ()
     return sorted(fixed), list(filter(None, rows))
+
+
+def _peel_order(int_rows, cols: int):
+    """A triangular order of a system whose unknowns are every column in
+    range(cols), or None when the peel stalls before it fixes them all.
+
+    The order is a list of (row index, column): each row holds its column
+    and otherwise only columns fixed before it, so the system is solved by
+    forward substitution along it, and a full order proves rank cols.  A
+    queue holds the rows left with one unfixed column; fixing a column
+    counts it off every row that holds it, so the pass costs O(nnz).  A
+    queued row whose column another row fixed first fixes nothing.
+    """
+    left = [len(row) for row in int_rows]
+    holders = [[] for _ in range(cols)]
+    for r, row in enumerate(int_rows):
+        for c in row:
+            holders[c].append(r)
+    fixed = [False] * cols
+    order = []
+    queue = [r for r, k in enumerate(left) if k == 1]
+    for r in queue:  # the queue grows as the loop reads it
+        col = next((c for c in int_rows[r] if not fixed[c]), None)
+        if col is None:
+            continue
+        fixed[col] = True
+        order.append((r, col))
+        for s in holders[col]:
+            left[s] -= 1
+            if left[s] == 1:
+                queue.append(s)
+    return order if len(order) == cols else None
 
 
 def _eliminate(int_rows, stop_col: int):

@@ -51,7 +51,9 @@ are the former constructor loops of the two kinds of algebra, and the
 two violations references their former mirror checks.  reparsed feeds
 a table's own public entries (and a CommAlgebra's unit and idempotents)
 back to the parsing constructor, as the reference for the tables the
-package derives.
+package derives.  on_dense_basis and sheared_comm rebuild an algebra
+on another basis, a dense one or one shear away, as inputs whose tables
+the structural shortcuts cannot read off.
 
 The package keys cochains by increasing index tuples, {p-tuple: m-tuple}.
 The dense references use flat vectors of C^p(L, Q^m) instead, entry
@@ -236,6 +238,37 @@ def reparsed(A):
     if hasattr(A, "structure_entries"):
         return type(A)(A.labels, A.structure_entries())
     return type(A)(A.labels, A.entries(), A.unit, A.idempotents)
+
+
+def on_dense_basis(base):
+    """base on the columns of (unit lower ones) (unit upper ones), whose
+    entry (r, c) is min(r, c) + 1: a unimodular basis change after which
+    almost every structure constant is nonzero."""
+    from currentext.lie import LieAlgebra
+
+    columns = [{r: min(r, c) + 1 for r in range(base.dim)} for c in range(base.dim)]
+    return LieAlgebra._from_integer_table([f"v{t}" for t in range(base.dim)],
+                                          *base._entries_on(columns))
+
+
+def sheared_comm(A, i, k, c):
+    """A on the basis with b_i replaced by b_i + c b_k (k != i); in the new
+    coordinates a vector's k-th entry loses c times its i-th."""
+    def coords(v):
+        v = list(v)
+        v[k] -= c * v[i]
+        return v
+
+    basis = [A.basis_vector(m) for m in range(A.dim)]
+    basis[i] = tuple(x + c * y for x, y in zip(basis[i], basis[k]))
+    entries = [
+        (p, q, r, value)
+        for p in range(A.dim)
+        for q in range(p, A.dim)
+        for r, value in enumerate(coords(A.product(basis[p], basis[q])))
+        if value
+    ]
+    return type(A)(A.labels, entries, coords(A.unit))
 
 
 def corner_entries_reference(A, indices):

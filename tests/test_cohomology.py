@@ -36,8 +36,8 @@ from currentext.errors import (
     NotACocycleError,
     ResourceCeilingError,
 )
-from currentext.lie import LieAlgebra, _product_classes, derived_subalgebra
-from currentext.linalg import SparseMatrix, Subspace, kernel_basis, solve_many
+from currentext.lie import LieAlgebra, _product_classes, derived_subalgebra, validate_lie
+from currentext.linalg import SparseMatrix, Subspace, _peel_order, kernel_basis, solve_many
 from currentext.locality import (
     Cover,
     SupportStructure,
@@ -46,7 +46,7 @@ from currentext.locality import (
     restrict_cochain,
 )
 
-from oracles import dense_matrix, matrix_rows, matvec
+from oracles import dense_matrix, matrix_rows, matvec, on_dense_basis, sheared_comm
 
 F = Fraction
 
@@ -874,6 +874,155 @@ def _shuffled(name, shuffle):
         random.Random(f"{name} shuffle {shuffle}").shuffle(order)
         L = _permuted(L, order)
     return L
+
+
+def _cyclically_sheared_sq2():
+    # b_i -> b_i + 3/2 b_{i+1 mod 4}, one shear after another; a single
+    # shear still leaves sl2 (x) sq2 a basis whose bracket rows peel whole
+    A = comm_catalog("sq2")
+    for i in range(4):
+        A = sheared_comm(A, i, (i + 1) % 4, F(3, 2))
+    return A
+
+
+def _peel_case(name):
+    """(algebra, whether the bracket rows of d^1 peel whole)."""
+    if name == "sl3 on a dense basis":
+        return on_dense_basis(lie_catalog("sl3")), False
+    if name == "sl2 (x) sheared sq2":
+        return current_algebra(lie_catalog("sl2"), _cyclically_sheared_sq2()).total, False
+    base, _, shuffle = name.partition(" shuffled")
+    L = _shuffled(base, int(shuffle or 0))
+    # heis3, gl2 and abelian:3 are not perfect: rank d^1 < dim L
+    return L, base.split(" (x) ")[0] not in ("heis3", "gl2", "abelian:3")
+
+
+PEEL_CASES = (
+    *ACCEPTANCE_PAIRS, *(f"{name} shuffled 1" for name in ACCEPTANCE_PAIRS),
+    "sl3", "sl3 shuffled 1", "sl3 on a dense basis", "sl2 (x) sheared sq2",
+    "heis3 (x) sq2", "gl2 (x) sq2", "abelian:3 (x) sq2",
+)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name", PEEL_CASES)
+def test_peeled_witnesses_match_the_elimination(name, m):
+    # where the bracket rows peel whole the witness substitutes along the
+    # peel order, elsewhere it eliminates [d^1 | psi]: both give the
+    # primitive, the class or the violating triple of one solve per slot
+    L, peels = _peel_case(name)
+    assert (_peel_order(list(L._integer_table[1].values()), L.dim) is not None) == peels
+    rng = random.Random(f"peel {name} {m}")
+    exact = _random_one_cochain(L, m, rng).coboundary()
+    witness = _assert_witness_matches_reference(exact)
+    assert witness.is_exact and witness.beta.coboundary() == exact
+    for rep in cohomology(L, 2, m).representative_cocycles()[:2]:
+        assert not _assert_witness_matches_reference(exact + rep).is_exact
+    for psi in [_random_cochain(L, m, rng) for _ in range(3)]:
+        defect = psi.cocycle_defect()
+        if defect is None:
+            _assert_witness_matches_reference(psi)
+            continue
+        with pytest.raises(NotACocycleError) as err:
+            coboundary_witness(psi)
+        assert (err.value.triple, err.value.defect) == defect
+
+
+def test_a_mutated_coboundary_on_a_peeled_basis_gets_no_primitive():
+    # one entry of d beta changed, on every bracket pair in turn: the
+    # substitution reads some of those entries and not others, and the
+    # exact coboundary check refuses every mutant that is no coboundary
+    L = _oracle_algebra("sl2 (x) sq2")
+    assert _peel_order(list(L._integer_table[1].values()), L.dim) is not None
+    d1 = ce_differential(L, 1)
+    ranks = {pair: r for r, pair in enumerate(combinations(range(L.dim), 2))}
+    exact = _random_one_cochain(L, 3, random.Random("mutant")).coboundary()
+    refused = 0
+    for pair in L._integer_table[1]:
+        mutant = exact + Cocycle2(L, 3, {pair: (F(0), F(1), F(0))})
+        if solve_many(d1, [{ranks[pair]: 1}]) != [None]:
+            # e_pair is a coboundary, and so is the mutant
+            assert coboundary_witness(mutant).beta.coboundary() == mutant
+            continue
+        refused += 1
+        try:
+            witness = coboundary_witness(mutant)
+        except NotACocycleError:
+            continue
+        assert not witness.is_exact
+    assert refused > len(L._integer_table[1]) // 2
+
+
+def _witness_outcome(psi):
+    try:
+        witness = coboundary_witness(psi)
+    except (NotACocycleError, InvalidAlgebraError) as err:
+        return type(err), str(err)
+    return witness.beta, witness.class_coordinates
+
+
+def test_a_peeled_table_that_fails_jacobi_gets_the_answers_of_the_elimination(monkeypatch):
+    # [a, b] = c, [a, c] = b, [b, c] = a + b, [a, d] = d fails Jacobi, and
+    # its bracket rows peel whole: a coboundary, a cocycle or not, gets its
+    # primitive, checked exactly, and every other cochain the answer of
+    # [d^1 | psi] alone, here the first violating triple
+    L = LieAlgebra(["a", "b", "c", "d"],
+                   [(0, 1, 2, 1), (0, 2, 1, 1), (1, 2, 0, 1), (1, 2, 1, 1), (0, 3, 3, 1)])
+    assert not validate_lie(L).ok
+    assert _peel_order(list(L._integer_table[1].values()), L.dim) is not None
+    rng = random.Random("peeled jacobi")
+    cases = [_random_one_cochain(L, m, rng).coboundary() for m in (1, 3)]
+    cases += [_random_cochain(L, m, rng) for m in (1, 2, 3) for _ in range(3)]
+    peeled = [_witness_outcome(psi) for psi in cases]
+    assert peeled[0][0].coboundary() == cases[0] and peeled[1][0].coboundary() == cases[1]
+    assert any(outcome[0] is NotACocycleError for outcome in peeled)
+    module = importlib.import_module("currentext.cohomology")
+    monkeypatch.setattr(module, "_peel_order", lambda rows, cols: None)
+    assert [_witness_outcome(psi) for psi in cases] == peeled
+
+
+def _refuse_elimination(*args):
+    raise AssertionError("the witness eliminated [d^1 | psi] on a peeled basis")
+
+
+def test_peeled_witnesses_eliminate_nothing(monkeypatch):
+    # the glue corners of sl2 (x) fun:6*sq2 and the twist of so3 (x) sq2*sq2
+    # peel whole, so no [d^1 | psi] system reaches the eliminator
+    from currentext import linalg
+
+    module = importlib.import_module("currentext.cohomology")
+    monkeypatch.setattr(module, "_solve_rows", _refuse_elimination)
+    monkeypatch.setattr(linalg, "_solve_rows", _refuse_elimination)
+    rng = random.Random("peeled witnesses")
+    ca = current_algebra(lie_catalog("sl2"), comm_catalog("fun:6*sq2"))
+    ss = SupportStructure(ca)
+    cover = Cover(ss, [(str(k), str(k + 1)) for k in range(1, 6)])
+    psi = _random_one_cochain(ca.total, 2, rng).coboundary()
+    primitives = [coboundary_witness(restrict_class(psi, ss, subset)).beta
+                  for subset in cover.subsets]
+    assert glue_primitives(psi, cover, primitives).coboundary() == psi
+    g, A = lie_catalog("so3"), comm_catalog("sq2*sq2")
+    uc = universal_cocycle(g, A)
+    xi = GValuedOneForm(g.dim, uc.kaehler.dim_omega1, {
+        (i, t): rng.randint(-3, 3) for i in range(g.dim) for t in range(uc.kaehler.dim_omega1)})
+    tau = twist_difference(g, A, xi, uc=uc).tau
+    assert coboundary_witness(tau).beta.coboundary() == tau
+
+
+def test_a_dense_basis_falls_back_to_the_elimination(monkeypatch):
+    module = importlib.import_module("currentext.cohomology")
+    solve_rows = module._solve_rows
+    calls = []
+
+    def counted(rows, cols, k):
+        calls.append(cols)
+        return solve_rows(rows, cols, k)
+
+    monkeypatch.setattr(module, "_solve_rows", counted)
+    L = on_dense_basis(lie_catalog("sl3"))
+    psi = _random_one_cochain(L, 2, random.Random("dense sl3")).coboundary()
+    assert coboundary_witness(psi).beta.coboundary() == psi
+    assert calls == [L.dim]
 
 
 @pytest.mark.parametrize("name", IDEAL_SUMS)

@@ -20,6 +20,7 @@ from currentext.errors import (
     DimensionMismatchError,
     FibreNotSemisimpleError,
     InputError,
+    InvalidAlgebraError,
     NoLocalUnitError,
     NonUnitalError,
     NotDiagonalError,
@@ -40,6 +41,7 @@ from oracles import (
     kaehler_reference,
     module_action_reference,
     reparsed,
+    sheared_comm,
     tensor_comm_reference,
 )
 
@@ -435,26 +437,6 @@ def _permuted_comm(A, order):
     )
 
 
-def _sheared_comm(A, i, k, c):
-    """A on the basis with b_i replaced by b_i + c b_k (k != i); in the new
-    coordinates a vector's k-th entry loses c times its i-th."""
-    def coords(v):
-        v = list(v)
-        v[k] -= c * v[i]
-        return v
-
-    basis = [A.basis_vector(m) for m in range(A.dim)]
-    basis[i] = tuple(x + c * y for x, y in zip(basis[i], basis[k]))
-    entries = [
-        (p, q, r, value)
-        for p in range(A.dim)
-        for q in range(p, A.dim)
-        for r, value in enumerate(coords(A.product(basis[p], basis[q])))
-        if value
-    ]
-    return CommAlgebra(A.labels, entries, coords(A.unit))
-
-
 KAEHLER_SPLIT_CASES = ["fun:8*sq2", "fun:6*sq2", "fun:2*sq2", "sq2*jets:2", "fun:3", "fun:2*jets:2"]
 
 
@@ -475,7 +457,7 @@ def test_kaehler_matches_the_all_triples_span(name, basis):
         for left, right in links:
             i = rng.choice(left)
             k = rng.choice([m for m in right if m != i])
-            A = _sheared_comm(A, i, k, F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+            A = sheared_comm(A, i, k, F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
     module = kaehler_module(A)
     if basis == "mixed":
         assert len(module.classes) == 1
@@ -825,7 +807,7 @@ def _twist_coefficient(aname):
         random.Random(aname).shuffle(order)
         return _permuted_comm(A, order)
     if aname.startswith("sheared:"):
-        return _sheared_comm(comm_catalog(aname.removeprefix("sheared:")), 0, 1, F(3, 2))
+        return sheared_comm(comm_catalog(aname.removeprefix("sheared:")), 0, 1, F(3, 2))
     return comm_catalog(aname)
 
 
@@ -893,6 +875,19 @@ def test_universality_h2_matches_target_dimension():
 def test_universality_rejects_non_semisimple_fibre():
     with pytest.raises(FibreNotSemisimpleError):
         universality_map(lie_catalog("heis3"), comm_catalog("sq2"), 1)
+
+
+@pytest.mark.parametrize("aname", ["sq2", "fun:2*sq2", "fun:4*sq2"])
+def test_a_wrong_declared_unit_is_refused_as_an_invalid_algebra(aname):
+    # the unit's first nonzero coordinate zeroed: omega is then no cocycle,
+    # and the class read outside the cocycle span is traced to the unit
+    A = comm_catalog(aname)
+    unit = list(A.unit)
+    unit[unit.index(1)] = F(0)
+    wrong = CommAlgebra(A.labels, A.entries(), unit, A.idempotents)
+    assert wrong.validate().unit
+    with pytest.raises(InvalidAlgebraError, match=r"declared unit is not a unit: unit \* "):
+        universality_map(lie_catalog("sl2"), wrong, 1)
 
 
 def test_a_universal_cocycle_on_other_algebras_is_refused():

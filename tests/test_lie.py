@@ -47,6 +47,7 @@ from oracles import (
     killing_form_reference,
     lie_from_matrices_reference,
     lie_table_reference,
+    on_dense_basis,
     perfect_witness_reference,
     reparsed,
     v_space_and_kappa_reference,
@@ -186,20 +187,11 @@ def _sl_matrices(d):
     return lie_from_matrices(labels, mats)
 
 
-def _on_dense_basis(base):
-    """base on the columns of (unit lower ones) (unit upper ones), whose
-    entry (r, c) is min(r, c) + 1: a unimodular basis change after which
-    almost every structure constant is nonzero."""
-    columns = [{r: min(r, c) + 1 for r in range(base.dim)} for c in range(base.dim)]
-    return LieAlgebra._from_integer_table([f"v{t}" for t in range(base.dim)],
-                                          *base._entries_on(columns))
-
-
 _SEMISIMPLE_BUILDERS = {
     **{name: lambda name=name: lie_catalog(name) for name in ("sl2", "so3", "sl3", "sl2C", "sl2+so3")},
     "sl(4)": lambda: _sl_matrices(4),
     "sl(5)": lambda: _sl_matrices(5),
-    "sl3 on a dense basis": lambda: _on_dense_basis(lie_catalog("sl3")),
+    "sl3 on a dense basis": lambda: on_dense_basis(lie_catalog("sl3")),
 }
 
 
@@ -244,7 +236,7 @@ def test_gl3_on_a_dense_basis_solves_its_derivation_system():
     # gl3 is not semisimple, so its dense n C(n, 2) x n^2 system is solved:
     # der(gl3) is ad(gl3), of dim 8, plus the maps of gl3 / [gl3, gl3]
     # into the centre, of dim 1
-    L = _on_dense_basis(_gl(3))
+    L = on_dense_basis(_gl(3))
     assert len(L.structure_entries()) == 270
     ders = _matches_derivations_reference(L)
     assert (ders.dim, ders.all_inner, ders.contains_inner) == (9, False, True)

@@ -13,6 +13,7 @@ from currentext.linalg import (
     _back_substitute,
     _eliminate,
     _peel,
+    _peel_order,
     _primitive,
     _solve_rows,
     kernel_basis,
@@ -562,6 +563,56 @@ def test_a_cascade_chain_fixes_every_column():
     _matches_the_dense_oracles(dense, 6)
     # a chain that ends past stop_col leaves its last link in the remainder
     assert _peel([{0: 1}, {0: 1, 1: 2}, {1: 3, 2: 1}], 2) == ([0, 1], [{2: 1}])
+
+
+def test_peel_order_walks_a_cascade_chain():
+    # the chain runs backwards in input order: each link is queued once
+    # the column before it is fixed, and substitutes only fixed columns
+    chain = [{0: 1}, {0: 1, 1: 2}, {1: 3, 2: 1}, {2: -2, 3: 5}, {3: 1, 4: 1}]
+    rows = chain[::-1]
+    order = _peel_order(rows, 5)
+    assert order == [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+    fixed = set()
+    for r, col in order:
+        assert col in rows[r] and set(rows[r]) - {col} <= fixed
+        fixed.add(col)
+    assert rank(SparseMatrix.from_rows(rows, 5)) == 5
+
+
+def test_peel_order_lets_one_row_fix_a_column():
+    # {0: 1} and {0: 5} both hold column 0 alone: the first fixes it and
+    # the second fixes nothing; {0: 2, 1: 1} and {0: 1, 1: 3} are then both
+    # left with column 1, which the first of them fixes
+    rows = [{0: 1}, {0: 5}, {0: 2, 1: 1}, {0: 1, 1: 3}]
+    assert _peel_order(rows, 2) == [(0, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2),  # rank 2, but no row holds one column
+    ([{0: 1}, {0: 1, 1: 1, 2: 1}], 3),  # the peel fixes 0 and leaves two
+    ([{0: 1}, {0: 2}], 2),  # no row holds column 1
+    ([], 1),
+], ids=["no single entry", "stalls after one", "empty column", "no rows"])
+def test_peel_order_reports_a_stall(rows, cols):
+    assert _peel_order(rows, cols) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_full_peel_order_is_triangular_and_proves_full_rank(data):
+    cols = data.draw(st.integers(1, 5))
+    entry = st.integers(-3, 3).filter(bool)
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry, min_size=1,
+                                              max_size=2), max_size=8))
+    order = _peel_order(rows, cols)
+    if order is None:
+        return
+    assert rank(SparseMatrix.from_rows(rows, cols)) == cols
+    assert sorted(col for _, col in order) == list(range(cols))
+    fixed = set()
+    for r, col in order:
+        assert col in rows[r] and set(rows[r]) - {col} <= fixed
+        fixed.add(col)
 
 
 def test_a_matrix_of_single_entry_rows_needs_no_row_step(monkeypatch):
